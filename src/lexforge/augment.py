@@ -13,6 +13,7 @@ import math
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .corpus import MONTH_BEARING, LegalElements, PrisonTerm, TermKind
 from .errors import MainArticleMismatch, NoMatch
@@ -221,7 +222,9 @@ def mix_pairs(queries: Sequence, corpus: Mapping[str, LegalElements],
     (queries, corpus, seed).
     """
     n = len(queries)
-    target = int(cfg.proportion_augmented * n)
+    # the floor of the decimal the proportion was written as: 0.7 * 90 is 63,
+    # where the float product is 62.99999999999999
+    target = math.floor(Fraction(repr(cfg.proportion_augmented)) * n)
     rng = random.Random(cfg.seed)
     chosen = set(rng.sample(range(n), target)) if target else set()
 

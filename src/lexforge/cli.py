@@ -10,14 +10,15 @@ outputs atomically, and is re-runnable. Exit codes: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
 
 from . import augment as augment_mod
-from . import evaluation, fileio, retrieval, testkit, training
+from . import config, evaluation, fileio, retrieval, testkit, training
 from . import querygen as querygen_mod
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig
 from .corpus import (
     CaseDocument,
     Exclusion,
@@ -39,6 +40,15 @@ EXIT_REMOTE = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse API
         raise UsageError(message)
+
+
+def _flags(args, *names: str, **dests: str) -> dict[str, tuple[str, str]]:
+    """The flags given that set the named fields or parameters, as the
+    (flag, text) values :mod:`config` parses. A flag's dest is the name it
+    sets, or ``dests[name]``."""
+    dests = {name: name for name in names} | dests
+    return {name: ("--" + dest.replace("_", "-"), getattr(args, dest))
+            for name, dest in dests.items() if getattr(args, dest) is not None}
 
 
 # --------------------------------------------------------------------------
@@ -104,17 +114,17 @@ def _corpus_texts(docs: dict[str, CaseDocument]) -> dict[str, str]:
 
 def _cmd_fixtures(args, cfg: PipelineConfig) -> int:
     out = Path(args.out)
-    spec = testkit.SyntheticSpec(
-        n_cases=args.n_cases, charge_count=args.charges,
-        n_rulings=args.n_rulings, n_short_facts=args.n_short_facts,
+    spec = config.with_values(testkit.SyntheticSpec, _flags(
+        args, "n_cases", "n_rulings", "n_short_facts", charge_count="charges"),
         min_fact_chars=cfg.filter.min_fact_chars, seed=args.seed)
+    qrels_params = config.parse(testkit.generate_qrels, _flags(args, "n_queries"))
     build = testkit.generate_corpus(spec)
     fileio.write_jsonl(out / "corpus.jsonl", (case_to_record(d) for d in build.cases))
     fileio.write_jsonl(out / "truth.jsonl", (
         elements_to_record(cid, t.elements)
         for cid, t in sorted(build.truth.items()) if t.elements is not None))
 
-    qrels_build = testkit.generate_qrels(build, seed=args.seed, n_queries=args.n_queries)
+    qrels_build = testkit.generate_qrels(build, seed=args.seed, **qrels_params)
     fileio.write_jsonl(out / "pools.jsonl", (
         {"query_id": qid, "candidate_ids": qrels_build.pools[qid]}
         for qid in sorted(qrels_build.pools)))
@@ -159,13 +169,13 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_synthesize(args, cfg: PipelineConfig) -> int:
+    settings = config.with_values(cfg.client, _flags(args, "max_in_flight"))
     docs = _load_corpus(Path(args.corpus))
     elements = _load_elements(Path(args.elements))
     targets = [docs[cid] for cid in sorted(elements) if cid in docs]
     if args.limit:
         targets = targets[:args.limit]
     if args.client == "remote":
-        settings = cfg.client
         if not settings.endpoint:
             raise UsageError("remote client needs an endpoint "
                              "(config [client] endpoint or LEXFORGE_ENDPOINT)")
@@ -175,10 +185,9 @@ def _cmd_synthesize(args, cfg: PipelineConfig) -> int:
             max_retries=settings.retries, backoff=settings.backoff)
     else:
         client = querygen_mod.OfflineTemplateClient()
-    in_flight = args.max_in_flight or cfg.client.max_in_flight
     queries = querygen_mod.generate_queries(
         targets, client, global_seed=args.seed,
-        max_in_flight=in_flight,
+        max_in_flight=settings.max_in_flight,
         max_query_chars=cfg.max_query_chars)
     fileio.write_jsonl(Path(args.output), (q.to_record() for q in queries))
     if queries:
@@ -190,15 +199,11 @@ def _cmd_synthesize(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_augment(args, cfg: PipelineConfig) -> int:
+    aug_cfg = config.with_values(
+        cfg.augment, _flags(args, proportion_augmented="proportion"), seed=args.seed)
     queries = _load_queries(Path(args.queries))
     elements = _load_elements(Path(args.elements))
     index = augment_mod.build_element_index(elements)
-    aug_cfg = augment_mod.AugmentConfig(
-        proportion_augmented=args.proportion if args.proportion is not None
-        else cfg.augment.proportion_augmented,
-        weight_ancillary=cfg.augment.weight_ancillary,
-        weight_term=cfg.augment.weight_term,
-        seed=args.seed, match_mode=cfg.augment.match_mode)
     result = augment_mod.mix_pairs(queries, elements, index, aug_cfg)
     fileio.write_jsonl(Path(args.output), (p.to_record() for p in result.pairs))
     print(f"augment: {len(result.pairs)} pairs, {result.augmented_count} augmented, "
@@ -219,6 +224,11 @@ def _cmd_pairs(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_train(args, cfg: PipelineConfig) -> int:
+    embedder = config.with_values(
+        training.ToyEmbedder, _flags(args, "dim", "hash_buckets"), seed=args.seed)
+    schedule = config.with_values(training.TrainSchedule, _flags(
+        args, "epochs", "batch_size", "learning_rate"), seed=args.seed)
+    loss_cfg = config.with_values(cfg.loss, _flags(args, masking_enabled="no_masking"))
     docs = _load_corpus(Path(args.corpus))
     queries = {q.query_id: q for q in _load_queries(Path(args.queries))}
     texts = _corpus_texts(docs)
@@ -230,14 +240,6 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
             query_text=query.text,
             positive_text=texts[pair.positive_case_id],
             positive_charges=pair.positive_charges))
-    embedder = training.ToyEmbedder(
-        dim=args.dim, hash_buckets=args.hash_buckets, seed=args.seed)
-    schedule = training.TrainSchedule(
-        epochs=args.epochs, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, seed=args.seed)
-    loss_cfg = training.LossConfig(
-        temperature=cfg.loss.temperature,
-        masking_enabled=not args.no_masking and cfg.loss.masking_enabled)
     result = training.train_toy(examples, embedder, schedule, loss_cfg)
     embedder.save(args.output)
     if args.curve:
@@ -253,20 +255,26 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
 
 def _cmd_index(args, cfg: PipelineConfig) -> int:
     docs = _load_corpus(Path(args.corpus))
-    index = retrieval.Bm25Index.build(_corpus_texts(docs), args.tokenizer)
+    index = retrieval.Bm25Index.build(_corpus_texts(docs), **config.parse(
+        retrieval.Bm25Index.build, _flags(args, tokenizer_name="tokenizer")))
     index.save(Path(args.output))
     print(f"index: {index.n_docs} docs, {len(index.doc_freq)} terms")
     return EXIT_OK
 
 
 def _cmd_search(args, cfg: PipelineConfig) -> int:
+    params = inspect.signature(retrieval.search).parameters
+    opts = ({name: params[name].default for name in ("scorer", "k")}
+            | config.parse(retrieval.search, _flags(args, "scorer", "k")))
+    if opts["k"] < 1:
+        raise UsageError(f"--k = {args.k!r}: k must be >= 1")
     docs = _load_corpus(Path(args.corpus))
     texts = _corpus_texts(docs)
     queries = _load_queries(Path(args.queries))
     pools = _load_pools(Path(args.pools)) if args.pools else None
     index = retrieval.Bm25Index.load(Path(args.index)) if args.index else None
     embedder = training.load_checkpoint(args.checkpoint) if args.checkpoint else None
-    if args.scorer == "dense" and embedder is None:
+    if opts["scorer"] == "dense" and embedder is None:
         raise UsageError("dense scoring needs --checkpoint")
 
     run: dict[str, list[tuple[str, float]]] = {}
@@ -278,18 +286,18 @@ def _cmd_search(args, cfg: PipelineConfig) -> int:
         else:
             pool = texts
         run[query.query_id] = retrieval.search(
-            query.text, pool, scorer=args.scorer, k=args.k,
-            bm25_params=cfg.bm25, index=index, embedder=embedder,
-            seg_cfg=cfg.segment)
-    _write_run(Path(args.output), run, args.scorer)
-    print(f"search: {len(run)} queries, top-{args.k} by {args.scorer}")
+            query.text, pool, **opts, bm25_params=cfg.bm25, index=index,
+            embedder=embedder, seg_cfg=cfg.segment)
+    _write_run(Path(args.output), run, opts["scorer"])
+    print(f"search: {len(run)} queries, top-{opts['k']} by {opts['scorer']}")
     return EXIT_OK
 
 
 def _cmd_eval(args, cfg: PipelineConfig) -> int:
     run = _load_run(Path(args.run))
     qrels = _load_qrels(Path(args.qrels))
-    report = evaluation.evaluate_run(run, qrels, gain=args.gain)
+    report = evaluation.evaluate_run(
+        run, qrels, **config.parse(evaluation.evaluate_run, _flags(args, "gain")))
     payload = report.to_dict()
     payload["label"] = args.label or Path(args.run).stem
     fileio.atomic_write_text(
@@ -339,18 +347,20 @@ def _cmd_report(args, cfg: PipelineConfig) -> int:
 # --------------------------------------------------------------------------
 
 def build_parser() -> _Parser:
+    """The command line. A flag that sets a dataclass field or a function
+    parameter has no default here: when it is not given, the config file's
+    value or the field's or parameter's own default stands."""
     parser = _Parser(prog="lexforge", description=__doc__)
     parser.add_argument("--config", help="path to the pipeline config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fixtures", help="generate a synthetic corpus with qrels")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-cases", type=int, default=1000)
-    p.add_argument("--n-queries", type=int, default=50)
-    p.add_argument("--charges", type=int, default=10)
-    p.add_argument("--n-rulings", type=int, default=0)
-    p.add_argument("--n-short-facts", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-cases")
+    p.add_argument("--n-queries")
+    p.add_argument("--charges")
+    p.add_argument("--n-rulings")
+    p.add_argument("--n-short-facts")
     p.set_defaults(func=_cmd_fixtures)
 
     p = sub.add_parser("ingest", help="parse and normalize raw case records")
@@ -370,23 +380,20 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True)
     p.add_argument("--client", choices=["offline", "remote"], default="offline")
     p.add_argument("--limit", type=int, default=0)
-    p.add_argument("--max-in-flight", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-in-flight")
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("augment", help="mix original and augmented positives")
     p.add_argument("--queries", required=True)
     p.add_argument("--elements", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--proportion", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--proportion")
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("pairs", help="build triplets from annotated benchmarks")
     p.add_argument("--pools", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_pairs)
 
     p = sub.add_parser("train", help="train the toy embedder on pairs")
@@ -395,29 +402,29 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--curve")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=1e-2)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--hash-buckets", type=int, default=1 << 15)
-    p.add_argument("--no-masking", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs")
+    p.add_argument("--batch-size")
+    p.add_argument("--learning-rate")
+    p.add_argument("--dim")
+    p.add_argument("--hash-buckets")
+    # sets masking_enabled to false, over the config file's [loss] masking
+    p.add_argument("--no-masking", action="store_const", const="false")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("index", help="build and save a BM25 index")
     p.add_argument("--corpus", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--tokenizer", choices=sorted(retrieval.TOKENIZERS), default="char_bigram")
+    p.add_argument("--tokenizer", choices=sorted(retrieval.TOKENIZERS))
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("search", help="rank candidate pools for each query")
     p.add_argument("--queries", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--pools")
-    p.add_argument("--scorer", choices=["bm25", "dense"], default="bm25")
+    p.add_argument("--scorer", choices=["bm25", "dense"])
     p.add_argument("--index")
     p.add_argument("--checkpoint")
-    p.add_argument("--k", type=int, default=30)
+    p.add_argument("--k")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_search)
 
@@ -425,7 +432,7 @@ def build_parser() -> _Parser:
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--gain", choices=["linear", "exponential"], default="linear")
+    p.add_argument("--gain", choices=["linear", "exponential"])
     p.add_argument("--label")
     p.set_defaults(func=_cmd_eval)
 
@@ -434,6 +441,8 @@ def build_parser() -> _Parser:
     p.add_argument("--output")
     p.set_defaults(func=_cmd_report)
 
+    for name in ("fixtures", "synthesize", "augment", "pairs", "train"):
+        sub.choices[name].add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -441,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args.config) if args.config else PipelineConfig()
+        cfg = config.load_config(args.config)
         return args.func(args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
-"""Pipeline configuration: one declarative keyed file, env and flag overrides.
+"""Pipeline configuration: one INI file, environment and flag overrides.
 
-The config file is INI-style with one section per concern. Client
-credentials can be supplied or overridden through the environment
-(``LEXFORGE_ENDPOINT``, ``LEXFORGE_MODEL``, ``LEXFORGE_API_KEY``);
-command-line flags override both.
+A section is a field of :class:`PipelineConfig` (``[run]`` holds its own
+scalars), a key is a field of that section's dataclass, and a value is
+parsed by the field's annotation, so each default is written once. The
+environment (``LEXFORGE_ENDPOINT``, ``LEXFORGE_MODEL``, ``LEXFORGE_API_KEY``)
+overrides the client credentials; flags override both. Seeds come only
+from ``--seed``.
 """
 
 from __future__ import annotations
@@ -11,16 +13,20 @@ from __future__ import annotations
 import configparser
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .augment import AugmentConfig
 from .corpus import CorpusFilterConfig
 from .errors import UsageError
+from .querygen import DEFAULT_MAX_QUERY_CHARS
 from .retrieval import Bm25Params, SegmentConfig
 from .training import LossConfig
 
 ENV_PREFIX = "LEXFORGE_"
+#: The two keys named apart from the field they set, by field.
+KEY_OF_FIELD = {"proportion_augmented": "proportion", "masking_enabled": "masking"}
 
 
 @dataclass
@@ -36,8 +42,7 @@ class ClientSettings:
 
 @dataclass
 class PipelineConfig:
-    seed: int = 0
-    max_query_chars: int = 400
+    max_query_chars: int = DEFAULT_MAX_QUERY_CHARS
     client: ClientSettings = field(default_factory=ClientSettings)
     filter: CorpusFilterConfig = field(default_factory=CorpusFilterConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
@@ -46,71 +51,74 @@ class PipelineConfig:
     bm25: Bm25Params = field(default_factory=Bm25Params)
 
 
-def _get(parser: configparser.ConfigParser, section: str, option: str,
-         cast, fallback):
-    if not parser.has_option(section, option):
-        return fallback
-    raw = parser.get(section, option)
+def config_keys() -> dict[str, tuple[type, dict[str, str]]]:
+    """Each section's dataclass and its keys, mapped to the fields they set."""
+    sections = {name: cls for name, cls in get_type_hints(PipelineConfig).items()
+                if is_dataclass(cls)}
+    return {section: (cls, {KEY_OF_FIELD.get(f.name, f.name): f.name for f in fields(cls)
+                            if f.name != "seed" and f.name not in sections})
+            for section, cls in {"run": PipelineConfig, **sections}.items()}
+
+
+def parse(target, values: Mapping[str, tuple[str, str]]) -> dict:
+    """Parse ``values``, (source, text) by field or parameter name, by the
+    annotations of ``target``; the source (a flag, or a file, section and
+    key) names a text that fails to parse in the UsageError raised."""
+    hints = get_type_hints(target.__init__ if isinstance(target, type) else target)
+    booleans = configparser.ConfigParser.BOOLEAN_STATES
+    parsed = {}
+    for name, (source, text) in values.items():
+        # an optional field (`int | None`) parses as its other type
+        kind = next((t for t in get_args(hints[name]) if t is not type(None)), hints[name])
+        try:
+            if kind is bool and text.lower() not in booleans:
+                raise ValueError("not a boolean")
+            parsed[name] = booleans[text.lower()] if kind is bool else kind(text)
+        except ValueError as exc:
+            raise UsageError(f"{source} = {text!r}: {exc}") from exc
+    return parsed
+
+
+def with_values(target, values: Mapping[str, tuple[str, str]], **fixed):
+    """A class called, or a dataclass instance copied, with the parsed
+    ``values`` and the ``fixed`` keyword arguments; a ValueError it raises is
+    a UsageError naming the sources of ``values``."""
+    cls = target if isinstance(target, type) else type(target)
+    kwargs = {**parse(cls, values), **fixed}
     try:
-        if cast is bool:
-            return parser.getboolean(section, option)
-        return cast(raw)
+        return cls(**kwargs) if target is cls else replace(target, **kwargs)
     except ValueError as exc:
-        raise UsageError(f"config [{section}] {option} = {raw!r}: {exc}") from exc
+        sources = ", ".join(f"{source} = {text!r}" for source, text in values.values())
+        raise UsageError(f"{sources}: {exc}") from exc
 
 
 def load_config(path: str | Path | None = None,
                 env: Mapping[str, str] = os.environ) -> PipelineConfig:
     """Read a config file (optional) and apply environment overrides."""
-    parser = configparser.ConfigParser()
+    keys = config_keys()
+    values: dict[str, dict[str, tuple[str, str]]] = {section: {} for section in keys}
     if path is not None:
-        path = Path(path)
-        if not path.exists():
+        if not Path(path).exists():
             raise UsageError(f"config file not found: {path}")
-        parser.read(path, encoding="utf-8")
-
-    seed = _get(parser, "run", "seed", int, 0)
-    max_query_chars = _get(parser, "run", "max_query_chars", int, 400)
-
-    client = ClientSettings(
-        endpoint=_get(parser, "client", "endpoint", str, ""),
-        model=_get(parser, "client", "model", str, ""),
-        api_key=_get(parser, "client", "api_key", str, ""),
-        timeout=_get(parser, "client", "timeout", float, 30.0),
-        retries=_get(parser, "client", "retries", int, 3),
-        backoff=_get(parser, "client", "backoff", float, 1.0),
-        max_in_flight=_get(parser, "client", "max_in_flight", int, 4),
-    )
-    client.endpoint = env.get(ENV_PREFIX + "ENDPOINT", client.endpoint)
-    client.model = env.get(ENV_PREFIX + "MODEL", client.model)
-    client.api_key = env.get(ENV_PREFIX + "API_KEY", client.api_key)
-
-    filter_cfg = CorpusFilterConfig(
-        min_fact_chars=_get(parser, "filter", "min_fact_chars", int, 100),
-        require_extractable_elements=_get(
-            parser, "filter", "require_extractable_elements", bool, True),
-    )
-    augment_cfg = AugmentConfig(
-        proportion_augmented=_get(parser, "augment", "proportion", float, 0.7),
-        weight_ancillary=_get(parser, "augment", "weight_ancillary", float, 0.5),
-        weight_term=_get(parser, "augment", "weight_term", float, 0.5),
-        seed=_get(parser, "augment", "seed", int, seed),
-        match_mode=_get(parser, "augment", "match_mode", str, "exact_main"),
-    )
-    loss_cfg = LossConfig(
-        temperature=_get(parser, "loss", "temperature", float, 1.0),
-        masking_enabled=_get(parser, "loss", "masking", bool, True),
-    )
-    segment_cfg = SegmentConfig(
-        max_len=_get(parser, "segment", "max_len", int, 2048),
-        stride=_get(parser, "segment", "stride", int, None),
-    )
-    bm25_cfg = Bm25Params(
-        k1=_get(parser, "bm25", "k1", float, 1.2),
-        b=_get(parser, "bm25", "b", float, 0.75),
-    )
-    return PipelineConfig(
-        seed=seed, max_query_chars=max_query_chars, client=client,
-        filter=filter_cfg, augment=augment_cfg, loss=loss_cfg,
-        segment=segment_cfg, bm25=bm25_cfg,
-    )
+        parser = configparser.ConfigParser()
+        try:
+            parser.read(path, encoding="utf-8")
+            for section in parser.sections():
+                if section not in keys:
+                    raise UsageError(f"{path}: unknown section [{section}]")
+                known = keys[section][1]
+                for key, text in parser.items(section):
+                    source = f"{path} [{section}] {key}"
+                    if key not in known:
+                        why = "seeds come only from --seed" if key == "seed" else "unknown key"
+                        raise UsageError(f"{source}: {why}; known: {', '.join(known)}")
+                    values[section][known[key]] = (source, text)
+        except configparser.Error as exc:
+            raise UsageError(f"{path}: {' '.join(str(exc).split())}") from exc
+    for name in ("endpoint", "model", "api_key"):
+        var = ENV_PREFIX + name.upper()
+        if var in env:
+            values["client"][name] = (var, env[var])
+    return with_values(PipelineConfig, values.pop("run"), **{
+        section: with_values(keys[section][0], section_values)
+        for section, section_values in values.items()})

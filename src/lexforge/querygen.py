@@ -18,8 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
-import requests
-
 from .corpus import CaseDocument
 from .errors import EmptyPool, GenerationFailed, QueryTooLong
 from .seeds import derive_seed
@@ -191,10 +189,16 @@ class RemoteGenerationClient:
         self.timeout = timeout
         self.max_retries = max(1, int(max_retries))
         self.backoff = backoff
-        self.session = session or requests.Session()
+        if session is None:
+            # imported here, by its only user, so other commands skip its import cost
+            import requests
+            session = requests.Session()
+        self.session = session
         self._sleep = sleep
 
     def complete(self, messages: Sequence[Message]) -> str:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

@@ -171,7 +171,11 @@ def segment(text: str, cfg: SegmentConfig = SegmentConfig()) -> list[str]:
 
 def dense_score(query_vec: np.ndarray, case_text: str, embedder,
                 cfg: SegmentConfig = SegmentConfig()) -> float:
-    """Maximum cosine between the query vector and any window of the case."""
+    """Maximum cosine between the query vector and any window of the case.
+
+    A window that embeds to zero norm (a tail too short to featurize) has no
+    cosine and is skipped; the case must have at least one other window.
+    """
     q = np.asarray(query_vec, dtype=np.float64)
     qn = np.linalg.norm(q)
     if qn == 0.0:
@@ -182,10 +186,10 @@ def dense_score(query_vec: np.ndarray, case_text: str, embedder,
         raise ValueError(
             f"embedder dimension {vectors.shape[1]} != query dimension {q.shape[0]}")
     norms = np.linalg.norm(vectors, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ZeroVector(f"segment {int(zero[0])} embeds to zero norm")
-    sims = (vectors / norms[:, None]) @ (q / qn)
+    nonzero = norms != 0.0
+    if not nonzero.any():
+        raise ZeroVector(f"all {len(segments)} segments embed to zero norm")
+    sims = (vectors[nonzero] / norms[nonzero, None]) @ (q / qn)
     return float(np.clip(sims, -1.0, 1.0).max())
 
 

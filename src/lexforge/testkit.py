@@ -597,31 +597,36 @@ def generate_qrels(build: CorpusBuild, seed: int = 0, *, n_queries: int = 50,
         same_main = [c for c in by_main[key] if c != source_id]
         same_term = [c for c in same_main
                      if terms_match(source.prison_term, elements[c].prison_term, tolerance)]
-        diff_term = [c for c in same_main if c not in set(same_term)]
+        same_term_set, same_main_set = set(same_term), set(same_main)
+        diff_term = [c for c in same_main if c not in same_term_set]
         cross_main = [c for c in valid_ids
-                      if c != source_id and c not in set(same_main)]
+                      if c != source_id and c not in same_main_set]
         cross_near = [c for c in cross_main
                       if terms_match(source.prison_term, elements[c].prison_term, tolerance)]
-        cross_far = [c for c in cross_main if c not in set(cross_near)]
+        cross_near_set = set(cross_near)
+        cross_far = [c for c in cross_main if c not in cross_near_set]
 
         annotated = [source_id]
 
         def take(pool: list[str], want: int):
             chosen = query_rng.sample(pool, min(want, len(pool)))
-            annotated.extend(c for c in chosen if c not in set(annotated))
+            seen = set(annotated)
+            annotated.extend(c for c in chosen if c not in seen)
 
         take(same_term, 12)
         take(diff_term, 6)
         take(cross_near, 6)
         take(cross_far, annotated_size - len(annotated))
-        backfill = [c for c in cross_main if c not in set(annotated)]
+        annotated_set = set(annotated)
+        backfill = [c for c in cross_main if c not in annotated_set]
         for c in backfill:
             if len(annotated) >= annotated_size:
                 break
             annotated.append(c)
         annotated = annotated[:annotated_size]
 
-        rest = [c for c in valid_ids if c not in set(annotated)]
+        annotated_set = set(annotated)
+        rest = [c for c in valid_ids if c not in annotated_set]
         unannotated = query_rng.sample(rest, min(pool_size - len(annotated), len(rest)))
         pool = sorted(annotated + unannotated)
 

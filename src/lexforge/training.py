@@ -297,6 +297,19 @@ class TrainSchedule:
     dev_fraction: float = 0.0
     patience: int | None = None
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be >= 2: in-batch negatives need two pairs")
+        # zero is allowed: it trains without moving the parameters
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be >= 0")
+        if not 0.0 <= self.warmup_fraction <= 1.0:
+            raise ValueError("warmup_fraction must be in [0, 1]")
+        if not 0.0 <= self.dev_fraction <= 1.0:
+            raise ValueError("dev_fraction must be in [0, 1]")
+
 
 @dataclass
 class TrainResult:

@@ -134,3 +134,52 @@ def window_oracle(length, max_len, stride):
     while starts[-1] + max_len < length:
         starts.append(starts[-1] + stride)
     return starts
+
+
+# --- fixtures -------------------------------------------------------------
+
+def qrels_oracle(build, seed, n_queries, pool_size=100, annotated_size=30):
+    """Benchmark pools and labels with every membership test a list scan.
+
+    The plain form of ``testkit.generate_qrels``: the same draws in the same
+    order, so its output must match exactly.
+    """
+    from random import Random
+
+    from lexforge.seeds import derive_seed
+    from lexforge.testkit import agreement_label, terms_match
+
+    elements = build.elements()
+    valid_ids = sorted(elements)
+    rng = Random(derive_seed(seed, "qrels"))
+    source_ids = sorted(rng.sample(valid_ids, min(n_queries, len(valid_ids))))
+    pools, labels = {}, {}
+    for source_id in source_ids:
+        query_rng = Random(derive_seed(seed, "pool", source_id))
+        source = elements[source_id]
+        same_main = [c for c in valid_ids if c != source_id
+                     and elements[c].main_articles == source.main_articles]
+        near = [c for c in valid_ids
+                if terms_match(source.prison_term, elements[c].prison_term)]
+        same_term = [c for c in same_main if c in near]
+        diff_term = [c for c in same_main if c not in same_term]
+        cross_main = [c for c in valid_ids if c != source_id and c not in same_main]
+        cross_near = [c for c in cross_main if c in near]
+        cross_far = [c for c in cross_main if c not in cross_near]
+        annotated = [source_id]
+        for pool, want in ((same_term, 12), (diff_term, 6), (cross_near, 6), (cross_far, None)):
+            want = annotated_size - len(annotated) if want is None else want
+            for c in query_rng.sample(pool, min(want, len(pool))):
+                if c not in annotated:
+                    annotated.append(c)
+        for c in [c for c in cross_main if c not in annotated]:
+            if len(annotated) >= annotated_size:
+                break
+            annotated.append(c)
+        annotated = annotated[:annotated_size]
+        rest = [c for c in valid_ids if c not in annotated]
+        unannotated = query_rng.sample(rest, min(pool_size - len(annotated), len(rest)))
+        pools[f"q-{source_id}"] = sorted(annotated + unannotated)
+        labels[f"q-{source_id}"] = {
+            c: agreement_label(source, elements[c]) for c in annotated}
+    return pools, labels

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +208,13 @@ class TestMixPairs:
         assert len(result.pairs) == 10
         assert result.augmented_count == 7
 
+    def test_floor_of_the_written_proportion(self):
+        # 0.7 * 90 is 62.99999999999999 in floating point
+        queries, corpus, index = self._fixture(90)
+        result = mix_pairs(queries, corpus, index, AugmentConfig(seed=1))
+        assert result.augmented_count == 63
+        assert result.fallbacks == []
+
     def test_zero_proportion_all_original(self):
         queries, corpus, index = self._fixture(10)
         cfg = AugmentConfig(proportion_augmented=0.0)
@@ -241,7 +249,7 @@ class TestMixPairs:
         queries, corpus, index = self._fixture(n)
         cfg = AugmentConfig(proportion_augmented=p, seed=3)
         result = mix_pairs(queries, corpus, index, cfg)
-        expected = int(p * n) if n > 1 else 0
+        expected = int(Decimal(repr(p)) * n) if n > 1 else 0
         # a single-case bucket cannot augment; fixture has n>=2 per bucket
         if n == 1:
             assert result.augmented_count == 0

@@ -202,3 +202,67 @@ class TestExitCodes:
                        "--output", out, "--seed", 2) == 0
         pairs = list(fileio.read_jsonl(out))
         assert sum(1 for p in pairs if p["kind"] == "augmented") == int(0.2 * 150)
+
+
+class _Stop(Exception):
+    """Raised by a stand-in stage function once it has seen its arguments."""
+
+
+def _record(seen):
+    def stand_in(*args, **kwargs):
+        seen.append((args, kwargs))
+        raise _Stop
+    return stand_in
+
+
+class TestFlagOverFile:
+    def test_proportion(self, workdir, tmp_path):
+        config = tmp_path / "pipeline.ini"
+        config.write_text("[augment]\nproportion = 0.2\n", encoding="utf-8")
+        out = tmp_path / "pairs.jsonl"
+        assert run_cli("--config", config, "augment",
+                       "--queries", workdir / "queries.jsonl",
+                       "--elements", workdir / "elements.jsonl",
+                       "--output", out, "--proportion", 0.7, "--seed", 11) == 0
+        assert out.read_bytes() == (workdir / "pairs.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("flag,expected", [([], 3), (["--max-in-flight", 2], 2)])
+    def test_max_in_flight(self, workdir, tmp_path, monkeypatch, flag, expected):
+        from lexforge import querygen
+        seen = []
+        monkeypatch.setattr(querygen, "generate_queries", _record(seen))
+        config = tmp_path / "pipeline.ini"
+        config.write_text("[client]\nmax_in_flight = 3\n", encoding="utf-8")
+        with pytest.raises(_Stop):
+            run_cli("--config", config, "synthesize", "--corpus", workdir / "corpus.jsonl",
+                    "--elements", workdir / "elements.jsonl",
+                    "--output", tmp_path / "q.jsonl", *flag)
+        assert seen[0][1]["max_in_flight"] == expected
+
+    @pytest.mark.parametrize("file_value,flag,expected", [
+        ("true", [], True), ("true", ["--no-masking"], False), ("false", [], False)])
+    def test_no_masking(self, workdir, tmp_path, monkeypatch, file_value, flag, expected):
+        from lexforge import training
+        seen = []
+        monkeypatch.setattr(training, "train_toy", _record(seen))
+        config = tmp_path / "pipeline.ini"
+        config.write_text(f"[loss]\nmasking = {file_value}\ntemperature = 0.5\n",
+                          encoding="utf-8")
+        with pytest.raises(_Stop):
+            run_cli("--config", config, "train", "--pairs", workdir / "pairs.jsonl",
+                    "--queries", workdir / "queries.jsonl",
+                    "--corpus", workdir / "corpus.jsonl", "--output", tmp_path / "t.ckpt",
+                    "--dim", 4, "--hash-buckets", 64, *flag)
+        loss_cfg = seen[0][0][3]
+        assert (loss_cfg.masking_enabled, loss_cfg.temperature) == (expected, 0.5)
+
+
+def test_cli_import_leaves_requests_out():
+    import os
+    import subprocess
+    import sys
+    code = "import sys, lexforge.cli; print('requests' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "False"

@@ -1,0 +1,168 @@
+"""The config loader: each key lands on its field, each bad input is a usage error."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from lexforge import cli
+from lexforge.augment import AugmentConfig
+from lexforge.config import ClientSettings, PipelineConfig, config_keys, load_config
+from lexforge.corpus import CorpusFilterConfig
+from lexforge.errors import UsageError
+from lexforge.retrieval import Bm25Params, SegmentConfig
+from lexforge.training import LossConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+EVERY_KEY = """
+[run]
+max_query_chars = 300
+
+[client]
+endpoint = http://api.test/v1
+model = m1
+api_key = k1
+timeout = 5.5
+retries = 7
+backoff = 0.25
+max_in_flight = 2
+
+[filter]
+min_fact_chars = 50
+require_extractable_elements = no
+
+[augment]
+proportion = 0.4
+weight_ancillary = 0.3
+weight_term = 0.9
+match_mode = shared_charge
+
+[loss]
+temperature = 0.2
+masking = off
+
+[segment]
+max_len = 512
+stride = 256
+
+[bm25]
+k1 = 0.9
+b = 0.4
+"""
+
+
+def _ini(tmp_path, text, name="pipeline.ini"):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _accepted():
+    return {(section, key) for section, (_, keys) in config_keys().items() for key in keys}
+
+
+def _keys_in(text):
+    section, keys = None, set()
+    for line in text.splitlines():
+        if m := re.fullmatch(r"\[(\w+)\]", line.strip()):
+            section = m.group(1)
+        elif "=" in line:
+            keys.add((section, line.split("=")[0].strip()))
+    return keys
+
+
+class TestLoader:
+    def test_no_file_gives_defaults(self):
+        assert load_config(env={}) == PipelineConfig()
+
+    def test_each_key_lands_on_its_field(self, tmp_path):
+        cfg = load_config(_ini(tmp_path, EVERY_KEY), env={})
+        assert cfg == PipelineConfig(
+            max_query_chars=300,
+            client=ClientSettings(endpoint="http://api.test/v1", model="m1", api_key="k1",
+                                  timeout=5.5, retries=7, backoff=0.25, max_in_flight=2),
+            filter=CorpusFilterConfig(min_fact_chars=50, require_extractable_elements=False),
+            augment=AugmentConfig(proportion_augmented=0.4, weight_ancillary=0.3,
+                                  weight_term=0.9, match_mode="shared_charge"),
+            loss=LossConfig(temperature=0.2, masking_enabled=False),
+            segment=SegmentConfig(max_len=512, stride=256),
+            bm25=Bm25Params(k1=0.9, b=0.4))
+
+    def test_every_accepted_key_is_covered(self):
+        assert _keys_in(EVERY_KEY) == _accepted()
+
+    def test_benchmark_segment_window(self, tmp_path):
+        cfg = load_config(_ini(tmp_path, "[segment]\nmax_len = 128\nstride = 64\n"), env={})
+        assert cfg.segment == SegmentConfig(max_len=128, stride=64)
+        assert cfg == PipelineConfig(segment=SegmentConfig(max_len=128, stride=64))
+
+    def test_stride_follows_max_len(self, tmp_path):
+        cfg = load_config(_ini(tmp_path, "[segment]\nmax_len = 128\n"), env={})
+        assert cfg.segment.stride == 128
+
+    def test_environment_overrides_file(self, tmp_path):
+        path = _ini(tmp_path, "[client]\nendpoint = http://file\nmodel = from-file\n")
+        cfg = load_config(path, env={"LEXFORGE_ENDPOINT": "http://env",
+                                     "LEXFORGE_API_KEY": "secret"})
+        assert (cfg.client.endpoint, cfg.client.model, cfg.client.api_key) == (
+            "http://env", "from-file", "secret")
+
+    def test_readme_block_loads_and_lists_every_key(self, tmp_path):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        text = block.group(1)
+        assert _keys_in(text) == _accepted()
+        cfg = load_config(_ini(tmp_path, text), env={})
+        assert cfg.segment == PipelineConfig().segment
+        assert cfg.augment == PipelineConfig().augment
+
+    def test_unreadable_file_is_usage_error(self, tmp_path):
+        with pytest.raises(UsageError, match="no section headers"):
+            load_config(_ini(tmp_path, "k1 = 1\n"), env={})
+
+
+BAD_FILES = [
+    ("[bm25]\nb = 2\n", "[bm25] b = '2': b must be in [0, 1]"),
+    ("[bm25]\nk = 1.0\n", "[bm25] k: unknown key"),
+    ("[segmnt]\nmax_len = 128\n", "unknown section [segmnt]"),
+    ("[run]\nseed = 7\n", "[run] seed: seeds come only from --seed"),
+    ("[augment]\nseed = 7\n", "[augment] seed: seeds come only from --seed"),
+    ("[loss]\nmasking = maybe\n", "[loss] masking = 'maybe': not a boolean"),
+    ("[augment]\nmatch_mode = bogus\n", "[augment] match_mode = 'bogus'"),
+    ("[filter]\nmin_fact_chars = ten\n", "[filter] min_fact_chars = 'ten'"),
+    ("[augment]\nproportion_augmented = 0.5\n", "[augment] proportion_augmented: unknown key"),
+]
+
+BAD_FLAGS = [
+    (["augment", "--queries", "q", "--elements", "e", "--output", "o",
+      "--proportion", "1.5"], "--proportion = '1.5': proportion_augmented must be in [0, 1]"),
+    (["search", "--queries", "q", "--corpus", "c", "--output", "o", "--k", "0"],
+     "--k = '0': k must be >= 1"),
+    (["train", "--pairs", "p", "--queries", "q", "--corpus", "c", "--output", "o",
+      "--epochs", "0"], "--epochs = '0': epochs must be >= 1"),
+    (["train", "--pairs", "p", "--queries", "q", "--corpus", "c", "--output", "o",
+      "--batch-size", "two"], "--batch-size = 'two'"),
+    (["fixtures", "--out", "d", "--charges", "99"], "--charges = '99'"),
+]
+
+
+class TestUsageErrors:
+    """Each bad input exits 1 with one line naming where it came from."""
+
+    def _one_line(self, capsys, argv):
+        assert cli.main([str(a) for a in argv]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error: ")
+        return err
+
+    @pytest.mark.parametrize("text,expected", BAD_FILES)
+    def test_bad_config_file(self, tmp_path, capsys, text, expected):
+        path = _ini(tmp_path, text)
+        err = self._one_line(capsys, ["--config", path, "report", tmp_path / "m.json"])
+        assert f"{path} " in err or f"{path}:" in err
+        assert expected in err
+
+    @pytest.mark.parametrize("argv,expected", BAD_FLAGS)
+    def test_bad_flag(self, tmp_path, capsys, monkeypatch, argv, expected):
+        monkeypatch.chdir(tmp_path)
+        assert expected in self._one_line(capsys, argv)

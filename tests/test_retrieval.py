@@ -201,6 +201,22 @@ class TestDenseScore:
         with pytest.raises(ZeroVector):
             dense_score(np.zeros(3), "ab", embedder, SegmentConfig())
 
+    def test_tail_too_short_to_featurize_is_skipped(self):
+        from lexforge.training import ToyEmbedder
+        embedder = ToyEmbedder(dim=12, hash_buckets=512, seed=3)
+        rng = np.random.default_rng(5)
+        text = "".join(rng.choice(list("某盗窃抢劫财物被告人驾驶车辆"), size=2049))
+        query_vec = embedder.embed(["被告人盗窃财物"])[0]
+        windows = segment(text, SegmentConfig())
+        assert [len(w) for w in windows] == [2048, 1]
+        assert dense_score(query_vec, text, embedder) == dense_score(
+            query_vec, windows[0], embedder)
+
+    def test_all_windows_zero_rejected(self):
+        embedder = _StubEmbedder({"ab": [0.0, 0.0, 0.0], "c": [0.0, 0.0, 0.0]})
+        with pytest.raises(ZeroVector, match="all 2 segments"):
+            dense_score(np.ones(3), "abc", embedder, SegmentConfig(max_len=2))
+
 
 class TestSearch:
     def _corpus(self, n=100):

@@ -5,6 +5,8 @@ from collections import Counter
 
 import pytest
 
+from oracles import qrels_oracle
+
 from lexforge.corpus import case_to_record, PrisonTerm, TermKind
 from lexforge.testkit import (
     CHARGE_PROFILES,
@@ -162,6 +164,14 @@ class TestGenerateQrels:
         a = generate_qrels(small_build, seed=2, n_queries=10)
         b = generate_qrels(small_build, seed=2, n_queries=10)
         assert a.pools == b.pools and a.labels == b.labels and a.sources == b.sources
+
+    @pytest.mark.parametrize("charge_count", [2, 10])
+    def test_matches_plain_oracle(self, charge_count):
+        build = generate_corpus(SyntheticSpec(n_cases=400, charge_count=charge_count,
+                                              seed=charge_count))
+        for seed in (2, 9):
+            got = generate_qrels(build, seed=seed, n_queries=12)
+            assert (got.pools, got.labels) == qrels_oracle(build, seed, 12)
 
     def test_needs_enough_cases(self):
         tiny = generate_corpus(SyntheticSpec(n_cases=30, seed=0))
