@@ -39,6 +39,16 @@ class ClientSettings:
     backoff: float = 1.0
     max_in_flight: int = 4
 
+    def __post_init__(self):
+        if not self.timeout > 0:
+            raise ValueError("timeout must be > 0")
+        if self.retries < 1:
+            raise ValueError("retries must be >= 1")
+        if not self.backoff >= 0:
+            raise ValueError("backoff must be >= 0")
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
+
 
 @dataclass
 class PipelineConfig:

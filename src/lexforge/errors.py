@@ -91,6 +91,10 @@ class QueryMismatch(LexforgeError):
         super().__init__(f"run has queries without judgments: {self.query_ids}")
 
 
+class InsufficientData(LexforgeError, ValueError):
+    """An input holds too few records for the stage; the message names the count."""
+
+
 class UsageError(LexforgeError):
     """Bad command-line invocation."""
 

@@ -1,34 +1,42 @@
 """Line-delimited JSON file helpers with atomic replacement.
 
-Every pipeline artifact is a file of one JSON object per line. Writers go
-through a temp-file-then-rename so a re-run can never leave a partially
-written artifact behind.
+Pipeline artifacts are files of one JSON object per line, and checkpoints
+are binary. Every writer goes through one temp-file-then-rename, so a re-run
+can never leave a partially written artifact behind.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 
 from .errors import MalformedRecord
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to path via a temp file in the same directory."""
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write data to path via a temp file in the same directory, renamed over it.
+
+    A write that fails leaves any earlier file at path as it was. The file
+    gets the mode a plain ``open`` would give it: 0o666 less the umask.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write UTF-8 text to path atomically, as :func:`atomic_write_bytes`."""
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> int:

@@ -23,6 +23,7 @@ from .corpus import (
     TermKind,
     format_prison_term,
 )
+from .errors import InsufficientData
 from .querygen import DEFAULT_GIVEN_NAME_CHARS, DEFAULT_SURNAMES
 from .seeds import derive_seed
 from .zhnum import int_to_numeral
@@ -575,7 +576,8 @@ def generate_qrels(build: CorpusBuild, seed: int = 0, *, n_queries: int = 50,
     elements = build.elements()
     valid_ids = sorted(elements)
     if len(valid_ids) < pool_size:
-        raise ValueError(f"need at least {pool_size} valid cases, have {len(valid_ids)}")
+        raise InsufficientData(
+            f"need at least {pool_size} valid cases for a pool, have {len(valid_ids)}")
     rng = Random(derive_seed(seed, "qrels"))
     source_ids = sorted(rng.sample(valid_ids, min(n_queries, len(valid_ids))))
 

@@ -183,3 +183,123 @@ def qrels_oracle(build, seed, n_queries, pool_size=100, annotated_size=30):
         labels[f"q-{source_id}"] = {
             c: agreement_label(source, elements[c]) for c in annotated}
     return pools, labels
+
+
+# --- training fast paths --------------------------------------------------
+
+def features_oracle(text, hash_buckets, ngram_min, ngram_max):
+    """Hashed n-gram features with one dict update per n-gram, buckets in
+    order of first occurrence."""
+    import zlib
+
+    import numpy as np
+
+    compact = "".join(text.split())
+    counts = {}
+    for n in range(ngram_min, ngram_max + 1):
+        for i in range(len(compact) - n + 1):
+            bucket = zlib.crc32(compact[i:i + n].encode("utf-8")) % hash_buckets
+            counts[bucket] = counts.get(bucket, 0) + 1
+    idx = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
+    raw = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    return idx, 1.0 + np.log(raw)
+
+
+def false_negative_mask_oracle(positive_charges, mode="overlap"):
+    """The masking rule as a double loop over pairs of charge sets."""
+    import numpy as np
+
+    sets = [frozenset(s) for s in positive_charges]
+    n = len(sets)
+    mask = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if mode == "overlap":
+                mask[i, j] = bool(sets[i] & sets[j])
+            else:
+                mask[i, j] = sets[i] == sets[j]
+    return mask
+
+
+class AdamOracle:
+    """Adam written as whole-array expressions, new arrays on every step."""
+
+    def __init__(self, shape, beta1=0.9, beta2=0.999, eps=1e-8):
+        import numpy as np
+
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self.t = 0
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+
+    def step(self, params, grad, lr):
+        import numpy as np
+
+        self.t += 1
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
+        m_hat = self.m / (1 - self.beta1 ** self.t)
+        v_hat = self.v / (1 - self.beta2 ** self.t)
+        params -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def batch_gradient_oracle(embedder, batch, cfg):
+    """Loss and dL/dW of one batch into a fresh ``zeros_like`` array, with
+    every text featurized by ``features`` and again by ``embed``."""
+    import numpy as np
+
+    from lexforge.training import cosine_matrix, in_batch_loss
+
+    q_feats = [embedder.features(t) for t in batch.queries]
+    c_feats = [embedder.features(t) for t in batch.positives]
+    q_vecs = embedder.embed(batch.queries)
+    c_vecs = embedder.embed(batch.positives)
+    sim = cosine_matrix(q_vecs, c_vecs)
+    mask = (false_negative_mask_oracle(batch.positive_charges)
+            if cfg.masking_enabled else None)
+    loss, grad_sim = in_batch_loss(sim, mask, cfg)
+    qn = np.linalg.norm(q_vecs, axis=1, keepdims=True)
+    cn = np.linalg.norm(c_vecs, axis=1, keepdims=True)
+    q_unit = q_vecs / qn
+    c_unit = c_vecs / cn
+    d_q = (grad_sim @ c_unit - (grad_sim * sim).sum(axis=1, keepdims=True) * q_unit) / qn
+    d_c = (grad_sim.T @ q_unit - (grad_sim * sim).sum(axis=0)[:, None] * c_unit) / cn
+    w_grad = np.zeros_like(embedder.weights)
+    for (idx, values), row in zip(q_feats, d_q):
+        if idx.size:
+            w_grad[idx] += values[:, None] * row
+    for (idx, values), row in zip(c_feats, d_c):
+        if idx.size:
+            w_grad[idx] += values[:, None] * row
+    return loss, w_grad
+
+
+def train_toy_oracle(pairs, embedder, schedule, loss_cfg):
+    """The training loop with the oracle gradient and optimizer and a full
+    finite scan of every gradient; no dev split. Returns the loss curve."""
+    from random import Random
+
+    import numpy as np
+
+    from lexforge.seeds import derive_seed
+    from lexforge.training import TrainingBatch, _batches, lr_at
+
+    total_steps = schedule.epochs * len(_batches(range(len(pairs)), schedule.batch_size))
+    optimizer = AdamOracle(embedder.weights.shape,
+                           schedule.beta1, schedule.beta2, schedule.eps)
+    curve = []
+    for epoch in range(schedule.epochs):
+        order = list(range(len(pairs)))
+        Random(derive_seed(schedule.seed, "shuffle", epoch)).shuffle(order)
+        for chunk in _batches(order, schedule.batch_size):
+            batch = TrainingBatch(
+                queries=[pairs[i].query_text for i in chunk],
+                positives=[pairs[i].positive_text for i in chunk],
+                positive_charges=[pairs[i].positive_charges for i in chunk])
+            loss, w_grad = batch_gradient_oracle(embedder, batch, loss_cfg)
+            assert np.isfinite(loss) and np.isfinite(w_grad).all()
+            optimizer.step(embedder.weights, w_grad, lr_at(len(curve), total_steps, schedule))
+            curve.append((len(curve), loss))
+    return curve

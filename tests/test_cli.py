@@ -187,6 +187,31 @@ class TestExitCodes:
         assert run_cli("extract", "--corpus", tmp_path / "nope.jsonl",
                        "--elements", tmp_path / "el.jsonl") == 2
 
+    def _data_error(self, capsys, *argv):
+        assert run_cli(*argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("data error: ")
+        return err
+
+    def test_too_few_cases_is_data_error(self, tmp_path, capsys):
+        err = self._data_error(capsys, "fixtures", "--out", tmp_path / "d",
+                               "--n-cases", 50, "--n-queries", 3)
+        assert "need at least 100 valid cases for a pool, have 50" in err
+
+    @pytest.mark.parametrize("n_pairs,expected", [
+        (0, "0 training pairs"), (1, "1 training pair(s) after holding out 0 for dev")])
+    def test_too_few_pairs_is_data_error(self, workdir, tmp_path, capsys, n_pairs, expected):
+        lines = (workdir / "pairs.jsonl").read_text(encoding="utf-8").splitlines(True)
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("".join(lines[:n_pairs]), encoding="utf-8")
+        err = self._data_error(capsys, "train", "--pairs", pairs,
+                               "--queries", workdir / "queries.jsonl",
+                               "--corpus", workdir / "corpus.jsonl",
+                               "--output", tmp_path / "t.ckpt", "--dim", 4,
+                               "--hash-buckets", 64)
+        assert expected in err
+        assert not (tmp_path / "t.ckpt").exists()
+
     def test_remote_without_endpoint_is_usage_error(self, workdir):
         assert run_cli("synthesize", "--corpus", workdir / "corpus.jsonl",
                        "--elements", workdir / "elements.jsonl",

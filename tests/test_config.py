@@ -131,6 +131,11 @@ BAD_FILES = [
     ("[augment]\nmatch_mode = bogus\n", "[augment] match_mode = 'bogus'"),
     ("[filter]\nmin_fact_chars = ten\n", "[filter] min_fact_chars = 'ten'"),
     ("[augment]\nproportion_augmented = 0.5\n", "[augment] proportion_augmented: unknown key"),
+    ("[client]\ntimeout = -1\n", "[client] timeout = '-1': timeout must be > 0"),
+    ("[client]\nretries = 0\n", "[client] retries = '0': retries must be >= 1"),
+    ("[client]\nbackoff = -0.5\n", "[client] backoff = '-0.5': backoff must be >= 0"),
+    ("[client]\nmax_in_flight = -3\n",
+     "[client] max_in_flight = '-3': max_in_flight must be >= 1"),
 ]
 
 BAD_FLAGS = [
@@ -143,6 +148,8 @@ BAD_FLAGS = [
     (["train", "--pairs", "p", "--queries", "q", "--corpus", "c", "--output", "o",
       "--batch-size", "two"], "--batch-size = 'two'"),
     (["fixtures", "--out", "d", "--charges", "99"], "--charges = '99'"),
+    (["synthesize", "--corpus", "c", "--elements", "e", "--output", "o",
+      "--max-in-flight", "0"], "--max-in-flight = '0': max_in_flight must be >= 1"),
 ]
 
 

@@ -4,14 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexforge.errors import DegenerateRow, ZeroVector
+from lexforge import training
+from lexforge.errors import DegenerateRow, InsufficientData, ZeroVector
 from lexforge.training import (
+    ADAM_BLOCK,
     Adam,
     LossConfig,
     PairExample,
     ToyEmbedder,
     TrainSchedule,
+    TrainingBatch,
+    _batch_gradient,
+    _GradientBuffer,
     cosine_matrix,
     evaluate_pairs_loss,
     false_negative_mask,
@@ -23,7 +30,16 @@ from lexforge.training import (
     triplets_from_qrels,
 )
 
-from oracles import cosine_oracle, fd_gradient, filtered_loss_oracle
+from oracles import (
+    AdamOracle,
+    batch_gradient_oracle,
+    cosine_oracle,
+    false_negative_mask_oracle,
+    features_oracle,
+    fd_gradient,
+    filtered_loss_oracle,
+    train_toy_oracle,
+)
 
 
 class TestCosineMatrix:
@@ -88,6 +104,22 @@ class TestFalseNegativeMask:
                 for _ in range(10)]
         mask = false_negative_mask(sets)
         np.testing.assert_array_equal(mask, mask.T)
+
+    @given(st.lists(st.sets(st.sampled_from("abcde"), max_size=3), max_size=12),
+           st.sampled_from(["overlap", "exact"]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_double_loop_oracle(self, sets, mode):
+        mask = false_negative_mask(sets, mode=mode)
+        assert mask.dtype == bool and mask.shape == (len(sets), len(sets))
+        np.testing.assert_array_equal(mask, false_negative_mask_oracle(sets, mode))
+
+    @pytest.mark.parametrize("mode", ["overlap", "exact"])
+    @pytest.mark.parametrize("sets", [
+        [set(), set()], [{"a"}, set()], [{"a"}, {"a"}], [{"a", "b"}, {"b"}],
+        [set(), set(), {"a"}, set()]])
+    def test_empty_sets_and_pairs(self, sets, mode):
+        np.testing.assert_array_equal(false_negative_mask(sets, mode=mode),
+                                      false_negative_mask_oracle(sets, mode))
 
 
 class TestInBatchLoss:
@@ -219,6 +251,76 @@ class TestToyEmbedder:
         assert loaded.dim == 12 and loaded.hash_buckets == 256 and loaded.seed == 9
         np.testing.assert_array_equal(loaded.weights, embedder.weights)
 
+    @given(st.text(alphabet="盗窃财物被告人 \n0１a", max_size=60),
+           st.sampled_from([(1, 1), (2, 3), (1, 4)]), st.sampled_from([7, 64, 1 << 15]))
+    @settings(max_examples=150, deadline=None)
+    def test_features_equal_plain_loop(self, text, ngrams, buckets):
+        embedder = ToyEmbedder(dim=2, hash_buckets=buckets,
+                               ngram_min=ngrams[0], ngram_max=ngrams[1])
+        idx, values = embedder.features(text)
+        expected_idx, expected_values = features_oracle(text, buckets, *ngrams)
+        assert idx.dtype == np.int64 and np.array_equal(idx, expected_idx)
+        assert np.array_equal(values, expected_values)
+
+    def test_instances_share_no_feature_state(self):
+        e1 = ToyEmbedder(dim=8, hash_buckets=64, seed=1)
+        e2 = ToyEmbedder(dim=8, hash_buckets=64, seed=1)
+        text = "被告人盗窃财物"
+        a = e1.features(text)
+        assert e1.features(text) is a  # memoized within an instance
+        assert e2._feature_memo == {}
+        b = e2.features(text)
+        assert b is not a and b[0] is not a[0]
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+        assert list(e1._feature_memo) == list(e2._feature_memo) == [text]
+
+    def test_module_holds_no_mutable_state(self):
+        mutable = (dict, list, set, bytearray, np.ndarray)
+        names = [name for name, value in vars(training).items()
+                 if not name.startswith("__") and isinstance(value, mutable)]
+        assert names == []
+
+    def test_checkpoint_write_failing_partway_keeps_old(self, tmp_path, monkeypatch):
+        from lexforge import fileio
+        path = tmp_path / "toy.ckpt"
+        save_checkpoint(ToyEmbedder(dim=4, hash_buckets=32, seed=1), path)
+        before = path.read_bytes()
+
+        real_fdopen = fileio.os.fdopen
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(fileio.os, "fdopen",
+                            lambda fd, mode: HalfWriter(real_fdopen(fd, mode)))
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(ToyEmbedder(dim=4, hash_buckets=32, seed=2), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.ckpt"]
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_checkpoint_mode_follows_umask(self, tmp_path, umask, mode):
+        import os
+        import stat
+        old = os.umask(umask)
+        try:
+            save_checkpoint(ToyEmbedder(dim=4, hash_buckets=32), tmp_path / "toy.ckpt")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "toy.ckpt").stat().st_mode) == mode
+
     def test_checkpoint_rejects_corruption(self, tmp_path):
         from lexforge.errors import BadCheckpoint
         path = tmp_path / "bad.ckpt"
@@ -300,6 +402,28 @@ class TestTrainToy:
         with pytest.raises(ValueError):
             train_toy([], ToyEmbedder(dim=4, hash_buckets=32))
 
+    def test_too_few_pairs_is_a_data_error_naming_the_count(self):
+        with pytest.raises(InsufficientData, match="^0 training pairs"):
+            train_toy([], ToyEmbedder(dim=4, hash_buckets=32))
+        with pytest.raises(InsufficientData, match="^1 training pair"):
+            train_toy(_toy_pairs(1), ToyEmbedder(dim=4, hash_buckets=32))
+        # 4 pairs with a 3-pair dev split leave one for training
+        schedule = TrainSchedule(epochs=1, batch_size=4, dev_fraction=0.8, patience=1)
+        with pytest.raises(InsufficientData, match="^1 training pair.*holding out 3"):
+            train_toy(_toy_pairs(4), ToyEmbedder(dim=4, hash_buckets=32), schedule)
+
+    @pytest.mark.parametrize("masking", [True, False])
+    def test_matches_oracle_loop_bit_for_bit(self, masking):
+        # 3000 x 16 parameters: one full Adam block and a partial one
+        schedule = TrainSchedule(epochs=3, batch_size=8, learning_rate=2e-2, seed=4)
+        loss_cfg = LossConfig(temperature=0.5, masking_enabled=masking)
+        fast = ToyEmbedder(dim=16, hash_buckets=3000, seed=4)
+        plain = ToyEmbedder(dim=16, hash_buckets=3000, seed=4)
+        result = train_toy(_toy_pairs(45), fast, schedule, loss_cfg)
+        curve = train_toy_oracle(_toy_pairs(45), plain, schedule, loss_cfg)
+        assert result.loss_curve == curve
+        assert np.array_equal(fast.weights, plain.weights)
+
     def test_non_finite_weights_abort_with_diagnostics(self):
         from lexforge.errors import NonFiniteLoss
         embedder = ToyEmbedder(dim=4, hash_buckets=32, seed=0)
@@ -335,6 +459,51 @@ class TestAdam:
         # after one step m_hat = grad, v_hat = grad^2
         expected = -0.1 * grad / (np.abs(grad) + 1e-8)
         np.testing.assert_allclose(params, expected, atol=1e-9)
+
+
+class TestFastPathsMatchOracles:
+    @pytest.mark.parametrize("shape", [(3, 5), (1000, 37), (1100, 64)])
+    def test_adam_on_sparse_row_stream(self, shape):
+        assert np.prod(shape) % ADAM_BLOCK != 0
+        rng = np.random.default_rng(shape[0])
+        params = rng.normal(size=shape)
+        expected = params.copy()
+        fast, plain = Adam(shape), AdamOracle(shape)
+        for step in range(7):
+            grad = np.zeros(shape)
+            rows = rng.choice(shape[0], size=max(1, shape[0] // 5), replace=False)
+            grad[rows] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=(len(rows), shape[1]))
+            lr = 1e-2 * (step + 1) if step < 6 else 0.0
+            fast.step(params, grad, lr)
+            plain.step(expected, grad, lr)
+            assert np.array_equal(params, expected)
+            assert np.array_equal(fast.m, plain.m) and np.array_equal(fast.v, plain.v)
+
+    def test_adam_rejects_arrays_it_cannot_update_in_place(self):
+        opt = Adam((4, 6))
+        with pytest.raises(ValueError, match="shape"):
+            opt.step(np.zeros((6, 4)), np.zeros((6, 4)), 0.1)
+        with pytest.raises(ValueError, match="contiguous"):
+            opt.step(np.zeros((6, 4)).T, np.zeros((4, 6)), 0.1)
+
+    def test_reused_gradient_buffer(self):
+        embedder = ToyEmbedder(dim=8, hash_buckets=512, seed=6)
+        pairs = _toy_pairs(24)
+        buffer = _GradientBuffer(embedder.weights.shape)
+        cfg = LossConfig()
+        for start in range(0, 24, 6):
+            chunk = pairs[start:start + 6]
+            batch = TrainingBatch(queries=[p.query_text for p in chunk],
+                                  positives=[p.positive_text for p in chunk],
+                                  positive_charges=[p.positive_charges for p in chunk])
+            loss, grad = _batch_gradient(embedder, batch, cfg, buffer)
+            expected_loss, expected = batch_gradient_oracle(embedder, batch, cfg)
+            assert grad is buffer.grad
+            assert loss == expected_loss and np.array_equal(grad, expected)
+            outside = np.ones(len(grad), dtype=bool)
+            outside[buffer.rows] = False
+            assert not grad[outside].any()
+            embedder.weights -= 0.1 * grad  # the next batch sees new weights
 
 
 class TestTriplets:
