@@ -61,7 +61,6 @@ from .training import (
     false_negative_mask,
     in_batch_loss,
     train_toy,
-    triplets_from_qrels,
 )
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Command-line pipeline driver.
 
 One subcommand per stage: fixtures -> ingest -> extract -> synthesize ->
-augment (or pairs) -> train -> index -> search -> eval -> report. Every
+augment -> train -> index -> search -> eval -> report. Every
 stage reads and writes only the documented line-delimited files, writes
 outputs atomically, and is re-runnable. Exit codes: 0 success, 1 usage,
 2 data error, 3 remote-client failure.
@@ -211,18 +211,6 @@ def _cmd_augment(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_pairs(args, cfg: PipelineConfig) -> int:
-    pools = _load_pools(Path(args.pools))
-    qrels = _load_qrels(Path(args.qrels))
-    build = training.triplets_from_qrels(pools, qrels, seed=args.seed)
-    fileio.write_jsonl(Path(args.output), (t.to_record() for t in build.triplets))
-    if build.skipped:
-        print(f"pairs: skipped {len(build.skipped)} queries without positives",
-              file=sys.stderr)
-    print(f"pairs: {len(build.triplets)} triplets")
-    return EXIT_OK
-
-
 def _cmd_train(args, cfg: PipelineConfig) -> int:
     embedder = config.with_values(
         training.ToyEmbedder, _flags(args, "dim", "hash_buckets"), seed=args.seed)
@@ -241,7 +229,7 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
             positive_text=texts[pair.positive_case_id],
             positive_charges=pair.positive_charges))
     result = training.train_toy(examples, embedder, schedule, loss_cfg)
-    embedder.save(args.output)
+    training.save_checkpoint(embedder, args.output)
     if args.curve:
         fileio.atomic_write_text(
             Path(args.curve),
@@ -390,12 +378,6 @@ def build_parser() -> _Parser:
     p.add_argument("--proportion")
     p.set_defaults(func=_cmd_augment)
 
-    p = sub.add_parser("pairs", help="build triplets from annotated benchmarks")
-    p.add_argument("--pools", required=True)
-    p.add_argument("--qrels", required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_pairs)
-
     p = sub.add_parser("train", help="train the toy embedder on pairs")
     p.add_argument("--pairs", required=True)
     p.add_argument("--queries", required=True)
@@ -441,7 +423,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output")
     p.set_defaults(func=_cmd_report)
 
-    for name in ("fixtures", "synthesize", "augment", "pairs", "train"):
+    for name in ("fixtures", "synthesize", "augment", "train"):
         sub.choices[name].add_argument("--seed", type=int, default=0)
     return parser
 

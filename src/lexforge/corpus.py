@@ -57,18 +57,13 @@ class PrisonTerm:
 
     @classmethod
     def from_record(cls, value) -> "PrisonTerm":
-        """Build from structured input: {'kind': ..., 'months': ...} or a phrase."""
-        if isinstance(value, PrisonTerm):
-            return value
-        if isinstance(value, str):
-            term = parse_prison_term(value)
-            if term is None:
-                raise ValueError(f"unparseable term text: {value!r}")
-            return term
-        if isinstance(value, Mapping):
-            kind = TermKind(value["kind"])
-            return cls(kind=kind, months=int(value.get("months", 0)))
-        raise TypeError(f"cannot build a prison term from {type(value).__name__}")
+        """Build from the elements file's ``{'kind': ..., 'months': ...}``."""
+        if not isinstance(value, Mapping):
+            raise MalformedRecord(f"term must be a mapping, not {type(value).__name__}")
+        try:
+            return cls(kind=TermKind(value["kind"]), months=int(value.get("months", 0)))
+        except ValueError as exc:
+            raise MalformedRecord(f"term {dict(value)!r}: {exc}") from exc
 
     def to_record(self) -> dict:
         return {"kind": self.kind.value, "months": self.months}

@@ -71,10 +71,6 @@ class NonFiniteLoss(LexforgeError):
     """Training aborted because the loss became NaN or infinite."""
 
 
-class NoPositives(LexforgeError):
-    """A query has no candidate annotated with the top relevance label."""
-
-
 class UnknownDoc(LexforgeError):
     """Document id is not present in the index."""
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from .errors import QueryMismatch
 
-LABELS = (0, 1, 2, 3)
 RELEVANT_LABEL = 3
 
 #: run: query_id -> ranked (case_id, score) pairs. qrels: query_id -> case_id -> label.

@@ -339,15 +339,24 @@ class ReplacementDictionary:
 
     def draw(self, category: str, rng: random.Random,
              forbidden: frozenset[str]) -> str:
-        pool = self.pools.get(category, [])
-        candidates = [s for s in pool if s not in forbidden]
+        """A surrogate that contains none of the ``forbidden`` surfaces.
+
+        Containment, not equality: a surrogate such as 吴志成 would carry the
+        tagged name 吴志 into the output.
+        """
+        def clear(surrogate: str) -> bool:
+            return not any(surface in surrogate for surface in forbidden)
+
+        candidates = [s for s in self.pools.get(category, []) if clear(s)]
         if candidates:
             return rng.choice(candidates)
         # pool exhausted by collisions: synthesize a placeholder
         base = {"person": "某乙", "company": "某单位", "location": "某地",
                 "time": "某年某月"}.get(category, "某")
+        if not clear(base):
+            raise ValueError(f"every {category} placeholder contains a tagged surface")
         n = 1
-        while f"{base}{n}" in forbidden:
+        while not clear(f"{base}{n}"):
             n += 1
         return f"{base}{n}"
 

@@ -204,13 +204,13 @@ SCORER_DENSE = "dense"
 def search(query: str, corpus: Mapping[str, str], scorer: str = SCORER_BM25,
            k: int = 30, *, bm25_params: Bm25Params = Bm25Params(),
            index: Bm25Index | None = None, embedder=None,
-           seg_cfg: SegmentConfig = SegmentConfig(),
-           tokenizer_name: str = "char_bigram") -> list[tuple[str, float]]:
+           seg_cfg: SegmentConfig = SegmentConfig()) -> list[tuple[str, float]]:
     """Exhaustively score the pool and return the top k.
 
     Ordering is by descending score with ties broken by ascending case id,
     so results are a pure function of the inputs. ``k`` larger than the
-    pool returns the whole pool.
+    pool returns the whole pool. BM25 takes idf and avgdl from ``index``
+    when one is given, and otherwise from ``corpus``, the pool itself.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -218,7 +218,7 @@ def search(query: str, corpus: Mapping[str, str], scorer: str = SCORER_BM25,
         raise EmptyCorpus("no candidates to score")
 
     if scorer == SCORER_BM25:
-        idx = index if index is not None else Bm25Index.build(corpus, tokenizer_name)
+        idx = index if index is not None else Bm25Index.build(corpus)
         query_tokens = idx.tokenizer(query)
         scored = [(case_id, bm25_score(query_tokens, case_id, idx, bm25_params))
                   for case_id in corpus]

@@ -19,11 +19,10 @@ from __future__ import annotations
 import struct
 import zlib
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -41,13 +40,6 @@ from .seeds import derive_seed
 MASK_SURROGATE = -1.0e9
 
 
-@runtime_checkable
-class Embedder(Protocol):
-    dim: int
-
-    def embed(self, texts: Sequence[str]) -> np.ndarray: ...
-
-
 @dataclass(frozen=True)
 class LossConfig:
     temperature: float = 1.0
@@ -56,10 +48,6 @@ class LossConfig:
     def __post_init__(self):
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-
-
-#: Preset matching the softmax temperature used for large-model runs.
-LLM_TEMPERATURE = 0.2
 
 
 def cosine_matrix(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -209,13 +197,6 @@ class ToyEmbedder:
                 out[row] = values @ self.weights[idx]
         return out
 
-    def save(self, path: str | Path) -> None:
-        save_checkpoint(self, path)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ToyEmbedder":
-        return load_checkpoint(path)
-
 
 _CKPT_MAGIC = b"LXTOYEMB"
 _CKPT_VERSION = 1
@@ -276,10 +257,6 @@ class TrainingBatch:
     def __post_init__(self):
         if not (len(self.queries) == len(self.positives) == len(self.positive_charges)):
             raise ValueError("batch lists must have equal length")
-
-    @property
-    def size(self) -> int:
-        return len(self.queries)
 
 
 @dataclass(frozen=True)
@@ -528,64 +505,3 @@ def evaluate_pairs_loss(pairs: Sequence[PairExample], embedder: ToyEmbedder,
     loss, _ = in_batch_loss(sim, mask, loss_cfg)
     return loss
 
-
-# --------------------------------------------------------------------------
-# Benchmark triplets from graded judgments
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Triplet:
-    query_id: str
-    positive_case_id: str
-    negative_case_id: str
-
-    def to_record(self) -> dict:
-        return {"query_id": self.query_id,
-                "positive_case_id": self.positive_case_id,
-                "negative_case_id": self.negative_case_id}
-
-
-@dataclass
-class TripletBuild:
-    triplets: list[Triplet]
-    skipped: list[str] = field(default_factory=list)
-
-
-def triplets_from_qrels(pools: Mapping[str, Sequence[str]],
-                        qrels: Mapping[str, Mapping[str, int]],
-                        seed: int = 0,
-                        relevant_label: int = 3) -> TripletBuild:
-    """One (query, positive, negative) triplet per top-label positive.
-
-    Positives are every candidate at the top relevance label. Negatives
-    come from the remaining annotated candidates; when those run short the
-    difference is drawn at random from the query's unannotated pool.
-    Queries with no positive are skipped and reported.
-    """
-    triplets: list[Triplet] = []
-    skipped: list[str] = []
-    for query_id in sorted(qrels):
-        judged = qrels[query_id]
-        positives = sorted(c for c, label in judged.items() if label == relevant_label)
-        if not positives:
-            skipped.append(query_id)
-            continue
-        annotated_negs = sorted(c for c, label in judged.items() if label != relevant_label)
-        pool = pools.get(query_id, ())
-        unannotated = sorted(set(pool) - set(judged))
-        rng = Random(derive_seed(seed, "triplets", query_id))
-        n = len(positives)
-        if len(annotated_negs) >= n:
-            negatives = rng.sample(annotated_negs, n)
-        else:
-            negatives = list(annotated_negs)
-            shortfall = n - len(negatives)
-            take = min(shortfall, len(unannotated))
-            negatives.extend(rng.sample(unannotated, take))
-        if not negatives:
-            skipped.append(query_id)
-            continue
-        for j, positive in enumerate(positives):
-            negatives_j = negatives[j % len(negatives)]
-            triplets.append(Triplet(query_id, positive, negatives_j))
-    return TripletBuild(triplets=triplets, skipped=skipped)

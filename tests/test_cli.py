@@ -180,6 +180,11 @@ class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):
         assert run_cli("frobnicate") == 1
 
+    def test_pairs_stage_is_gone(self, tmp_path):
+        assert run_cli("pairs", "--pools", "pools.jsonl", "--qrels", "qrels.jsonl",
+                       "--output", tmp_path / "triplets.jsonl") == cli.EXIT_USAGE
+        assert not (tmp_path / "triplets.jsonl").exists()
+
     def test_missing_required_flag_is_usage_error(self):
         assert run_cli("extract", "--corpus", "x.jsonl") == 1
 
@@ -211,6 +216,15 @@ class TestExitCodes:
                                "--hash-buckets", 64)
         assert expected in err
         assert not (tmp_path / "t.ckpt").exists()
+
+    def test_term_phrase_in_elements_is_data_error(self, workdir, tmp_path, capsys):
+        records = list(fileio.read_jsonl(workdir / "elements.jsonl"))
+        records[0]["term"] = "有期徒刑三年"
+        elements = tmp_path / "elements.jsonl"
+        fileio.write_jsonl(elements, records)
+        err = self._data_error(capsys, "augment", "--queries", workdir / "queries.jsonl",
+                               "--elements", elements, "--output", tmp_path / "p.jsonl")
+        assert "term must be a mapping, not str" in err
 
     def test_remote_without_endpoint_is_usage_error(self, workdir):
         assert run_cli("synthesize", "--corpus", workdir / "corpus.jsonl",

@@ -160,6 +160,18 @@ class TestPrisonTerm:
         term = PrisonTerm.from_record({"kind": "fixed_term", "months": 36})
         assert term == PrisonTerm(TermKind.FIXED_TERM, 36)
 
+    @pytest.mark.parametrize("value,message", [
+        ("有期徒刑三年", "term must be a mapping, not str"),
+        (36, "term must be a mapping, not int"),
+        (None, "term must be a mapping, not NoneType"),
+        ({"kind": "prison", "months": 3}, "'prison' is not a valid TermKind"),
+        ({"kind": "fixed_term", "months": "three"}, "invalid literal"),
+        ({"kind": "fixed_term", "months": 0}, "fixed_term requires months >= 1"),
+    ])
+    def test_malformed_term_is_a_malformed_record(self, value, message):
+        with pytest.raises(MalformedRecord, match=message):
+            PrisonTerm.from_record(value)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PrisonTerm(TermKind.FIXED_TERM, 0)

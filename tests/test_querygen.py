@@ -296,6 +296,19 @@ class TestAnonymize:
             out_residue.append(out[cursor:])
             assert "".join(in_residue) == "".join(out_residue)
 
+    def test_surrogate_never_contains_a_tagged_surface(self):
+        # 吴志成 contains the tagged name 吴志, so it may not replace it
+        replacements = ReplacementDictionary(pools={"person": ["吴志成", "周建国"]})
+        for seed in range(20):
+            out, log = anonymize("被告人吴志在现场。", self.tagger, replacements, seed)
+            assert [e.replacement for e in log] == ["周建国"] and "吴志" not in out
+
+    def test_placeholder_never_contains_a_tagged_surface(self):
+        empty = ReplacementDictionary(pools={})
+        assert empty.draw("person", None, frozenset({"乙1"})) == "某乙2"
+        with pytest.raises(ValueError, match="every person placeholder"):
+            empty.draw("person", None, frozenset({"某乙"}))
+
     def test_no_tagged_surface_survives(self, small_build):
         for doc in small_build.cases[:60]:
             spans = self.tagger.tag(doc.fact)

@@ -236,7 +236,7 @@ class TestSearch:
     def test_tie_break_by_case_id(self):
         corpus = {"b": "same text", "a": "same text", "c": "same text"}
         results = search("same", corpus, scorer="bm25", k=3,
-                         tokenizer_name="whitespace")
+                         index=Bm25Index.build(corpus, "whitespace"))
         assert [cid for cid, _ in results] == ["a", "b", "c"]
 
     def test_empty_corpus(self):

@@ -1,4 +1,4 @@
-"""Cosine math, masking, in-batch loss with gradients, toy training, triplets."""
+"""Cosine math, masking, in-batch loss with gradients, toy training."""
 
 import math
 
@@ -27,7 +27,6 @@ from lexforge.training import (
     lr_at,
     save_checkpoint,
     train_toy,
-    triplets_from_qrels,
 )
 
 from oracles import (
@@ -505,57 +504,3 @@ class TestFastPathsMatchOracles:
             assert not grad[outside].any()
             embedder.weights -= 0.1 * grad  # the next batch sees new weights
 
-
-class TestTriplets:
-    def _qrels(self, n_pos, n_neg, pool_extra=0, qid="q1"):
-        judged = {}
-        for i in range(n_pos):
-            judged[f"p{i:02d}"] = 3
-        for i in range(n_neg):
-            judged[f"n{i:02d}"] = i % 3
-        pool = list(judged) + [f"u{i:02d}" for i in range(pool_extra)]
-        return {qid: pool}, {qid: judged}
-
-    def test_enough_annotated_negatives(self):
-        pools, qrels = self._qrels(5, 25)
-        build = triplets_from_qrels(pools, qrels, seed=1)
-        assert len(build.triplets) == 5
-        negs = {t.negative_case_id for t in build.triplets}
-        assert all(n.startswith("n") for n in negs)
-
-    def test_top_up_from_unannotated(self):
-        pools, qrels = self._qrels(10, 4, pool_extra=70)
-        build = triplets_from_qrels(pools, qrels, seed=1)
-        assert len(build.triplets) == 10
-        negs = [t.negative_case_id for t in build.triplets]
-        assert sum(1 for n in negs if n.startswith("u")) == 6
-
-    def test_no_positives_skipped(self):
-        pools, qrels = self._qrels(0, 10)
-        build = triplets_from_qrels(pools, qrels, seed=1)
-        assert build.triplets == [] and build.skipped == ["q1"]
-
-    def test_count_equals_sum_of_positives(self):
-        # benchmark-shaped fixture: many queries, 30 annotated each
-        import random
-        rng = random.Random(0)
-        pools, qrels = {}, {}
-        total_pos = 0
-        for q in range(107):
-            qid = f"q{q:03d}"
-            judged = {}
-            n_pos = rng.randint(1, 12)
-            total_pos += n_pos
-            for i in range(30):
-                judged[f"{qid}-c{i:02d}"] = 3 if i < n_pos else rng.randint(0, 2)
-            pools[qid] = list(judged) + [f"{qid}-u{i}" for i in range(70)]
-            qrels[qid] = judged
-        build = triplets_from_qrels(pools, qrels, seed=9)
-        assert len(build.triplets) == total_pos
-        assert build.skipped == []
-
-    def test_deterministic(self):
-        pools, qrels = self._qrels(6, 3, pool_extra=20)
-        a = triplets_from_qrels(pools, qrels, seed=4)
-        b = triplets_from_qrels(pools, qrels, seed=4)
-        assert [t.to_record() for t in a.triplets] == [t.to_record() for t in b.triplets]
