@@ -5,10 +5,17 @@ case with the identical main-article set whose ancillary articles and
 prison term are as close as possible, and use it as the positive instead of
 the source. Pairs are then mixed so a configured fraction of the dataset
 uses augmented positives.
+
+The positive is found per element signature, the ancillary articles and
+prison term that are all the similarity reads: each candidate set is grouped
+by signature once and each group scored once per source signature. The case
+found is the one an exhaustive scan of the candidates picks, with ties broken
+to the smallest case id.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections.abc import Iterable, Mapping, Sequence
@@ -16,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .corpus import MONTH_BEARING, LegalElements, PrisonTerm, TermKind
-from .errors import MainArticleMismatch, NoMatch
+from .errors import MainArticleMismatch, MissingElements, NoMatch
 
 #: Months of term difference over which similarity decays by 1/e.
 TERM_DECAY_MONTHS = 24.0
@@ -38,6 +45,8 @@ class AugmentConfig:
             raise ValueError("proportion_augmented must be in [0, 1]")
         if self.weight_ancillary < 0 or self.weight_term < 0:
             raise ValueError("weights must be non-negative")
+        if not math.isfinite(self.weight_ancillary + self.weight_term):
+            raise ValueError("weight sum must be finite")
         if self.weight_ancillary + self.weight_term <= 0:
             raise ValueError("weight sum must be positive")
         if self.match_mode not in ("exact_main", "shared_charge"):
@@ -54,13 +63,24 @@ class ElementIndex:
     """Cases bucketed by their canonical main-article set.
 
     Bucket keys are sorted tuples of article ids, so set order never
-    matters. A charge-name side index backs the relaxed match mode.
+    matters. A charge-name side index backs the relaxed match mode. Each
+    case id is added once.
+
+    The index also holds the memo behind :func:`find_augmented_positive`,
+    which ``add`` clears: each candidate set grouped by signature, and the
+    leading candidates per (candidate set, source signature, config).
+    ``signatures`` counts the groups made and ``scores`` the similarity
+    scores computed.
     """
 
     def __init__(self):
         self._buckets: dict[tuple[str, ...], list[IndexEntry]] = {}
         self._by_charge: dict[str, list[IndexEntry]] = {}
+        self._groups: dict[tuple, list[tuple[LegalElements, list[str]]]] = {}
+        self._leaders: dict[tuple, list[str]] = {}
         self.size = 0
+        self.signatures = 0
+        self.scores = 0
 
     @staticmethod
     def key_for(main_articles: Iterable[str]) -> tuple[str, ...]:
@@ -72,6 +92,8 @@ class ElementIndex:
         for charge in elements.charges:
             self._by_charge.setdefault(charge, []).append(entry)
         self.size += 1
+        self._groups.clear()
+        self._leaders.clear()
 
     def bucket(self, main_articles: Iterable[str]) -> list[IndexEntry]:
         return self._buckets.get(self.key_for(main_articles), [])
@@ -81,6 +103,41 @@ class ElementIndex:
 
     def keys(self) -> list[tuple[str, ...]]:
         return sorted(self._buckets)
+
+    def leaders(self, source: LegalElements, cfg: AugmentConfig) -> list[str]:
+        """The (at most) two candidates for ``source`` that come first by
+        (-score, case id).
+
+        The candidates are the source's main-article bucket or, under
+        ``shared_charge``, the union of its charge buckets. Only a group's
+        two smallest case ids can come first, so a group keeps no others.
+        """
+        names = source.charges if cfg.match_mode == "shared_charge" else source.main_articles
+        set_key = (cfg.match_mode, self.key_for(names))
+        key = (set_key, _signature(source), cfg)
+        if key not in self._leaders:
+            if set_key not in self._groups:
+                self._groups[set_key] = self._signature_groups(*set_key)
+            groups = self._groups[set_key]
+            self.scores += len(groups)
+            first = heapq.nsmallest(2, ((-_score(source, elements, cfg), case_id)
+                                        for elements, ids in groups for case_id in ids))
+            self._leaders[key] = [case_id for _, case_id in first]
+        return self._leaders[key]
+
+    def _signature_groups(self, match_mode: str, names: tuple[str, ...],
+                          ) -> list[tuple[LegalElements, list[str]]]:
+        """One member's elements and the two smallest case ids per signature."""
+        if match_mode == "shared_charge":
+            entries = [e for charge in names for e in self.charge_bucket(charge)]
+        else:
+            entries = self.bucket(names)
+        members: dict[tuple, tuple[LegalElements, set[str]]] = {}
+        for entry in entries:
+            members.setdefault(_signature(entry.elements),
+                               (entry.elements, set()))[1].add(entry.case_id)
+        self.signatures += len(members)
+        return [(elements, sorted(ids)[:2]) for elements, ids in members.values()]
 
     def __len__(self) -> int:
         return self.size
@@ -116,6 +173,11 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(a | b)
 
 
+def _signature(elements: LegalElements) -> tuple:
+    """What :func:`_score` reads of a case."""
+    return elements.ancillary_articles, elements.prison_term
+
+
 def _score(a: LegalElements, b: LegalElements, cfg: AugmentConfig) -> float:
     total = cfg.weight_ancillary + cfg.weight_term
     return (cfg.weight_ancillary * _jaccard(a.ancillary_articles, b.ancillary_articles)
@@ -139,33 +201,15 @@ def find_augmented_positive(source_case_id: str, source: LegalElements,
                             cfg: AugmentConfig = AugmentConfig()) -> str:
     """Most element-similar distinct case sharing the source's main articles.
 
-    Ties break to the lexicographically smallest case id. Raises
+    Ties break to the lexicographically smallest case id. The source is a
+    candidate at most once, so the first of the index's two leaders that is
+    not the source is the case an exhaustive scan picks. Raises
     :class:`NoMatch` when the source is alone in its bucket.
     """
-    if cfg.match_mode == "shared_charge":
-        seen: set[str] = set()
-        candidates = []
-        for charge in sorted(source.charges):
-            for entry in index.charge_bucket(charge):
-                if entry.case_id not in seen:
-                    seen.add(entry.case_id)
-                    candidates.append(entry)
-    else:
-        candidates = index.bucket(source.main_articles)
-
-    best_id: str | None = None
-    best_score = -1.0
-    for entry in candidates:
-        if entry.case_id == source_case_id:
-            continue
-        score = _score(source, entry.elements, cfg)
-        if score > best_score or (score == best_score
-                                  and best_id is not None
-                                  and entry.case_id < best_id):
-            best_id, best_score = entry.case_id, score
-    if best_id is None:
-        raise NoMatch(f"no distinct case shares main articles with {source_case_id!r}")
-    return best_id
+    for case_id in index.leaders(source, cfg):
+        if case_id != source_case_id:
+            return case_id
+    raise NoMatch(f"no distinct case shares main articles with {source_case_id!r}")
 
 
 PAIR_ORIGINAL = "original"
@@ -233,8 +277,8 @@ def mix_pairs(queries: Sequence, corpus: Mapping[str, LegalElements],
     for i, query in enumerate(queries):
         source_id = query.source_case_id
         if source_id not in corpus:
-            raise KeyError(f"query {query.query_id!r}: source case "
-                           f"{source_id!r} has no extracted elements")
+            raise MissingElements(f"query {query.query_id!r}: source case "
+                                  f"{source_id!r} has no extracted elements")
         source = corpus[source_id]
         fell_back = False
         if i in chosen:

@@ -207,7 +207,8 @@ def _cmd_augment(args, cfg: PipelineConfig) -> int:
     result = augment_mod.mix_pairs(queries, elements, index, aug_cfg)
     fileio.write_jsonl(Path(args.output), (p.to_record() for p in result.pairs))
     print(f"augment: {len(result.pairs)} pairs, {result.augmented_count} augmented, "
-          f"{len(result.fallbacks)} fallbacks")
+          f"{len(result.fallbacks)} fallbacks; {index.signatures} signatures indexed, "
+          f"{index.scores} scores computed")
     return EXIT_OK
 
 

@@ -66,7 +66,7 @@ def config_keys() -> dict[str, tuple[type, dict[str, str]]]:
     sections = {name: cls for name, cls in get_type_hints(PipelineConfig).items()
                 if is_dataclass(cls)}
     return {section: (cls, {KEY_OF_FIELD.get(f.name, f.name): f.name for f in fields(cls)
-                            if f.name != "seed" and f.name not in sections})
+                            if f.init and f.name != "seed" and f.name not in sections})
             for section, cls in {"run": PipelineConfig, **sections}.items()}
 
 

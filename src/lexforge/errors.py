@@ -59,6 +59,10 @@ class NoMatch(LexforgeError):
     """No distinct case with the same main-article set exists."""
 
 
+class MissingElements(LexforgeError):
+    """A query's source case has no extracted elements."""
+
+
 class ZeroVector(LexforgeError):
     """Cosine similarity is undefined for a zero-norm vector."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -137,26 +137,30 @@ class SegmentConfig:
     The window limit plays the role of a model's maximum input length; it
     is counted in characters here because token counts depend on an
     external tokenizer. ``stride`` defaults to ``max_len`` (non-overlapping
-    windows that reassemble to the original text).
+    windows that reassemble to the original text). ``step`` is the stride in
+    effect and decides equality; ``stride`` keeps the value given, so a
+    ``dataclasses.replace`` with a new ``max_len`` and no stride steps by
+    the new length.
     """
 
     max_len: int = 2048
-    stride: int | None = None
+    stride: int | None = field(default=None, compare=False)
+    step: int = field(init=False)
 
     def __post_init__(self):
         if self.max_len < 1:
             raise ValueError("max_len must be positive")
-        stride = self.max_len if self.stride is None else self.stride
-        if stride < 1 or stride > self.max_len:
+        step = self.max_len if self.stride is None else self.stride
+        if step < 1 or step > self.max_len:
             raise ValueError("need 1 <= stride <= max_len")
-        object.__setattr__(self, "stride", stride)
+        object.__setattr__(self, "step", step)
 
 
 def segment_count(length: int, cfg: SegmentConfig) -> int:
     """Closed-form window count: ceil((len - max_len)/stride) + 1 above max_len."""
     if length <= cfg.max_len:
         return 1
-    return math.ceil((length - cfg.max_len) / cfg.stride) + 1
+    return math.ceil((length - cfg.max_len) / cfg.step) + 1
 
 
 def segment(text: str, cfg: SegmentConfig = SegmentConfig()) -> list[str]:
@@ -165,7 +169,7 @@ def segment(text: str, cfg: SegmentConfig = SegmentConfig()) -> list[str]:
         raise ValueError("text must be non-empty")
     starts = [0]
     while starts[-1] + cfg.max_len < len(text):
-        starts.append(starts[-1] + cfg.stride)
+        starts.append(starts[-1] + cfg.step)
     return [text[s:s + cfg.max_len] for s in starts]
 
 

@@ -185,6 +185,40 @@ def qrels_oracle(build, seed, n_queries, pool_size=100, annotated_size=30):
     return pools, labels
 
 
+# --- augmentation ---------------------------------------------------------
+
+def augmented_positive_oracle(source_case_id, source, index, cfg):
+    """The linear scan: score every candidate in turn, keep the best score
+    and, among equal scores, the smallest case id."""
+    from lexforge.augment import _score
+    from lexforge.errors import NoMatch
+
+    if cfg.match_mode == "shared_charge":
+        seen: set[str] = set()
+        candidates = []
+        for charge in sorted(source.charges):
+            for entry in index.charge_bucket(charge):
+                if entry.case_id not in seen:
+                    seen.add(entry.case_id)
+                    candidates.append(entry)
+    else:
+        candidates = index.bucket(source.main_articles)
+
+    best_id = None
+    best_score = -1.0
+    for entry in candidates:
+        if entry.case_id == source_case_id:
+            continue
+        score = _score(source, entry.elements, cfg)
+        if score > best_score or (score == best_score
+                                  and best_id is not None
+                                  and entry.case_id < best_id):
+            best_id, best_score = entry.case_id, score
+    if best_id is None:
+        raise NoMatch(f"no distinct case shares main articles with {source_case_id!r}")
+    return best_id
+
+
 # --- training fast paths --------------------------------------------------
 
 def features_oracle(text, hash_buckets, ngram_min, ngram_max):

@@ -20,7 +20,8 @@ from lexforge.augment import (
     term_similarity,
 )
 from lexforge.corpus import LegalElements, PrisonTerm, TermKind
-from lexforge.errors import MainArticleMismatch, NoMatch
+from lexforge.errors import MainArticleMismatch, MissingElements, NoMatch
+from oracles import augmented_positive_oracle
 
 
 def _el(main, ancillary=(), kind=TermKind.FIXED_TERM, months=12, charge="盗窃罪"):
@@ -195,6 +196,99 @@ class TestFindAugmentedPositive:
         assert find_augmented_positive("c1", corpus["c1"], index, relaxed) == "c2"
 
 
+def _answer(search, case_id, corpus, index, cfg):
+    try:
+        return search(case_id, corpus[case_id], index, cfg)
+    except NoMatch:
+        return NoMatch
+
+
+_TERMS = [PrisonTerm(TermKind.FIXED_TERM, m) for m in (6, 12, 18, 24, 36)] + [
+    PrisonTerm(TermKind.DETENTION, 3), PrisonTerm(TermKind.LIFE), PrisonTerm(TermKind.DEATH),
+    PrisonTerm(TermKind.FINE_ONLY)]
+_WEIGHTS = [0.0, 0.25, 0.5, 1.0, 3.0]
+
+#: Few values per element, so signatures repeat, scores tie across groups
+#: (12 months is as close to 6 as to 18) and buckets are often singletons.
+_cases = st.dictionaries(
+    st.integers(0, 40).map(lambda n: f"c{n}"),
+    st.builds(lambda main, anc, term, charges: LegalElements(
+                  charges=frozenset(charges), main_articles=frozenset(main),
+                  ancillary_articles=frozenset(anc), prison_term=term),
+              st.sampled_from([("133",), ("264",), ("133", "264")]),
+              st.sets(st.sampled_from(["25", "52", "67", "72"]), max_size=2),
+              st.sampled_from(_TERMS),
+              st.sets(st.sampled_from(["盗窃罪", "诈骗罪", "抢劫罪"]), min_size=1, max_size=2)),
+    min_size=1, max_size=16)
+_configs = st.builds(
+    lambda weights, mode: AugmentConfig(weight_ancillary=weights[0], weight_term=weights[1],
+                                        match_mode=mode),
+    st.tuples(st.sampled_from(_WEIGHTS), st.sampled_from(_WEIGHTS)).filter(any),
+    st.sampled_from(["exact_main", "shared_charge"]))
+
+
+class TestSignatureSearch:
+    """The per-signature search against the linear scan it replaced."""
+
+    @given(_cases, st.lists(_configs, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_linear_scan(self, corpus, configs):
+        # one index for every config, as a memo keyed without it would fail
+        index = build_element_index(corpus)
+        for cfg in configs:
+            for case_id in sorted(corpus, reverse=True):
+                assert (_answer(find_augmented_positive, case_id, corpus, index, cfg)
+                        == _answer(augmented_positive_oracle, case_id, corpus, index, cfg))
+
+    def test_tie_across_groups_breaks_to_smallest_id(self):
+        corpus = {
+            "c3": _el({"133"}, {"67"}, months=12),
+            "c9": _el({"133"}, {"67"}, months=6),
+            "c1": _el({"133"}, {"67"}, months=18),
+            "c7": _el({"133"}, {"67"}, months=18),
+        }
+        index = build_element_index(corpus)
+        assert find_augmented_positive("c3", corpus["c3"], index) == "c1"
+
+    def test_source_shares_its_signature_group(self):
+        corpus = {"c1": _el({"133"}, {"67"}), "c2": _el({"133"}, {"67"}),
+                  "c3": _el({"133"}, {"67"}), "c4": _el({"133"}, {"72"})}
+        index = build_element_index(corpus)
+        assert [find_augmented_positive(c, corpus[c], index) for c in corpus] == [
+            "c2", "c1", "c1", "c1"]
+
+    def test_index_reused_across_configs(self):
+        corpus = {
+            "src": _el({"133"}, {"67"}, months=12),
+            "anc": _el({"133"}, {"67"}, months=120),
+            "term": _el({"133"}, {"72"}, months=12),
+        }
+        index = build_element_index(corpus)
+        only_anc = AugmentConfig(weight_ancillary=1.0, weight_term=0.0)
+        only_term = AugmentConfig(weight_ancillary=0.0, weight_term=1.0)
+        assert find_augmented_positive("src", corpus["src"], index, only_anc) == "anc"
+        assert find_augmented_positive("src", corpus["src"], index, only_term) == "term"
+        assert find_augmented_positive("src", corpus["src"], index, only_anc) == "anc"
+
+    def test_add_clears_the_memo(self):
+        corpus = {"c5": _el({"133"}, {"67"}), "c6": _el({"133"}, {"72"})}
+        index = build_element_index(corpus)
+        assert find_augmented_positive("c5", corpus["c5"], index) == "c6"
+        index.add("c9", _el({"133"}, {"67"}))
+        assert find_augmented_positive("c5", corpus["c5"], index) == "c9"
+
+    def test_counts_signatures_and_scores(self):
+        corpus = {f"c{i}": _el({"133"}, {"67"} if i % 2 else {"72"}, months=12 + i % 3)
+                  for i in range(30)}
+        corpus["lone"] = _el({"500"})
+        index = build_element_index(corpus)
+        for case_id in sorted(corpus):
+            _answer(find_augmented_positive, case_id, corpus, index, AugmentConfig())
+        # bucket 133 has 6 signatures, each scored against each: 36 scores;
+        # the lone bucket has one signature and one score
+        assert (index.signatures, index.scores) == (7, 37)
+
+
 class TestMixPairs:
     def _fixture(self, n=10):
         corpus = {f"c{i:02d}": _el({"133"}, {"67"}, months=12 + i) for i in range(n)}
@@ -273,5 +367,5 @@ class TestMixPairs:
 
     def test_missing_source_raises(self):
         queries = [_Query("q1", "ghost")]
-        with pytest.raises(KeyError):
+        with pytest.raises(MissingElements, match="query 'q1': source case 'ghost'"):
             mix_pairs(queries, {}, build_element_index({}), AugmentConfig())

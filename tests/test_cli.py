@@ -1,6 +1,7 @@
 """End-to-end pipeline through the command-line interface."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,17 @@ class TestTenQueryAugment:
         assert len(pairs) == 10
         assert sum(1 for p in pairs if p["kind"] == "augmented") == 7
 
+    def test_summary_counts_signatures_and_scores(self, workdir, tmp_path, capsys):
+        queries = list(fileio.read_jsonl(workdir / "queries.jsonl"))[:10]
+        subset = tmp_path / "q10.jsonl"
+        fileio.write_jsonl(subset, queries)
+        assert run_cli("augment", "--queries", subset,
+                       "--elements", workdir / "elements.jsonl",
+                       "--output", tmp_path / "pairs10.jsonl", "--proportion", 1.0) == 0
+        summary = capsys.readouterr().out
+        assert re.fullmatch(r"augment: 10 pairs, 10 augmented, 0 fallbacks; "
+                            r"[1-9]\d* signatures indexed, [1-9]\d* scores computed\n", summary)
+
 
 class TestIdentityRunEval:
     def test_ideal_ordering_scores_one(self, workdir, tmp_path):
@@ -225,6 +237,17 @@ class TestExitCodes:
         err = self._data_error(capsys, "augment", "--queries", workdir / "queries.jsonl",
                                "--elements", elements, "--output", tmp_path / "p.jsonl")
         assert "term must be a mapping, not str" in err
+
+    def test_query_without_elements_is_data_error(self, workdir, tmp_path, capsys):
+        records = list(fileio.read_jsonl(workdir / "elements.jsonl"))
+        elements = tmp_path / "elements.jsonl"
+        fileio.write_jsonl(elements, records[1:])
+        queries = [q for q in fileio.read_jsonl(workdir / "queries.jsonl")
+                   if q["source_case_id"] == records[0]["case_id"]]
+        err = self._data_error(capsys, "augment", "--queries", workdir / "queries.jsonl",
+                               "--elements", elements, "--output", tmp_path / "p.jsonl")
+        assert err == (f"data error: query {queries[0]['query_id']!r}: source case "
+                       f"{records[0]['case_id']!r} has no extracted elements\n")
 
     def test_remote_without_endpoint_is_usage_error(self, workdir):
         assert run_cli("synthesize", "--corpus", workdir / "corpus.jsonl",

@@ -99,7 +99,8 @@ class TestLoader:
 
     def test_stride_follows_max_len(self, tmp_path):
         cfg = load_config(_ini(tmp_path, "[segment]\nmax_len = 128\n"), env={})
-        assert cfg.segment.stride == 128
+        assert cfg.segment.step == 128
+        assert cfg.segment == SegmentConfig(max_len=128, stride=128)
 
     def test_environment_overrides_file(self, tmp_path):
         path = _ini(tmp_path, "[client]\nendpoint = http://file\nmodel = from-file\n")
@@ -129,6 +130,10 @@ BAD_FILES = [
     ("[augment]\nseed = 7\n", "[augment] seed: seeds come only from --seed"),
     ("[loss]\nmasking = maybe\n", "[loss] masking = 'maybe': not a boolean"),
     ("[augment]\nmatch_mode = bogus\n", "[augment] match_mode = 'bogus'"),
+    ("[augment]\nweight_term = inf\n",
+     "[augment] weight_term = 'inf': weight sum must be finite"),
+    ("[augment]\nweight_ancillary = nan\n",
+     "[augment] weight_ancillary = 'nan': weight sum must be finite"),
     ("[filter]\nmin_fact_chars = ten\n", "[filter] min_fact_chars = 'ten'"),
     ("[augment]\nproportion_augmented = 0.5\n", "[augment] proportion_augmented: unknown key"),
     ("[client]\ntimeout = -1\n", "[client] timeout = '-1': timeout must be > 0"),

@@ -1,6 +1,7 @@
 """BM25 scoring, segmentation, truncation-max dense scoring and search."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,13 @@ class TestSegment:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             segment("", SegmentConfig())
+
+    def test_replace_max_len_takes_the_default_stride(self):
+        cfg = replace(SegmentConfig(), max_len=128)
+        assert cfg == SegmentConfig(max_len=128) == SegmentConfig(max_len=128, stride=128)
+        assert segment("x" * 300, cfg) == segment("x" * 300, SegmentConfig(max_len=128))
+        assert [len(s) for s in segment("x" * 300, cfg)] == [128, 128, 44]
+        assert replace(SegmentConfig(max_len=128, stride=64), max_len=256).step == 64
 
     def test_stride_validation(self):
         with pytest.raises(ValueError):
