@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import augment as augment_mod
-from . import config, evaluation, fileio, retrieval, testkit, training
+from . import config, evaluation, fileio, retrieval, testkit
 from . import querygen as querygen_mod
 from .config import PipelineConfig
 from .corpus import (
@@ -28,7 +28,7 @@ from .corpus import (
     filter_corpus,
     parse_case,
 )
-from .errors import GenerationFailed, LexforgeError, UsageError
+from .errors import GenerationFailed, LexforgeError, MalformedRecord, UsageError
 from .seeds import derive_seed
 
 EXIT_OK = 0
@@ -75,22 +75,52 @@ def _load_queries(path: Path) -> list[querygen_mod.QueryRecord]:
     return [querygen_mod.QueryRecord.from_record(r) for r in fileio.read_jsonl(path)]
 
 
+def _fields(path: Path, lineno: int, record: dict, **parsers) -> list:
+    """The named fields of a record, each passed through its parser (None
+    keeps the value); a missing or unparseable field is a MalformedRecord
+    naming the file, the line and the field."""
+    values = []
+    for name, parse in parsers.items():
+        try:
+            value = record[name]
+            values.append(value if parse is None else parse(value))
+        except KeyError:
+            raise MalformedRecord(f"{path}:{lineno}: missing field {name!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise MalformedRecord(f"{path}:{lineno}: field {name!r}: {exc}") from None
+    return values
+
+
+def _id_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of ids, not {type(value).__name__}")
+    return value
+
+
 def _load_qrels(path: Path) -> dict[str, dict[str, int]]:
     qrels: dict[str, dict[str, int]] = {}
-    for record in fileio.read_jsonl(path):
-        qrels.setdefault(record["query_id"], {})[record["case_id"]] = int(record["label"])
+    for lineno, record in fileio.read_jsonl(path, numbered=True):
+        query_id, case_id, label = _fields(path, lineno, record,
+                                           query_id=None, case_id=None, label=int)
+        qrels.setdefault(query_id, {})[case_id] = label
     return qrels
 
 
 def _load_pools(path: Path) -> dict[str, list[str]]:
-    return {r["query_id"]: list(r["candidate_ids"]) for r in fileio.read_jsonl(path)}
+    pools = {}
+    for lineno, record in fileio.read_jsonl(path, numbered=True):
+        query_id, candidate_ids = _fields(path, lineno, record,
+                                          query_id=None, candidate_ids=_id_list)
+        pools[query_id] = candidate_ids
+    return pools
 
 
 def _load_run(path: Path) -> dict[str, list[tuple[str, float]]]:
     rows: dict[str, list[tuple[int, str, float]]] = {}
-    for record in fileio.read_jsonl(path):
-        rows.setdefault(record["query_id"], []).append(
-            (int(record["rank"]), record["case_id"], float(record["score"])))
+    for lineno, record in fileio.read_jsonl(path, numbered=True):
+        query_id, rank, case_id, score = _fields(path, lineno, record, query_id=None,
+                                                 rank=int, case_id=None, score=float)
+        rows.setdefault(query_id, []).append((rank, case_id, score))
     return {qid: [(cid, score) for _, cid, score in sorted(entries)]
             for qid, entries in rows.items()}
 
@@ -213,6 +243,8 @@ def _cmd_augment(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_train(args, cfg: PipelineConfig) -> int:
+    from . import training
+
     embedder = config.with_values(
         training.ToyEmbedder, _flags(args, "dim", "hash_buckets"), seed=args.seed)
     schedule = config.with_values(training.TrainSchedule, _flags(
@@ -251,6 +283,45 @@ def _cmd_index(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
+def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | None, *,
+                scorer: str, index: retrieval.Bm25Index | None, **search_opts):
+    """Rank each (query id, text) against its pool, or against every text
+    when there are no pools.
+
+    Returns the run, the pool ids not in ``texts`` and the number of queries
+    without a pool; both kinds are skipped. Each candidate is tokenized once
+    per run, into one index over the pools' union, and each pool takes its
+    BM25 statistics from that index's subset, which equals an index built
+    over the pool alone; ``index``, when given, serves every pool instead.
+    Dense scoring embeds each candidate's windows once per run.
+    """
+    missing: set[str] = set()
+    unpooled = 0
+    ranked: list[tuple[str, str, dict[str, str]]] = []
+    for query_id, text in queries:
+        if pools is None:
+            ranked.append((query_id, text, texts))
+        elif query_id not in pools:
+            unpooled += 1
+        else:
+            missing.update(cid for cid in pools[query_id] if cid not in texts)
+            ranked.append((query_id, text, {cid: texts[cid] for cid in pools[query_id]
+                                            if cid in texts}))
+    shared = None
+    if scorer == retrieval.SCORER_BM25 and index is None and ranked:
+        shared = retrieval.Bm25Index.build(texts if pools is None else {
+            cid: text for _, _, pool in ranked for cid, text in pool.items()})
+    windows: dict = {}
+    run: dict[str, list[tuple[str, float]]] = {}
+    for query_id, text, pool in ranked:
+        pool_index = index
+        if shared is not None:
+            pool_index = shared if pools is None else shared.subset(pool)
+        run[query_id] = retrieval.search(text, pool, scorer=scorer, index=pool_index,
+                                         windows=windows, **search_opts)
+    return run, missing, unpooled
+
+
 def _cmd_search(args, cfg: PipelineConfig) -> int:
     params = inspect.signature(retrieval.search).parameters
     opts = ({name: params[name].default for name in ("scorer", "k")}
@@ -262,23 +333,20 @@ def _cmd_search(args, cfg: PipelineConfig) -> int:
     queries = _load_queries(Path(args.queries))
     pools = _load_pools(Path(args.pools)) if args.pools else None
     index = retrieval.Bm25Index.load(Path(args.index)) if args.index else None
-    embedder = training.load_checkpoint(args.checkpoint) if args.checkpoint else None
+    embedder = None
+    if args.checkpoint:
+        from . import training
+
+        embedder = training.load_checkpoint(args.checkpoint)
     if opts["scorer"] == "dense" and embedder is None:
         raise UsageError("dense scoring needs --checkpoint")
 
-    run: dict[str, list[tuple[str, float]]] = {}
-    for query in queries:
-        if pools is not None:
-            if query.query_id not in pools:
-                continue
-            pool = {cid: texts[cid] for cid in pools[query.query_id] if cid in texts}
-        else:
-            pool = texts
-        run[query.query_id] = retrieval.search(
-            query.text, pool, **opts, bm25_params=cfg.bm25, index=index,
-            embedder=embedder, seg_cfg=cfg.segment)
+    run, missing, unpooled = _search_run(
+        ((q.query_id, q.text) for q in queries), texts, pools, index=index, **opts,
+        bm25_params=cfg.bm25, embedder=embedder, seg_cfg=cfg.segment)
     _write_run(Path(args.output), run, opts["scorer"])
-    print(f"search: {len(run)} queries, top-{opts['k']} by {opts['scorer']}")
+    print(f"search: {len(run)} queries, top-{opts['k']} by {opts['scorer']}; "
+          f"{len(missing)} pool ids not in corpus, {unpooled} queries without a pool")
     return EXIT_OK
 
 

@@ -22,7 +22,6 @@ from .corpus import CorpusFilterConfig
 from .errors import UsageError
 from .querygen import DEFAULT_MAX_QUERY_CHARS
 from .retrieval import Bm25Params, SegmentConfig
-from .training import LossConfig
 
 ENV_PREFIX = "LEXFORGE_"
 #: The two keys named apart from the field they set, by field.
@@ -48,6 +47,18 @@ class ClientSettings:
             raise ValueError("backoff must be >= 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+
+
+@dataclass(frozen=True)
+class LossConfig:
+    """The in-batch contrastive loss that :mod:`lexforge.training` computes."""
+
+    temperature: float = 1.0
+    masking_enabled: bool = True
+
+    def __post_init__(self):
+        if self.temperature <= 0:
+            raise ValueError("temperature must be positive")
 
 
 @dataclass

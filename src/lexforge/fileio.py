@@ -48,8 +48,9 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> int:
     return len(lines)
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield one dict per non-empty line; raises MalformedRecord on bad JSON."""
+def read_jsonl(path: str | Path, numbered: bool = False) -> Iterator:
+    """Yield one dict per non-empty line, or (line number, dict) pairs when
+    ``numbered``; raises MalformedRecord on bad JSON."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -61,4 +62,4 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
                 raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
             if not isinstance(record, dict):
                 raise MalformedRecord(f"{path}:{lineno}: expected an object")
-            yield record
+            yield (lineno, record) if numbered else record

@@ -5,21 +5,26 @@ tokenizer (overlapping character bigrams by default, which needs no word
 segmentation), and dense scoring that splits long candidates into windows,
 scores each window against the query and keeps the maximum. Pools in the
 target benchmarks are around a hundred candidates per query, so scoring is
-exhaustive by design.
+exhaustive by design. A run over many pools shares per-candidate work: one
+index tokenizes each candidate once (:meth:`Bm25Index.subset` gives each
+pool its own statistics), and a window memo embeds each candidate once.
+Only the dense path imports numpy.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import EmptyCorpus, UnknownDoc, ZeroVector
 from .fileio import atomic_write_text
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Tokenizer = Callable[[str], list[str]]
 
@@ -68,6 +73,7 @@ class Bm25Index:
         for tf in term_freqs.values():
             for term in tf:
                 self.doc_freq[term] = self.doc_freq.get(term, 0) + 1
+        self._idf: dict[str, float] = {}
 
     @property
     def tokenizer(self) -> Tokenizer:
@@ -88,11 +94,29 @@ class Bm25Index:
             doc_lens[doc_id] = len(tokens)
         return cls(term_freqs, doc_lens, tokenizer_name)
 
+    def subset(self, doc_ids: Iterable[str]) -> "Bm25Index":
+        """The index :meth:`build` would make from these documents alone.
+
+        Term frequencies and lengths are shared with this index, not
+        recomputed; the statistics are integer counts over the subset, so
+        they equal a fresh build's exactly.
+        """
+        ids = sorted(set(doc_ids))
+        try:
+            term_freqs = {doc_id: self.term_freqs[doc_id] for doc_id in ids}
+        except KeyError as exc:
+            raise UnknownDoc(f"doc {exc.args[0]!r} not in index") from None
+        return Bm25Index(term_freqs, {doc_id: self.doc_lens[doc_id] for doc_id in ids},
+                         self.tokenizer_name)
+
     def idf(self, term: str) -> float:
-        df = self.doc_freq.get(term, 0)
-        if df == 0:
-            return 0.0
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+        """Memoized: the index never changes after construction."""
+        value = self._idf.get(term)
+        if value is None:
+            df = self.doc_freq.get(term, 0)
+            value = 0.0 if df == 0 else math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+            self._idf[term] = value
+        return value
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -156,13 +180,6 @@ class SegmentConfig:
         object.__setattr__(self, "step", step)
 
 
-def segment_count(length: int, cfg: SegmentConfig) -> int:
-    """Closed-form window count: ceil((len - max_len)/stride) + 1 above max_len."""
-    if length <= cfg.max_len:
-        return 1
-    return math.ceil((length - cfg.max_len) / cfg.step) + 1
-
-
 def segment(text: str, cfg: SegmentConfig = SegmentConfig()) -> list[str]:
     """Contiguous windows of at most max_len stepping by stride; tail included."""
     if not text:
@@ -173,27 +190,45 @@ def segment(text: str, cfg: SegmentConfig = SegmentConfig()) -> list[str]:
     return [text[s:s + cfg.max_len] for s in starts]
 
 
-def dense_score(query_vec: np.ndarray, case_text: str, embedder,
-                cfg: SegmentConfig = SegmentConfig()) -> float:
-    """Maximum cosine between the query vector and any window of the case.
+def _unit_windows(case_text: str, embedder, cfg: SegmentConfig, dim: int) -> np.ndarray:
+    """The case's windows, embedded and scaled to unit norm, one per row.
 
     A window that embeds to zero norm (a tail too short to featurize) has no
-    cosine and is skipped; the case must have at least one other window.
+    direction and is dropped; the case must have at least one other window.
     """
-    q = np.asarray(query_vec, dtype=np.float64)
-    qn = np.linalg.norm(q)
-    if qn == 0.0:
-        raise ZeroVector("query vector has zero norm")
+    import numpy as np
+
     segments = segment(case_text, cfg)
     vectors = np.asarray(embedder.embed(segments), dtype=np.float64)
-    if vectors.shape[1] != q.shape[0]:
-        raise ValueError(
-            f"embedder dimension {vectors.shape[1]} != query dimension {q.shape[0]}")
+    if vectors.shape[1] != dim:
+        raise ValueError(f"embedder dimension {vectors.shape[1]} != query dimension {dim}")
     norms = np.linalg.norm(vectors, axis=1)
     nonzero = norms != 0.0
     if not nonzero.any():
         raise ZeroVector(f"all {len(segments)} segments embed to zero norm")
-    sims = (vectors[nonzero] / norms[nonzero, None]) @ (q / qn)
+    return vectors[nonzero] / norms[nonzero, None]
+
+
+def dense_score(query_vec: np.ndarray, case_text: str, embedder,
+                cfg: SegmentConfig = SegmentConfig(), *,
+                windows: dict[str, np.ndarray] | None = None) -> float:
+    """Maximum cosine between the query vector and any window of the case.
+
+    ``windows`` memoizes :func:`_unit_windows` by case text. One memo serves
+    one embedder and one ``cfg``: a search run passes the same memo for
+    every query, so each candidate is segmented and embedded once per run.
+    """
+    import numpy as np
+
+    q = np.asarray(query_vec, dtype=np.float64)
+    qn = np.linalg.norm(q)
+    if qn == 0.0:
+        raise ZeroVector("query vector has zero norm")
+    memo = {} if windows is None else windows
+    unit = memo.get(case_text)
+    if unit is None:
+        unit = memo[case_text] = _unit_windows(case_text, embedder, cfg, q.shape[0])
+    sims = unit @ (q / qn)
     return float(np.clip(sims, -1.0, 1.0).max())
 
 
@@ -208,13 +243,16 @@ SCORER_DENSE = "dense"
 def search(query: str, corpus: Mapping[str, str], scorer: str = SCORER_BM25,
            k: int = 30, *, bm25_params: Bm25Params = Bm25Params(),
            index: Bm25Index | None = None, embedder=None,
-           seg_cfg: SegmentConfig = SegmentConfig()) -> list[tuple[str, float]]:
+           seg_cfg: SegmentConfig = SegmentConfig(),
+           windows: dict | None = None) -> list[tuple[str, float]]:
     """Exhaustively score the pool and return the top k.
 
     Ordering is by descending score with ties broken by ascending case id,
     so results are a pure function of the inputs. ``k`` larger than the
     pool returns the whole pool. BM25 takes idf and avgdl from ``index``
     when one is given, and otherwise from ``corpus``, the pool itself.
+    Dense scoring memoizes each candidate's windows in ``windows`` when one
+    is given (see :func:`dense_score`).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -230,7 +268,8 @@ def search(query: str, corpus: Mapping[str, str], scorer: str = SCORER_BM25,
         if embedder is None:
             raise ValueError("dense scoring requires an embedder")
         query_vec = embedder.embed([query])[0]
-        scored = [(case_id, dense_score(query_vec, corpus[case_id], embedder, seg_cfg))
+        scored = [(case_id, dense_score(query_vec, corpus[case_id], embedder, seg_cfg,
+                                        windows=windows))
                   for case_id in corpus]
     else:
         raise ValueError(f"unknown scorer: {scorer!r}")

@@ -26,6 +26,7 @@ from random import Random
 
 import numpy as np
 
+from .config import LossConfig
 from .errors import (
     BadCheckpoint,
     DegenerateRow,
@@ -38,16 +39,6 @@ from .seeds import derive_seed
 
 #: Additive stand-in for minus infinity; underflows to exact zero softmax mass.
 MASK_SURROGATE = -1.0e9
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    temperature: float = 1.0
-    masking_enabled: bool = True
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
 
 
 def cosine_matrix(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:

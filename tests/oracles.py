@@ -136,6 +136,49 @@ def window_oracle(length, max_len, stride):
     return starts
 
 
+def segment_count(length, cfg):
+    """Closed-form window count: ceil((len - max_len)/stride) + 1 above max_len."""
+    if length <= cfg.max_len:
+        return 1
+    return math.ceil((length - cfg.max_len) / cfg.step) + 1
+
+
+# --- search runs ----------------------------------------------------------
+
+def search_oracle(queries, texts, pools, *, scorer, k, bm25_params, index, embedder,
+                  seg_cfg):
+    """A search run query by query, with nothing shared between queries.
+
+    Each pool gets a fresh ``Bm25Index.build`` (or ``index`` when given) and
+    every candidate is scored by ``dense_score`` without a window memo.
+    Queries without a pool and pool ids missing from ``texts`` are skipped.
+    """
+    from lexforge.errors import EmptyCorpus
+    from lexforge.retrieval import Bm25Index, bm25_score, dense_score
+
+    run = {}
+    for query_id, text in queries:
+        if pools is None:
+            pool = texts
+        elif query_id not in pools:
+            continue
+        else:
+            pool = {cid: texts[cid] for cid in pools[query_id] if cid in texts}
+        if not pool:
+            raise EmptyCorpus("no candidates to score")
+        if scorer == "bm25":
+            idx = index if index is not None else Bm25Index.build(pool)
+            tokens = idx.tokenizer(text)
+            scored = [(cid, bm25_score(tokens, cid, idx, bm25_params)) for cid in pool]
+        else:
+            query_vec = embedder.embed([text])[0]
+            scored = [(cid, dense_score(query_vec, pool[cid], embedder, seg_cfg))
+                      for cid in pool]
+        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        run[query_id] = scored[:k]
+    return run
+
+
 # --- fixtures -------------------------------------------------------------
 
 def qrels_oracle(build, seed, n_queries, pool_size=100, annotated_size=30):

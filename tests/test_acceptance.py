@@ -30,6 +30,7 @@ from oracles import (
     fd_gradient,
     ndcg_oracle,
     precision_oracle,
+    segment_count,
     window_oracle,
 )
 
@@ -224,7 +225,9 @@ def test_truncation_scoring():
         max_len = rng2.randint(1, 300)
         stride = rng2.randint(1, max_len)
         cfg = retrieval.SegmentConfig(max_len=max_len, stride=stride)
-        if retrieval.segment_count(length, cfg) != len(window_oracle(length, max_len, stride)):
+        n_windows = len(window_oracle(length, max_len, stride))
+        if (segment_count(length, cfg) != n_windows
+                or len(retrieval.segment("x" * length, cfg)) != n_windows):
             windows_ok = False
     report("truncation scoring", worst <= 1e-12 and windows_ok,
            f"max |Δ|={worst:.2e}")

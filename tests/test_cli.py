@@ -127,6 +127,26 @@ class TestTenQueryAugment:
                             r"[1-9]\d* signatures indexed, [1-9]\d* scores computed\n", summary)
 
 
+class TestSearchSummary:
+    def test_counts_skipped_pool_ids_and_queries(self, workdir, tmp_path, capsys):
+        pools = list(fileio.read_jsonl(workdir / "pools.jsonl"))
+        pools[0]["candidate_ids"] += ["ghost-1", "ghost-2", "ghost-1"]
+        pools[1]["candidate_ids"].append("ghost-1")
+        dropped = pools.pop()
+        path = tmp_path / "pools.jsonl"
+        fileio.write_jsonl(path, pools)
+        out = tmp_path / "run.jsonl"
+        assert run_cli("search", "--queries", workdir / "eval_queries.jsonl",
+                       "--corpus", workdir / "corpus.jsonl", "--pools", path,
+                       "--output", out) == 0
+        assert capsys.readouterr().out == (
+            f"search: {len(pools)} queries, top-30 by bm25; "
+            "2 pool ids not in corpus, 1 queries without a pool\n")
+        run = list(fileio.read_jsonl(out))
+        assert dropped["query_id"] not in {r["query_id"] for r in run}
+        assert not {"ghost-1", "ghost-2"} & {r["case_id"] for r in run}
+
+
 class TestIdentityRunEval:
     def test_ideal_ordering_scores_one(self, workdir, tmp_path):
         qrels_rows = list(fileio.read_jsonl(workdir / "qrels.jsonl"))
@@ -249,6 +269,36 @@ class TestExitCodes:
         assert err == (f"data error: query {queries[0]['query_id']!r}: source case "
                        f"{records[0]['case_id']!r} has no extracted elements\n")
 
+    @pytest.mark.parametrize("qrel,expected", [
+        ({"query_id": "q", "case_id": "c", "label": "x"},
+         "field 'label': invalid literal for int() with base 10: 'x'"),
+        ({"query_id": "q", "case_id": "c"}, "missing field 'label'")])
+    def test_bad_qrels_line_is_data_error(self, workdir, tmp_path, capsys, qrel, expected):
+        qrels = tmp_path / "qrels.jsonl"
+        fileio.write_jsonl(qrels, [{"query_id": "q", "case_id": "d", "label": 1}, qrel])
+        err = self._data_error(capsys, "eval", "--run", workdir / "run_bm25.jsonl",
+                               "--qrels", qrels, "--output", tmp_path / "m.json")
+        assert err == f"data error: {qrels}:2: {expected}\n"
+
+    @pytest.mark.parametrize("pool,expected", [
+        ({"query_id": "q"}, "missing field 'candidate_ids'"),
+        ({"query_id": "q", "candidate_ids": "case-000001"},
+         "field 'candidate_ids': expected a list of ids, not str")])
+    def test_bad_pools_line_is_data_error(self, workdir, tmp_path, capsys, pool, expected):
+        pools = tmp_path / "pools.jsonl"
+        fileio.write_jsonl(pools, [pool])
+        err = self._data_error(capsys, "search", "--queries", workdir / "eval_queries.jsonl",
+                               "--corpus", workdir / "corpus.jsonl", "--pools", pools,
+                               "--output", tmp_path / "run.jsonl")
+        assert err == f"data error: {pools}:1: {expected}\n"
+
+    def test_bad_run_line_is_data_error(self, workdir, tmp_path, capsys):
+        run = tmp_path / "run.jsonl"
+        fileio.write_jsonl(run, [{"query_id": "q", "case_id": "c", "rank": 1, "score": "high"}])
+        err = self._data_error(capsys, "eval", "--run", run, "--qrels", workdir / "qrels.jsonl",
+                               "--output", tmp_path / "m.json")
+        assert err.startswith(f"data error: {run}:1: field 'score': ")
+
     def test_remote_without_endpoint_is_usage_error(self, workdir):
         assert run_cli("synthesize", "--corpus", workdir / "corpus.jsonl",
                        "--elements", workdir / "elements.jsonl",
@@ -328,3 +378,26 @@ def test_cli_import_leaves_requests_out():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_numpy_free_stages_leave_numpy_out(workdir, tmp_path):
+    """Importing the CLI, evaluating a run and BM25 search never load numpy."""
+    import os
+    import subprocess
+    import sys
+    evaluate = ["eval", "--run", workdir / "run_bm25.jsonl", "--qrels", workdir / "qrels.jsonl",
+                "--output", tmp_path / "m.json"]
+    bm25 = ["search", "--queries", workdir / "eval_queries.jsonl",
+            "--corpus", workdir / "corpus.jsonl", "--pools", workdir / "pools.jsonl",
+            "--scorer", "bm25", "--output", tmp_path / "run.jsonl"]
+    code = ("import json, sys, lexforge.cli\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert lexforge.cli.main(argv) == 0\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "print(loaded)\n")
+    argvs = json.dumps([[str(a) for a in argv] for argv in (evaluate, bm25)])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code, argvs], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.splitlines()[-1] == "[False, False, False]"

@@ -7,11 +7,16 @@ import pytest
 
 from lexforge import cli
 from lexforge.augment import AugmentConfig
-from lexforge.config import ClientSettings, PipelineConfig, config_keys, load_config
+from lexforge.config import (
+    ClientSettings,
+    LossConfig,
+    PipelineConfig,
+    config_keys,
+    load_config,
+)
 from lexforge.corpus import CorpusFilterConfig
 from lexforge.errors import UsageError
 from lexforge.retrieval import Bm25Params, SegmentConfig
-from lexforge.training import LossConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

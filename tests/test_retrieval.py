@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexforge.errors import EmptyCorpus, UnknownDoc, ZeroVector
+from lexforge.cli import _search_run
+from lexforge.errors import EmptyCorpus, LexforgeError, UnknownDoc, ZeroVector
 from lexforge.retrieval import (
     Bm25Index,
     Bm25Params,
@@ -17,12 +18,11 @@ from lexforge.retrieval import (
     dense_score,
     search,
     segment,
-    segment_count,
     tokenize_char_bigrams,
     tokenize_whitespace,
 )
 
-from oracles import bm25_oracle, window_oracle
+from oracles import bm25_oracle, search_oracle, segment_count, window_oracle
 
 
 class TestTokenizers:
@@ -99,6 +99,35 @@ class TestBm25:
         assert loaded.term_freqs == index.term_freqs
         assert loaded.avgdl == index.avgdl
         assert bm25_score(["盗窃"], "d1", loaded) == bm25_score(["盗窃"], "d1", index)
+
+
+class TestSubset:
+    @given(st.dictionaries(st.sampled_from([f"d{i}" for i in range(12)]),
+                           st.text("盗窃抢劫财物 ab", max_size=30), max_size=12),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_a_build_over_the_subset(self, corpus, data):
+        ids = data.draw(st.lists(st.sampled_from(sorted(corpus)), max_size=20)
+                        if corpus else st.just([]))
+        for name in ("char_bigram", "whitespace"):
+            got = Bm25Index.build(corpus, name).subset(ids)
+            want = Bm25Index.build({i: corpus[i] for i in ids}, name)
+            assert (got.n_docs, got.avgdl, got.tokenizer_name) == (
+                want.n_docs, want.avgdl, want.tokenizer_name)
+            assert list(got.term_freqs.items()) == list(want.term_freqs.items())
+            assert list(got.doc_lens.items()) == list(want.doc_lens.items())
+            assert list(got.doc_freq.items()) == list(want.doc_freq.items())
+
+    def test_unknown_doc(self):
+        with pytest.raises(UnknownDoc, match="'ghost'"):
+            Bm25Index.build({"d1": "x"}).subset(["d1", "ghost"])
+
+    def test_idf_memo_is_the_formula(self):
+        index = Bm25Index.build({"a": "q x", "b": "q z", "c": "w v"}, "whitespace")
+        for term in ("q", "w", "absent", "q"):
+            df = index.doc_freq.get(term, 0)
+            want = math.log(1 + (3 - df + 0.5) / (df + 0.5)) if df else 0.0
+            assert index.idf(term) == want
 
 
 class TestSegment:
@@ -281,3 +310,99 @@ class TestSearch:
         direct = search("词3", corpus, k=5)
         via_index = search("词3", corpus, k=5, index=index)
         assert direct == via_index
+
+
+ALPHABET = "盗窃抢劫财物被告人驾驶 "
+
+
+def _outcome(run_fn):
+    """A run's result, or the type and message of the error it raised."""
+    try:
+        return run_fn()
+    except LexforgeError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def search_inputs(draw):
+    texts = {f"c{i:02d}": draw(st.text(ALPHABET, min_size=1, max_size=30))
+             for i in range(draw(st.integers(1, 10)))}
+    queries = [(f"q{j}", draw(st.text(ALPHABET, min_size=1, max_size=10)))
+               for j in range(draw(st.integers(1, 5)))]
+    pools = None
+    if draw(st.booleans()):
+        # duplicates, overlap across pools, ids outside the corpus, queries without a pool
+        ids = st.sampled_from(sorted(texts) + ["ghost-1", "ghost-2"])
+        pools = {qid: draw(st.lists(ids, min_size=1, max_size=14))
+                 for qid, _ in queries if draw(st.integers(0, 4))}
+    max_len = draw(st.integers(2, 9))
+    seg_cfg = SegmentConfig(max_len=max_len, stride=draw(st.integers(1, max_len)))
+    return texts, queries, pools, draw(st.integers(1, 12)), seg_cfg
+
+
+class TestSearchRun:
+    """A run shares one index and one window memo; the rankings are those of
+    searching each query on its own (``oracles.search_oracle``)."""
+
+    EMBEDDER_SEED = 4
+
+    def _both(self, texts, queries, pools, **opts):
+        opts = {"bm25_params": Bm25Params(), "index": None, "embedder": None,
+                "seg_cfg": SegmentConfig()} | opts
+        got = _outcome(lambda: _search_run(queries, texts, pools, **opts)[0])
+        want = _outcome(lambda: search_oracle(queries, texts, pools, **opts))
+        return got, want
+
+    @given(search_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_query_search(self, inputs):
+        from lexforge.training import ToyEmbedder
+        texts, queries, pools, k, seg_cfg = inputs
+        runs = [
+            {"scorer": "bm25"},
+            {"scorer": "bm25", "index": Bm25Index.build(texts, "whitespace")},
+            {"scorer": "dense", "seg_cfg": seg_cfg,
+             "embedder": ToyEmbedder(dim=6, hash_buckets=64, seed=self.EMBEDDER_SEED)},
+        ]
+        for opts in runs:
+            got, want = self._both(texts, queries, pools, k=k, **opts)
+            assert got == want, opts["scorer"]
+
+    def test_zero_norm_tail_and_all_zero_candidate(self):
+        from lexforge.training import ToyEmbedder
+        embedder = ToyEmbedder(dim=6, hash_buckets=64, seed=self.EMBEDDER_SEED)
+        cfg = SegmentConfig(max_len=4)
+        texts = {"long": "被告人盗窃财物驾驶抢", "tail": "被告人盗窃财物驾驶",
+                 "short": "盗窃", "zero": "劫"}
+        assert [len(w) for w in segment(texts["long"], cfg)] == [4, 4, 2]
+        # the one-character tail has no bigram, so it embeds to zero norm
+        assert [len(w) for w in segment(texts["tail"], cfg)] == [4, 4, 1]
+        assert not embedder.embed(["驶"]).any()
+        queries = [("q1", "盗窃财物"), ("q2", "驾驶")]
+        pools = {"q1": ["long", "tail", "short"], "q2": ["tail", "long", "short", "long"]}
+        got, want = self._both(texts, queries, pools, scorer="dense", k=5,
+                               embedder=embedder, seg_cfg=cfg)
+        assert got == want and len(got["q2"]) == 3
+        pools["q2"].append("zero")
+        got, want = self._both(texts, queries, pools, scorer="dense", k=5,
+                               embedder=embedder, seg_cfg=cfg)
+        assert got == want == (ZeroVector, "all 1 segments embed to zero norm")
+
+    def test_each_candidate_work_is_done_once(self, monkeypatch):
+        from lexforge.training import ToyEmbedder
+        embedder = ToyEmbedder(dim=6, hash_buckets=64, seed=self.EMBEDDER_SEED)
+        texts = {f"c{i}": "被告人盗窃财物" * (i + 1) for i in range(6)}
+        queries = [(f"q{j}", "盗窃" * (j + 1)) for j in range(4)]
+        pools = {qid: sorted(texts) for qid, _ in queries}
+        builds, embedded = [], []
+        real_build, real_embed = Bm25Index.build.__func__, embedder.embed
+        monkeypatch.setattr(Bm25Index, "build", classmethod(
+            lambda cls, corpus, *a: builds.append(len(corpus)) or real_build(cls, corpus, *a)))
+        monkeypatch.setattr(embedder, "embed",
+                            lambda batch: embedded.extend(batch) or real_embed(batch))
+        _search_run(queries, texts, pools, scorer="bm25", k=3, index=None)
+        assert builds == [6]
+        _search_run(queries, texts, pools, scorer="dense", k=3, index=None,
+                    embedder=embedder, seg_cfg=SegmentConfig(max_len=8, stride=4))
+        windows = [w for t in texts.values() for w in segment(t, SegmentConfig(8, 4))]
+        assert sorted(embedded) == sorted(windows + [q for _, q in queries])
