@@ -28,7 +28,13 @@ from .corpus import (
     filter_corpus,
     parse_case,
 )
-from .errors import GenerationFailed, LexforgeError, MalformedRecord, UsageError
+from .errors import (
+    EmptyCorpus,
+    GenerationFailed,
+    LexforgeError,
+    MalformedRecord,
+    UsageError,
+)
 from .seeds import derive_seed
 
 EXIT_OK = 0
@@ -254,11 +260,17 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
     queries = {q.query_id: q for q in _load_queries(Path(args.queries))}
     texts = _corpus_texts(docs)
     examples = []
-    for record in fileio.read_jsonl(Path(args.pairs)):
+    for lineno, record in fileio.read_jsonl(Path(args.pairs), numbered=True):
         pair = augment_mod.TrainingPair.from_record(record)
-        query = queries[pair.query_id]
+        where = f"{args.pairs}:{lineno}"
+        if pair.query_id not in queries:
+            raise MalformedRecord(f"{where}: field 'query_id': "
+                                  f"{pair.query_id!r} not in {args.queries}")
+        if pair.positive_case_id not in texts:
+            raise MalformedRecord(f"{where}: field 'positive_case_id': "
+                                  f"{pair.positive_case_id!r} not in {args.corpus}")
         examples.append(training.PairExample(
-            query_text=query.text,
+            query_text=queries[pair.query_id].text,
             positive_text=texts[pair.positive_case_id],
             positive_charges=pair.positive_charges))
     result = training.train_toy(examples, embedder, schedule, loss_cfg)
@@ -284,16 +296,19 @@ def _cmd_index(args, cfg: PipelineConfig) -> int:
 
 
 def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | None, *,
-                scorer: str, index: retrieval.Bm25Index | None, **search_opts):
+                scorer: str, index: retrieval.Bm25Index | None, pools_path=None,
+                **search_opts):
     """Rank each (query id, text) against its pool, or against every text
     when there are no pools.
 
     Returns the run, the pool ids not in ``texts`` and the number of queries
-    without a pool; both kinds are skipped. Each candidate is tokenized once
-    per run, into one index over the pools' union, and each pool takes its
-    BM25 statistics from that index's subset, which equals an index built
-    over the pool alone; ``index``, when given, serves every pool instead.
-    Dense scoring embeds each candidate's windows once per run.
+    without a pool; both kinds are skipped. A pool with no id in ``texts``
+    is an :class:`EmptyCorpus` naming the query and ``pools_path``. Each
+    candidate is tokenized once per run, into one index over the pools'
+    union, and each pool takes its BM25 statistics from that index's subset,
+    which equals an index built over the pool alone; ``index``, when given,
+    serves every pool instead. Dense scoring embeds each candidate's windows
+    once per run.
     """
     missing: set[str] = set()
     unpooled = 0
@@ -314,6 +329,9 @@ def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | No
     windows: dict = {}
     run: dict[str, list[tuple[str, float]]] = {}
     for query_id, text, pool in ranked:
+        if pools is not None and not pool:
+            raise EmptyCorpus(f"{pools_path}: none of the {len(pools[query_id])} "
+                              f"pool ids of query {query_id!r} is in the corpus")
         pool_index = index
         if shared is not None:
             pool_index = shared if pools is None else shared.subset(pool)
@@ -342,7 +360,8 @@ def _cmd_search(args, cfg: PipelineConfig) -> int:
         raise UsageError("dense scoring needs --checkpoint")
 
     run, missing, unpooled = _search_run(
-        ((q.query_id, q.text) for q in queries), texts, pools, index=index, **opts,
+        ((q.query_id, q.text) for q in queries), texts, pools, index=index,
+        pools_path=args.pools, **opts,
         bm25_params=cfg.bm25, embedder=embedder, seg_cfg=cfg.segment)
     _write_run(Path(args.output), run, opts["scorer"])
     print(f"search: {len(run)} queries, top-{opts['k']} by {opts['scorer']}; "

@@ -8,13 +8,14 @@ target benchmarks are around a hundred candidates per query, so scoring is
 exhaustive by design. A run over many pools shares per-candidate work: one
 index tokenizes each candidate once (:meth:`Bm25Index.subset` gives each
 pool its own statistics), and a window memo embeds each candidate once.
-Only the dense path imports numpy.
+An index stores each distinct term once. Only the dense path imports numpy.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,10 +32,10 @@ Tokenizer = Callable[[str], list[str]]
 
 def tokenize_char_bigrams(text: str) -> list[str]:
     """Overlapping character bigrams over non-space characters."""
-    chars = [c for c in text if not c.isspace()]
-    if len(chars) < 2:
-        return ["".join(chars)] if chars else []
-    return ["".join(chars[i:i + 2]) for i in range(len(chars) - 1)]
+    compact = "".join(text.split())
+    if len(compact) < 2:
+        return [compact] if compact else []
+    return [compact[i:i + 2] for i in range(len(compact) - 1)]
 
 
 def tokenize_whitespace(text: str) -> list[str]:
@@ -82,15 +83,19 @@ class Bm25Index:
     @classmethod
     def build(cls, corpus: Mapping[str, str],
               tokenizer_name: str = "char_bigram") -> "Bm25Index":
+        """Term frequencies per document, terms in order of first occurrence.
+
+        Each distinct term is stored as one string object, shared by every
+        document's frequency dict and by ``doc_freq``.
+        """
         tokenize = TOKENIZERS[tokenizer_name]
+        vocab: dict[str, str] = {}
         term_freqs: dict[str, dict[str, int]] = {}
         doc_lens: dict[str, int] = {}
         for doc_id in sorted(corpus):
             tokens = tokenize(corpus[doc_id])
-            tf: dict[str, int] = {}
-            for token in tokens:
-                tf[token] = tf.get(token, 0) + 1
-            term_freqs[doc_id] = tf
+            term_freqs[doc_id] = {vocab.setdefault(token, token): n
+                                  for token, n in Counter(tokens).items()}
             doc_lens[doc_id] = len(tokens)
         return cls(term_freqs, doc_lens, tokenizer_name)
 

@@ -12,6 +12,13 @@ The :class:`ToyEmbedder` is a desk-scale trainable encoder (hashed
 character n-grams into a linear map); it exists to exercise the loss,
 masking, batching and end-to-end trend checks, not to stand in for a
 pre-trained model.
+
+Training works on a compact copy of the weights that holds only the rows
+some training text reaches: embedding, the gradient buffer and Adam's
+moments all cover those rows alone. That is exact. A row no text reaches
+has zero gradient and zero moments at every step, so the full-layout
+update would leave it unchanged bit for bit; every other row sees the same
+operations in the same order in either layout.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import struct
 import zlib
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -139,11 +146,12 @@ class ToyEmbedder:
     Featurization is deterministic (CRC32 bucket hashing, log-damped
     counts) and memoized per instance, by text; the only parameters are
     the ``hash_buckets × dim`` weights, initialized from a seeded uniform
-    distribution.
+    distribution unless ``weights`` are given.
     """
 
     def __init__(self, dim: int = 64, hash_buckets: int = 1 << 15,
-                 ngram_min: int = 2, ngram_max: int = 3, seed: int = 0):
+                 ngram_min: int = 2, ngram_max: int = 3, seed: int = 0,
+                 weights: np.ndarray | None = None):
         if not 1 <= ngram_min <= ngram_max:
             raise ValueError("need 1 <= ngram_min <= ngram_max")
         self.dim = dim
@@ -151,9 +159,14 @@ class ToyEmbedder:
         self.ngram_min = ngram_min
         self.ngram_max = ngram_max
         self.seed = seed
-        scale = 1.0 / np.sqrt(hash_buckets)
-        rng = np.random.default_rng(seed)
-        self.weights = rng.uniform(-scale, scale, size=(hash_buckets, dim))
+        if weights is None:
+            scale = 1.0 / np.sqrt(hash_buckets)
+            rng = np.random.default_rng(seed)
+            weights = rng.uniform(-scale, scale, size=(hash_buckets, dim))
+        elif weights.shape != (hash_buckets, dim):
+            raise ValueError(f"weights of shape {weights.shape} for {hash_buckets} "
+                             f"buckets of dimension {dim}")
+        self.weights = weights
         self._feature_memo: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -222,10 +235,9 @@ def load_checkpoint(path: str | Path) -> ToyEmbedder:
     expected = buckets * dim * 8
     if len(body) != expected:
         raise BadCheckpoint(f"{path}: expected {expected} weight bytes, got {len(body)}")
-    embedder = ToyEmbedder(dim=dim, hash_buckets=buckets,
-                           ngram_min=nmin, ngram_max=nmax, seed=seed)
-    embedder.weights = np.frombuffer(body, dtype="<f8").reshape(buckets, dim).copy()
-    return embedder
+    weights = np.frombuffer(body, dtype="<f8").reshape(buckets, dim).copy()
+    return ToyEmbedder(dim=dim, hash_buckets=buckets, ngram_min=nmin, ngram_max=nmax,
+                       seed=seed, weights=weights)
 
 
 # --------------------------------------------------------------------------
@@ -299,6 +311,11 @@ class Adam:
     floating-point operations of the textbook update in the same order, so
     every element comes out bit for bit as ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + ((1-b2)*g)*g``, ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``.
+
+    :func:`train_toy` keeps state only for the weight rows its texts reach.
+    For any other row ``g = m = v = 0`` at every step, so ``m`` and ``v``
+    stay 0, ``lr*m_hat / (sqrt(v_hat) + eps)`` is 0 and the update leaves
+    the row as it was: dropping the row changes no result.
     """
 
     def __init__(self, shape: tuple[int, ...], beta1=0.9, beta2=0.999, eps=1e-8):
@@ -402,6 +419,39 @@ def _batch_gradient(embedder: ToyEmbedder, batch: TrainingBatch, cfg: LossConfig
     return loss, w_grad
 
 
+def _compact_trainee(embedder: ToyEmbedder,
+                     texts: Iterable[str]) -> tuple[ToyEmbedder, np.ndarray]:
+    """A copy of the embedder over only the weight rows the texts reach.
+
+    Returns the copy and ``rows``, the reached buckets in ascending order:
+    row ``r`` of the copy's weights is ``embedder.weights[rows[r]]``, and its
+    feature memo holds every text with bucket indices renumbered to match.
+    Texts the embedder has already featurized keep their entries there and
+    get renumbered index arrays; the others are featurized into the copy's
+    memo alone and renumbered in place, so their features exist once.
+    """
+    trainee = ToyEmbedder(embedder.dim, embedder.hash_buckets, embedder.ngram_min,
+                          embedder.ngram_max, embedder.seed, weights=embedder.weights)
+    known: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    reach = np.zeros(embedder.hash_buckets, dtype=bool)
+    for text in dict.fromkeys(texts):
+        feats = embedder._feature_memo.get(text)
+        if feats is None:
+            feats = trainee.features(text)
+        else:
+            known[text] = feats
+        reach[feats[0]] = True
+    rows = np.flatnonzero(reach)
+    position = np.zeros(embedder.hash_buckets, dtype=np.int64)
+    position[rows] = np.arange(len(rows))
+    for idx, _ in trainee._feature_memo.values():
+        idx[:] = position[idx]
+    for text, (idx, values) in known.items():
+        trainee._feature_memo[text] = (position[idx], values)
+    trainee.weights = embedder.weights[rows]
+    return trainee, rows
+
+
 def _batches(order: Sequence[int], batch_size: int) -> list[list[int]]:
     chunks = [list(order[i:i + batch_size]) for i in range(0, len(order), batch_size)]
     # a singleton batch has no in-batch negatives; drop it
@@ -416,6 +466,9 @@ def train_toy(pairs: Sequence[PairExample], embedder: ToyEmbedder,
     Fully deterministic under the schedule seed: shuffling, batching and
     every update are reproducible bit for bit. Optional early stopping
     watches mean loss on a held-out dev split with the configured patience.
+    The steps update a compact copy of the rows the training texts reach
+    (see the module docstring); ``embedder.weights`` gets those rows back
+    before each dev-loss evaluation and at the end.
     """
     if not pairs:
         raise InsufficientData("0 training pairs: a batch needs two")
@@ -437,9 +490,10 @@ def train_toy(pairs: Sequence[PairExample], embedder: ToyEmbedder,
                                f"{len(dev_pairs)} for dev: a batch needs two")
     total_steps = schedule.epochs * per_epoch
 
-    optimizer = Adam((embedder.hash_buckets, embedder.dim),
-                     schedule.beta1, schedule.beta2, schedule.eps)
-    buffer = _GradientBuffer(embedder.weights.shape)
+    trainee, rows = _compact_trainee(
+        embedder, (text for p in pairs for text in (p.query_text, p.positive_text)))
+    optimizer = Adam(trainee.weights.shape, schedule.beta1, schedule.beta2, schedule.eps)
+    buffer = _GradientBuffer(trainee.weights.shape)
     curve: list[tuple[int, float]] = []
     dev_curve: list[tuple[int, float]] = []
     best_dev = np.inf
@@ -457,7 +511,7 @@ def train_toy(pairs: Sequence[PairExample], embedder: ToyEmbedder,
                 positives=[pairs[i].positive_text for i in chunk],
                 positive_charges=[pairs[i].positive_charges for i in chunk])
             try:
-                loss, w_grad = _batch_gradient(embedder, batch, loss_cfg, buffer)
+                loss, w_grad = _batch_gradient(trainee, batch, loss_cfg, buffer)
             except ValueError as exc:
                 raise NonFiniteLoss(
                     f"aborted at step {step} (epoch {epoch}, "
@@ -466,9 +520,10 @@ def train_toy(pairs: Sequence[PairExample], embedder: ToyEmbedder,
                 raise NonFiniteLoss(
                     f"non-finite loss at step {step} (epoch {epoch}): {loss}")
             curve.append((step, loss))
-            optimizer.step(embedder.weights, w_grad, lr_at(step, total_steps, schedule))
+            optimizer.step(trainee.weights, w_grad, lr_at(step, total_steps, schedule))
             step += 1
         if dev_pairs and schedule.patience is not None:
+            embedder.weights[rows] = trainee.weights
             dev_loss = evaluate_pairs_loss(dev_pairs, embedder, loss_cfg)
             dev_curve.append((step, dev_loss))
             if dev_loss < best_dev - 1e-12:
@@ -480,6 +535,7 @@ def train_toy(pairs: Sequence[PairExample], embedder: ToyEmbedder,
                     stopped = True
                     break
 
+    embedder.weights[rows] = trainee.weights
     return TrainResult(embedder=embedder, loss_curve=curve,
                        dev_curve=dev_curve, stopped_early=stopped)
 

@@ -109,6 +109,31 @@ def cosine_oracle(q, c):
 
 # --- BM25 -----------------------------------------------------------------
 
+def char_bigrams_oracle(text):
+    """Bigrams over the characters that ``str.isspace`` does not reject."""
+    chars = [c for c in text if not c.isspace()]
+    if len(chars) < 2:
+        return ["".join(chars)] if chars else []
+    return ["".join(chars[i:i + 2]) for i in range(len(chars) - 1)]
+
+
+def bm25_build_oracle(corpus, tokenizer_name="char_bigram"):
+    """``Bm25Index.build`` as a plain counting loop, each document keeping
+    its own token strings."""
+    from lexforge.retrieval import TOKENIZERS, Bm25Index
+
+    tokenize = TOKENIZERS[tokenizer_name]
+    term_freqs, doc_lens = {}, {}
+    for doc_id in sorted(corpus):
+        tokens = tokenize(corpus[doc_id])
+        tf = {}
+        for token in tokens:
+            tf[token] = tf.get(token, 0) + 1
+        term_freqs[doc_id] = tf
+        doc_lens[doc_id] = len(tokens)
+    return Bm25Index(term_freqs, doc_lens, tokenizer_name)
+
+
 def bm25_oracle(query_tokens, doc_tokens_by_id, doc_id, k1, b):
     """Direct evaluation of the scoring formula over tokenized docs."""
     n = len(doc_tokens_by_id)
@@ -146,12 +171,13 @@ def segment_count(length, cfg):
 # --- search runs ----------------------------------------------------------
 
 def search_oracle(queries, texts, pools, *, scorer, k, bm25_params, index, embedder,
-                  seg_cfg):
+                  seg_cfg, pools_path=None):
     """A search run query by query, with nothing shared between queries.
 
     Each pool gets a fresh ``Bm25Index.build`` (or ``index`` when given) and
     every candidate is scored by ``dense_score`` without a window memo.
-    Queries without a pool and pool ids missing from ``texts`` are skipped.
+    Queries without a pool and pool ids missing from ``texts`` are skipped;
+    a pool with none of its ids in ``texts`` ends the run.
     """
     from lexforge.errors import EmptyCorpus
     from lexforge.retrieval import Bm25Index, bm25_score, dense_score
@@ -164,6 +190,9 @@ def search_oracle(queries, texts, pools, *, scorer, k, bm25_params, index, embed
             continue
         else:
             pool = {cid: texts[cid] for cid in pools[query_id] if cid in texts}
+            if not pool:
+                raise EmptyCorpus(f"{pools_path}: none of the {len(pools[query_id])} "
+                                  f"pool ids of query {query_id!r} is in the corpus")
         if not pool:
             raise EmptyCorpus("no candidates to score")
         if scorer == "bm25":
@@ -353,9 +382,10 @@ def batch_gradient_oracle(embedder, batch, cfg):
     return loss, w_grad
 
 
-def train_toy_oracle(pairs, embedder, schedule, loss_cfg):
-    """The training loop with the oracle gradient and optimizer and a full
-    finite scan of every gradient; no dev split. Returns the loss curve."""
+def train_toy_oracle(pairs, embedder, schedule, loss_cfg, on_epoch=None):
+    """The training loop over every weight row, with the oracle gradient and
+    optimizer and a full finite scan of every gradient; no dev split.
+    ``on_epoch(embedder)`` runs after each epoch. Returns the loss curve."""
     from random import Random
 
     import numpy as np
@@ -379,4 +409,6 @@ def train_toy_oracle(pairs, embedder, schedule, loss_cfg):
             assert np.isfinite(loss) and np.isfinite(w_grad).all()
             optimizer.step(embedder.weights, w_grad, lr_at(len(curve), total_steps, schedule))
             curve.append((len(curve), loss))
+        if on_epoch is not None:
+            on_epoch(embedder)
     return curve

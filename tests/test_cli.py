@@ -292,6 +292,35 @@ class TestExitCodes:
                                "--output", tmp_path / "run.jsonl")
         assert err == f"data error: {pools}:1: {expected}\n"
 
+    def test_pool_with_no_corpus_id_is_data_error(self, workdir, tmp_path, capsys):
+        query_id = next(fileio.read_jsonl(workdir / "eval_queries.jsonl"))["query_id"]
+        pools = tmp_path / "pools.jsonl"
+        fileio.write_jsonl(pools, [{"query_id": query_id,
+                                    "candidate_ids": ["ghost-a", "ghost-b"]}])
+        err = self._data_error(capsys, "search", "--queries", workdir / "eval_queries.jsonl",
+                               "--corpus", workdir / "corpus.jsonl", "--pools", pools,
+                               "--output", tmp_path / "run.jsonl")
+        assert err == (f"data error: {pools}: none of the 2 pool ids of query "
+                       f"{query_id!r} is in the corpus\n")
+        assert not (tmp_path / "run.jsonl").exists()
+
+    @pytest.mark.parametrize("field,source", [
+        ("query_id", "queries.jsonl"), ("positive_case_id", "corpus.jsonl")])
+    def test_pair_id_not_in_inputs_is_data_error(self, workdir, tmp_path, capsys,
+                                                 field, source):
+        records = list(fileio.read_jsonl(workdir / "pairs.jsonl"))
+        records[2][field] = "ghost-1"
+        pairs = tmp_path / "pairs.jsonl"
+        fileio.write_jsonl(pairs, records)
+        err = self._data_error(capsys, "train", "--pairs", pairs,
+                               "--queries", workdir / "queries.jsonl",
+                               "--corpus", workdir / "corpus.jsonl",
+                               "--output", tmp_path / "t.ckpt", "--dim", 4,
+                               "--hash-buckets", 64)
+        assert err == (f"data error: {pairs}:3: field {field!r}: 'ghost-1' "
+                       f"not in {workdir / source}\n")
+        assert not (tmp_path / "t.ckpt").exists()
+
     def test_bad_run_line_is_data_error(self, workdir, tmp_path, capsys):
         run = tmp_path / "run.jsonl"
         fileio.write_jsonl(run, [{"query_id": "q", "case_id": "c", "rank": 1, "score": "high"}])

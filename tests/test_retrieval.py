@@ -22,7 +22,14 @@ from lexforge.retrieval import (
     tokenize_whitespace,
 )
 
-from oracles import bm25_oracle, search_oracle, segment_count, window_oracle
+from oracles import (
+    bm25_build_oracle,
+    bm25_oracle,
+    char_bigrams_oracle,
+    search_oracle,
+    segment_count,
+    window_oracle,
+)
 
 
 class TestTokenizers:
@@ -31,6 +38,12 @@ class TestTokenizers:
         assert tokenize_char_bigrams("盗窃 财物") == ["盗窃", "窃财", "财物"]
         assert tokenize_char_bigrams("x") == ["x"]
         assert tokenize_char_bigrams("") == []
+
+    @given(st.text(st.sampled_from("盗窃ab \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000\u200b"),
+                   max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_char_bigrams_skip_what_isspace_rejects(self, text):
+        assert tokenize_char_bigrams(text) == char_bigrams_oracle(text)
 
     def test_whitespace(self):
         assert tokenize_whitespace("The Quick fox") == ["the", "quick", "fox"]
@@ -99,6 +112,40 @@ class TestBm25:
         assert loaded.term_freqs == index.term_freqs
         assert loaded.avgdl == index.avgdl
         assert bm25_score(["盗窃"], "d1", loaded) == bm25_score(["盗窃"], "d1", index)
+
+
+class TestBuild:
+    """``Bm25Index.build`` keeps one string per distinct term; the statistics
+    and the saved file are those of the plain counting loop."""
+
+    @given(st.dictionaries(st.sampled_from([f"d{i}" for i in range(12)]),
+                           st.text("盗窃抢劫财物 abAB", max_size=40), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_counting_loop(self, tmp_path_factory, corpus):
+        tmp = tmp_path_factory.getbasetemp() / "build"
+        tmp.mkdir(exist_ok=True)
+        for name in ("char_bigram", "whitespace"):
+            got, want = Bm25Index.build(corpus, name), bm25_build_oracle(corpus, name)
+            assert [(d, list(tf.items())) for d, tf in got.term_freqs.items()] == [
+                (d, list(tf.items())) for d, tf in want.term_freqs.items()]
+            assert list(got.doc_lens.items()) == list(want.doc_lens.items())
+            assert list(got.doc_freq.items()) == list(want.doc_freq.items())
+            got.save(tmp / "got.json")
+            want.save(tmp / "want.json")
+            assert (tmp / "got.json").read_bytes() == (tmp / "want.json").read_bytes()
+
+    @pytest.mark.parametrize("name,texts,term", [
+        ("char_bigram", ("被告人盗窃财物", "盗窃电动车"), "盗窃"),
+        ("whitespace", ("Stole the car", "the bike was stolen"), "the")])
+    def test_documents_share_one_string_per_term(self, name, texts, term):
+        index = Bm25Index.build({"a": texts[0], "b": texts[1]}, name)
+        keys = [next(k for k in index.term_freqs[d] if k == term) for d in ("a", "b")]
+        assert keys[0] is keys[1]
+        assert next(k for k in index.doc_freq if k == term) is keys[0]
+        # the oracle's documents hold equal but distinct strings
+        plain = bm25_build_oracle({"a": texts[0], "b": texts[1]}, name)
+        plain_keys = [next(k for k in plain.term_freqs[d] if k == term) for d in ("a", "b")]
+        assert plain_keys[0] == plain_keys[1] and plain_keys[0] is not plain_keys[1]
 
 
 class TestSubset:
@@ -348,7 +395,7 @@ class TestSearchRun:
 
     def _both(self, texts, queries, pools, **opts):
         opts = {"bm25_params": Bm25Params(), "index": None, "embedder": None,
-                "seg_cfg": SegmentConfig()} | opts
+                "seg_cfg": SegmentConfig(), "pools_path": "pools.jsonl"} | opts
         got = _outcome(lambda: _search_run(queries, texts, pools, **opts)[0])
         want = _outcome(lambda: search_oracle(queries, texts, pools, **opts))
         return got, want

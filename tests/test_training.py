@@ -1,6 +1,7 @@
 """Cosine math, masking, in-batch loss with gradients, toy training."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +321,13 @@ class TestToyEmbedder:
             os.umask(old)
         assert stat.S_IMODE((tmp_path / "toy.ckpt").stat().st_mode) == mode
 
+    def test_given_weights_replace_the_seeded_draw(self):
+        weights = np.arange(12.0).reshape(4, 3)
+        embedder = ToyEmbedder(dim=3, hash_buckets=4, seed=9, weights=weights)
+        assert embedder.weights is weights
+        with pytest.raises(ValueError, match=r"shape \(4, 3\) for 3 buckets"):
+            ToyEmbedder(dim=3, hash_buckets=3, weights=weights)
+
     def test_checkpoint_rejects_corruption(self, tmp_path):
         from lexforge.errors import BadCheckpoint
         path = tmp_path / "bad.ckpt"
@@ -447,6 +455,126 @@ class TestTrainToy:
         assert rates.index(peak) == 9  # end of warm-up
         assert rates[-1] < rates[50] < peak  # decaying afterwards
         assert rates[0] == pytest.approx(0.1)
+
+
+#: Texts with at least one bigram, some with whitespace inside.
+TRAIN_TEXTS = st.builds(str.__add__, st.text("盗窃抢劫财物被告人驾驶ab", min_size=2, max_size=6),
+                        st.text("盗窃财物 b", max_size=6))
+
+
+@st.composite
+def training_runs(draw):
+    """Pairs, an embedder shape, a schedule and masking, plus texts the
+    embedder has featurized before training. In one run of four, one text
+    is empty: it embeds to zero norm and stops the training at its first
+    batch, unless it only ever lands in a dropped singleton batch."""
+    pairs = [PairExample(draw(TRAIN_TEXTS), draw(TRAIN_TEXTS),
+                         frozenset(draw(st.sets(st.sampled_from("xyz"), max_size=2))))
+             for _ in range(draw(st.integers(2, 11)))]
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = PairExample("", pairs[i].positive_text, pairs[i].positive_charges)
+    shape = {"dim": draw(st.integers(1, 6)),
+             "hash_buckets": draw(st.sampled_from([16, 17, 64, 500, 4096])),
+             "seed": draw(st.integers(0, 3))}
+    # a batch size that leaves a singleton last batch drops it
+    schedule = TrainSchedule(epochs=draw(st.integers(1, 3)),
+                             batch_size=draw(st.integers(2, 4)),
+                             learning_rate=draw(st.sampled_from([0.0, 1e-2, 0.2])),
+                             seed=draw(st.integers(0, 3)))
+    texts = [t for p in pairs for t in (p.query_text, p.positive_text)]
+    warm = draw(st.lists(st.sampled_from(texts + ["训练以外的文本"]), max_size=4))
+    return pairs, shape, schedule, LossConfig(masking_enabled=draw(st.booleans())), warm
+
+
+class TestCompactTraining:
+    """Training over only the reachable weight rows is the full-layout loop
+    (``oracles.train_toy_oracle``), bit for bit."""
+
+    @given(training_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_full_layout_loop(self, run):
+        pairs, shape, schedule, loss_cfg, warm = run
+        fast, plain = ToyEmbedder(**shape), ToyEmbedder(**shape)
+        fast.embed(warm)
+        try:
+            want = train_toy_oracle(pairs, plain, schedule, loss_cfg)
+        except ZeroVector as exc:
+            with pytest.raises(ZeroVector, match=f"^{re.escape(str(exc))}$"):
+                train_toy(pairs, fast, schedule, loss_cfg)
+            return
+        result = train_toy(pairs, fast, schedule, loss_cfg)
+        assert result.loss_curve == want
+        assert fast.weights.tobytes() == plain.weights.tobytes()
+
+    @pytest.mark.parametrize("buckets", [16, 4096])
+    def test_adam_steps_over_the_reachable_rows(self, monkeypatch, buckets):
+        seen = []
+        real_step = Adam.step
+
+        def step(self, params, grad, lr):
+            seen.append((params.shape, grad.shape, self.m.shape, self.v.shape))
+            return real_step(self, params, grad, lr)
+
+        monkeypatch.setattr(Adam, "step", step)
+        pairs = _toy_pairs(30)
+        result = train_toy(pairs, ToyEmbedder(dim=4, hash_buckets=buckets, seed=7),
+                           TrainSchedule(epochs=2, batch_size=8, seed=7))
+        reach = set()
+        for p in pairs:
+            for text in (p.query_text, p.positive_text):
+                reach.update(features_oracle(text, buckets, 2, 3)[0].tolist())
+        assert len(seen) == len(result.loss_curve) == 8
+        assert set(seen) == {((len(reach), 4),) * 4}
+        assert len(reach) == 16 if buckets == 16 else len(reach) < buckets // 2
+
+    def test_caller_embedder_embeds_as_a_fresh_one(self):
+        pairs = _toy_pairs(24)
+        shape = {"dim": 8, "hash_buckets": 4096, "seed": 8}
+        embedder = ToyEmbedder(**shape)
+        memoized = [pairs[0].query_text, pairs[1].positive_text, "与训练无关的文本"]
+        embedder.embed(memoized)
+        train_toy(pairs, embedder, TrainSchedule(epochs=2, batch_size=8, seed=8))
+        fresh = ToyEmbedder(**shape)
+        assert not np.array_equal(fresh.weights, embedder.weights)
+        fresh.weights = embedder.weights.copy()
+        texts = (memoized + [p.query_text for p in pairs] + [p.positive_text for p in pairs]
+                 + ["训练之后的新文本"])
+        assert embedder.embed(texts).tobytes() == fresh.embed(texts).tobytes()
+        for text in texts:
+            idx, values = embedder.features(text)
+            want_idx, want_values = features_oracle(text, 4096, 2, 3)
+            assert np.array_equal(idx, want_idx) and np.array_equal(values, want_values)
+
+    def test_dev_curve_is_the_dev_loss_of_the_written_back_weights(self, monkeypatch):
+        pairs = _toy_pairs(40)
+        shape = {"dim": 8, "hash_buckets": 4096, "seed": 5}
+        schedule = TrainSchedule(epochs=3, batch_size=8, learning_rate=0.05, seed=5,
+                                 dev_fraction=0.25, patience=10)
+        seen = []
+
+        def spy(dev_pairs, embedder, loss_cfg):
+            seen.append((list(dev_pairs), embedder.weights.copy()))
+            return evaluate_pairs_loss(dev_pairs, embedder, loss_cfg)
+
+        monkeypatch.setattr(training, "evaluate_pairs_loss", spy)
+        embedder = ToyEmbedder(**shape)
+        result = train_toy(pairs, embedder, schedule)
+        dev = seen[0][0]
+        after_epoch = []
+        plain = ToyEmbedder(**shape)
+        curve = train_toy_oracle([p for p in pairs if p not in dev], plain, schedule,
+                                 LossConfig(), on_epoch=lambda e: after_epoch.append(
+                                     e.weights.copy()))
+        assert result.loss_curve == curve and not result.stopped_early
+        assert len(result.dev_curve) == len(seen) == len(after_epoch) == 3
+        for (_, dev_loss), (dev_pairs, weights), want in zip(result.dev_curve, seen,
+                                                             after_epoch):
+            assert dev_pairs == dev and weights.tobytes() == want.tobytes()
+            fresh = ToyEmbedder(**shape)
+            fresh.weights = want
+            assert dev_loss == evaluate_pairs_loss(dev, fresh)
+        assert embedder.weights.tobytes() == plain.weights.tobytes()
 
 
 class TestAdam:
