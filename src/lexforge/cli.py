@@ -296,7 +296,7 @@ def _cmd_index(args, cfg: PipelineConfig) -> int:
 
 
 def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | None, *,
-                scorer: str, index: retrieval.Bm25Index | None, pools_path=None,
+                scorer: str, index: retrieval.Bm25Index | None, pools_path,
                 **search_opts):
     """Rank each (query id, text) against its pool, or against every text
     when there are no pools.

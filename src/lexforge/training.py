@@ -424,30 +424,22 @@ def _compact_trainee(embedder: ToyEmbedder,
     """A copy of the embedder over only the weight rows the texts reach.
 
     Returns the copy and ``rows``, the reached buckets in ascending order:
-    row ``r`` of the copy's weights is ``embedder.weights[rows[r]]``, and its
-    feature memo holds every text with bucket indices renumbered to match.
-    Texts the embedder has already featurized keep their entries there and
-    get renumbered index arrays; the others are featurized into the copy's
-    memo alone and renumbered in place, so their features exist once.
+    row ``r`` of the copy's weights is ``embedder.weights[rows[r]]``. The texts
+    are featurized into the copy's own memo, whose bucket indices are then
+    renumbered in place to match, so their features exist once and the
+    caller's memo is left as it was. The copy may only embed texts in its
+    memo: a new text would get raw bucket ids, not renumbered ones.
     """
     trainee = ToyEmbedder(embedder.dim, embedder.hash_buckets, embedder.ngram_min,
                           embedder.ngram_max, embedder.seed, weights=embedder.weights)
-    known: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     reach = np.zeros(embedder.hash_buckets, dtype=bool)
-    for text in dict.fromkeys(texts):
-        feats = embedder._feature_memo.get(text)
-        if feats is None:
-            feats = trainee.features(text)
-        else:
-            known[text] = feats
-        reach[feats[0]] = True
+    for text in texts:
+        reach[trainee.features(text)[0]] = True
     rows = np.flatnonzero(reach)
     position = np.zeros(embedder.hash_buckets, dtype=np.int64)
     position[rows] = np.arange(len(rows))
     for idx, _ in trainee._feature_memo.values():
         idx[:] = position[idx]
-    for text, (idx, values) in known.items():
-        trainee._feature_memo[text] = (position[idx], values)
     trainee.weights = embedder.weights[rows]
     return trainee, rows
 

@@ -171,7 +171,7 @@ def segment_count(length, cfg):
 # --- search runs ----------------------------------------------------------
 
 def search_oracle(queries, texts, pools, *, scorer, k, bm25_params, index, embedder,
-                  seg_cfg, pools_path=None):
+                  seg_cfg, pools_path):
     """A search run query by query, with nothing shared between queries.
 
     Each pool gets a fresh ``Bm25Index.build`` (or ``index`` when given) and

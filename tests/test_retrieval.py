@@ -447,9 +447,11 @@ class TestSearchRun:
             lambda cls, corpus, *a: builds.append(len(corpus)) or real_build(cls, corpus, *a)))
         monkeypatch.setattr(embedder, "embed",
                             lambda batch: embedded.extend(batch) or real_embed(batch))
-        _search_run(queries, texts, pools, scorer="bm25", k=3, index=None)
+        _search_run(queries, texts, pools, scorer="bm25", k=3, index=None,
+                    pools_path="pools.jsonl")
         assert builds == [6]
         _search_run(queries, texts, pools, scorer="dense", k=3, index=None,
+                    pools_path="pools.jsonl",
                     embedder=embedder, seg_cfg=SegmentConfig(max_len=8, stride=4))
         windows = [w for t in texts.values() for w in segment(t, SegmentConfig(8, 4))]
         assert sorted(embedded) == sorted(windows + [q for _, q in queries])

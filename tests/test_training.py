@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexforge import training
-from lexforge.errors import DegenerateRow, InsufficientData, ZeroVector
+from lexforge.errors import DegenerateRow, InsufficientData, NonFiniteLoss, ZeroVector
 from lexforge.training import (
     ADAM_BLOCK,
     Adam,
@@ -575,6 +575,44 @@ class TestCompactTraining:
             fresh.weights = want
             assert dev_loss == evaluate_pairs_loss(dev, fresh)
         assert embedder.weights.tobytes() == plain.weights.tobytes()
+
+    @pytest.mark.parametrize("patience", [None, 10])
+    def test_a_failed_run_leaves_the_last_written_back_weights(self, monkeypatch, patience):
+        """A run that raises in its third epoch leaves the caller's weights as
+        they were at the last write-back: before training without a dev check,
+        after the second epoch with one."""
+        pairs = _toy_pairs(40)
+        shape = {"dim": 8, "hash_buckets": 4096, "seed": 6}
+        schedule = TrainSchedule(epochs=3, batch_size=8, learning_rate=0.05, seed=6,
+                                 dev_fraction=0.25, patience=patience)
+        after_epoch = []
+        dev = []
+        real_eval = training.evaluate_pairs_loss
+        monkeypatch.setattr(training, "evaluate_pairs_loss",
+                            lambda d, e, c: dev.append(list(d)) or real_eval(d, e, c))
+        curve = train_toy(pairs, ToyEmbedder(**shape), schedule).loss_curve
+        per_epoch = len(curve) // 3
+        calls = []
+        real_gradient = training._batch_gradient
+
+        def gradient(embedder, batch, cfg, buffer):
+            calls.append(1)
+            if len(calls) > 2 * per_epoch:
+                raise ValueError("injected")
+            return real_gradient(embedder, batch, cfg, buffer)
+
+        monkeypatch.setattr(training, "_batch_gradient", gradient)
+        embedder = ToyEmbedder(**shape)
+        with pytest.raises(NonFiniteLoss, match=f"step {2 * per_epoch} "):
+            train_toy(pairs, embedder, schedule)
+        if patience is None:
+            want = ToyEmbedder(**shape).weights
+        else:
+            train_toy_oracle([p for p in pairs if p not in dev[0]], ToyEmbedder(**shape),
+                             schedule, LossConfig(),
+                             on_epoch=lambda e: after_epoch.append(e.weights.copy()))
+            want = after_epoch[1]
+        assert embedder.weights.tobytes() == want.tobytes()
 
 
 class TestAdam:
