@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .corpus import MONTH_BEARING, LegalElements, PrisonTerm, TermKind
-from .errors import MainArticleMismatch, MissingElements, NoMatch
+from .errors import MissingElements, NoMatch
 
 #: Months of term difference over which similarity decays by 1/e.
 TERM_DECAY_MONTHS = 24.0
@@ -179,21 +179,11 @@ def _signature(elements: LegalElements) -> tuple:
 
 
 def _score(a: LegalElements, b: LegalElements, cfg: AugmentConfig) -> float:
+    """Element similarity in [0, 1]: the weighted mix of ancillary-article
+    Jaccard and term similarity."""
     total = cfg.weight_ancillary + cfg.weight_term
     return (cfg.weight_ancillary * _jaccard(a.ancillary_articles, b.ancillary_articles)
             + cfg.weight_term * term_similarity(a.prison_term, b.prison_term)) / total
-
-
-def element_similarity(a: LegalElements, b: LegalElements,
-                       cfg: AugmentConfig = AugmentConfig()) -> float:
-    """Weighted mix of ancillary-article Jaccard and term similarity, in [0, 1].
-
-    Defined only for cases whose main-article sets already match.
-    """
-    if a.main_articles != b.main_articles:
-        raise MainArticleMismatch(
-            f"{sorted(a.main_articles)} != {sorted(b.main_articles)}")
-    return _score(a, b, cfg)
 
 
 def find_augmented_positive(source_case_id: str, source: LegalElements,
@@ -232,16 +222,6 @@ class TrainingPair:
             "positive_charges": sorted(self.positive_charges),
             "fallback": self.fallback,
         }
-
-    @classmethod
-    def from_record(cls, record: Mapping) -> "TrainingPair":
-        return cls(
-            query_id=record["query_id"],
-            positive_case_id=record["positive_case_id"],
-            kind=record["kind"],
-            positive_charges=frozenset(record.get("positive_charges", [])),
-            fallback=bool(record.get("fallback", False)),
-        )
 
 
 @dataclass

@@ -13,6 +13,7 @@ import argparse
 import inspect
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import augment as augment_mod
@@ -61,24 +62,29 @@ def _flags(args, *names: str, **dests: str) -> dict[str, tuple[str, str]]:
 # File helpers
 # --------------------------------------------------------------------------
 
+def _parsed(path: Path, parse) -> Iterator:
+    """``parse(record)`` for each record of a file; a record it rejects is a
+    MalformedRecord naming the file, the line and the reason."""
+    for lineno, record in fileio.read_jsonl(path, numbered=True):
+        try:
+            value = parse(record)
+        except KeyError as exc:
+            raise MalformedRecord(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
+        except (LexforgeError, TypeError, ValueError) as exc:
+            raise MalformedRecord(f"{path}:{lineno}: {exc}") from None
+        yield value
+
+
 def _load_corpus(path: Path) -> dict[str, CaseDocument]:
-    docs = {}
-    for record in fileio.read_jsonl(path):
-        doc = parse_case(record)
-        docs[doc.case_id] = doc
-    return docs
+    return {doc.case_id: doc for doc in _parsed(path, parse_case)}
 
 
 def _load_elements(path: Path):
-    elements = {}
-    for record in fileio.read_jsonl(path):
-        case_id, el = elements_from_record(record)
-        elements[case_id] = el
-    return elements
+    return dict(_parsed(path, elements_from_record))
 
 
 def _load_queries(path: Path) -> list[querygen_mod.QueryRecord]:
-    return [querygen_mod.QueryRecord.from_record(r) for r in fileio.read_jsonl(path)]
+    return list(_parsed(path, querygen_mod.QueryRecord.from_record))
 
 
 def _fields(path: Path, lineno: int, record: dict, **parsers) -> list:
@@ -181,9 +187,7 @@ def _cmd_fixtures(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_ingest(args, cfg: PipelineConfig) -> int:
-    docs = []
-    for record in fileio.read_jsonl(Path(args.input)):
-        docs.append(parse_case(record))
+    docs = list(_parsed(Path(args.input), parse_case))
     fileio.write_jsonl(Path(args.output), (case_to_record(d) for d in docs))
     print(f"ingest: {len(docs)} records -> {args.output}")
     return EXIT_OK
@@ -261,18 +265,19 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
     texts = _corpus_texts(docs)
     examples = []
     for lineno, record in fileio.read_jsonl(Path(args.pairs), numbered=True):
-        pair = augment_mod.TrainingPair.from_record(record)
+        # train reads no kind, but a pair without one is malformed
+        query_id, case_id, _ = _fields(args.pairs, lineno, record, query_id=None,
+                                       positive_case_id=None, kind=None)
         where = f"{args.pairs}:{lineno}"
-        if pair.query_id not in queries:
+        if query_id not in queries:
             raise MalformedRecord(f"{where}: field 'query_id': "
-                                  f"{pair.query_id!r} not in {args.queries}")
-        if pair.positive_case_id not in texts:
+                                  f"{query_id!r} not in {args.queries}")
+        if case_id not in texts:
             raise MalformedRecord(f"{where}: field 'positive_case_id': "
-                                  f"{pair.positive_case_id!r} not in {args.corpus}")
+                                  f"{case_id!r} not in {args.corpus}")
         examples.append(training.PairExample(
-            query_text=queries[pair.query_id].text,
-            positive_text=texts[pair.positive_case_id],
-            positive_charges=pair.positive_charges))
+            query_text=queries[query_id].text, positive_text=texts[case_id],
+            positive_charges=frozenset(record.get("positive_charges", []))))
     result = training.train_toy(examples, embedder, schedule, loss_cfg)
     training.save_checkpoint(embedder, args.output)
     if args.curve:

@@ -51,10 +51,6 @@ class QueryTooLong(LexforgeError):
     """Generated query exceeded the length budget and could not be shortened."""
 
 
-class MainArticleMismatch(LexforgeError):
-    """Element similarity requires equal main-article sets."""
-
-
 class NoMatch(LexforgeError):
     """No distinct case with the same main-article set exists."""
 

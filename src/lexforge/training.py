@@ -18,7 +18,8 @@ some training text reaches: embedding, the gradient buffer and Adam's
 moments all cover those rows alone. That is exact. A row no text reaches
 has zero gradient and zero moments at every step, so the full-layout
 update would leave it unchanged bit for bit; every other row sees the same
-operations in the same order in either layout.
+operations in the same order in either layout. The caller's weights get the
+trained rows back once, when the last step is done.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import struct
 import zlib
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
@@ -69,28 +70,20 @@ def cosine_matrix(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     return sim
 
 
-def false_negative_mask(positive_charges: Sequence[frozenset[str] | set[str]],
-                        mode: str = "overlap") -> np.ndarray:
+def false_negative_mask(positive_charges: Sequence[frozenset[str] | set[str]]) -> np.ndarray:
     """Boolean N×N mask of in-batch negatives sharing charges with the positive.
 
     ``mask[i][j]`` is True iff ``i != j`` and the charges of positive j
-    intersect (mode 'overlap', default) or equal (mode 'exact') the charges
-    of positive i. The diagonal is always False: a query's own positive is
-    never masked. Both modes work on the N×C charge-incidence matrix.
+    intersect the charges of positive i. The diagonal is always False: a
+    query's own positive is never masked. The mask is computed from the N×C
+    charge-incidence matrix.
     """
-    if mode not in ("overlap", "exact"):
-        raise ValueError(f"unknown mask mode: {mode}")
     sets = [frozenset(s) for s in positive_charges]
     column = {charge: c for c, charge in enumerate(sorted(set().union(*sets)))}
     incidence = np.zeros((len(sets), len(column)), dtype=bool)
     for i, charges in enumerate(sets):
         incidence[i, [column[charge] for charge in charges]] = True
-    if mode == "overlap":
-        mask = incidence @ incidence.T  # boolean matmul: any shared column
-    else:
-        _, label = np.unique(incidence, axis=0, return_inverse=True)
-        label = label.reshape(-1)
-        mask = label[:, None] == label[None, :]
+    mask = incidence @ incidence.T  # boolean matmul: any shared column
     np.fill_diagonal(mask, False)
     return mask
 
@@ -168,10 +161,6 @@ class ToyEmbedder:
                              f"buckets of dimension {dim}")
         self.weights = weights
         self._feature_memo: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    @property
-    def parameter_count(self) -> int:
-        return self.hash_buckets * self.dim
 
     def features(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Sparse feature vector of a text: (bucket indices, damped counts)."""
@@ -269,11 +258,6 @@ class TrainSchedule:
     learning_rate: float = 1e-2
     warmup_fraction: float = 0.1
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    dev_fraction: float = 0.0
-    patience: int | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -285,16 +269,12 @@ class TrainSchedule:
             raise ValueError("learning_rate must be >= 0")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ValueError("warmup_fraction must be in [0, 1]")
-        if not 0.0 <= self.dev_fraction <= 1.0:
-            raise ValueError("dev_fraction must be in [0, 1]")
 
 
 @dataclass
 class TrainResult:
     embedder: ToyEmbedder
     loss_curve: list[tuple[int, float]]
-    dev_curve: list[tuple[int, float]] = field(default_factory=list)
-    stopped_early: bool = False
 
 
 #: Elements per block of the Adam update: 512 rows of 64 float64 weights.
@@ -383,11 +363,10 @@ class _GradientBuffer:
 
 
 def _batch_gradient(embedder: ToyEmbedder, batch: TrainingBatch, cfg: LossConfig,
-                    buffer: _GradientBuffer | None = None) -> tuple[float, np.ndarray]:
+                    buffer: _GradientBuffer) -> tuple[float, np.ndarray]:
     """Loss and dL/dW for one batch, via the cosine chain rule.
 
-    The gradient is written into ``buffer`` (cleared first), or into a new
-    zero array when none is given.
+    The gradient is written into ``buffer.grad``, which is cleared first.
     """
     q_feats = [embedder.features(t) for t in batch.queries]
     c_feats = [embedder.features(t) for t in batch.positives]
@@ -406,8 +385,6 @@ def _batch_gradient(embedder: ToyEmbedder, batch: TrainingBatch, cfg: LossConfig
     d_q = (grad_sim @ c_unit - (grad_sim * sim).sum(axis=1, keepdims=True) * q_unit) / qn
     d_c = (grad_sim.T @ q_unit - (grad_sim * sim).sum(axis=0)[:, None] * c_unit) / cn
 
-    if buffer is None:
-        buffer = _GradientBuffer(embedder.weights.shape)
     buffer.clear()
     w_grad = buffer.grad
     touched = np.zeros(len(w_grad), dtype=bool)
@@ -428,7 +405,9 @@ def _compact_trainee(embedder: ToyEmbedder,
     are featurized into the copy's own memo, whose bucket indices are then
     renumbered in place to match, so their features exist once and the
     caller's memo is left as it was. The copy may only embed texts in its
-    memo: a new text would get raw bucket ids, not renumbered ones.
+    memo: a new text would get raw bucket ids, not renumbered ones. The
+    copy's weights are a new array, so ``embedder.weights`` stays as it was
+    until the caller writes the rows back.
     """
     trainee = ToyEmbedder(embedder.dim, embedder.hash_buckets, embedder.ngram_min,
                           embedder.ngram_max, embedder.seed, weights=embedder.weights)
@@ -456,41 +435,24 @@ def train_toy(pairs: Sequence[PairExample], embedder: ToyEmbedder,
     """First-order training of the toy embedder on query-positive pairs.
 
     Fully deterministic under the schedule seed: shuffling, batching and
-    every update are reproducible bit for bit. Optional early stopping
-    watches mean loss on a held-out dev split with the configured patience.
-    The steps update a compact copy of the rows the training texts reach
-    (see the module docstring); ``embedder.weights`` gets those rows back
-    before each dev-loss evaluation and at the end.
+    every update are reproducible bit for bit, over a fixed number of
+    epochs. The steps update a compact copy of the rows the training texts
+    reach (see the module docstring); ``embedder.weights`` gets those rows
+    back once, at the end, so a run that raises leaves the caller's weights
+    as they were before training.
     """
-    if not pairs:
-        raise InsufficientData("0 training pairs: a batch needs two")
-
     pairs = list(pairs)
-    dev_pairs: list[PairExample] = []
-    if schedule.dev_fraction > 0 and len(pairs) >= 4:
-        rng = Random(derive_seed(schedule.seed, "dev-split"))
-        order = list(range(len(pairs)))
-        rng.shuffle(order)
-        n_dev = max(2, int(len(pairs) * schedule.dev_fraction))
-        dev_idx = set(order[:n_dev])
-        dev_pairs = [pairs[i] for i in sorted(dev_idx)]
-        pairs = [p for i, p in enumerate(pairs) if i not in dev_idx]
-
     per_epoch = len(_batches(range(len(pairs)), schedule.batch_size))
     if per_epoch == 0:
-        raise InsufficientData(f"{len(pairs)} training pair(s) after holding out "
-                               f"{len(dev_pairs)} for dev: a batch needs two")
+        noun = "pairs" if len(pairs) != 1 else "pair"
+        raise InsufficientData(f"{len(pairs)} training {noun}: a batch needs two")
     total_steps = schedule.epochs * per_epoch
 
     trainee, rows = _compact_trainee(
         embedder, (text for p in pairs for text in (p.query_text, p.positive_text)))
-    optimizer = Adam(trainee.weights.shape, schedule.beta1, schedule.beta2, schedule.eps)
+    optimizer = Adam(trainee.weights.shape)
     buffer = _GradientBuffer(trainee.weights.shape)
     curve: list[tuple[int, float]] = []
-    dev_curve: list[tuple[int, float]] = []
-    best_dev = np.inf
-    bad_epochs = 0
-    stopped = False
     step = 0
 
     for epoch in range(schedule.epochs):
@@ -514,33 +476,6 @@ def train_toy(pairs: Sequence[PairExample], embedder: ToyEmbedder,
             curve.append((step, loss))
             optimizer.step(trainee.weights, w_grad, lr_at(step, total_steps, schedule))
             step += 1
-        if dev_pairs and schedule.patience is not None:
-            embedder.weights[rows] = trainee.weights
-            dev_loss = evaluate_pairs_loss(dev_pairs, embedder, loss_cfg)
-            dev_curve.append((step, dev_loss))
-            if dev_loss < best_dev - 1e-12:
-                best_dev = dev_loss
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs >= schedule.patience:
-                    stopped = True
-                    break
 
     embedder.weights[rows] = trainee.weights
-    return TrainResult(embedder=embedder, loss_curve=curve,
-                       dev_curve=dev_curve, stopped_early=stopped)
-
-
-def evaluate_pairs_loss(pairs: Sequence[PairExample], embedder: ToyEmbedder,
-                        loss_cfg: LossConfig = LossConfig()) -> float:
-    """Mean in-batch loss over one pass, without updating parameters."""
-    batch = TrainingBatch(
-        queries=[p.query_text for p in pairs],
-        positives=[p.positive_text for p in pairs],
-        positive_charges=[p.positive_charges for p in pairs])
-    sim = cosine_matrix(embedder.embed(batch.queries), embedder.embed(batch.positives))
-    mask = false_negative_mask(batch.positive_charges) if loss_cfg.masking_enabled else None
-    loss, _ = in_batch_loss(sim, mask, loss_cfg)
-    return loss
-
+    return TrainResult(embedder=embedder, loss_curve=curve)

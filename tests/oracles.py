@@ -311,7 +311,7 @@ def features_oracle(text, hash_buckets, ngram_min, ngram_max):
     return idx, 1.0 + np.log(raw)
 
 
-def false_negative_mask_oracle(positive_charges, mode="overlap"):
+def false_negative_mask_oracle(positive_charges):
     """The masking rule as a double loop over pairs of charge sets."""
     import numpy as np
 
@@ -320,12 +320,8 @@ def false_negative_mask_oracle(positive_charges, mode="overlap"):
     mask = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
-            if mode == "overlap":
+            if i != j:
                 mask[i, j] = bool(sets[i] & sets[j])
-            else:
-                mask[i, j] = sets[i] == sets[j]
     return mask
 
 
@@ -382,10 +378,10 @@ def batch_gradient_oracle(embedder, batch, cfg):
     return loss, w_grad
 
 
-def train_toy_oracle(pairs, embedder, schedule, loss_cfg, on_epoch=None):
+def train_toy_oracle(pairs, embedder, schedule, loss_cfg):
     """The training loop over every weight row, with the oracle gradient and
-    optimizer and a full finite scan of every gradient; no dev split.
-    ``on_epoch(embedder)`` runs after each epoch. Returns the loss curve."""
+    optimizer and a full finite scan of every gradient. Returns the loss
+    curve."""
     from random import Random
 
     import numpy as np
@@ -394,8 +390,7 @@ def train_toy_oracle(pairs, embedder, schedule, loss_cfg, on_epoch=None):
     from lexforge.training import TrainingBatch, _batches, lr_at
 
     total_steps = schedule.epochs * len(_batches(range(len(pairs)), schedule.batch_size))
-    optimizer = AdamOracle(embedder.weights.shape,
-                           schedule.beta1, schedule.beta2, schedule.eps)
+    optimizer = AdamOracle(embedder.weights.shape)
     curve = []
     for epoch in range(schedule.epochs):
         order = list(range(len(pairs)))
@@ -409,6 +404,4 @@ def train_toy_oracle(pairs, embedder, schedule, loss_cfg, on_epoch=None):
             assert np.isfinite(loss) and np.isfinite(w_grad).all()
             optimizer.step(embedder.weights, w_grad, lr_at(len(curve), total_steps, schedule))
             curve.append((len(curve), loss))
-        if on_epoch is not None:
-            on_epoch(embedder)
     return curve

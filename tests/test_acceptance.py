@@ -148,11 +148,11 @@ def test_augmentation_exactness(corpus_1000):
             violations += 1
         if positive.main_articles != source.main_articles:
             violations += 1
-        best = augment.element_similarity(source, positive, cfg)
+        best = augment._score(source, positive, cfg)
         for entry in index.bucket(source.main_articles):
             if entry.case_id == source_id:
                 continue
-            score = augment.element_similarity(source, entry.elements, cfg)
+            score = augment._score(source, entry.elements, cfg)
             if score > best + 1e-12:
                 violations += 1
                 break

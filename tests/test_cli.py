@@ -208,6 +208,22 @@ class TestDeterminism:
         assert leftovers == []
 
 
+class TestIngest:
+    def test_fixture_corpus_passes_through_unchanged(self, workdir, tmp_path):
+        out = tmp_path / "corpus.jsonl"
+        assert run_cli("ingest", "--input", workdir / "corpus.jsonl", "--output", out) == 0
+        assert out.read_bytes() == (workdir / "corpus.jsonl").read_bytes()
+
+    def test_aliases_come_out_under_their_field_names(self, tmp_path):
+        raw = tmp_path / "raw.jsonl"
+        fileio.write_jsonl(raw, [{"id": 7, "kind": "ruling", "fact": "经审理查明"}])
+        out = tmp_path / "corpus.jsonl"
+        assert run_cli("ingest", "--input", raw, "--output", out) == 0
+        assert list(fileio.read_jsonl(out)) == [
+            {"case_id": "7", "doc_kind": "ruling", "fact": "经审理查明",
+             "reason": "", "judgment": ""}]
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):
         assert run_cli("frobnicate") == 1
@@ -236,7 +252,7 @@ class TestExitCodes:
         assert "need at least 100 valid cases for a pool, have 50" in err
 
     @pytest.mark.parametrize("n_pairs,expected", [
-        (0, "0 training pairs"), (1, "1 training pair(s) after holding out 0 for dev")])
+        (0, "0 training pairs"), (1, "1 training pair: a batch needs two")])
     def test_too_few_pairs_is_data_error(self, workdir, tmp_path, capsys, n_pairs, expected):
         lines = (workdir / "pairs.jsonl").read_text(encoding="utf-8").splitlines(True)
         pairs = tmp_path / "pairs.jsonl"
@@ -320,6 +336,35 @@ class TestExitCodes:
         assert err == (f"data error: {pairs}:3: field {field!r}: 'ghost-1' "
                        f"not in {workdir / source}\n")
         assert not (tmp_path / "t.ckpt").exists()
+
+    @pytest.mark.parametrize("name,field,reason,argv", [
+        ("corpus.jsonl", "case_id", "missing required field 'case_id'",
+         ["extract", "--corpus", "corpus.jsonl", "--elements", "out"]),
+        ("corpus.jsonl", "case_id", "missing required field 'case_id'",
+         ["ingest", "--input", "corpus.jsonl", "--output", "out"]),
+        ("elements.jsonl", "term", "missing field 'term'",
+         ["augment", "--queries", "queries.jsonl", "--elements", "elements.jsonl",
+          "--output", "out"]),
+        ("queries.jsonl", "text", "missing field 'text'",
+         ["augment", "--queries", "queries.jsonl", "--elements", "elements.jsonl",
+          "--output", "out"]),
+        *(("pairs.jsonl", field, f"missing field {field!r}",
+           ["train", "--pairs", "pairs.jsonl", "--queries", "queries.jsonl",
+            "--corpus", "corpus.jsonl", "--output", "out"])
+          for field in ("query_id", "positive_case_id", "kind"))],
+        ids=["corpus", "ingest", "elements", "queries",
+             "pairs-query_id", "pairs-positive_case_id", "pairs-kind"])
+    def test_record_missing_a_field_names_file_and_line(self, workdir, tmp_path, capsys,
+                                                        name, field, reason, argv):
+        records = list(fileio.read_jsonl(workdir / name))
+        del records[1][field]
+        bad = tmp_path / name
+        fileio.write_jsonl(bad, records)
+        files = {arg: workdir / arg for arg in argv if arg.endswith(".jsonl")}
+        files |= {name: bad, "out": tmp_path / "out"}
+        err = self._data_error(capsys, *(files.get(arg, arg) for arg in argv))
+        assert err == f"data error: {bad}:2: {reason}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_run_line_is_data_error(self, workdir, tmp_path, capsys):
         run = tmp_path / "run.jsonl"

@@ -21,7 +21,6 @@ from lexforge.training import (
     _batch_gradient,
     _GradientBuffer,
     cosine_matrix,
-    evaluate_pairs_loss,
     false_negative_mask,
     in_batch_loss,
     load_checkpoint,
@@ -93,9 +92,9 @@ class TestFalseNegativeMask:
         assert not mask.diagonal().any()
 
     def test_overlap_vs_exact(self):
+        # unequal charge sets that share one charge are masked
         charges = [{"a", "b"}, {"b", "c"}]
         assert false_negative_mask(charges)[0, 1]
-        assert not false_negative_mask(charges, mode="exact")[0, 1]
 
     def test_symmetric_under_overlap(self):
         rng = np.random.default_rng(3)
@@ -105,21 +104,19 @@ class TestFalseNegativeMask:
         mask = false_negative_mask(sets)
         np.testing.assert_array_equal(mask, mask.T)
 
-    @given(st.lists(st.sets(st.sampled_from("abcde"), max_size=3), max_size=12),
-           st.sampled_from(["overlap", "exact"]))
+    @given(st.lists(st.sets(st.sampled_from("abcde"), max_size=3), max_size=12))
     @settings(max_examples=200, deadline=None)
-    def test_equals_double_loop_oracle(self, sets, mode):
-        mask = false_negative_mask(sets, mode=mode)
+    def test_equals_double_loop_oracle(self, sets):
+        mask = false_negative_mask(sets)
         assert mask.dtype == bool and mask.shape == (len(sets), len(sets))
-        np.testing.assert_array_equal(mask, false_negative_mask_oracle(sets, mode))
+        np.testing.assert_array_equal(mask, false_negative_mask_oracle(sets))
 
-    @pytest.mark.parametrize("mode", ["overlap", "exact"])
     @pytest.mark.parametrize("sets", [
         [set(), set()], [{"a"}, set()], [{"a"}, {"a"}], [{"a", "b"}, {"b"}],
         [set(), set(), {"a"}, set()]])
-    def test_empty_sets_and_pairs(self, sets, mode):
-        np.testing.assert_array_equal(false_negative_mask(sets, mode=mode),
-                                      false_negative_mask_oracle(sets, mode))
+    def test_empty_sets_and_pairs(self, sets):
+        np.testing.assert_array_equal(false_negative_mask(sets),
+                                      false_negative_mask_oracle(sets))
 
 
 class TestInBatchLoss:
@@ -230,7 +227,7 @@ class TestToyEmbedder:
         texts = ["被告人盗窃财物", "交通肇事逃逸"]
         np.testing.assert_array_equal(e1.embed(texts), e2.embed(texts))
         assert e1.embed(texts).shape == (2, 16)
-        assert e1.parameter_count == 512 * 16
+        assert e1.weights.shape == (512, 16)
 
     def test_empty_text_embeds_to_zero(self):
         embedder = ToyEmbedder(dim=8, hash_buckets=64)
@@ -337,14 +334,14 @@ class TestToyEmbedder:
 
     def test_weight_gradient_matches_finite_differences(self):
         # end-to-end chain: features -> linear map -> cosine -> loss
-        from lexforge.training import _batch_gradient, TrainingBatch
         embedder = ToyEmbedder(dim=6, hash_buckets=50, seed=2)
         batch = TrainingBatch(
             queries=["盗窃电动车", "醉酒驾驶机动车"],
             positives=["被告人盗窃电动车一辆", "被告人醉酒后驾驶汽车"],
             positive_charges=[frozenset({"a"}), frozenset({"b"})])
         cfg = LossConfig()
-        _, w_grad = _batch_gradient(embedder, batch, cfg)
+        _, w_grad = _batch_gradient(embedder, batch, cfg,
+                                    _GradientBuffer(embedder.weights.shape))
 
         eps = 1e-6
         rng = np.random.default_rng(0)
@@ -353,15 +350,9 @@ class TestToyEmbedder:
             j = int(rng.integers(0, 6))
             orig = embedder.weights[i, j]
             embedder.weights[i, j] = orig + eps
-            up = evaluate_pairs_loss(
-                [PairExample(q, p, c) for q, p, c in
-                 zip(batch.queries, batch.positives, batch.positive_charges)],
-                embedder, cfg)
+            up = batch_gradient_oracle(embedder, batch, cfg)[0]
             embedder.weights[i, j] = orig - eps
-            down = evaluate_pairs_loss(
-                [PairExample(q, p, c) for q, p, c in
-                 zip(batch.queries, batch.positives, batch.positive_charges)],
-                embedder, cfg)
+            down = batch_gradient_oracle(embedder, batch, cfg)[0]
             embedder.weights[i, j] = orig
             fd = (up - down) / (2 * eps)
             assert w_grad[i, j] == pytest.approx(fd, abs=1e-6)
@@ -414,10 +405,6 @@ class TestTrainToy:
             train_toy([], ToyEmbedder(dim=4, hash_buckets=32))
         with pytest.raises(InsufficientData, match="^1 training pair"):
             train_toy(_toy_pairs(1), ToyEmbedder(dim=4, hash_buckets=32))
-        # 4 pairs with a 3-pair dev split leave one for training
-        schedule = TrainSchedule(epochs=1, batch_size=4, dev_fraction=0.8, patience=1)
-        with pytest.raises(InsufficientData, match="^1 training pair.*holding out 3"):
-            train_toy(_toy_pairs(4), ToyEmbedder(dim=4, hash_buckets=32), schedule)
 
     @pytest.mark.parametrize("masking", [True, False])
     def test_matches_oracle_loop_bit_for_bit(self, masking):
@@ -437,15 +424,6 @@ class TestTrainToy:
         embedder.weights[:] = np.nan
         with pytest.raises(NonFiniteLoss, match="step 0"):
             train_toy(_toy_pairs(8), embedder, TrainSchedule(epochs=1, batch_size=4))
-
-    def test_early_stopping_on_dev_loss(self):
-        embedder = ToyEmbedder(dim=8, hash_buckets=256, seed=5)
-        schedule = TrainSchedule(epochs=40, batch_size=8, learning_rate=0.05,
-                                 seed=5, dev_fraction=0.25, patience=2)
-        result = train_toy(_toy_pairs(40), embedder, schedule)
-        assert result.dev_curve  # dev loss was tracked
-        if result.stopped_early:
-            assert len(result.dev_curve) < 40
 
     def test_lr_schedule_shape(self):
         schedule = TrainSchedule(learning_rate=1.0, warmup_fraction=0.1)
@@ -546,52 +524,14 @@ class TestCompactTraining:
             want_idx, want_values = features_oracle(text, 4096, 2, 3)
             assert np.array_equal(idx, want_idx) and np.array_equal(values, want_values)
 
-    def test_dev_curve_is_the_dev_loss_of_the_written_back_weights(self, monkeypatch):
-        pairs = _toy_pairs(40)
-        shape = {"dim": 8, "hash_buckets": 4096, "seed": 5}
-        schedule = TrainSchedule(epochs=3, batch_size=8, learning_rate=0.05, seed=5,
-                                 dev_fraction=0.25, patience=10)
-        seen = []
-
-        def spy(dev_pairs, embedder, loss_cfg):
-            seen.append((list(dev_pairs), embedder.weights.copy()))
-            return evaluate_pairs_loss(dev_pairs, embedder, loss_cfg)
-
-        monkeypatch.setattr(training, "evaluate_pairs_loss", spy)
-        embedder = ToyEmbedder(**shape)
-        result = train_toy(pairs, embedder, schedule)
-        dev = seen[0][0]
-        after_epoch = []
-        plain = ToyEmbedder(**shape)
-        curve = train_toy_oracle([p for p in pairs if p not in dev], plain, schedule,
-                                 LossConfig(), on_epoch=lambda e: after_epoch.append(
-                                     e.weights.copy()))
-        assert result.loss_curve == curve and not result.stopped_early
-        assert len(result.dev_curve) == len(seen) == len(after_epoch) == 3
-        for (_, dev_loss), (dev_pairs, weights), want in zip(result.dev_curve, seen,
-                                                             after_epoch):
-            assert dev_pairs == dev and weights.tobytes() == want.tobytes()
-            fresh = ToyEmbedder(**shape)
-            fresh.weights = want
-            assert dev_loss == evaluate_pairs_loss(dev, fresh)
-        assert embedder.weights.tobytes() == plain.weights.tobytes()
-
-    @pytest.mark.parametrize("patience", [None, 10])
-    def test_a_failed_run_leaves_the_last_written_back_weights(self, monkeypatch, patience):
+    def test_a_failed_run_leaves_the_weights_as_before_training(self, monkeypatch):
         """A run that raises in its third epoch leaves the caller's weights as
-        they were at the last write-back: before training without a dev check,
-        after the second epoch with one."""
+        they were before training."""
         pairs = _toy_pairs(40)
         shape = {"dim": 8, "hash_buckets": 4096, "seed": 6}
-        schedule = TrainSchedule(epochs=3, batch_size=8, learning_rate=0.05, seed=6,
-                                 dev_fraction=0.25, patience=patience)
-        after_epoch = []
-        dev = []
-        real_eval = training.evaluate_pairs_loss
-        monkeypatch.setattr(training, "evaluate_pairs_loss",
-                            lambda d, e, c: dev.append(list(d)) or real_eval(d, e, c))
-        curve = train_toy(pairs, ToyEmbedder(**shape), schedule).loss_curve
-        per_epoch = len(curve) // 3
+        schedule = TrainSchedule(epochs=3, batch_size=8, learning_rate=0.05, seed=6)
+        trained = ToyEmbedder(**shape)
+        per_epoch = len(train_toy(pairs, trained, schedule).loss_curve) // 3
         calls = []
         real_gradient = training._batch_gradient
 
@@ -605,13 +545,8 @@ class TestCompactTraining:
         embedder = ToyEmbedder(**shape)
         with pytest.raises(NonFiniteLoss, match=f"step {2 * per_epoch} "):
             train_toy(pairs, embedder, schedule)
-        if patience is None:
-            want = ToyEmbedder(**shape).weights
-        else:
-            train_toy_oracle([p for p in pairs if p not in dev[0]], ToyEmbedder(**shape),
-                             schedule, LossConfig(),
-                             on_epoch=lambda e: after_epoch.append(e.weights.copy()))
-            want = after_epoch[1]
+        want = ToyEmbedder(**shape).weights
+        assert not np.array_equal(trained.weights, want)
         assert embedder.weights.tobytes() == want.tobytes()
 
 
