@@ -2,9 +2,10 @@
 
 One subcommand per stage: fixtures -> ingest -> extract -> synthesize ->
 augment -> train -> index -> search -> eval -> report. Every
-stage reads and writes only the documented line-delimited files, writes
-outputs atomically, and is re-runnable. Exit codes: 0 success, 1 usage,
-2 data error, 3 remote-client failure.
+stage reads and writes only the documented files (line-delimited JSON, a
+binary checkpoint and a binary BM25 index), writes outputs atomically, and
+is re-runnable. Exit codes: 0 success, 1 usage, 2 data error, 3
+remote-client failure.
 """
 
 from __future__ import annotations
@@ -295,8 +296,9 @@ def _cmd_index(args, cfg: PipelineConfig) -> int:
     docs = _load_corpus(Path(args.corpus))
     index = retrieval.Bm25Index.build(_corpus_texts(docs), **config.parse(
         retrieval.Bm25Index.build, _flags(args, tokenizer_name="tokenizer")))
-    index.save(Path(args.output))
-    print(f"index: {index.n_docs} docs, {len(index.doc_freq)} terms")
+    written = index.save(Path(args.output))
+    print(f"index: {index.n_docs} docs, {len(index.terms)} terms, "
+          f"{len(index.term_ids)} postings, {written} bytes")
     return EXIT_OK
 
 
@@ -394,11 +396,22 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
+def _load_metrics(path: Path) -> tuple[str, dict[str, float]]:
+    """The label and the macro means of an ``eval`` metrics file; a file
+    that is not one is a MalformedRecord naming it and the reason."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(f"{path}: not JSON: {exc}") from None
+    macro = payload.get("macro") if isinstance(payload, dict) else None
+    if not isinstance(macro, dict) or not all(
+            isinstance(v, (int, float)) for v in macro.values()):
+        raise MalformedRecord(f"{path}: no 'macro' object of metric values")
+    return str(payload.get("label", path.stem)), macro
+
+
 def _cmd_report(args, cfg: PipelineConfig) -> int:
-    reports = []
-    for path in args.metrics:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        reports.append((payload.get("label", Path(path).stem), payload["macro"]))
+    reports = [_load_metrics(Path(path)) for path in args.metrics]
     names = [n for n in evaluation.METRIC_ORDER if all(n in m for _, m in reports)]
 
     header = ["run"] + names

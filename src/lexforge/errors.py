@@ -97,3 +97,7 @@ class UsageError(LexforgeError):
 
 class BadCheckpoint(LexforgeError):
     """Checkpoint file is corrupt or has an unsupported version."""
+
+
+class BadIndex(LexforgeError):
+    """BM25 index file is not one, is corrupt or has an unsupported version."""

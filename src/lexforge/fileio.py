@@ -1,8 +1,9 @@
 """Line-delimited JSON file helpers with atomic replacement.
 
 Pipeline artifacts are files of one JSON object per line, and checkpoints
-are binary. Every writer goes through one temp-file-then-rename, so a re-run
-can never leave a partially written artifact behind.
+and BM25 indexes are binary. Every writer goes through one
+temp-file-then-rename, so a re-run can never leave a partially written
+artifact behind.
 """
 
 from __future__ import annotations

@@ -8,21 +8,28 @@ target benchmarks are around a hundred candidates per query, so scoring is
 exhaustive by design. A run over many pools shares per-candidate work: one
 index tokenizes each candidate once (:meth:`Bm25Index.subset` gives each
 pool its own statistics), and a window memo embeds each candidate once.
-An index stores each distinct term once. Only the dense path imports numpy.
+An index stores each distinct term once and its postings in flat arrays, in
+memory and on disk alike. Only the dense path imports numpy.
 """
 
 from __future__ import annotations
 
-import json
+import copy
 import math
-from collections import Counter
+import operator
+import struct
+import sys
+from array import array
+from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate, count
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import EmptyCorpus, UnknownDoc, ZeroVector
-from .fileio import atomic_write_text
+from .errors import BadIndex, EmptyCorpus, UnknownDoc, ZeroVector
+from .fileio import atomic_write_bytes
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,20 +68,48 @@ class Bm25Params:
 
 
 class Bm25Index:
-    """Immutable term statistics over a tokenized corpus."""
+    """Immutable term statistics over a tokenized corpus, in CSR postings.
 
-    def __init__(self, term_freqs: dict[str, dict[str, int]],
-                 doc_lens: dict[str, int], tokenizer_name: str = "char_bigram"):
-        self.term_freqs = term_freqs
-        self.doc_lens = doc_lens
+    ``terms`` holds each distinct term once, in order of first occurrence.
+    Row ``r`` of the postings is entries ``offsets[r]:offsets[r + 1]`` of the
+    parallel arrays ``term_ids`` (indexes into ``terms``) and ``tfs``: each
+    distinct term of one document with its count, in the document's order of
+    first occurrence. ``doc_ids`` are the index's documents, sorted; in an
+    index built or loaded, row ``r`` is document ``doc_ids[r]``. A
+    :meth:`subset` shares the postings, their row lengths and their decoded
+    rows with the index it came from, and selects its own rows. The
+    statistics are integer counts over the index's own rows.
+    """
+
+    def __init__(self, tokenizer_name: str, terms: list[str], offsets: array,
+                 term_ids: array, tfs: array, doc_ids: list[str]):
         self.tokenizer_name = tokenizer_name
-        self.n_docs = len(term_freqs)
-        self.avgdl = (sum(doc_lens.values()) / self.n_docs) if self.n_docs else 0.0
-        self.doc_freq: dict[str, int] = {}
-        for tf in term_freqs.values():
-            for term in tf:
-                self.doc_freq[term] = self.doc_freq.get(term, 0) + 1
+        self.terms = terms
+        self.offsets, self.term_ids, self.tfs = offsets, term_ids, tfs
+        self._row_lens = [sum(tfs[offsets[row]:offsets[row + 1]])
+                          for row in range(len(doc_ids))]
+        self._decoded: dict[int, dict[str, int]] = {}
+        self._select(doc_ids, range(len(doc_ids)))
+
+    def _select(self, doc_ids: list[str], rows: Iterable[int]) -> None:
+        """Make ``doc_ids``, at postings ``rows``, this index's documents."""
+        self.doc_ids = doc_ids
+        self._rows = dict(zip(doc_ids, rows))
+        self.n_docs = len(doc_ids)
+        self.doc_lens = {doc_id: self._row_lens[row] for doc_id, row in self._rows.items()}
+        self.avgdl = (sum(self.doc_lens.values()) / self.n_docs) if self.n_docs else 0.0
         self._idf: dict[str, float] = {}
+        # a subset starts as a copy: drop the doc_freq counted over its source
+        self.__dict__.pop("doc_freq", None)
+
+    @cached_property
+    def doc_freq(self) -> dict[str, int]:
+        """The number of the index's documents that hold each term, terms in
+        order of first occurrence; counted over the index's rows on first use."""
+        doc_freq: Counter = Counter()
+        for row in self._rows.values():
+            doc_freq.update(self.term_ids[self.offsets[row]:self.offsets[row + 1]])
+        return {self.terms[term_id]: n for term_id, n in doc_freq.items()}
 
     @property
     def tokenizer(self) -> Tokenizer:
@@ -83,36 +118,48 @@ class Bm25Index:
     @classmethod
     def build(cls, corpus: Mapping[str, str],
               tokenizer_name: str = "char_bigram") -> "Bm25Index":
-        """Term frequencies per document, terms in order of first occurrence.
-
-        Each distinct term is stored as one string object, shared by every
-        document's frequency dict and by ``doc_freq``.
-        """
+        """Each document's term counts, appended to the postings in sorted
+        id order; a term's id is its rank of first occurrence."""
         tokenize = TOKENIZERS[tokenizer_name]
-        vocab: dict[str, str] = {}
-        term_freqs: dict[str, dict[str, int]] = {}
-        doc_lens: dict[str, int] = {}
-        for doc_id in sorted(corpus):
-            tokens = tokenize(corpus[doc_id])
-            term_freqs[doc_id] = {vocab.setdefault(token, token): n
-                                  for token, n in Counter(tokens).items()}
-            doc_lens[doc_id] = len(tokens)
-        return cls(term_freqs, doc_lens, tokenizer_name)
+        ids: defaultdict[str, int] = defaultdict(count().__next__)
+        offsets, term_ids, tfs = array(_OFFSET, [0]), array(_ENTRY), array(_ENTRY)
+        doc_ids = sorted(corpus)
+        for doc_id in doc_ids:
+            counts = Counter(tokenize(corpus[doc_id]))
+            term_ids.extend(map(ids.__getitem__, counts))
+            tfs.extend(counts.values())
+            offsets.append(len(term_ids))
+        return cls(tokenizer_name, list(ids), offsets, term_ids, tfs, doc_ids)
 
     def subset(self, doc_ids: Iterable[str]) -> "Bm25Index":
         """The index :meth:`build` would make from these documents alone.
 
-        Term frequencies and lengths are shared with this index, not
-        recomputed; the statistics are integer counts over the subset, so
-        they equal a fresh build's exactly.
+        The postings are shared with this index, not recomputed; the
+        statistics are integer counts over the subset's rows, so they equal
+        a fresh build's exactly. Only the term ids differ.
         """
         ids = sorted(set(doc_ids))
         try:
-            term_freqs = {doc_id: self.term_freqs[doc_id] for doc_id in ids}
+            rows = [self._rows[doc_id] for doc_id in ids]
         except KeyError as exc:
             raise UnknownDoc(f"doc {exc.args[0]!r} not in index") from None
-        return Bm25Index(term_freqs, {doc_id: self.doc_lens[doc_id] for doc_id in ids},
-                         self.tokenizer_name)
+        subset = copy.copy(self)
+        subset._select(ids, rows)
+        return subset
+
+    def term_freqs(self, doc_id: str) -> dict[str, int]:
+        """The document's ``{term: tf}`` in first-occurrence order, decoded
+        from its postings row on first use and memoized."""
+        row = self._rows.get(doc_id)
+        if row is None:
+            raise UnknownDoc(f"doc {doc_id!r} not in index")
+        tf = self._decoded.get(row)
+        if tf is None:
+            start, end = self.offsets[row], self.offsets[row + 1]
+            tf = self._decoded[row] = dict(zip(map(self.terms.__getitem__,
+                                                   self.term_ids[start:end]),
+                                               self.tfs[start:end]))
+        return tf
 
     def idf(self, term: str) -> float:
         """Memoized: the index never changes after construction."""
@@ -123,27 +170,126 @@ class Bm25Index:
             self._idf[term] = value
         return value
 
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "tokenizer": self.tokenizer_name,
-            "doc_lens": self.doc_lens,
-            "term_freqs": self.term_freqs,
-        }
-        atomic_write_text(path, json.dumps(payload, ensure_ascii=False, sort_keys=True))
+    def save(self, path: str | Path) -> int:
+        """Write the index to a versioned little-endian binary file; returns
+        its size in bytes.
+
+        Layout: 8-byte magic ``LXBM25IX``; the ``<I`` version; the tokenizer
+        name; the doc ids and then the terms, each list a ``<I`` count of
+        strings; then the postings: ``n_docs + 1`` ``<Q`` offsets, and as
+        many ``<I`` term ids and then ``<I`` tfs as the last offset says.
+        Every string is UTF-8 preceded by its ``<I`` byte length. The rows
+        are written in doc id order, so a subset writes only its own.
+        """
+        term_ids, tfs = _little_endian(self.term_ids), _little_endian(self.tfs)
+        spans = [(self.offsets[row], self.offsets[row + 1]) for row in self._rows.values()]
+        offsets = array(_OFFSET, accumulate((end - start for start, end in spans), initial=0))
+        data = b"".join([
+            _INDEX_MAGIC, _U32.pack(_INDEX_VERSION), *_packed([self.tokenizer_name]),
+            _U32.pack(self.n_docs), *_packed(self.doc_ids),
+            _U32.pack(len(self.terms)), *_packed(self.terms),
+            _little_endian(offsets),
+            *(term_ids[start:end] for start, end in spans),
+            *(tfs[start:end] for start, end in spans)])
+        atomic_write_bytes(path, data)
+        return len(data)
 
     @classmethod
     def load(cls, path: str | Path) -> "Bm25Index":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(payload["term_freqs"], payload["doc_lens"], payload["tokenizer"])
+        """Read an index :meth:`save` wrote. A file that is not one, or whose
+        sections do not fit together, is a :class:`BadIndex` naming it."""
+        data = Path(path).read_bytes()
+        if not data.startswith(_INDEX_MAGIC):
+            raise BadIndex(f"{path}: not a lexforge BM25 index; "
+                           "rebuild it with `lexforge index`")
+        try:
+            return _read_index(memoryview(data), len(_INDEX_MAGIC))
+        except ValueError as exc:
+            raise BadIndex(f"{path}: {exc}") from None
+
+
+#: Postings array types: ``_OFFSET`` holds an entry count, ``_ENTRY`` a term
+#: id or a count; the file stores them as ``<Q`` and ``<I``.
+_OFFSET, _ENTRY = "Q", "I"
+_INDEX_MAGIC = b"LXBM25IX"
+_INDEX_VERSION = 1
+_U32 = struct.Struct("<I")
+
+
+def _little_endian(values: array) -> memoryview:
+    if sys.byteorder == "big":
+        values = array(values.typecode, values)
+        values.byteswap()
+    return memoryview(values)
+
+
+def _packed(strings: Iterable[str]) -> list[bytes]:
+    parts = []
+    for text in strings:
+        raw = text.encode("utf-8")
+        parts += (_U32.pack(len(raw)), raw)
+    return parts
+
+
+def _read_index(data: memoryview, pos: int) -> Bm25Index:
+    """Parse :meth:`Bm25Index.save`'s layout from ``pos`` on; raises
+    ValueError naming the first section that does not fit."""
+    def take(size: int, what: str) -> memoryview:
+        nonlocal pos
+        if size > len(data) - pos:
+            raise ValueError(f"truncated in the {what}: needs {size} bytes at byte {pos}, "
+                             f"the file ends at {len(data)}")
+        pos += size
+        return data[pos - size:pos]
+
+    def u32(what: str) -> int:
+        return _U32.unpack(take(4, what))[0]
+
+    def strings(count: int, what: str) -> list[str]:
+        try:
+            return [str(take(u32(what), what), "utf-8") for _ in range(count)]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"the {what} are not UTF-8: {exc.reason}") from None
+
+    def values(typecode: str, count: int, what: str) -> array:
+        out = array(typecode)
+        out.frombytes(take(count * out.itemsize, what))
+        if sys.byteorder == "big":
+            out.byteswap()
+        return out
+
+    version = u32("version")
+    if version != _INDEX_VERSION:
+        raise ValueError(f"unsupported version {version}; rebuild it with `lexforge index`")
+    tokenizer_name, = strings(1, "tokenizer name")
+    if tokenizer_name not in TOKENIZERS:
+        raise ValueError(f"unknown tokenizer {tokenizer_name!r}")
+    doc_ids = strings(u32("doc id count"), "doc ids")
+    if any(map(operator.ge, doc_ids, doc_ids[1:])):
+        raise ValueError("the doc ids are not sorted and distinct")
+    terms = strings(u32("term count"), "terms")
+    if len(set(terms)) != len(terms):
+        raise ValueError("the terms are not distinct")
+    offsets = values(_OFFSET, len(doc_ids) + 1, "offsets")
+    if offsets[0] != 0 or any(map(operator.gt, offsets, offsets[1:])):
+        raise ValueError("the offsets do not start at 0 and never decrease")
+    postings, rest = divmod(len(data) - pos, 2 * array(_ENTRY).itemsize)
+    if rest or offsets[-1] != postings:
+        raise ValueError(f"the offsets end at {offsets[-1]} postings, but the "
+                         f"{len(data) - pos} bytes after them do not hold that many")
+    term_ids = values(_ENTRY, postings, "term ids")
+    tfs = values(_ENTRY, postings, "tfs")
+    if postings and max(term_ids) >= len(terms):
+        raise ValueError(f"a term id is {max(term_ids)}, but there are {len(terms)} terms")
+    if postings and min(tfs) < 1:
+        raise ValueError("a tf is 0")
+    return Bm25Index(tokenizer_name, terms, offsets, term_ids, tfs, doc_ids)
 
 
 def bm25_score(query_tokens: Sequence[str], doc_id: str, index: Bm25Index,
                params: Bm25Params = Bm25Params()) -> float:
     """Sum over query terms of idf · tf·(k1+1) / (tf + k1·(1-b+b·|d|/avgdl))."""
-    try:
-        tf = index.term_freqs[doc_id]
-    except KeyError:
-        raise UnknownDoc(f"doc {doc_id!r} not in index") from None
+    tf = index.term_freqs(doc_id)
     dl = index.doc_lens[doc_id]
     norm = params.k1 * (1.0 - params.b + params.b * dl / index.avgdl) if index.avgdl else params.k1
     score = 0.0
@@ -214,26 +360,34 @@ def _unit_windows(case_text: str, embedder, cfg: SegmentConfig, dim: int) -> np.
     return vectors[nonzero] / norms[nonzero, None]
 
 
-def dense_score(query_vec: np.ndarray, case_text: str, embedder,
-                cfg: SegmentConfig = SegmentConfig(), *,
-                windows: dict[str, np.ndarray] | None = None) -> float:
-    """Maximum cosine between the query vector and any window of the case.
-
-    ``windows`` memoizes :func:`_unit_windows` by case text. One memo serves
-    one embedder and one ``cfg``: a search run passes the same memo for
-    every query, so each candidate is segmented and embedded once per run.
-    """
+def unit_query(query_vec: np.ndarray) -> np.ndarray:
+    """The query vector scaled to unit norm, as :func:`dense_score` takes it."""
     import numpy as np
 
     q = np.asarray(query_vec, dtype=np.float64)
     qn = np.linalg.norm(q)
     if qn == 0.0:
         raise ZeroVector("query vector has zero norm")
+    return q / qn
+
+
+def dense_score(query_unit: np.ndarray, case_text: str, embedder,
+                cfg: SegmentConfig = SegmentConfig(), *,
+                windows: dict[str, np.ndarray] | None = None) -> float:
+    """Maximum cosine between the query and any window of the case.
+
+    ``query_unit`` comes from :func:`unit_query`, once per query. ``windows``
+    memoizes :func:`_unit_windows` by case text. One memo serves one
+    embedder and one ``cfg``: a search run passes the same memo for every
+    query, so each candidate is segmented and embedded once per run.
+    """
+    import numpy as np
+
     memo = {} if windows is None else windows
     unit = memo.get(case_text)
     if unit is None:
-        unit = memo[case_text] = _unit_windows(case_text, embedder, cfg, q.shape[0])
-    sims = unit @ (q / qn)
+        unit = memo[case_text] = _unit_windows(case_text, embedder, cfg, query_unit.shape[0])
+    sims = unit @ query_unit
     return float(np.clip(sims, -1.0, 1.0).max())
 
 
@@ -272,8 +426,8 @@ def search(query: str, corpus: Mapping[str, str], scorer: str = SCORER_BM25,
     elif scorer == SCORER_DENSE:
         if embedder is None:
             raise ValueError("dense scoring requires an embedder")
-        query_vec = embedder.embed([query])[0]
-        scored = [(case_id, dense_score(query_vec, corpus[case_id], embedder, seg_cfg,
+        query_unit = unit_query(embedder.embed([query])[0])
+        scored = [(case_id, dense_score(query_unit, corpus[case_id], embedder, seg_cfg,
                                         windows=windows))
                   for case_id in corpus]
     else:

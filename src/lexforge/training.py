@@ -273,7 +273,6 @@ class TrainSchedule:
 
 @dataclass
 class TrainResult:
-    embedder: ToyEmbedder
     loss_curve: list[tuple[int, float]]
 
 
@@ -478,4 +477,4 @@ def train_toy(pairs: Sequence[PairExample], embedder: ToyEmbedder,
             step += 1
 
     embedder.weights[rows] = trainee.weights
-    return TrainResult(embedder=embedder, loss_curve=curve)
+    return TrainResult(loss_curve=curve)

@@ -118,20 +118,26 @@ def char_bigrams_oracle(text):
 
 
 def bm25_build_oracle(corpus, tokenizer_name="char_bigram"):
-    """``Bm25Index.build`` as a plain counting loop, each document keeping
-    its own token strings."""
-    from lexforge.retrieval import TOKENIZERS, Bm25Index
+    """``Bm25Index.build`` as a plain counting loop over dicts, each document
+    keeping its own token strings.
+
+    Returns ``(term_freqs, doc_lens, doc_freq)``: documents in sorted id
+    order, terms in order of first occurrence.
+    """
+    from lexforge.retrieval import TOKENIZERS
 
     tokenize = TOKENIZERS[tokenizer_name]
-    term_freqs, doc_lens = {}, {}
+    term_freqs, doc_lens, doc_freq = {}, {}, {}
     for doc_id in sorted(corpus):
         tokens = tokenize(corpus[doc_id])
         tf = {}
         for token in tokens:
             tf[token] = tf.get(token, 0) + 1
+        for term in tf:
+            doc_freq[term] = doc_freq.get(term, 0) + 1
         term_freqs[doc_id] = tf
         doc_lens[doc_id] = len(tokens)
-    return Bm25Index(term_freqs, doc_lens, tokenizer_name)
+    return term_freqs, doc_lens, doc_freq
 
 
 def bm25_oracle(query_tokens, doc_tokens_by_id, doc_id, k1, b):
@@ -180,7 +186,7 @@ def search_oracle(queries, texts, pools, *, scorer, k, bm25_params, index, embed
     a pool with none of its ids in ``texts`` ends the run.
     """
     from lexforge.errors import EmptyCorpus
-    from lexforge.retrieval import Bm25Index, bm25_score, dense_score
+    from lexforge.retrieval import Bm25Index, bm25_score, dense_score, unit_query
 
     run = {}
     for query_id, text in queries:
@@ -200,8 +206,8 @@ def search_oracle(queries, texts, pools, *, scorer, k, bm25_params, index, embed
             tokens = idx.tokenizer(text)
             scored = [(cid, bm25_score(tokens, cid, idx, bm25_params)) for cid in pool]
         else:
-            query_vec = embedder.embed([text])[0]
-            scored = [(cid, dense_score(query_vec, pool[cid], embedder, seg_cfg))
+            query_unit = unit_query(embedder.embed([text])[0])
+            scored = [(cid, dense_score(query_unit, pool[cid], embedder, seg_cfg))
                       for cid in pool]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         run[query_id] = scored[:k]

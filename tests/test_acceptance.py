@@ -209,7 +209,7 @@ def test_truncation_scoring():
         stride = int(rng.integers(1, max_len + 1))
         cfg = retrieval.SegmentConfig(max_len=max_len, stride=stride)
         query_vec = embedder.embed([query])[0]
-        got = retrieval.dense_score(query_vec, text, embedder, cfg)
+        got = retrieval.dense_score(retrieval.unit_query(query_vec), text, embedder, cfg)
         qn = np.linalg.norm(query_vec)
         best = -2.0
         for seg in retrieval.segment(text, cfg):

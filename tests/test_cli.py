@@ -39,7 +39,7 @@ def workdir(tmp_path_factory):
                    "--epochs", 2, "--batch-size", 16, "--dim", 16,
                    "--hash-buckets", 2048, "--seed", 11) == 0
     assert run_cli("index", "--corpus", out / "corpus.jsonl",
-                   "--output", out / "bm25.json") == 0
+                   "--output", out / "bm25.idx") == 0
     assert run_cli("search", "--queries", out / "eval_queries.jsonl",
                    "--corpus", out / "corpus.jsonl", "--pools", out / "pools.jsonl",
                    "--scorer", "bm25", "--k", 30,
@@ -100,6 +100,15 @@ class TestStageArtifacts:
                        "--output", workdir / "report.txt") == 0
         table = (workdir / "report.txt").read_text()
         assert "bm25" in table and "dense" in table and "Δ dense" in table
+
+
+class TestIndexSummary:
+    def test_counts_docs_terms_postings_and_bytes(self, workdir, tmp_path, capsys):
+        out = tmp_path / "bm25.idx"
+        assert run_cli("index", "--corpus", workdir / "corpus.jsonl", "--output", out) == 0
+        summary = capsys.readouterr().out
+        assert re.fullmatch(r"index: 159 docs, [1-9]\d* terms, [1-9]\d* postings, "
+                            rf"{out.stat().st_size} bytes\n", summary)
 
 
 class TestTenQueryAugment:
@@ -373,6 +382,33 @@ class TestExitCodes:
                                "--output", tmp_path / "m.json")
         assert err.startswith(f"data error: {run}:1: field 'score': ")
 
+    @pytest.mark.parametrize("content,reason", [
+        ("not json", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"label": "x", "per_query": {}}', "no 'macro' object of metric values"),
+        ('{"macro": {"MAP": "high"}}', "no 'macro' object of metric values"),
+        ("[1, 2]", "no 'macro' object of metric values"),
+    ])
+    def test_bad_metrics_file_is_data_error(self, workdir, tmp_path, capsys, content, reason):
+        bad = tmp_path / "metrics_bad.json"
+        bad.write_text(content)
+        err = self._data_error(capsys, "report", workdir / "metrics_bm25.json", bad)
+        assert err == f"data error: {bad}: {reason}\n"
+
+    @pytest.mark.parametrize("content,reason", [
+        (b'{"tokenizer": "char_bigram", "doc_lens": {}, "term_freqs": {}}',
+         "not a lexforge BM25 index; rebuild it with `lexforge index`"),
+        (b"LXBM25IX\x01\x00\x00\x00\x0b\x00\x00\x00char_bi",
+         "truncated in the tokenizer name: needs 11 bytes at byte 16, the file ends at 23"),
+    ])
+    def test_bad_index_is_data_error(self, workdir, tmp_path, capsys, content, reason):
+        bad = tmp_path / "bm25.idx"
+        bad.write_bytes(content)
+        err = self._data_error(capsys, "search", "--queries", workdir / "eval_queries.jsonl",
+                               "--corpus", workdir / "corpus.jsonl", "--index", bad,
+                               "--output", tmp_path / "run.jsonl")
+        assert err == f"data error: {bad}: {reason}\n"
+        assert not (tmp_path / "run.jsonl").exists()
+
     def test_remote_without_endpoint_is_usage_error(self, workdir):
         assert run_cli("synthesize", "--corpus", workdir / "corpus.jsonl",
                        "--elements", workdir / "elements.jsonl",
@@ -455,7 +491,8 @@ def test_cli_import_leaves_requests_out():
 
 
 def test_numpy_free_stages_leave_numpy_out(workdir, tmp_path):
-    """Importing the CLI, evaluating a run and BM25 search never load numpy."""
+    """Importing the CLI, evaluating a run, building a BM25 index and BM25
+    search, with or without it, never load numpy."""
     import os
     import subprocess
     import sys
@@ -464,14 +501,18 @@ def test_numpy_free_stages_leave_numpy_out(workdir, tmp_path):
     bm25 = ["search", "--queries", workdir / "eval_queries.jsonl",
             "--corpus", workdir / "corpus.jsonl", "--pools", workdir / "pools.jsonl",
             "--scorer", "bm25", "--output", tmp_path / "run.jsonl"]
+    index = ["index", "--corpus", workdir / "corpus.jsonl", "--output", tmp_path / "bm25.idx"]
+    bm25_index = [*bm25[:-2], "--index", tmp_path / "bm25.idx",
+                  "--output", tmp_path / "run_index.jsonl"]
     code = ("import json, sys, lexforge.cli\n"
             "loaded = ['numpy' in sys.modules]\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert lexforge.cli.main(argv) == 0\n"
             "    loaded.append('numpy' in sys.modules)\n"
             "print(loaded)\n")
-    argvs = json.dumps([[str(a) for a in argv] for argv in (evaluate, bm25)])
+    argvs = json.dumps([[str(a) for a in argv]
+                        for argv in (evaluate, bm25, index, bm25_index)])
     src = str(Path(cli.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", code, argvs], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert result.stdout.splitlines()[-1] == "[False, False, False]"
+    assert result.stdout.splitlines()[-1] == "[False, False, False, False, False]"

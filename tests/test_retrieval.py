@@ -1,6 +1,7 @@
 """BM25 scoring, segmentation, truncation-max dense scoring and search."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexforge.cli import _search_run
-from lexforge.errors import EmptyCorpus, LexforgeError, UnknownDoc, ZeroVector
+from lexforge.errors import BadIndex, EmptyCorpus, LexforgeError, UnknownDoc, ZeroVector
 from lexforge.retrieval import (
     Bm25Index,
     Bm25Params,
@@ -20,6 +21,7 @@ from lexforge.retrieval import (
     segment,
     tokenize_char_bigrams,
     tokenize_whitespace,
+    unit_query,
 )
 
 from oracles import (
@@ -106,17 +108,30 @@ class TestBm25:
 
     def test_index_save_load(self, tmp_path):
         index = Bm25Index.build({"d1": "盗窃财物", "d2": "交通肇事"})
-        path = tmp_path / "index.json"
-        index.save(path)
+        path = tmp_path / "bm25.idx"
+        assert index.save(path) == path.stat().st_size
         loaded = Bm25Index.load(path)
-        assert loaded.term_freqs == index.term_freqs
-        assert loaded.avgdl == index.avgdl
+        _assert_same_index(loaded, index)
         assert bm25_score(["盗窃"], "d1", loaded) == bm25_score(["盗窃"], "d1", index)
+
+
+def _stats(index):
+    """Each document's (term, tf) sequence, the lengths and doc_freq, in order."""
+    return ([(d, list(index.term_freqs(d).items())) for d in index.doc_ids],
+            list(index.doc_lens.items()), list(index.doc_freq.items()))
+
+
+def _assert_same_index(got, want):
+    assert (got.tokenizer_name, got.terms, got.doc_ids) == (
+        want.tokenizer_name, want.terms, want.doc_ids)
+    assert (got.offsets, got.term_ids, got.tfs) == (want.offsets, want.term_ids, want.tfs)
+    assert (_stats(got), got.n_docs, got.avgdl) == (_stats(want), want.n_docs, want.avgdl)
 
 
 class TestBuild:
     """``Bm25Index.build`` keeps one string per distinct term; the statistics
-    and the saved file are those of the plain counting loop."""
+    are those of the plain counting loop, and the saved file loads back as
+    the same index."""
 
     @given(st.dictionaries(st.sampled_from([f"d{i}" for i in range(12)]),
                            st.text("盗窃抢劫财物 abAB", max_size=40), max_size=12))
@@ -125,27 +140,50 @@ class TestBuild:
         tmp = tmp_path_factory.getbasetemp() / "build"
         tmp.mkdir(exist_ok=True)
         for name in ("char_bigram", "whitespace"):
-            got, want = Bm25Index.build(corpus, name), bm25_build_oracle(corpus, name)
-            assert [(d, list(tf.items())) for d, tf in got.term_freqs.items()] == [
-                (d, list(tf.items())) for d, tf in want.term_freqs.items()]
-            assert list(got.doc_lens.items()) == list(want.doc_lens.items())
-            assert list(got.doc_freq.items()) == list(want.doc_freq.items())
-            got.save(tmp / "got.json")
-            want.save(tmp / "want.json")
-            assert (tmp / "got.json").read_bytes() == (tmp / "want.json").read_bytes()
+            got = Bm25Index.build(corpus, name)
+            term_freqs, doc_lens, doc_freq = bm25_build_oracle(corpus, name)
+            assert _stats(got) == ([(d, list(tf.items())) for d, tf in term_freqs.items()],
+                                   list(doc_lens.items()), list(doc_freq.items()))
+            got.save(tmp / "got.idx")
+            loaded = Bm25Index.load(tmp / "got.idx")
+            _assert_same_index(loaded, got)
+            query = got.terms[::2]
+            assert [bm25_score(query, d, loaded) for d in loaded.doc_ids] == [
+                bm25_score(query, d, got) for d in got.doc_ids]
 
     @pytest.mark.parametrize("name,texts,term", [
         ("char_bigram", ("被告人盗窃财物", "盗窃电动车"), "盗窃"),
         ("whitespace", ("Stole the car", "the bike was stolen"), "the")])
-    def test_documents_share_one_string_per_term(self, name, texts, term):
-        index = Bm25Index.build({"a": texts[0], "b": texts[1]}, name)
-        keys = [next(k for k in index.term_freqs[d] if k == term) for d in ("a", "b")]
-        assert keys[0] is keys[1]
-        assert next(k for k in index.doc_freq if k == term) is keys[0]
+    def test_documents_share_one_string_per_term(self, tmp_path, name, texts, term):
+        built = Bm25Index.build({"a": texts[0], "b": texts[1]}, name)
+        built.save(tmp_path / "bm25.idx")
+        for index in (built, Bm25Index.load(tmp_path / "bm25.idx")):
+            keys = [next(k for k in index.term_freqs(d) if k == term) for d in ("a", "b")]
+            assert keys[0] is keys[1]
+            assert next(k for k in index.doc_freq if k == term) is keys[0]
         # the oracle's documents hold equal but distinct strings
-        plain = bm25_build_oracle({"a": texts[0], "b": texts[1]}, name)
-        plain_keys = [next(k for k in plain.term_freqs[d] if k == term) for d in ("a", "b")]
+        plain, _, _ = bm25_build_oracle({"a": texts[0], "b": texts[1]}, name)
+        plain_keys = [next(k for k in plain[d] if k == term) for d in ("a", "b")]
         assert plain_keys[0] == plain_keys[1] and plain_keys[0] is not plain_keys[1]
+
+    def test_file_layout(self, tmp_path):
+        size = Bm25Index.build({"b": "y", "a": "x y x"}, "whitespace").save(tmp_path / "i")
+        want = _layout(["a", "b"], ["x", "y"], [0, 2, 3], [0, 1, 1], [2, 1, 1])
+        assert (tmp_path / "i").read_bytes() == want and size == len(want)
+
+
+def _layout(doc_ids, terms, offsets, term_ids, tfs, tokenizer="whitespace", version=1):
+    """The bytes of an index file, spelled out section by section."""
+    def u32(n):
+        return n.to_bytes(4, "little")
+
+    def texts(items):
+        return b"".join(u32(len(t.encode())) + t.encode() for t in items)
+
+    return (b"LXBM25IX" + u32(version) + texts([tokenizer])
+            + u32(len(doc_ids)) + texts(doc_ids) + u32(len(terms)) + texts(terms)
+            + b"".join(n.to_bytes(8, "little") for n in offsets)
+            + b"".join(map(u32, term_ids)) + b"".join(map(u32, tfs)))
 
 
 class TestSubset:
@@ -153,21 +191,35 @@ class TestSubset:
                            st.text("盗窃抢劫财物 ab", max_size=30), max_size=12),
            st.data())
     @settings(max_examples=150, deadline=None)
-    def test_equals_a_build_over_the_subset(self, corpus, data):
+    def test_equals_a_build_over_the_subset(self, tmp_path_factory, corpus, data):
+        tmp = tmp_path_factory.getbasetemp() / "subset"
+        tmp.mkdir(exist_ok=True)
         ids = data.draw(st.lists(st.sampled_from(sorted(corpus)), max_size=20)
                         if corpus else st.just([]))
         for name in ("char_bigram", "whitespace"):
-            got = Bm25Index.build(corpus, name).subset(ids)
+            full = Bm25Index.build(corpus, name)
+            # counted and decoded before the subset is taken, which must not reuse either
+            assert sum(full.doc_freq.values()) == len(full.term_ids)
+            for doc_id in corpus:
+                full.term_freqs(doc_id)
+            got = full.subset(ids)
             want = Bm25Index.build({i: corpus[i] for i in ids}, name)
+            assert got.term_ids is full.term_ids
             assert (got.n_docs, got.avgdl, got.tokenizer_name) == (
                 want.n_docs, want.avgdl, want.tokenizer_name)
-            assert list(got.term_freqs.items()) == list(want.term_freqs.items())
-            assert list(got.doc_lens.items()) == list(want.doc_lens.items())
-            assert list(got.doc_freq.items()) == list(want.doc_freq.items())
+            assert _stats(got) == _stats(want)
+            # a saved subset holds its own rows only
+            got.save(tmp / "subset.idx")
+            loaded = Bm25Index.load(tmp / "subset.idx")
+            assert (_stats(loaded), loaded.avgdl) == (_stats(want), want.avgdl)
 
     def test_unknown_doc(self):
         with pytest.raises(UnknownDoc, match="'ghost'"):
             Bm25Index.build({"d1": "x"}).subset(["d1", "ghost"])
+        full = Bm25Index.build({"d1": "x", "d2": "y"})
+        assert full.term_freqs("d2") == {"y": 1}
+        with pytest.raises(UnknownDoc, match="'d2'"):
+            full.subset(["d1"]).term_freqs("d2")
 
     def test_idf_memo_is_the_formula(self):
         index = Bm25Index.build({"a": "q x", "b": "q z", "c": "w v"}, "whitespace")
@@ -175,6 +227,71 @@ class TestSubset:
             df = index.doc_freq.get(term, 0)
             want = math.log(1 + (3 - df + 0.5) / (df + 0.5)) if df else 0.0
             assert index.idf(term) == want
+
+
+class TestIndexFile:
+    """A file :meth:`Bm25Index.load` cannot take whole is a BadIndex that
+    names it; nothing else escapes."""
+
+    @given(st.dictionaries(st.sampled_from(["d1", "d2", "案3"]),
+                           st.text("盗窃财物 ab", max_size=10), max_size=3),
+           st.sampled_from(["char_bigram", "whitespace"]), st.integers(1, 255))
+    @settings(max_examples=60, deadline=None)
+    def test_every_truncation_and_byte_change(self, tmp_path_factory, corpus, name, mask):
+        tmp = tmp_path_factory.getbasetemp() / "corrupt"
+        tmp.mkdir(exist_ok=True)
+        good, bad = tmp / "good.idx", tmp / "bad.idx"
+        index = Bm25Index.build(corpus, name)
+        index.save(good)
+        raw = good.read_bytes()
+        _assert_same_index(Bm25Index.load(good), index)
+        for size in range(len(raw)):
+            bad.write_bytes(raw[:size])
+            with pytest.raises(BadIndex) as caught:
+                Bm25Index.load(bad)
+            assert str(caught.value).startswith(f"{bad}: ")
+        for pos in range(len(raw)):
+            changed = raw[:pos] + bytes([raw[pos] ^ mask]) + raw[pos + 1:]
+            bad.write_bytes(changed)
+            try:
+                loaded = Bm25Index.load(bad)
+            except BadIndex as exc:
+                assert str(exc).startswith(f"{bad}: ")
+                continue
+            # the file carries no checksum, so a changed count or id can
+            # still be a whole index; then it is read exactly as written
+            loaded.save(good)
+            assert good.read_bytes() == changed
+
+    @pytest.mark.parametrize("content,reason", [
+        (b'{"tokenizer": "char_bigram", "doc_lens": {}, "term_freqs": {}}',
+         "not a lexforge BM25 index; rebuild it with `lexforge index`"),
+        (_layout([], [], [0], [], [], version=2), "unsupported version 2"),
+        (_layout([], [], [0], [], [], tokenizer="abc"), "unknown tokenizer 'abc'"),
+        (_layout([], [], [0], [], [])[:20], "truncated in the tokenizer name"),
+        (_layout(["b", "a"], ["x"], [0, 1, 2], [0, 0], [1, 1]),
+         "the doc ids are not sorted and distinct"),
+        (_layout(["a", "a"], ["x"], [0, 1, 2], [0, 0], [1, 1]),
+         "the doc ids are not sorted and distinct"),
+        (_layout(["a"], ["x", "x"], [0, 1], [0], [1]), "the terms are not distinct"),
+        (_layout(["a"], ["é"], [0, 1], [0], [1]).replace("é".encode(), b"\xc3("),
+         "the terms are not UTF-8"),
+        (_layout(["a", "b"], ["x"], [1, 1, 2], [0, 0], [1, 1]),
+         "the offsets do not start at 0 and never decrease"),
+        (_layout(["a", "b"], ["x"], [0, 2, 1], [0, 0], [1, 1]),
+         "the offsets do not start at 0 and never decrease"),
+        (_layout(["a", "b"], ["x"], [0, 1, 1], [0, 0], [1, 1]),
+         "the offsets end at 1 postings, but the 16 bytes after them do not hold that many"),
+        (_layout(["a"], ["x"], [0, 1], [0], [1]) + b"\x00",
+         "the offsets end at 1 postings, but the 9 bytes after them do not hold that many"),
+        (_layout(["a"], ["x", "y"], [0, 1], [2], [1]), "a term id is 2, but there are 2 terms"),
+        (_layout(["a"], ["x"], [0, 1], [0], [0]), "a tf is 0"),
+    ])
+    def test_reason(self, tmp_path, content, reason):
+        path = tmp_path / "bm25.idx"
+        path.write_bytes(content)
+        with pytest.raises(BadIndex, match=re.escape(f"{path}: {reason}")):
+            Bm25Index.load(path)
 
 
 class TestSegment:
@@ -251,13 +368,13 @@ class TestDenseScore:
         query = np.array([1.0, 0.0, 0.0])
         cosines = {t: np.dot(v, query) / np.linalg.norm(v)
                    for t, v in table.items()}
-        score = dense_score(query, "aabbcc", embedder, cfg)
+        score = dense_score(unit_query(query), "aabbcc", embedder, cfg)
         assert score == pytest.approx(max(cosines.values()))
 
     def test_single_segment_equals_cosine(self):
         embedder = _StubEmbedder({"ab": [1.0, 1.0, 0.0]})
         query = np.array([1.0, 0.0, 0.0])
-        score = dense_score(query, "ab", embedder, SegmentConfig(max_len=10))
+        score = dense_score(unit_query(query), "ab", embedder, SegmentConfig(max_len=10))
         assert score == pytest.approx(1 / math.sqrt(2))
 
     def test_brute_force_oracle(self):
@@ -272,7 +389,7 @@ class TestDenseScore:
             cfg = SegmentConfig(max_len=int(rng.integers(8, 64)),
                                 stride=int(rng.integers(4, 8)))
             query_vec = embedder.embed([query])[0]
-            got = dense_score(query_vec, text, embedder, cfg)
+            got = dense_score(unit_query(query_vec), text, embedder, cfg)
             best = -2.0
             for seg in segment(text, cfg):
                 v = embedder.embed([seg])[0]
@@ -283,14 +400,16 @@ class TestDenseScore:
     def test_zero_query_rejected(self):
         embedder = _StubEmbedder({"ab": [1.0, 0.0, 0.0]})
         with pytest.raises(ZeroVector):
-            dense_score(np.zeros(3), "ab", embedder, SegmentConfig())
+            unit_query(np.zeros(3))
+        with pytest.raises(ZeroVector):
+            search("ab", {"c1": "ab"}, scorer="dense", embedder=_StubEmbedder({"ab": [0.0] * 3}))
 
     def test_tail_too_short_to_featurize_is_skipped(self):
         from lexforge.training import ToyEmbedder
         embedder = ToyEmbedder(dim=12, hash_buckets=512, seed=3)
         rng = np.random.default_rng(5)
         text = "".join(rng.choice(list("某盗窃抢劫财物被告人驾驶车辆"), size=2049))
-        query_vec = embedder.embed(["被告人盗窃财物"])[0]
+        query_vec = unit_query(embedder.embed(["被告人盗窃财物"])[0])
         windows = segment(text, SegmentConfig())
         assert [len(w) for w in windows] == [2048, 1]
         assert dense_score(query_vec, text, embedder) == dense_score(
@@ -299,7 +418,7 @@ class TestDenseScore:
     def test_all_windows_zero_rejected(self):
         embedder = _StubEmbedder({"ab": [0.0, 0.0, 0.0], "c": [0.0, 0.0, 0.0]})
         with pytest.raises(ZeroVector, match="all 2 segments"):
-            dense_score(np.ones(3), "abc", embedder, SegmentConfig(max_len=2))
+            dense_score(unit_query(np.ones(3)), "abc", embedder, SegmentConfig(max_len=2))
 
 
 class TestSearch:
