@@ -18,12 +18,13 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from . import augment as augment_mod
-from . import config, evaluation, fileio, retrieval, testkit
+from . import config, evaluation, fileio, retrieval
 from . import querygen as querygen_mod
 from .config import PipelineConfig
 from .corpus import (
     CaseDocument,
     Exclusion,
+    case_text,
     elements_from_record,
     elements_to_record,
     case_to_record,
@@ -148,7 +149,7 @@ def _write_run(path: Path, run: dict[str, list[tuple[str, float]]], scorer: str)
 
 
 def _corpus_texts(docs: dict[str, CaseDocument]) -> dict[str, str]:
-    return {cid: testkit.case_text(doc) for cid, doc in docs.items()}
+    return {cid: case_text(doc) for cid, doc in docs.items()}
 
 
 # --------------------------------------------------------------------------
@@ -156,6 +157,8 @@ def _corpus_texts(docs: dict[str, CaseDocument]) -> dict[str, str]:
 # --------------------------------------------------------------------------
 
 def _cmd_fixtures(args, cfg: PipelineConfig) -> int:
+    from . import testkit
+
     out = Path(args.out)
     spec = config.with_values(testkit.SyntheticSpec, _flags(
         args, "n_cases", "n_rulings", "n_short_facts", charge_count="charges"),
@@ -253,17 +256,15 @@ def _cmd_augment(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args, cfg: PipelineConfig) -> int:
-    from . import training
+def _training_examples(args) -> list:
+    """The pairs of ``--pairs``, with their texts. Only the texts the pairs
+    name outlive the call, so the rest of the corpus is freed before
+    training starts."""
+    from .training import PairExample
 
-    embedder = config.with_values(
-        training.ToyEmbedder, _flags(args, "dim", "hash_buckets"), seed=args.seed)
-    schedule = config.with_values(training.TrainSchedule, _flags(
-        args, "epochs", "batch_size", "learning_rate"), seed=args.seed)
-    loss_cfg = config.with_values(cfg.loss, _flags(args, masking_enabled="no_masking"))
     docs = _load_corpus(Path(args.corpus))
-    queries = {q.query_id: q for q in _load_queries(Path(args.queries))}
-    texts = _corpus_texts(docs)
+    queries = {q.query_id: q.text for q in _load_queries(Path(args.queries))}
+    texts: dict[str, str] = {}
     examples = []
     for lineno, record in fileio.read_jsonl(Path(args.pairs), numbered=True):
         # train reads no kind, but a pair without one is malformed
@@ -273,12 +274,26 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
         if query_id not in queries:
             raise MalformedRecord(f"{where}: field 'query_id': "
                                   f"{query_id!r} not in {args.queries}")
-        if case_id not in texts:
+        if case_id not in docs:
             raise MalformedRecord(f"{where}: field 'positive_case_id': "
                                   f"{case_id!r} not in {args.corpus}")
-        examples.append(training.PairExample(
-            query_text=queries[query_id].text, positive_text=texts[case_id],
+        if case_id not in texts:
+            texts[case_id] = case_text(docs[case_id])
+        examples.append(PairExample(
+            query_text=queries[query_id], positive_text=texts[case_id],
             positive_charges=frozenset(record.get("positive_charges", []))))
+    return examples
+
+
+def _cmd_train(args, cfg: PipelineConfig) -> int:
+    from . import training
+
+    embedder = config.with_values(
+        training.ToyEmbedder, _flags(args, "dim", "hash_buckets"), seed=args.seed)
+    schedule = config.with_values(training.TrainSchedule, _flags(
+        args, "epochs", "batch_size", "learning_rate"), seed=args.seed)
+    loss_cfg = config.with_values(cfg.loss, _flags(args, masking_enabled="no_masking"))
+    examples = _training_examples(args)
     result = training.train_toy(examples, embedder, schedule, loss_cfg)
     training.save_checkpoint(embedder, args.output)
     if args.curve:
@@ -304,6 +319,7 @@ def _cmd_index(args, cfg: PipelineConfig) -> int:
 
 def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | None, *,
                 scorer: str, index: retrieval.Bm25Index | None, pools_path,
+                embedder=None, seg_cfg: retrieval.SegmentConfig = retrieval.SegmentConfig(),
                 **search_opts):
     """Rank each (query id, text) against its pool, or against every text
     when there are no pools.
@@ -314,8 +330,9 @@ def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | No
     candidate is tokenized once per run, into one index over the pools'
     union, and each pool takes its BM25 statistics from that index's subset,
     which equals an index built over the pool alone; ``index``, when given,
-    serves every pool instead. Dense scoring embeds each candidate's windows
-    once per run.
+    serves every pool instead. Dense scoring featurizes the queries in one
+    batch, and segments and embeds each candidate once per run, before the
+    first query; only the candidates' unit windows are kept.
     """
     missing: set[str] = set()
     unpooled = 0
@@ -334,6 +351,10 @@ def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | No
         shared = retrieval.Bm25Index.build(texts if pools is None else {
             cid: text for _, _, pool in ranked for cid, text in pool.items()})
     windows: dict = {}
+    if scorer == retrieval.SCORER_DENSE and embedder is not None:
+        embedder.memoize(text for _, text, _ in ranked)
+        windows = retrieval.unit_windows(
+            (text for _, _, pool in ranked for text in pool.values()), embedder, seg_cfg)
     run: dict[str, list[tuple[str, float]]] = {}
     for query_id, text, pool in ranked:
         if pools is not None and not pool:
@@ -343,6 +364,7 @@ def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | No
         if shared is not None:
             pool_index = shared if pools is None else shared.subset(pool)
         run[query_id] = retrieval.search(text, pool, scorer=scorer, index=pool_index,
+                                         embedder=embedder, seg_cfg=seg_cfg,
                                          windows=windows, **search_opts)
     return run, missing, unpooled
 

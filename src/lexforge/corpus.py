@@ -253,6 +253,12 @@ def case_to_record(doc: CaseDocument) -> dict:
     return record
 
 
+def case_text(doc: CaseDocument) -> str:
+    """Candidate text used for training, indexing and scoring: all three
+    sections."""
+    return "\n".join(part for part in (doc.fact, doc.reason, doc.judgment) if part)
+
+
 def elements_to_record(case_id: str, elements: LegalElements) -> dict:
     return {
         "case_id": case_id,

@@ -21,7 +21,7 @@ import struct
 import sys
 from array import array
 from collections import Counter, defaultdict
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, count
@@ -89,6 +89,7 @@ class Bm25Index:
         self._row_lens = [sum(tfs[offsets[row]:offsets[row + 1]])
                           for row in range(len(doc_ids))]
         self._decoded: dict[int, dict[str, int]] = {}
+        self._is_subset = False
         self._select(doc_ids, range(len(doc_ids)))
 
     def _select(self, doc_ids: list[str], rows: Iterable[int]) -> None:
@@ -105,8 +106,17 @@ class Bm25Index:
     @cached_property
     def doc_freq(self) -> dict[str, int]:
         """The number of the index's documents that hold each term, terms in
-        order of first occurrence; counted over the index's rows on first use."""
+        order of first occurrence; counted over the index's rows on first use.
+
+        A subset counts the terms of its decoded rows, which scoring its
+        pool decodes anyway, so no term id is boxed. An index built or
+        loaded counts its postings, so that scoring a few of its documents
+        decodes only those."""
         doc_freq: Counter = Counter()
+        if self._is_subset:
+            for doc_id in self.doc_ids:
+                doc_freq.update(self.term_freqs(doc_id).keys())
+            return doc_freq
         for row in self._rows.values():
             doc_freq.update(self.term_ids[self.offsets[row]:self.offsets[row + 1]])
         return {self.terms[term_id]: n for term_id, n in doc_freq.items()}
@@ -145,6 +155,7 @@ class Bm25Index:
             raise UnknownDoc(f"doc {exc.args[0]!r} not in index") from None
         subset = copy.copy(self)
         subset._select(ids, rows)
+        subset._is_subset = True
         return subset
 
     def term_freqs(self, doc_id: str) -> dict[str, int]:
@@ -341,6 +352,20 @@ def segment(text: str, cfg: SegmentConfig = SegmentConfig()) -> list[str]:
     return [text[s:s + cfg.max_len] for s in starts]
 
 
+#: Characters of windows per ``embed`` call when :func:`unit_windows` embeds
+#: a run's candidates: the features of one group are held at a time.
+WINDOW_GROUP_CHARS = 1 << 16
+
+
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """The rows of nonzero norm, scaled to unit norm."""
+    import numpy as np
+
+    norms = np.linalg.norm(vectors, axis=1)
+    nonzero = norms != 0.0
+    return vectors[nonzero] / norms[nonzero, None]
+
+
 def _unit_windows(case_text: str, embedder, cfg: SegmentConfig, dim: int) -> np.ndarray:
     """The case's windows, embedded and scaled to unit norm, one per row.
 
@@ -353,11 +378,53 @@ def _unit_windows(case_text: str, embedder, cfg: SegmentConfig, dim: int) -> np.
     vectors = np.asarray(embedder.embed(segments), dtype=np.float64)
     if vectors.shape[1] != dim:
         raise ValueError(f"embedder dimension {vectors.shape[1]} != query dimension {dim}")
-    norms = np.linalg.norm(vectors, axis=1)
-    nonzero = norms != 0.0
-    if not nonzero.any():
+    unit = _unit_rows(vectors)
+    if not len(unit):
         raise ZeroVector(f"all {len(segments)} segments embed to zero norm")
-    return vectors[nonzero] / norms[nonzero, None]
+    return unit
+
+
+def unit_windows(texts: Iterable[str], embedder, cfg: SegmentConfig) -> dict[str, np.ndarray]:
+    """A ``windows`` memo for :func:`dense_score`: each distinct text's
+    :func:`_unit_windows`.
+
+    Each text is segmented once. The windows are embedded in groups of
+    about ``WINDOW_GROUP_CHARS`` characters, one ``embed`` call per group,
+    so only one group's features exist at a time. An empty text, or one
+    whose windows all embed to zero norm, is left out: :func:`dense_score`
+    raises for it when it is scored, as it would without the memo.
+    """
+    import numpy as np
+
+    memo: dict[str, np.ndarray] = {}
+    for group in _window_groups(texts, cfg):
+        vectors = np.asarray(embedder.embed([w for _, segments in group for w in segments]),
+                             dtype=np.float64)
+        row = 0
+        for text, segments in group:
+            unit = _unit_rows(vectors[row:row + len(segments)])
+            row += len(segments)
+            if len(unit):
+                memo[text] = unit
+    return memo
+
+
+def _window_groups(texts: Iterable[str], cfg: SegmentConfig) -> Iterator[list]:
+    """Each distinct nonempty text with its windows, ``(text, windows)``, in
+    lists of at least ``WINDOW_GROUP_CHARS`` window characters (the last
+    list may hold fewer)."""
+    group: list[tuple[str, list[str]]] = []
+    size = 0
+    for text in dict.fromkeys(texts):
+        if text:
+            segments = segment(text, cfg)
+            group.append((text, segments))
+            size += sum(map(len, segments))
+            if size >= WINDOW_GROUP_CHARS:
+                yield group
+                group, size = [], 0
+    if group:
+        yield group
 
 
 def unit_query(query_vec: np.ndarray) -> np.ndarray:
@@ -378,17 +445,17 @@ def dense_score(query_unit: np.ndarray, case_text: str, embedder,
 
     ``query_unit`` comes from :func:`unit_query`, once per query. ``windows``
     memoizes :func:`_unit_windows` by case text. One memo serves one
-    embedder and one ``cfg``: a search run passes the same memo for every
-    query, so each candidate is segmented and embedded once per run.
+    embedder and one ``cfg``: a search run fills it with :func:`unit_windows`
+    and passes it for every query, so each candidate is segmented and
+    embedded once per run.
     """
-    import numpy as np
-
     memo = {} if windows is None else windows
     unit = memo.get(case_text)
     if unit is None:
         unit = memo[case_text] = _unit_windows(case_text, embedder, cfg, query_unit.shape[0])
-    sims = unit @ query_unit
-    return float(np.clip(sims, -1.0, 1.0).max())
+    best = float((unit @ query_unit).max())
+    # clamping the max equals the max of the clamped sims; NaN passes through
+    return -1.0 if best < -1.0 else 1.0 if best > 1.0 else best
 
 
 # --------------------------------------------------------------------------

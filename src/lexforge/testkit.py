@@ -638,8 +638,3 @@ def generate_qrels(build: CorpusBuild, seed: int = 0, *, n_queries: int = 50,
             c: agreement_label(source, elements[c], tolerance) for c in annotated}
 
     return QrelsBuild(sources=sources, pools=pools, labels=labels)
-
-
-def case_text(doc: CaseDocument) -> str:
-    """Candidate text used for indexing and dense scoring: all three sections."""
-    return "\n".join(part for part in (doc.fact, doc.reason, doc.judgment) if part)

@@ -11,7 +11,12 @@ identical to deleting those entries from the negative set.
 The :class:`ToyEmbedder` is a desk-scale trainable encoder (hashed
 character n-grams into a linear map); it exists to exercise the loss,
 masking, batching and end-to-end trend checks, not to stand in for a
-pre-trained model.
+pre-trained model. Its one featurization path, :meth:`ToyEmbedder.featurize`,
+takes a batch of texts in chunks of about ``FEATURIZE_CHUNK`` n-grams. It
+reads each chunk's code points as one integer array, packs every n-gram
+into an int64 key, hashes each distinct n-gram once per batch and finds
+each text's distinct buckets, in order of first occurrence, with one sort.
+The result is bit-identical to hashing the n-grams of one text at a time.
 
 Training works on a compact copy of the weights that holds only the rows
 some training text reaches: embedding, the gradient buffer and Adam's
@@ -26,8 +31,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -133,12 +137,137 @@ def in_batch_loss(sim: np.ndarray, mask: np.ndarray | None = None,
 # Toy embedder: hashed character n-grams through a trainable linear map
 # --------------------------------------------------------------------------
 
+#: N-grams per featurization chunk: a chunk's working arrays take about a
+#: hundred bytes per n-gram, so a batch of any size holds about 2 MiB of
+#: them at a time. A text with more n-grams than this is a chunk of its own.
+FEATURIZE_CHUNK = 1 << 14
+
+#: Bits of a code point in an n-gram key.
+_CP_BITS = 21
+
+#: A key above every real one: a real key is below ``2**42 << 21``. It ends
+#: every table, so a search never runs off the end.
+_KEY_SENTINEL = np.iinfo(np.int64).max
+
+
+class _GramTable:
+    """The distinct n-grams of one length that one featurize call has met.
+
+    ``keys`` is sorted and ends with the sentinel; ``ids`` runs parallel to
+    it, and ``buckets[id]`` is the gram's bucket. A gram's key is
+    ``prefix << 21 | c``, where c is the code point of its last character
+    and the prefix names the others: 0 for a 1-gram, the code point for a
+    2-gram, and the id of that (n - 1)-gram for longer ones. An id is the
+    gram's rank of first sight in its table, so it never changes, and ids
+    stay far below 2**42. A key is therefore exact for any n.
+    """
+
+    def __init__(self):
+        self.keys = np.array([_KEY_SENTINEL])
+        self.ids = np.zeros(1, dtype=np.int64)
+        self.buckets = np.empty(0, dtype=np.int64)
+
+    def lookup(self, keys: np.ndarray, starts: np.ndarray, joined: str, n: int,
+               hash_buckets: int) -> np.ndarray:
+        """The id of each gram; ``starts`` are the grams' offsets in
+        ``joined``. A gram not met before gets the next id, and its bucket,
+        ``crc32 % hash_buckets``, is computed once. Only the distinct keys
+        are searched in the table, in sorted order."""
+        order = keys.argsort()
+        ordered = keys[order]
+        head = np.ones(len(keys), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+        distinct = ordered[head]
+        at = self.keys.searchsorted(distinct)
+        new = self.keys[at] != distinct
+        if new.any():
+            fresh = distinct[new]
+            buckets = [zlib.crc32(joined[s:s + n].encode()) % hash_buckets
+                       for s in starts[order[head][new]].tolist()]
+            slots = self.keys.searchsorted(fresh)
+            self.keys = np.insert(self.keys, slots, fresh)
+            self.ids = np.insert(self.ids, slots, np.arange(len(self.buckets),
+                                                            len(self.buckets) + len(fresh)))
+            self.buckets = np.concatenate([self.buckets, buckets])
+            at = self.keys.searchsorted(distinct)
+        ids = np.empty_like(keys)
+        ids[order] = self.ids[at][np.cumsum(head) - 1]
+        return ids
+
+
+def _gram_buckets(occ_bucket: np.ndarray, joined: str, lens: np.ndarray,
+                  per_n: list[np.ndarray], occ_start: np.ndarray, nmin: int,
+                  tables: list[_GramTable], hash_buckets: int) -> None:
+    """Set ``occ_bucket[i]`` to the bucket of occurrence i among the n-grams
+    of the texts ``joined`` holds back to back, ``lens`` long. Occurrences
+    are numbered text by text, then n from ``nmin`` up, then position.
+    ``per_n`` counts each text's grams of each n, and ``occ_start`` is the
+    number of each text's first one."""
+    cps = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"),
+                        dtype="<u4").astype(np.int64)
+    text_of = np.repeat(np.arange(len(lens)), lens)
+    ends = np.cumsum(lens)
+    room = ends[text_of] - np.arange(len(cps))  # characters left in the text
+    # the n-gram at offset p has occurrence number base[text_of[p]] + p
+    base = occ_start - (ends - lens)
+    starts = np.arange(len(cps))
+    prefix = cps  # a 2-gram's prefix is its first code point
+    for n in range(1, len(tables) + 1):
+        if n == 1:
+            if nmin > 1:
+                continue
+            keys = cps
+        else:
+            keep = room[starts] >= n
+            starts = starts[keep]
+            keys = (prefix[keep] << _CP_BITS) | cps[starts + n - 1]
+        table = tables[n - 1]
+        ids = table.lookup(keys, starts, joined, n, hash_buckets)
+        if n > 1:
+            prefix = ids
+        if n >= nmin:
+            occ_bucket[base[text_of[starts]] + starts] = table.buckets[ids]
+            base = base + per_n[n - nmin]
+
+
+def _bucket_counts(occ_bucket: np.ndarray, per_text: np.ndarray, occ_start: np.ndarray,
+                   hash_buckets: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each text's distinct buckets in order of first occurrence, with
+    ``1 + log(count)``. One sort of ``(text, bucket, occurrence)`` keys puts
+    each text's repeats of a bucket side by side, first occurrence first.
+    The key fits 63 bits: a chunk of several texts holds at most
+    ``FEATURIZE_CHUNK`` grams, and a bucket is below 2**32."""
+    n_grams = len(occ_bucket)
+    occ_bits = n_grams.bit_length()
+    bucket_bits = (min(hash_buckets, 1 << 32) - 1).bit_length()
+    key = np.repeat(np.cumsum(per_text > 0) - 1, per_text)  # among texts with grams
+    key <<= bucket_bits
+    key |= occ_bucket
+    key <<= occ_bits
+    key |= np.arange(n_grams)
+    key.sort()
+    group = key >> occ_bits
+    head = np.ones(n_grams, dtype=bool)
+    np.not_equal(group[1:], group[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    count_at = np.zeros(n_grams, dtype=np.int64)
+    count_at[key[heads] & ((1 << occ_bits) - 1)] = np.diff(heads, append=n_grams)
+    firsts = np.flatnonzero(count_at)  # text by text, in order of first occurrence
+    idx = occ_bucket[firsts]
+    values = 1.0 + np.log(count_at[firsts].astype(np.float64))
+    cuts = np.searchsorted(firsts, occ_start).tolist() + [len(firsts)]
+    # copies, not views: small arrays fill the space the chunk's working
+    # arrays leave free, so a long batch does not fragment the heap
+    return [(idx[a:b].copy(), values[a:b].copy()) for a, b in zip(cuts, cuts[1:])]
+
+
 class ToyEmbedder:
     """Hashed character n-gram featurizer followed by a linear map.
 
     Featurization is deterministic (CRC32 bucket hashing, log-damped
-    counts) and memoized per instance, by text; the only parameters are
-    the ``hash_buckets × dim`` weights, initialized from a seeded uniform
+    counts), batched (:meth:`featurize`) and memoized per instance, by text
+    (:meth:`features`, :meth:`memoize`); the only parameters are the
+    ``hash_buckets × dim`` weights, initialized from a seeded uniform
     distribution unless ``weights`` are given.
     """
 
@@ -163,24 +292,66 @@ class ToyEmbedder:
         self._feature_memo: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def features(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse feature vector of a text: (bucket indices, damped counts)."""
-        cached = self._feature_memo.get(text)
-        if cached is not None:
-            return cached
-        compact = "".join(text.split())
-        grams = [compact[i:i + n] for n in range(self.ngram_min, self.ngram_max + 1)
-                 for i in range(len(compact) - n + 1)]
-        # buckets in order of first occurrence, which fixes the summation
-        # order of values @ weights[idx]
-        counts = Counter([crc % self.hash_buckets
-                          for crc in map(zlib.crc32, map(str.encode, grams))])
-        idx = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-        raw = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-        cached = self._feature_memo[text] = (idx, 1.0 + np.log(raw))
-        return cached
+        """Sparse feature vector of a text: (bucket indices, damped counts),
+        from the memo, which :meth:`memoize` fills on a miss."""
+        if text not in self._feature_memo:
+            self.memoize([text])
+        return self._feature_memo[text]
+
+    def memoize(self, texts: Iterable[str]) -> None:
+        """Featurize the texts not yet in the memo, in one batch, into it."""
+        new = [text for text in dict.fromkeys(texts) if text not in self._feature_memo]
+        self._feature_memo.update(zip(new, self.featurize(new)))
+
+    def featurize(self, texts: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The features of each text, as :meth:`features` gives them.
+
+        A text in the memo is read from it. The others are featurized in one
+        pass, chunk by chunk, and not memoized. Let ``compact`` be the text
+        without whitespace. Its features count the CRC32 buckets of
+        ``compact[i:i + n]`` for each n from ``ngram_min`` to ``ngram_max``
+        and each i, as ``1 + log(count)``. The buckets are listed in order of
+        first occurrence, with n outermost, which fixes the summation order
+        of ``values @ weights[idx]``.
+        """
+        found = [self._feature_memo.get(text) for text in texts]
+        new = list(dict.fromkeys(t for t, f in zip(texts, found) if f is None))
+        computed = dict(zip(new, self._featurize_new(new)))
+        return [computed[t] if f is None else f for t, f in zip(texts, found)]
+
+    def _featurize_new(self, texts: list[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Features of each text, chunk by chunk. The n-gram tables carry
+        over from chunk to chunk, so each distinct n-gram of the call is
+        hashed once; they live only as long as the call."""
+        tables = [_GramTable() for _ in range(self.ngram_max)]
+        chunk: list[str] = []
+        grams = 0
+        for text in texts:
+            compact = "".join(text.split())
+            count = sum(max(0, len(compact) - n + 1)
+                        for n in range(self.ngram_min, self.ngram_max + 1))
+            if chunk and grams + count > FEATURIZE_CHUNK:
+                yield from self._featurize_chunk(chunk, tables)
+                chunk, grams = [], 0
+            chunk.append(compact)
+            grams += count
+        if chunk:
+            yield from self._featurize_chunk(chunk, tables)
+
+    def _featurize_chunk(self, compacts: list[str], tables: list[_GramTable]
+                         ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Features of whitespace-free texts, one chunk of a batch."""
+        lens = np.fromiter(map(len, compacts), dtype=np.int64, count=len(compacts))
+        per_n = [np.maximum(lens - n + 1, 0) for n in range(self.ngram_min, self.ngram_max + 1)]
+        per_text = np.sum(per_n, axis=0)
+        occ_start = np.cumsum(per_text) - per_text
+        occ_bucket = np.empty(int(per_text.sum()), dtype=np.int64)
+        _gram_buckets(occ_bucket, "".join(compacts), lens, per_n, occ_start,
+                      self.ngram_min, tables, self.hash_buckets)
+        return _bucket_counts(occ_bucket, per_text, occ_start, self.hash_buckets)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        return self._embed_features([self.features(text) for text in texts])
+        return self._embed_features(self.featurize(texts))
 
     def _embed_features(self, feats: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """Rows ``values @ weights[idx]`` of already featurized texts."""
@@ -410,9 +581,10 @@ def _compact_trainee(embedder: ToyEmbedder,
     """
     trainee = ToyEmbedder(embedder.dim, embedder.hash_buckets, embedder.ngram_min,
                           embedder.ngram_max, embedder.seed, weights=embedder.weights)
+    trainee.memoize(texts)
     reach = np.zeros(embedder.hash_buckets, dtype=bool)
-    for text in texts:
-        reach[trainee.features(text)[0]] = True
+    for idx, _ in trainee._feature_memo.values():
+        reach[idx] = True
     rows = np.flatnonzero(reach)
     position = np.zeros(embedder.hash_buckets, dtype=np.int64)
     position[rows] = np.arange(len(rows))

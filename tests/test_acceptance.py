@@ -254,7 +254,7 @@ def trend_world():
     build = testkit.generate_corpus(spec)
     elements = build.elements()
     docs = {d.case_id: d for d in build.cases}
-    texts = {cid: testkit.case_text(d) for cid, d in docs.items()}
+    texts = {cid: corpus.case_text(d) for cid, d in docs.items()}
     qrels_build = testkit.generate_qrels(build, seed=TREND_FIXTURE_SEED,
                                          n_queries=50)
     client = querygen.OfflineTemplateClient()
@@ -395,7 +395,7 @@ def test_bm25_sanity(corpus_1000):
             worst = max(worst, abs(got - expected))
             assert abs(got - expected) <= 1e-9
 
-    texts = {d.case_id: testkit.case_text(d) for d in corpus_1000.cases[:200]}
+    texts = {d.case_id: corpus.case_text(d) for d in corpus_1000.cases[:200]}
     first = retrieval.search("被告人盗窃电动车价值人民币", texts, scorer="bm25", k=30)
     second = retrieval.search("被告人盗窃电动车价值人民币", texts, scorer="bm25", k=30)
     report("bm25 sanity", worst <= 1e-9 and first == second,

@@ -492,7 +492,8 @@ def test_cli_import_leaves_requests_out():
 
 def test_numpy_free_stages_leave_numpy_out(workdir, tmp_path):
     """Importing the CLI, evaluating a run, building a BM25 index and BM25
-    search, with or without it, never load numpy."""
+    search, with or without it, never load numpy, nor the fixture generator
+    ``lexforge.testkit``."""
     import os
     import subprocess
     import sys
@@ -505,14 +506,16 @@ def test_numpy_free_stages_leave_numpy_out(workdir, tmp_path):
     bm25_index = [*bm25[:-2], "--index", tmp_path / "bm25.idx",
                   "--output", tmp_path / "run_index.jsonl"]
     code = ("import json, sys, lexforge.cli\n"
-            "loaded = ['numpy' in sys.modules]\n"
+            "def loaded():\n"
+            "    return ['numpy' in sys.modules, 'lexforge.testkit' in sys.modules]\n"
+            "steps = [loaded()]\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert lexforge.cli.main(argv) == 0\n"
-            "    loaded.append('numpy' in sys.modules)\n"
-            "print(loaded)\n")
+            "    steps.append(loaded())\n"
+            "print(steps)\n")
     argvs = json.dumps([[str(a) for a in argv]
                         for argv in (evaluate, bm25, index, bm25_index)])
     src = str(Path(cli.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", code, argvs], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert result.stdout.splitlines()[-1] == "[False, False, False, False, False]"
+    assert result.stdout.splitlines()[-1] == str([[False, False]] * 5)

@@ -397,6 +397,18 @@ class TestDenseScore:
                                        / (np.linalg.norm(v) * np.linalg.norm(query_vec))))
             assert got == pytest.approx(best, abs=1e-12)
 
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_clamped_max_is_the_max_of_the_clipped_sims(self, sims):
+        """``dense_score`` clamps the max of the window cosines; that is the
+        max of the clipped cosines, NaN included."""
+        # a one-column unit matrix against the query [1.0] gives sims exactly
+        unit = np.array(sims).reshape(-1, 1)
+        got = dense_score(np.array([1.0]), "case", None, windows={"case": unit})
+        want = float(np.clip(np.array(sims), -1.0, 1.0).max())
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert isinstance(got, float)
+
     def test_zero_query_rejected(self):
         embedder = _StubEmbedder({"ab": [1.0, 0.0, 0.0]})
         with pytest.raises(ZeroVector):
@@ -552,6 +564,29 @@ class TestSearchRun:
         pools["q2"].append("zero")
         got, want = self._both(texts, queries, pools, scorer="dense", k=5,
                                embedder=embedder, seg_cfg=cfg)
+        assert got == want == (ZeroVector, "all 1 segments embed to zero norm")
+
+    @pytest.mark.parametrize("group_chars", [1, 30, 1 << 16])
+    def test_dense_run_keeps_no_window_features(self, monkeypatch, group_chars):
+        """The windows are embedded in groups and only their unit rows are
+        kept: the embedder's memo ends with the searched queries alone."""
+        from lexforge import retrieval
+        from lexforge.training import ToyEmbedder
+        monkeypatch.setattr(retrieval, "WINDOW_GROUP_CHARS", group_chars)
+        embedder = ToyEmbedder(dim=6, hash_buckets=64, seed=self.EMBEDDER_SEED)
+        cfg = SegmentConfig(max_len=8, stride=4)
+        texts = {f"c{i}": "被告人盗窃财物驾驶车辆" * (i + 1) for i in range(6)}
+        texts["blank"] = " "
+        queries = [("q0", "盗窃财物"), ("q1", "驾驶车辆"), ("q2", "抢劫")]
+        pools = {"q0": sorted(set(texts) - {"blank"}), "q1": ["c1", "c3", "ghost", "c1"]}
+        opts = {"scorer": "dense", "k": 4, "bm25_params": Bm25Params(), "index": None,
+                "embedder": embedder, "seg_cfg": cfg, "pools_path": "pools.jsonl"}
+        run = _search_run(queries, texts, pools, **opts)[0]
+        assert list(embedder._feature_memo) == ["盗窃财物", "驾驶车辆"]
+        assert run == search_oracle(queries, texts, pools, **opts)
+        # a candidate whose windows all embed to zero fails as it does unshared
+        pools["q1"].append("blank")
+        got, want = self._both(texts, queries, pools, **opts)
         assert got == want == (ZeroVector, "all 1 segments embed to zero norm")
 
     def test_each_candidate_work_is_done_once(self, monkeypatch):

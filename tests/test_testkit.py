@@ -7,12 +7,11 @@ import pytest
 
 from oracles import qrels_oracle
 
-from lexforge.corpus import case_to_record, PrisonTerm, TermKind
+from lexforge.corpus import case_text, case_to_record, PrisonTerm, TermKind
 from lexforge.testkit import (
     CHARGE_PROFILES,
     SyntheticSpec,
     agreement_label,
-    case_text,
     generate_corpus,
     generate_qrels,
     terms_match,

@@ -12,6 +12,7 @@ from lexforge import training
 from lexforge.errors import DegenerateRow, InsufficientData, NonFiniteLoss, ZeroVector
 from lexforge.training import (
     ADAM_BLOCK,
+    FEATURIZE_CHUNK,
     Adam,
     LossConfig,
     PairExample,
@@ -272,6 +273,16 @@ class TestToyEmbedder:
         np.testing.assert_array_equal(a[1], b[1])
         assert list(e1._feature_memo) == list(e2._feature_memo) == [text]
 
+    def test_memoized_texts_are_read_from_the_memo(self):
+        embedder = ToyEmbedder(dim=2, hash_buckets=64)
+        first = embedder.features("被告人盗窃")
+        got = embedder.featurize(["财物", "被告人盗窃", "财物"])
+        assert got[1] is first and got[0] is got[2]
+        assert list(embedder._feature_memo) == ["被告人盗窃"]
+        embedder.memoize(["财物", "被告人盗窃", "财物"])
+        assert list(embedder._feature_memo) == ["被告人盗窃", "财物"]
+        assert embedder._feature_memo["被告人盗窃"] is first
+
     def test_module_holds_no_mutable_state(self):
         mutable = (dict, list, set, bytearray, np.ndarray)
         names = [name for name, value in vars(training).items()
@@ -369,6 +380,57 @@ def _toy_pairs(n=60):
             positive_text=f"经审理查明被告人{verbs[charge]}，构成{charge}，判处刑罚第{i}起",
             positive_charges=frozenset({charge})))
     return pairs
+
+
+#: Whitespace, astral-plane characters and a full-width digit among CJK.
+FEATURE_CHARS = "盗窃财物被告人 \n\t0１a\U0001F600\U00020BB7"
+
+
+@st.composite
+def feature_batches(draw):
+    """Texts with whitespace, texts shorter than any n-gram, empty texts and
+    batches, repeated n-grams and the same text twice in one batch."""
+    texts = draw(st.lists(st.text(FEATURE_CHARS, max_size=40), max_size=12))
+    if texts and draw(st.booleans()):
+        texts.insert(draw(st.integers(0, len(texts))), draw(st.sampled_from(texts)))
+    return texts
+
+
+class TestFeaturize:
+    """The batched pass equals the plain per-text loop
+    (``oracles.features_oracle``) bit for bit, buckets in the same order."""
+
+    def _assert_equal_oracle(self, embedder, texts):
+        got = embedder.featurize(texts)
+        assert len(got) == len(texts)
+        for text, (idx, values) in zip(texts, got):
+            want_idx, want_values = features_oracle(
+                text, embedder.hash_buckets, embedder.ngram_min, embedder.ngram_max)
+            assert idx.dtype == np.int64 and values.dtype == np.float64
+            assert np.array_equal(idx, want_idx) and np.array_equal(values, want_values)
+        assert embedder._feature_memo == {}
+
+    @given(feature_batches(), st.sampled_from([(1, 1), (2, 3), (1, 4), (3, 6)]),
+           st.sampled_from([7, 64, 1 << 15]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_plain_loop(self, texts, ngrams, buckets):
+        self._assert_equal_oracle(
+            ToyEmbedder(dim=2, hash_buckets=buckets, ngram_min=ngrams[0],
+                        ngram_max=ngrams[1]), texts)
+
+    @pytest.mark.parametrize("ngrams", [(1, 1), (2, 3), (1, 4)])
+    def test_a_batch_of_many_chunks(self, ngrams):
+        rng = np.random.default_rng(sum(ngrams))
+        chars = list(FEATURE_CHARS)
+        texts = ["".join(rng.choice(chars, size=int(n))) for n in rng.integers(0, 600, 150)]
+        # a text longer than a chunk, and texts met again in later chunks
+        texts += ["".join(rng.choice(chars, size=FEATURIZE_CHUNK + 5))] + texts[:20]
+        grams = sum(max(0, len("".join(t.split())) - n + 1)
+                    for t in texts for n in range(ngrams[0], ngrams[1] + 1))
+        assert grams > 3 * FEATURIZE_CHUNK
+        self._assert_equal_oracle(
+            ToyEmbedder(dim=2, hash_buckets=512, ngram_min=ngrams[0], ngram_max=ngrams[1]),
+            texts)
 
 
 class TestTrainToy:
