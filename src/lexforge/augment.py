@@ -8,19 +8,25 @@ uses augmented positives.
 
 The positive is found per element signature, the ancillary articles and
 prison term that are all the similarity reads: each candidate set is grouped
-by signature once and each group scored once per source signature. The case
-found is the one an exhaustive scan of the candidates picks, with ties broken
-to the smallest case id.
+by signature once, and a search scores each group once per source signature
+from one Jaccard per distinct ancillary set and one term similarity per
+distinct term of the set. The case found is the one an exhaustive scan of
+the candidates picks, with ties broken to the smallest case id.
+
+The similarity of a source ``a`` and a candidate ``b`` is
+``(wa * jaccard(a.ancillary, b.ancillary) + wt * term_similarity(a.term,
+b.term)) / (wa + wt)``, evaluated in that order, so every score is the
+float a per-pair evaluation gives.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .corpus import MONTH_BEARING, LegalElements, PrisonTerm, TermKind
 from .errors import MissingElements, NoMatch
@@ -67,18 +73,18 @@ class ElementIndex:
     case id is added once.
 
     The index also holds the memo behind :func:`find_augmented_positive`,
-    which ``add`` clears: each candidate set grouped by signature, and the
+    which ``add`` clears: each candidate set grouped by signature, with its
+    distinct ancillary-article sets and terms kept once each, and the
     leading candidates per (candidate set, source signature, config).
-    ``signatures`` counts the groups made and ``scores`` the similarity
-    scores computed.
+    ``signatures`` counts the groups made and ``scores`` the group scores
+    computed.
     """
 
     def __init__(self):
         self._buckets: dict[tuple[str, ...], list[IndexEntry]] = {}
         self._by_charge: dict[str, list[IndexEntry]] = {}
-        self._groups: dict[tuple, list[tuple[LegalElements, list[str]]]] = {}
+        self._groups: dict[tuple, _SignatureGroups] = {}
         self._leaders: dict[tuple, list[str]] = {}
-        self.size = 0
         self.signatures = 0
         self.scores = 0
 
@@ -91,7 +97,6 @@ class ElementIndex:
         self._buckets.setdefault(self.key_for(elements.main_articles), []).append(entry)
         for charge in elements.charges:
             self._by_charge.setdefault(charge, []).append(entry)
-        self.size += 1
         self._groups.clear()
         self._leaders.clear()
 
@@ -101,9 +106,6 @@ class ElementIndex:
     def charge_bucket(self, charge: str) -> list[IndexEntry]:
         return self._by_charge.get(charge, [])
 
-    def keys(self) -> list[tuple[str, ...]]:
-        return sorted(self._buckets)
-
     def leaders(self, source: LegalElements, cfg: AugmentConfig) -> list[str]:
         """The (at most) two candidates for ``source`` that come first by
         (-score, case id).
@@ -111,6 +113,11 @@ class ElementIndex:
         The candidates are the source's main-article bucket or, under
         ``shared_charge``, the union of its charge buckets. Only a group's
         two smallest case ids can come first, so a group keeps no others.
+        A group's score sums the weighted Jaccard of its ancillary set and
+        the weighted similarity of its term, each computed once per distinct
+        value, and divides by the weight sum: the per-pair arithmetic.
+        The first two are the smallest ids of the highest score, then, if
+        that level holds one id, the smallest id of the next.
         """
         names = source.charges if cfg.match_mode == "shared_charge" else source.main_articles
         set_key = (cfg.match_mode, self.key_for(names))
@@ -119,28 +126,66 @@ class ElementIndex:
             if set_key not in self._groups:
                 self._groups[set_key] = self._signature_groups(*set_key)
             groups = self._groups[set_key]
-            self.scores += len(groups)
-            first = heapq.nsmallest(2, ((-_score(source, elements, cfg), case_id)
-                                        for elements, ids in groups for case_id in ids))
-            self._leaders[key] = [case_id for _, case_id in first]
+            self.scores += len(groups.ids)
+            wa, wt = cfg.weight_ancillary, cfg.weight_term
+            jw = [wa * _jaccard(source.ancillary_articles, a) for a in groups.ancillary]
+            tw = [wt * term_similarity(source.prison_term, t) for t in groups.terms]
+            total = wa + wt
+            scores = list(map(total.__rtruediv__,
+                              map(add, map(jw.__getitem__, groups.ancillary_of),
+                                  map(tw.__getitem__, groups.term_of))))
+            first: list[str] = []
+            if scores:
+                top = max(scores)
+                first = _level_ids(scores, top, groups.ids)[:2]
+                if len(first) < 2 and len(scores) > 1:
+                    # the top level is one group of one id; scores are >= 0,
+                    # so the next level is the maximum once that group is out
+                    scores[scores.index(top)] = -1.0
+                    first += _level_ids(scores, max(scores), groups.ids)[:1]
+            self._leaders[key] = first
         return self._leaders[key]
 
-    def _signature_groups(self, match_mode: str, names: tuple[str, ...],
-                          ) -> list[tuple[LegalElements, list[str]]]:
-        """One member's elements and the two smallest case ids per signature."""
+    def _signature_groups(self, match_mode: str, names: tuple[str, ...]) -> _SignatureGroups:
+        """The distinct ancillary sets and terms of a candidate set, and per
+        signature their positions and its two smallest case ids."""
         if match_mode == "shared_charge":
             entries = [e for charge in names for e in self.charge_bucket(charge)]
         else:
             entries = self.bucket(names)
-        members: dict[tuple, tuple[LegalElements, set[str]]] = {}
+        members: dict[tuple, set[str]] = {}
         for entry in entries:
-            members.setdefault(_signature(entry.elements),
-                               (entry.elements, set()))[1].add(entry.case_id)
+            members.setdefault(_signature(entry.elements), set()).add(entry.case_id)
         self.signatures += len(members)
-        return [(elements, sorted(ids)[:2]) for elements, ids in members.values()]
+        ancillary: dict[frozenset, int] = {}
+        terms: dict[PrisonTerm, int] = {}
+        ancillary_of = [ancillary.setdefault(articles, len(ancillary)) for articles, _ in members]
+        term_of = [terms.setdefault(term, len(terms)) for _, term in members]
+        return _SignatureGroups(list(ancillary), list(terms), ancillary_of, term_of,
+                                [sorted(ids)[:2] for ids in members.values()])
 
-    def __len__(self) -> int:
-        return self.size
+
+@dataclass(frozen=True)
+class _SignatureGroups:
+    """A candidate set's distinct ancillary-article sets and terms, and per
+    signature group the position of its set and term and its two smallest
+    case ids."""
+
+    ancillary: list[frozenset]
+    terms: list[PrisonTerm]
+    ancillary_of: list[int]
+    term_of: list[int]
+    ids: list[list[str]]
+
+
+def _level_ids(scores: list[float], level: float, ids: list[list[str]]) -> list[str]:
+    """The sorted case ids of the groups whose score is ``level``."""
+    found: list[str] = []
+    at = -1
+    for _ in range(scores.count(level)):
+        at = scores.index(level, at + 1)
+        found += ids[at]
+    return sorted(found)
 
 
 def build_element_index(corpus: Mapping[str, LegalElements]) -> ElementIndex:
@@ -174,16 +219,8 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
 
 
 def _signature(elements: LegalElements) -> tuple:
-    """What :func:`_score` reads of a case."""
+    """What the similarity reads of a case."""
     return elements.ancillary_articles, elements.prison_term
-
-
-def _score(a: LegalElements, b: LegalElements, cfg: AugmentConfig) -> float:
-    """Element similarity in [0, 1]: the weighted mix of ancillary-article
-    Jaccard and term similarity."""
-    total = cfg.weight_ancillary + cfg.weight_term
-    return (cfg.weight_ancillary * _jaccard(a.ancillary_articles, b.ancillary_articles)
-            + cfg.weight_term * term_similarity(a.prison_term, b.prison_term)) / total
 
 
 def find_augmented_positive(source_case_id: str, source: LegalElements,

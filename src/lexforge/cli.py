@@ -67,7 +67,7 @@ def _flags(args, *names: str, **dests: str) -> dict[str, tuple[str, str]]:
 def _parsed(path: Path, parse) -> Iterator:
     """``parse(record)`` for each record of a file; a record it rejects is a
     MalformedRecord naming the file, the line and the reason."""
-    for lineno, record in fileio.read_jsonl(path, numbered=True):
+    for lineno, record in fileio.read_jsonl(path):
         try:
             value = parse(record)
         except KeyError as exc:
@@ -113,7 +113,7 @@ def _id_list(value) -> list:
 
 def _load_qrels(path: Path) -> dict[str, dict[str, int]]:
     qrels: dict[str, dict[str, int]] = {}
-    for lineno, record in fileio.read_jsonl(path, numbered=True):
+    for lineno, record in fileio.read_jsonl(path):
         query_id, case_id, label = _fields(path, lineno, record,
                                            query_id=None, case_id=None, label=int)
         qrels.setdefault(query_id, {})[case_id] = label
@@ -122,7 +122,7 @@ def _load_qrels(path: Path) -> dict[str, dict[str, int]]:
 
 def _load_pools(path: Path) -> dict[str, list[str]]:
     pools = {}
-    for lineno, record in fileio.read_jsonl(path, numbered=True):
+    for lineno, record in fileio.read_jsonl(path):
         query_id, candidate_ids = _fields(path, lineno, record,
                                           query_id=None, candidate_ids=_id_list)
         pools[query_id] = candidate_ids
@@ -131,7 +131,7 @@ def _load_pools(path: Path) -> dict[str, list[str]]:
 
 def _load_run(path: Path) -> dict[str, list[tuple[str, float]]]:
     rows: dict[str, list[tuple[int, str, float]]] = {}
-    for lineno, record in fileio.read_jsonl(path, numbered=True):
+    for lineno, record in fileio.read_jsonl(path):
         query_id, rank, case_id, score = _fields(path, lineno, record, query_id=None,
                                                  rank=int, case_id=None, score=float)
         rows.setdefault(query_id, []).append((rank, case_id, score))
@@ -266,7 +266,7 @@ def _training_examples(args) -> list:
     queries = {q.query_id: q.text for q in _load_queries(Path(args.queries))}
     texts: dict[str, str] = {}
     examples = []
-    for lineno, record in fileio.read_jsonl(Path(args.pairs), numbered=True):
+    for lineno, record in fileio.read_jsonl(Path(args.pairs)):
         # train reads no kind, but a pair without one is malformed
         query_id, case_id, _ = _fields(args.pairs, lineno, record, query_id=None,
                                        positive_case_id=None, kind=None)
@@ -568,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
     except GenerationFailed as exc:
         print(f"remote client failure: {exc}", file=sys.stderr)
         return EXIT_REMOTE
-    except (LexforgeError, FileNotFoundError, KeyError) as exc:
+    except (LexforgeError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

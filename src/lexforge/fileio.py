@@ -16,8 +16,9 @@ from pathlib import Path
 from .errors import MalformedRecord
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write data to path via a temp file in the same directory, renamed over it.
+def atomic_write_bytes(path: str | Path, *chunks) -> None:
+    """Write the chunks, each ``bytes`` or another C-contiguous buffer, in
+    order to path via a temp file in the same directory, renamed over it.
 
     A write that fails leaves any earlier file at path as it was. The file
     gets the mode a plain ``open`` would give it: 0o666 less the umask.
@@ -28,7 +29,8 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -49,9 +51,9 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> int:
     return len(lines)
 
 
-def read_jsonl(path: str | Path, numbered: bool = False) -> Iterator:
-    """Yield one dict per non-empty line, or (line number, dict) pairs when
-    ``numbered``; raises MalformedRecord on bad JSON."""
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, dict) for each non-empty line; raises
+    MalformedRecord, naming the file and the line, on bad JSON."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -63,4 +65,4 @@ def read_jsonl(path: str | Path, numbered: bool = False) -> Iterator:
                 raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
             if not isinstance(record, dict):
                 raise MalformedRecord(f"{path}:{lineno}: expected an object")
-            yield (lineno, record) if numbered else record
+            yield lineno, record

@@ -13,9 +13,10 @@ from __future__ import annotations
 import random
 import re
 import time
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Protocol, runtime_checkable
 
 from .corpus import CaseDocument
@@ -310,8 +311,8 @@ class PatternTagger:
         for m in _LOCATION_RE.finditer(text):
             candidates.append(EntitySpan(m.start(), m.end(), "location"))
         for name in self._person_names(text):
-            for m in re.finditer(re.escape(name), text):
-                candidates.append(EntitySpan(m.start(), m.end(), "person"))
+            for start in _occurrences(name, text):
+                candidates.append(EntitySpan(start, start + len(name), "person"))
         # longest-first sweep keeps spans disjoint
         order = {"time": 0, "company": 1, "location": 2, "person": 3}
         candidates.sort(key=lambda s: (s.start, s.start - s.end, order[s.category]))
@@ -323,34 +324,73 @@ class PatternTagger:
         return chosen
 
 
+def _occurrences(name: str, text: str) -> Iterator[int]:
+    """The start of each literal occurrence of a non-empty ``name`` in
+    ``text``, left to right and non-overlapping: the matches of the escaped
+    name's regex, found without compiling one."""
+    start = text.find(name)
+    while start >= 0:
+        yield start
+        start = text.find(name, start + len(name))
+
+
 # --------------------------------------------------------------------------
 # Anonymization
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ReplacementDictionary:
-    """Surrogate pools keyed by entity category."""
+    """Surrogate pools keyed by entity category.
 
-    pools: dict[str, list[str]]
+    The pools are frozen at construction, into a read-only mapping of
+    tuples, along with the table behind :meth:`draw`: per category, every
+    substring of a pool member and the positions of the members that
+    contain it. A surface that is no member's substring blocks nothing, so
+    the table is sized by the pools (each member's substrings, quadratic in
+    its length), not by the surfaces drawn against.
+    """
+
+    pools: Mapping[str, Sequence[str]]
+    _containing: dict[str, dict[str, list[int]]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pools = {category: tuple(pool) for category, pool in self.pools.items()}
+        containing: dict[str, dict[str, list[int]]] = {}
+        for category, pool in pools.items():
+            table = containing[category] = {}
+            for i, surrogate in enumerate(pool):
+                n = len(surrogate)
+                for sub in {surrogate[a:b] for a in range(n + 1) for b in range(a, n + 1)}:
+                    table.setdefault(sub, []).append(i)
+        object.__setattr__(self, "pools", MappingProxyType(pools))
+        object.__setattr__(self, "_containing", containing)
 
     @classmethod
     def default(cls) -> "ReplacementDictionary":
-        return cls(pools={k: list(v) for k, v in _DEFAULT_POOLS.items()})
+        return cls(pools=_DEFAULT_POOLS)
 
     def draw(self, category: str, rng: random.Random,
              forbidden: frozenset[str]) -> str:
         """A surrogate that contains none of the ``forbidden`` surfaces.
 
         Containment, not equality: a surrogate such as 吴志成 would carry the
-        tagged name 吴志 into the output.
+        tagged name 吴志 into the output. The candidates are the clear pool
+        members in pool order, so ``rng`` sees the same list as a filter
+        that tests every member against every surface.
         """
-        def clear(surrogate: str) -> bool:
-            return not any(surface in surrogate for surface in forbidden)
-
-        candidates = [s for s in self.pools.get(category, []) if clear(s)]
+        pool = self.pools.get(category, ())
+        table = self._containing.get(category, {})
+        blocked: set[int] = set()
+        for surface in forbidden:
+            blocked.update(table.get(surface, ()))
+        candidates = [s for i, s in enumerate(pool) if i not in blocked] if blocked else pool
         if candidates:
             return rng.choice(candidates)
         # pool exhausted by collisions: synthesize a placeholder
+        def clear(surrogate: str) -> bool:
+            return not any(surface in surrogate for surface in forbidden)
+
         base = {"person": "某乙", "company": "某单位", "location": "某地",
                 "time": "某年某月"}.get(category, "某")
         if not clear(base):

@@ -29,6 +29,7 @@ trained rows back once, when the last step is done.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from collections.abc import Iterable, Iterator, Sequence
@@ -372,30 +373,39 @@ def save_checkpoint(embedder: ToyEmbedder, path: str | Path) -> None:
 
     Layout: 8-byte magic ``LXTOYEMB``; ``<IIIIIq`` header holding version,
     hash-bucket count, dimension, ngram_min, ngram_max and the init seed;
-    then hash_buckets × dim float64 weights, row-major, little-endian.
+    then hash_buckets × dim float64 weights, row-major, little-endian. The
+    weights are written from their own buffer when they are already C-order
+    ``<f8``, so saving makes no copy of them.
     """
     header = _CKPT_HEADER.pack(_CKPT_VERSION, embedder.hash_buckets, embedder.dim,
                                embedder.ngram_min, embedder.ngram_max, embedder.seed)
-    payload = embedder.weights.astype("<f8").tobytes(order="C")
-    atomic_write_bytes(path, _CKPT_MAGIC + header + payload)
+    atomic_write_bytes(path, _CKPT_MAGIC + header,
+                       np.ascontiguousarray(embedder.weights, dtype="<f8"))
 
 
 def load_checkpoint(path: str | Path) -> ToyEmbedder:
-    blob = Path(path).read_bytes()
-    if blob[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise BadCheckpoint(f"{path}: bad magic")
-    offset = len(_CKPT_MAGIC)
-    try:
-        version, buckets, dim, nmin, nmax, seed = _CKPT_HEADER.unpack_from(blob, offset)
-    except struct.error as exc:
-        raise BadCheckpoint(f"{path}: truncated header") from exc
-    if version != _CKPT_VERSION:
-        raise BadCheckpoint(f"{path}: unsupported version {version}")
-    body = blob[offset + _CKPT_HEADER.size:]
-    expected = buckets * dim * 8
-    if len(body) != expected:
-        raise BadCheckpoint(f"{path}: expected {expected} weight bytes, got {len(body)}")
-    weights = np.frombuffer(body, dtype="<f8").reshape(buckets, dim).copy()
+    """Read a checkpoint :func:`save_checkpoint` wrote, with the weights read
+    straight into their array. A bad magic, a short header, another version
+    or a weight section of the wrong size is :class:`BadCheckpoint` naming
+    the file."""
+    with open(path, "rb") as fh:
+        head = fh.read(len(_CKPT_MAGIC) + _CKPT_HEADER.size)
+        if head[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
+            raise BadCheckpoint(f"{path}: bad magic")
+        try:
+            version, buckets, dim, nmin, nmax, seed = _CKPT_HEADER.unpack_from(
+                head, len(_CKPT_MAGIC))
+        except struct.error as exc:
+            raise BadCheckpoint(f"{path}: truncated header") from exc
+        if version != _CKPT_VERSION:
+            raise BadCheckpoint(f"{path}: unsupported version {version}")
+        expected = buckets * dim * 8
+        size = os.fstat(fh.fileno()).st_size - len(head)
+        if size == expected:
+            weights = np.empty((buckets, dim), dtype="<f8")
+            size = fh.readinto(weights)
+        if size != expected:
+            raise BadCheckpoint(f"{path}: expected {expected} weight bytes, got {size}")
     return ToyEmbedder(dim=dim, hash_buckets=buckets, ngram_min=nmin, ngram_max=nmax,
                        seed=seed, weights=weights)
 

@@ -8,6 +8,7 @@ code paths under test. Tests compare library output against these.
 from __future__ import annotations
 
 import math
+import re
 
 
 # --- ranking metrics ------------------------------------------------------
@@ -265,10 +266,20 @@ def qrels_oracle(build, seed, n_queries, pool_size=100, annotated_size=30):
 
 # --- augmentation ---------------------------------------------------------
 
+def element_score_oracle(a, b, cfg):
+    """Element similarity of two cases, evaluated per pair: the weighted mix
+    of ancillary-article Jaccard and term similarity. The signature search
+    must reproduce it bit for bit."""
+    from lexforge.augment import _jaccard, term_similarity
+
+    total = cfg.weight_ancillary + cfg.weight_term
+    return (cfg.weight_ancillary * _jaccard(a.ancillary_articles, b.ancillary_articles)
+            + cfg.weight_term * term_similarity(a.prison_term, b.prison_term)) / total
+
+
 def augmented_positive_oracle(source_case_id, source, index, cfg):
     """The linear scan: score every candidate in turn, keep the best score
     and, among equal scores, the smallest case id."""
-    from lexforge.augment import _score
     from lexforge.errors import NoMatch
 
     if cfg.match_mode == "shared_charge":
@@ -287,7 +298,7 @@ def augmented_positive_oracle(source_case_id, source, index, cfg):
     for entry in candidates:
         if entry.case_id == source_case_id:
             continue
-        score = _score(source, entry.elements, cfg)
+        score = element_score_oracle(source, entry.elements, cfg)
         if score > best_score or (score == best_score
                                   and best_id is not None
                                   and entry.case_id < best_id):
@@ -411,3 +422,30 @@ def train_toy_oracle(pairs, embedder, schedule, loss_cfg):
             optimizer.step(embedder.weights, w_grad, lr_at(len(curve), total_steps, schedule))
             curve.append((len(curve), loss))
     return curve
+
+
+# --- anonymization --------------------------------------------------------
+
+def name_starts_oracle(name, text):
+    """Where ``re.finditer`` finds the escaped name: the person-name search
+    the tagger ran before it searched with ``str.find``."""
+    return [m.start() for m in re.finditer(re.escape(name), text)]
+
+
+def surrogate_draw_oracle(pools, category, rng, forbidden):
+    """The plain draw: every pool member tested against every forbidden
+    surface on every draw, then the numbered placeholder."""
+    def clear(surrogate):
+        return not any(surface in surrogate for surface in forbidden)
+
+    candidates = [s for s in pools.get(category, []) if clear(s)]
+    if candidates:
+        return rng.choice(candidates)
+    base = {"person": "某乙", "company": "某单位", "location": "某地",
+            "time": "某年某月"}.get(category, "某")
+    if not clear(base):
+        raise ValueError(f"every {category} placeholder contains a tagged surface")
+    n = 1
+    while not clear(f"{base}{n}"):
+        n += 1
+    return f"{base}{n}"

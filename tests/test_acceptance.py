@@ -26,6 +26,7 @@ from lexforge.seeds import derive_seed
 from oracles import (
     ap_oracle,
     bm25_oracle,
+    element_score_oracle,
     filtered_loss_oracle,
     fd_gradient,
     ndcg_oracle,
@@ -148,11 +149,11 @@ def test_augmentation_exactness(corpus_1000):
             violations += 1
         if positive.main_articles != source.main_articles:
             violations += 1
-        best = augment._score(source, positive, cfg)
+        best = element_score_oracle(source, positive, cfg)
         for entry in index.bucket(source.main_articles):
             if entry.case_id == source_id:
                 continue
-            score = augment._score(source, entry.elements, cfg)
+            score = element_score_oracle(source, entry.elements, cfg)
             if score > best + 1e-12:
                 violations += 1
                 break

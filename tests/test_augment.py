@@ -13,7 +13,6 @@ from lexforge.augment import (
     AugmentConfig,
     PAIR_AUGMENTED,
     PAIR_ORIGINAL,
-    _score,
     build_element_index,
     find_augmented_positive,
     mix_pairs,
@@ -21,7 +20,7 @@ from lexforge.augment import (
 )
 from lexforge.corpus import LegalElements, PrisonTerm, TermKind
 from lexforge.errors import MissingElements, NoMatch
-from oracles import augmented_positive_oracle
+from oracles import augmented_positive_oracle, element_score_oracle
 
 
 def _el(main, ancillary=(), kind=TermKind.FIXED_TERM, months=12, charge="盗窃罪"):
@@ -40,17 +39,20 @@ class _Query:
     source_case_id: str
 
 
+def _bucket_sizes(index):
+    return {key: len(entries) for key, entries in index._buckets.items()}
+
+
 class TestElementIndex:
     def test_bucket_shapes(self):
         corpus = {"c1": _el({"133"}), "c2": _el({"133"}), "c3": _el({"264"})}
         index = build_element_index(corpus)
-        assert len(index.keys()) == 2
+        assert _bucket_sizes(index) == {("133",): 2, ("264",): 1}
         assert [e.case_id for e in index.bucket({"133"})] == ["c1", "c2"]
-        assert len(index) == 3
 
     def test_empty_corpus(self):
         index = build_element_index({})
-        assert index.keys() == [] and len(index) == 0
+        assert _bucket_sizes(index) == {} and index.bucket({"133"}) == []
 
     def test_key_is_order_independent(self):
         corpus = {"c1": _el({"133", "140"})}
@@ -61,7 +63,7 @@ class TestElementIndex:
         elements = small_build.elements()
         index = build_element_index(elements)
         expected = Counter(tuple(sorted(e.main_articles)) for e in elements.values())
-        assert len(index) == sum(expected.values())
+        assert _bucket_sizes(index) == expected
         for key, count in expected.items():
             assert len(index.bucket(key)) == count
 
@@ -92,7 +94,7 @@ class TestTermSimilarity:
 class TestElementSimilarity:
     def test_identity(self):
         a = _el({"133"}, {"67"}, months=36)
-        assert _score(a, a, AugmentConfig()) == 1.0
+        assert element_score_oracle(a, a, AugmentConfig()) == 1.0
 
     def test_hand_case(self):
         # ancillary {67} vs {72}: jaccard 0; same 36-month terms: sim 1;
@@ -100,39 +102,39 @@ class TestElementSimilarity:
         a = _el({"133"}, {"67"}, months=36)
         b = _el({"133"}, {"72"}, months=36)
         expected = (0.5 * 0.0 + 0.5 * math.exp(-0.0 / 24)) / 1.0
-        assert _score(a, b, AugmentConfig()) == pytest.approx(expected) == 0.5
+        assert element_score_oracle(a, b, AugmentConfig()) == pytest.approx(expected) == 0.5
 
     def test_floor(self):
         a = _el({"133"}, {"67"}, kind=TermKind.DEATH)
         b = _el({"133"}, {"72"}, kind=TermKind.FINE_ONLY)
-        assert _score(a, b, AugmentConfig()) == 0.0
+        assert element_score_oracle(a, b, AugmentConfig()) == 0.0
 
     def test_symmetry_and_unit_range(self, small_build):
         elements = small_build.elements()
         index = build_element_index(elements)
-        for key in index.keys()[:4]:
+        for key in sorted(_bucket_sizes(index))[:4]:
             bucket = index.bucket(key)[:8]
             for i, e1 in enumerate(bucket):
                 for e2 in bucket[i:]:
-                    s12 = _score(e1.elements, e2.elements, AugmentConfig())
-                    s21 = _score(e2.elements, e1.elements, AugmentConfig())
+                    s12 = element_score_oracle(e1.elements, e2.elements, AugmentConfig())
+                    s21 = element_score_oracle(e2.elements, e1.elements, AugmentConfig())
                     assert s12 == s21
                     assert 0.0 <= s12 <= 1.0
 
     def test_equals_one_iff_both_match(self):
         a = _el({"133"}, {"67"}, months=36)
         near = _el({"133"}, {"67"}, months=37)
-        assert _score(a, near, AugmentConfig()) < 1.0
+        assert element_score_oracle(a, near, AugmentConfig()) < 1.0
         diff_anc = _el({"133"}, {"68"}, months=36)
-        assert _score(a, diff_anc, AugmentConfig()) < 1.0
+        assert element_score_oracle(a, diff_anc, AugmentConfig()) < 1.0
 
     def test_weights(self):
         a = _el({"133"}, {"67"}, months=36)
         b = _el({"133"}, {"72"}, months=36)
         only_term = AugmentConfig(weight_ancillary=0.0, weight_term=1.0)
-        assert _score(a, b, only_term) == 1.0
+        assert element_score_oracle(a, b, only_term) == 1.0
         only_anc = AugmentConfig(weight_ancillary=1.0, weight_term=0.0)
-        assert _score(a, b, only_anc) == 0.0
+        assert element_score_oracle(a, b, only_anc) == 0.0
 
 
 class TestFindAugmentedPositive:
@@ -169,13 +171,13 @@ class TestFindAugmentedPositive:
         for case_id in sorted(elements)[:60]:
             source = elements[case_id]
             best = find_augmented_positive(case_id, source, index, cfg)
-            best_score = _score(source, elements[best], cfg)
+            best_score = element_score_oracle(source, elements[best], cfg)
             for other_id, other in elements.items():
                 if other_id == case_id:
                     continue
                 if other.main_articles != source.main_articles:
                     continue
-                score = _score(source, other, cfg)
+                score = element_score_oracle(source, other, cfg)
                 assert score <= best_score + 1e-12
                 if score == best_score:
                     assert best <= other_id
@@ -252,6 +254,24 @@ class TestSignatureSearch:
         index = build_element_index(corpus)
         assert [find_augmented_positive(c, corpus[c], index) for c in corpus] == [
             "c2", "c1", "c1", "c1"]
+
+    def test_second_leader_from_the_next_score_level(self):
+        # the top level holds one id, so the second comes from the level
+        # below it, where 6 and 18 months tie and the smaller id wins
+        corpus = {
+            "c5": _el({"133"}, {"67"}, months=12),
+            "c9": _el({"133"}, {"67"}, months=18),
+            "c3": _el({"133"}, {"67"}, months=6),
+            "c1": _el({"133"}, {"67"}, months=36),
+        }
+        index = build_element_index(corpus)
+        assert index.leaders(corpus["c5"], AugmentConfig()) == ["c5", "c3"]
+        assert find_augmented_positive("c5", corpus["c5"], index) == "c3"
+        # a source outside the index: its nearest case leads alone
+        outside = _el({"133"}, {"67"}, months=20)
+        assert index.leaders(outside, AugmentConfig()) == ["c9", "c5"]
+        assert (find_augmented_positive("c0", outside, index)
+                == augmented_positive_oracle("c0", outside, index, AugmentConfig()) == "c9")
 
     def test_index_reused_across_configs(self):
         corpus = {

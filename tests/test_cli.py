@@ -15,6 +15,10 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def _records(path):
+    return [record for _, record in fileio.read_jsonl(path)]
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """A fixture corpus plus every downstream artifact, built once."""
@@ -64,20 +68,20 @@ class TestStageArtifacts:
             assert (workdir / name).exists()
 
     def test_extract_funnel(self, workdir):
-        elements = list(fileio.read_jsonl(workdir / "elements.jsonl"))
-        exclusions = list(fileio.read_jsonl(workdir / "exclusions.jsonl"))
+        elements = _records(workdir / "elements.jsonl")
+        exclusions = _records(workdir / "exclusions.jsonl")
         assert len(elements) == 150
         reasons = sorted(e["reason"] for e in exclusions)
         assert reasons.count("RULING") == 5
         assert reasons.count("SHORT_FACT") == 4
 
     def test_pairs_mix(self, workdir):
-        pairs = list(fileio.read_jsonl(workdir / "pairs.jsonl"))
+        pairs = _records(workdir / "pairs.jsonl")
         assert len(pairs) == 150
         assert sum(1 for p in pairs if p["kind"] == "augmented") == int(0.7 * 150)
 
     def test_run_files_have_ranks(self, workdir):
-        rows = list(fileio.read_jsonl(workdir / "run_bm25.jsonl"))
+        rows = _records(workdir / "run_bm25.jsonl")
         assert {r["scorer"] for r in rows} == {"bm25"}
         by_query = {}
         for row in rows:
@@ -113,19 +117,19 @@ class TestIndexSummary:
 
 class TestTenQueryAugment:
     def test_seven_of_ten_augmented(self, workdir, tmp_path):
-        queries = list(fileio.read_jsonl(workdir / "queries.jsonl"))[:10]
+        queries = _records(workdir / "queries.jsonl")[:10]
         subset = tmp_path / "q10.jsonl"
         fileio.write_jsonl(subset, queries)
         out = tmp_path / "pairs10.jsonl"
         assert run_cli("augment", "--queries", subset,
                        "--elements", workdir / "elements.jsonl",
                        "--output", out, "--proportion", 0.7, "--seed", 3) == 0
-        pairs = list(fileio.read_jsonl(out))
+        pairs = _records(out)
         assert len(pairs) == 10
         assert sum(1 for p in pairs if p["kind"] == "augmented") == 7
 
     def test_summary_counts_signatures_and_scores(self, workdir, tmp_path, capsys):
-        queries = list(fileio.read_jsonl(workdir / "queries.jsonl"))[:10]
+        queries = _records(workdir / "queries.jsonl")[:10]
         subset = tmp_path / "q10.jsonl"
         fileio.write_jsonl(subset, queries)
         assert run_cli("augment", "--queries", subset,
@@ -138,7 +142,7 @@ class TestTenQueryAugment:
 
 class TestSearchSummary:
     def test_counts_skipped_pool_ids_and_queries(self, workdir, tmp_path, capsys):
-        pools = list(fileio.read_jsonl(workdir / "pools.jsonl"))
+        pools = _records(workdir / "pools.jsonl")
         pools[0]["candidate_ids"] += ["ghost-1", "ghost-2", "ghost-1"]
         pools[1]["candidate_ids"].append("ghost-1")
         dropped = pools.pop()
@@ -151,14 +155,14 @@ class TestSearchSummary:
         assert capsys.readouterr().out == (
             f"search: {len(pools)} queries, top-30 by bm25; "
             "2 pool ids not in corpus, 1 queries without a pool\n")
-        run = list(fileio.read_jsonl(out))
+        run = _records(out)
         assert dropped["query_id"] not in {r["query_id"] for r in run}
         assert not {"ghost-1", "ghost-2"} & {r["case_id"] for r in run}
 
 
 class TestIdentityRunEval:
     def test_ideal_ordering_scores_one(self, workdir, tmp_path):
-        qrels_rows = list(fileio.read_jsonl(workdir / "qrels.jsonl"))
+        qrels_rows = _records(workdir / "qrels.jsonl")
         by_query = {}
         for row in qrels_rows:
             by_query.setdefault(row["query_id"], {})[row["case_id"]] = row["label"]
@@ -228,7 +232,7 @@ class TestIngest:
         fileio.write_jsonl(raw, [{"id": 7, "kind": "ruling", "fact": "经审理查明"}])
         out = tmp_path / "corpus.jsonl"
         assert run_cli("ingest", "--input", raw, "--output", out) == 0
-        assert list(fileio.read_jsonl(out)) == [
+        assert _records(out) == [
             {"case_id": "7", "doc_kind": "ruling", "fact": "经审理查明",
              "reason": "", "judgment": ""}]
 
@@ -248,6 +252,16 @@ class TestExitCodes:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run_cli("extract", "--corpus", tmp_path / "nope.jsonl",
                        "--elements", tmp_path / "el.jsonl") == 2
+
+    def test_a_key_error_is_a_bug_not_a_data_error(self, workdir, tmp_path, monkeypatch):
+        # every loader names the file and line of a missing field itself
+        def lookup_fails(*args, **kwargs):
+            raise KeyError("q-1")
+
+        monkeypatch.setattr(cli.evaluation, "evaluate_run", lookup_fails)
+        with pytest.raises(KeyError):
+            run_cli("eval", "--run", workdir / "run_bm25.jsonl",
+                    "--qrels", workdir / "qrels.jsonl", "--output", tmp_path / "m.json")
 
     def _data_error(self, capsys, *argv):
         assert run_cli(*argv) == cli.EXIT_DATA
@@ -275,7 +289,7 @@ class TestExitCodes:
         assert not (tmp_path / "t.ckpt").exists()
 
     def test_term_phrase_in_elements_is_data_error(self, workdir, tmp_path, capsys):
-        records = list(fileio.read_jsonl(workdir / "elements.jsonl"))
+        records = _records(workdir / "elements.jsonl")
         records[0]["term"] = "有期徒刑三年"
         elements = tmp_path / "elements.jsonl"
         fileio.write_jsonl(elements, records)
@@ -284,10 +298,10 @@ class TestExitCodes:
         assert "term must be a mapping, not str" in err
 
     def test_query_without_elements_is_data_error(self, workdir, tmp_path, capsys):
-        records = list(fileio.read_jsonl(workdir / "elements.jsonl"))
+        records = _records(workdir / "elements.jsonl")
         elements = tmp_path / "elements.jsonl"
         fileio.write_jsonl(elements, records[1:])
-        queries = [q for q in fileio.read_jsonl(workdir / "queries.jsonl")
+        queries = [q for q in _records(workdir / "queries.jsonl")
                    if q["source_case_id"] == records[0]["case_id"]]
         err = self._data_error(capsys, "augment", "--queries", workdir / "queries.jsonl",
                                "--elements", elements, "--output", tmp_path / "p.jsonl")
@@ -318,7 +332,7 @@ class TestExitCodes:
         assert err == f"data error: {pools}:1: {expected}\n"
 
     def test_pool_with_no_corpus_id_is_data_error(self, workdir, tmp_path, capsys):
-        query_id = next(fileio.read_jsonl(workdir / "eval_queries.jsonl"))["query_id"]
+        query_id = _records(workdir / "eval_queries.jsonl")[0]["query_id"]
         pools = tmp_path / "pools.jsonl"
         fileio.write_jsonl(pools, [{"query_id": query_id,
                                     "candidate_ids": ["ghost-a", "ghost-b"]}])
@@ -333,7 +347,7 @@ class TestExitCodes:
         ("query_id", "queries.jsonl"), ("positive_case_id", "corpus.jsonl")])
     def test_pair_id_not_in_inputs_is_data_error(self, workdir, tmp_path, capsys,
                                                  field, source):
-        records = list(fileio.read_jsonl(workdir / "pairs.jsonl"))
+        records = _records(workdir / "pairs.jsonl")
         records[2][field] = "ghost-1"
         pairs = tmp_path / "pairs.jsonl"
         fileio.write_jsonl(pairs, records)
@@ -365,7 +379,7 @@ class TestExitCodes:
              "pairs-query_id", "pairs-positive_case_id", "pairs-kind"])
     def test_record_missing_a_field_names_file_and_line(self, workdir, tmp_path, capsys,
                                                         name, field, reason, argv):
-        records = list(fileio.read_jsonl(workdir / name))
+        records = _records(workdir / name)
         del records[1][field]
         bad = tmp_path / name
         fileio.write_jsonl(bad, records)
@@ -422,7 +436,7 @@ class TestExitCodes:
                        "--queries", workdir / "queries.jsonl",
                        "--elements", workdir / "elements.jsonl",
                        "--output", out, "--seed", 2) == 0
-        pairs = list(fileio.read_jsonl(out))
+        pairs = _records(out)
         assert sum(1 for p in pairs if p["kind"] == "augmented") == int(0.2 * 150)
 
 
@@ -491,12 +505,18 @@ def test_cli_import_leaves_requests_out():
 
 
 def test_numpy_free_stages_leave_numpy_out(workdir, tmp_path):
-    """Importing the CLI, evaluating a run, building a BM25 index and BM25
-    search, with or without it, never load numpy, nor the fixture generator
-    ``lexforge.testkit``."""
+    """Importing the CLI, synthesizing queries, mixing pairs, evaluating a
+    run, building a BM25 index and BM25 search, with or without it, never
+    load numpy, nor the fixture generator ``lexforge.testkit``."""
     import os
     import subprocess
     import sys
+    synthesize = ["synthesize", "--corpus", workdir / "corpus.jsonl",
+                  "--elements", workdir / "elements.jsonl",
+                  "--output", tmp_path / "queries.jsonl", "--seed", 11]
+    augment = ["augment", "--queries", tmp_path / "queries.jsonl",
+               "--elements", workdir / "elements.jsonl",
+               "--output", tmp_path / "pairs.jsonl", "--seed", 11]
     evaluate = ["eval", "--run", workdir / "run_bm25.jsonl", "--qrels", workdir / "qrels.jsonl",
                 "--output", tmp_path / "m.json"]
     bm25 = ["search", "--queries", workdir / "eval_queries.jsonl",
@@ -514,8 +534,9 @@ def test_numpy_free_stages_leave_numpy_out(workdir, tmp_path):
             "    steps.append(loaded())\n"
             "print(steps)\n")
     argvs = json.dumps([[str(a) for a in argv]
-                        for argv in (evaluate, bm25, index, bm25_index)])
+                        for argv in (synthesize, augment, evaluate, bm25, index,
+                                     bm25_index)])
     src = str(Path(cli.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", code, argvs], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert result.stdout.splitlines()[-1] == str([[False, False]] * 5)
+    assert result.stdout.splitlines()[-1] == str([[False, False]] * 7)

@@ -1,5 +1,7 @@
 """Prompt assembly, generation clients, tagging and anonymization."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from lexforge.querygen import (
     QueryRecord,
     RemoteGenerationClient,
     ReplacementDictionary,
+    _occurrences,
     anonymize,
     assemble_prompt,
     generate_query,
@@ -23,6 +26,7 @@ from lexforge.querygen import (
     truncate_at_sentence,
 )
 from lexforge.seeds import derive_seed
+from oracles import name_starts_oracle, surrogate_draw_oracle
 
 
 def _pool(n):
@@ -309,6 +313,44 @@ class TestAnonymize:
         with pytest.raises(ValueError, match="every person placeholder"):
             empty.draw("person", None, frozenset({"某乙"}))
 
+    @given(st.dictionaries(st.sampled_from(["person", "time"]),
+                           st.lists(st.text(alphabet="吴志成周建国某乙1", min_size=1, max_size=4),
+                                    max_size=8)),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_draw_equals_the_plain_filter(self, pools, data):
+        replacements = ReplacementDictionary(pools=pools)
+        members = [s for pool in pools.values() for s in pool]
+        # several draws on one dictionary, as anonymize makes them
+        for _ in range(3):
+            category = data.draw(st.sampled_from(["person", "time", "company"]))
+            cuts = st.sampled_from(members).flatmap(
+                lambda s: st.tuples(st.just(s), st.integers(0, len(s)), st.integers(0, len(s)))
+            ).map(lambda c: c[0][min(c[1:]):max(c[1:])]) if members else st.nothing()
+            forbidden = data.draw(st.frozensets(
+                st.one_of(cuts, st.text(alphabet="吴志成周建国某乙12", max_size=3)), max_size=5))
+            seed = data.draw(st.integers(0, 2 ** 32))
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            try:
+                got = replacements.draw(category, got_rng, forbidden)
+            except ValueError as exc:
+                got = str(exc)
+            try:
+                want = surrogate_draw_oracle(pools, category, want_rng, forbidden)
+            except ValueError as exc:
+                want = str(exc)
+            assert got == want
+            assert got_rng.getstate() == want_rng.getstate()
+
+    def test_pools_are_frozen(self):
+        given_pool = ["吴志成", "周建国"]
+        replacements = ReplacementDictionary(pools={"person": given_pool})
+        given_pool[:] = ["吴志"]
+        assert replacements.pools["person"] == ("吴志成", "周建国")
+        with pytest.raises(TypeError):
+            replacements.pools["person"] = ("吴志",)
+        assert replacements.draw("person", random.Random(0), frozenset({"吴志"})) == "周建国"
+
     def test_no_tagged_surface_survives(self, small_build):
         for doc in small_build.cases[:60]:
             spans = self.tagger.tag(doc.fact)
@@ -338,6 +380,20 @@ class TestPatternTagger:
             assert 0 <= span.start < span.end <= len(text)
             assert span.start >= last_end
             last_end = span.end
+
+
+    @given(st.text(alphabet="某王.*+?[]()|\\^$", min_size=1, max_size=4),
+           st.text(alphabet="某王.*+?[]()|\\^$a", max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_name_search_equals_the_regex(self, name, text):
+        assert list(_occurrences(name, text)) == name_starts_oracle(name, text)
+
+    def test_overlapping_repeats_are_found_left_to_right(self):
+        assert list(_occurrences("某某", "某某某")) == name_starts_oracle("某某", "某某某") == [0]
+        assert list(_occurrences("某某", "某某某某某")) == [0, 2]
+        spans = PatternTagger(extra_names=["某某", "王.(某"]).tag("某某某在王.(某家，王x(某")
+        assert [(s.start, s.end, s.category) for s in spans] == [
+            (0, 2, "person"), (4, 8, "person")]
 
 
 class TestTruncation:

@@ -336,6 +336,43 @@ class TestToyEmbedder:
         with pytest.raises(ValueError, match=r"shape \(4, 3\) for 3 buckets"):
             ToyEmbedder(dim=3, hash_buckets=3, weights=weights)
 
+    @pytest.mark.parametrize("cut,reason", [
+        (lambda b: b"NOTMAGIC" + b[8:], "bad magic"),
+        (lambda b: b[:3], "bad magic"),
+        (lambda b: b[:20], "truncated header"),
+        (lambda b: b[:8] + (2).to_bytes(4, "little") + b[12:], "unsupported version 2"),
+        (lambda b: b[:-1], "expected 1024 weight bytes, got 1023"),
+        (lambda b: b + b"\0" * 8, "expected 1024 weight bytes, got 1032"),
+    ])
+    def test_checkpoint_failure_names_the_file_and_reason(self, tmp_path, cut, reason):
+        from lexforge.errors import BadCheckpoint
+        path = tmp_path / "toy.ckpt"
+        save_checkpoint(ToyEmbedder(dim=4, hash_buckets=32, seed=1), path)
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(BadCheckpoint) as raised:
+            load_checkpoint(path)
+        assert str(raised.value) == f"{path}: {reason}"
+
+    def test_checkpoint_io_holds_one_copy_of_the_weights(self, tmp_path):
+        import tracemalloc
+        embedder = ToyEmbedder(dim=32, hash_buckets=1 << 12, seed=4)
+        path = tmp_path / "toy.ckpt"
+        size = embedder.weights.nbytes
+        tracemalloc.start()
+        try:
+            save_checkpoint(embedder, path)
+            saved = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_checkpoint(path)
+            read = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # saving allocates no weight-sized buffer; loading only the array itself
+        assert saved < size // 4 and read < size + size // 4
+        np.testing.assert_array_equal(loaded.weights, embedder.weights)
+        assert loaded.weights.flags.c_contiguous and loaded.weights.flags.writeable
+
     def test_checkpoint_rejects_corruption(self, tmp_path):
         from lexforge.errors import BadCheckpoint
         path = tmp_path / "bad.ckpt"
