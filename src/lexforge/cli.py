@@ -1,17 +1,16 @@
 """Command-line pipeline driver.
 
-One subcommand per stage: fixtures -> ingest -> extract -> synthesize ->
-augment -> train -> index -> search -> eval -> report. Every
-stage reads and writes only the documented files (line-delimited JSON, a
-binary checkpoint and a binary BM25 index), writes outputs atomically, and
-is re-runnable. Exit codes: 0 success, 1 usage, 2 data error, 3
-remote-client failure.
+One subcommand per stage: fixtures -> extract -> synthesize -> augment ->
+train -> index -> search -> eval -> report. Every stage reads and writes
+only the documented files (line-delimited JSON, a binary checkpoint and a
+binary BM25 index), writes outputs atomically, and is re-runnable. Exit
+codes: 0 success, 1 usage, 2 data error, 3 remote-client failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
+import functools
 import json
 import sys
 from collections.abc import Iterator
@@ -190,13 +189,6 @@ def _cmd_fixtures(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_ingest(args, cfg: PipelineConfig) -> int:
-    docs = list(_parsed(Path(args.input), parse_case))
-    fileio.write_jsonl(Path(args.output), (case_to_record(d) for d in docs))
-    print(f"ingest: {len(docs)} records -> {args.output}")
-    return EXIT_OK
-
-
 def _cmd_extract(args, cfg: PipelineConfig) -> int:
     docs = _load_corpus(Path(args.corpus))
     exclusions: list[Exclusion] = []
@@ -317,22 +309,17 @@ def _cmd_index(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | None, *,
-                scorer: str, index: retrieval.Bm25Index | None, pools_path,
-                embedder=None, seg_cfg: retrieval.SegmentConfig = retrieval.SegmentConfig(),
-                **search_opts):
+def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | None,
+                scorer_for, *, k: int, pools_path):
     """Rank each (query id, text) against its pool, or against every text
-    when there are no pools.
+    when there are no pools, with one scorer for the whole run.
 
-    Returns the run, the pool ids not in ``texts`` and the number of queries
-    without a pool; both kinds are skipped. A pool with no id in ``texts``
-    is an :class:`EmptyCorpus` naming the query and ``pools_path``. Each
-    candidate is tokenized once per run, into one index over the pools'
-    union, and each pool takes its BM25 statistics from that index's subset,
-    which equals an index built over the pool alone; ``index``, when given,
-    serves every pool instead. Dense scoring featurizes the queries in one
-    batch, and segments and embeds each candidate once per run, before the
-    first query; only the candidates' unit windows are kept.
+    ``scorer_for`` builds the scorer from the run's (query text, pool)
+    pairs, before the first query, so that it does each candidate's work
+    once per run. Returns the run, the scorer, the pool ids not in ``texts``
+    and the number of queries without a pool; both kinds are skipped. A
+    pool with no id in ``texts`` is an :class:`EmptyCorpus` naming the query
+    and ``pools_path``.
     """
     missing: set[str] = set()
     unpooled = 0
@@ -346,54 +333,41 @@ def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | No
             missing.update(cid for cid in pools[query_id] if cid not in texts)
             ranked.append((query_id, text, {cid: texts[cid] for cid in pools[query_id]
                                             if cid in texts}))
-    shared = None
-    if scorer == retrieval.SCORER_BM25 and index is None and ranked:
-        shared = retrieval.Bm25Index.build(texts if pools is None else {
-            cid: text for _, _, pool in ranked for cid, text in pool.items()})
-    windows: dict = {}
-    if scorer == retrieval.SCORER_DENSE and embedder is not None:
-        embedder.memoize(text for _, text, _ in ranked)
-        windows = retrieval.unit_windows(
-            (text for _, _, pool in ranked for text in pool.values()), embedder, seg_cfg)
+    scorer = scorer_for([(text, pool) for _, text, pool in ranked])
     run: dict[str, list[tuple[str, float]]] = {}
     for query_id, text, pool in ranked:
         if pools is not None and not pool:
             raise EmptyCorpus(f"{pools_path}: none of the {len(pools[query_id])} "
                               f"pool ids of query {query_id!r} is in the corpus")
-        pool_index = index
-        if shared is not None:
-            pool_index = shared if pools is None else shared.subset(pool)
-        run[query_id] = retrieval.search(text, pool, scorer=scorer, index=pool_index,
-                                         embedder=embedder, seg_cfg=seg_cfg,
-                                         windows=windows, **search_opts)
-    return run, missing, unpooled
+        run[query_id] = retrieval.search(text, pool, scorer, k)
+    return run, scorer, missing, unpooled
 
 
 def _cmd_search(args, cfg: PipelineConfig) -> int:
-    params = inspect.signature(retrieval.search).parameters
-    opts = ({name: params[name].default for name in ("scorer", "k")}
-            | config.parse(retrieval.search, _flags(args, "scorer", "k")))
-    if opts["k"] < 1:
+    k = config.parse(retrieval.search, _flags(args, "k")).get("k", retrieval.DEFAULT_K)
+    if k < 1:
         raise UsageError(f"--k = {args.k!r}: k must be >= 1")
+    if args.scorer == "dense" and not args.checkpoint:
+        raise UsageError("dense scoring needs --checkpoint")
     docs = _load_corpus(Path(args.corpus))
     texts = _corpus_texts(docs)
     queries = _load_queries(Path(args.queries))
     pools = _load_pools(Path(args.pools)) if args.pools else None
-    index = retrieval.Bm25Index.load(Path(args.index)) if args.index else None
-    embedder = None
-    if args.checkpoint:
+    if args.scorer == "dense":
         from . import training
 
-        embedder = training.load_checkpoint(args.checkpoint)
-    if opts["scorer"] == "dense" and embedder is None:
-        raise UsageError("dense scoring needs --checkpoint")
+        scorer_for = functools.partial(
+            retrieval.DenseScorer, embedder=training.load_checkpoint(args.checkpoint),
+            seg_cfg=cfg.segment)
+    else:
+        index = retrieval.Bm25Index.load(Path(args.index)) if args.index else None
+        scorer_for = functools.partial(retrieval.Bm25Scorer, params=cfg.bm25, index=index)
 
-    run, missing, unpooled = _search_run(
-        ((q.query_id, q.text) for q in queries), texts, pools, index=index,
-        pools_path=args.pools, **opts,
-        bm25_params=cfg.bm25, embedder=embedder, seg_cfg=cfg.segment)
-    _write_run(Path(args.output), run, opts["scorer"])
-    print(f"search: {len(run)} queries, top-{opts['k']} by {opts['scorer']}; "
+    run, scorer, missing, unpooled = _search_run(
+        ((q.query_id, q.text) for q in queries), texts, pools, scorer_for,
+        k=k, pools_path=args.pools)
+    _write_run(Path(args.output), run, args.scorer)
+    print(f"search: {len(run)} queries, top-{k} by {scorer.label}; "
           f"{len(missing)} pool ids not in corpus, {unpooled} queries without a pool")
     return EXIT_OK
 
@@ -479,11 +453,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-short-facts")
     p.set_defaults(func=_cmd_fixtures)
 
-    p = sub.add_parser("ingest", help="parse and normalize raw case records")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=_cmd_ingest)
-
     p = sub.add_parser("extract", help="filter the corpus and extract elements")
     p.add_argument("--corpus", required=True)
     p.add_argument("--elements", required=True)
@@ -531,7 +500,7 @@ def build_parser() -> _Parser:
     p.add_argument("--queries", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--pools")
-    p.add_argument("--scorer", choices=["bm25", "dense"])
+    p.add_argument("--scorer", choices=["bm25", "dense"], default="bm25")
     p.add_argument("--index")
     p.add_argument("--checkpoint")
     p.add_argument("--k")

@@ -94,15 +94,16 @@ def select_exemplars(tpl: PromptTemplate, seed: int) -> list[int]:
     return sorted(rng.sample(range(len(tpl.exemplars)), tpl.exemplars_per_prompt))
 
 
-def assemble_prompt(fact: str, tpl: PromptTemplate, seed: int) -> list[Message]:
-    """Build the message list: system, instruction, exemplar pairs, then the fact."""
+def assemble_prompt(fact: str, tpl: PromptTemplate, exemplar_ids: list[int]) -> list[Message]:
+    """Build the message list: system, instruction, the exemplar pairs at
+    ``exemplar_ids`` (from :func:`select_exemplars`), then the fact."""
     if not fact:
         raise ValueError("fact must be non-empty")
     messages: list[Message] = [
         {"role": "system", "content": tpl.system_text},
         {"role": "user", "content": tpl.instruction_text},
     ]
-    for idx in select_exemplars(tpl, seed):
+    for idx in exemplar_ids:
         exemplar_fact, exemplar_query = tpl.exemplars[idx]
         messages.append({"role": "user", "content": exemplar_fact})
         messages.append({"role": "assistant", "content": exemplar_query})
@@ -572,9 +573,8 @@ def generate_query(doc: CaseDocument, client: GenerationClient,
     tagger = tagger or PatternTagger()
     replacements = replacements or ReplacementDictionary.default()
 
-    exemplar_seed = derive_seed(seed, "exemplars")
-    messages = assemble_prompt(doc.fact, tpl, exemplar_seed)
-    exemplar_ids = select_exemplars(tpl, exemplar_seed)
+    exemplar_ids = select_exemplars(tpl, derive_seed(seed, "exemplars"))
+    messages = assemble_prompt(doc.fact, tpl, exemplar_ids)
 
     text = ""
     for _ in range(max_attempts):

@@ -3,13 +3,19 @@
 Two scorers over a candidate pool: a BM25 lexical baseline with a pluggable
 tokenizer (overlapping character bigrams by default, which needs no word
 segmentation), and dense scoring that splits long candidates into windows,
-scores each window against the query and keeps the maximum. Pools in the
-target benchmarks are around a hundred candidates per query, so scoring is
-exhaustive by design. A run over many pools shares per-candidate work: one
-index tokenizes each candidate once (:meth:`Bm25Index.subset` gives each
-pool its own statistics), and a window memo embeds each candidate once.
-An index stores each distinct term once and its postings in flat arrays, in
-memory and on disk alike. Only the dense path imports numpy.
+scores each window against the query and keeps the maximum (MaxP). Pools in
+the target benchmarks are around a hundred candidates per query, so scoring
+is exhaustive by design, and :func:`search` only ranks what a scorer gives.
+
+A search run builds one scorer and shares each candidate's work across its
+pools. :class:`Bm25Scorer` has one of two scopes for the collection
+statistics: ``corpus``, from a corpus index such as a saved one, or
+``pool``, where one index over the union of the run's pools tokenizes each
+candidate once and each pool takes exact statistics from its
+:meth:`Bm25Index.subset`. :class:`DenseScorer` embeds each candidate's
+windows once and keeps their unit rows. An index stores each distinct term
+once and its postings in flat arrays, in memory and on disk alike. Only the
+dense scorer imports numpy.
 """
 
 from __future__ import annotations
@@ -312,6 +318,43 @@ def bm25_score(query_tokens: Sequence[str], doc_id: str, index: Bm25Index,
     return score
 
 
+class Bm25Scorer:
+    """BM25 over one index and one :class:`Bm25Params`, built once per run.
+
+    The scope says where a pool's idf and mean document length come from.
+    With ``index`` given (a corpus index, such as ``search --index`` loads)
+    the scope is ``corpus``: every pool takes them from the indexed corpus.
+    Without one it is ``pool``: the scorer builds one index over the union
+    of the run's pools, so each candidate is tokenized once per run, and
+    scores each pool with that index's :meth:`Bm25Index.subset`, whose
+    statistics equal an index built over the pool alone. ``run`` holds the
+    run's (query, pool) pairs; only pool scope reads it.
+    """
+
+    def __init__(self, run: Iterable[tuple[str, Mapping[str, str]]],
+                 params: Bm25Params = Bm25Params(), index: Bm25Index | None = None):
+        self.params = params
+        self.scope = "pool" if index is None else "corpus"
+        if index is None:
+            index = Bm25Index.build({cid: text for _, pool in run for cid, text in pool.items()})
+        self.index = index
+        self.label = f"bm25 ({self.scope} statistics)"
+
+    def __str__(self) -> str:
+        """The name ``search --scorer`` gives and the run rows record."""
+        return "bm25"
+
+    def score(self, query: str, pool: Mapping[str, str]) -> list[tuple[str, float]]:
+        """Each candidate of the pool with its score, in pool order."""
+        index = self.index
+        # a pool that is not the whole union takes its own statistics
+        if self.scope == "pool" and len(pool) < index.n_docs:
+            index = index.subset(pool)
+        query_tokens = index.tokenizer(query)
+        return [(case_id, bm25_score(query_tokens, case_id, index, self.params))
+                for case_id in pool]
+
+
 # --------------------------------------------------------------------------
 # Segment-and-max dense scoring
 # --------------------------------------------------------------------------
@@ -352,61 +395,9 @@ def segment(text: str, cfg: SegmentConfig = SegmentConfig()) -> list[str]:
     return [text[s:s + cfg.max_len] for s in starts]
 
 
-#: Characters of windows per ``embed`` call when :func:`unit_windows` embeds
-#: a run's candidates: the features of one group are held at a time.
+#: Characters of windows per ``embed`` call when a :class:`DenseScorer`
+#: embeds a run's candidates: the features of one group are held at a time.
 WINDOW_GROUP_CHARS = 1 << 16
-
-
-def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    """The rows of nonzero norm, scaled to unit norm."""
-    import numpy as np
-
-    norms = np.linalg.norm(vectors, axis=1)
-    nonzero = norms != 0.0
-    return vectors[nonzero] / norms[nonzero, None]
-
-
-def _unit_windows(case_text: str, embedder, cfg: SegmentConfig, dim: int) -> np.ndarray:
-    """The case's windows, embedded and scaled to unit norm, one per row.
-
-    A window that embeds to zero norm (a tail too short to featurize) has no
-    direction and is dropped; the case must have at least one other window.
-    """
-    import numpy as np
-
-    segments = segment(case_text, cfg)
-    vectors = np.asarray(embedder.embed(segments), dtype=np.float64)
-    if vectors.shape[1] != dim:
-        raise ValueError(f"embedder dimension {vectors.shape[1]} != query dimension {dim}")
-    unit = _unit_rows(vectors)
-    if not len(unit):
-        raise ZeroVector(f"all {len(segments)} segments embed to zero norm")
-    return unit
-
-
-def unit_windows(texts: Iterable[str], embedder, cfg: SegmentConfig) -> dict[str, np.ndarray]:
-    """A ``windows`` memo for :func:`dense_score`: each distinct text's
-    :func:`_unit_windows`.
-
-    Each text is segmented once. The windows are embedded in groups of
-    about ``WINDOW_GROUP_CHARS`` characters, one ``embed`` call per group,
-    so only one group's features exist at a time. An empty text, or one
-    whose windows all embed to zero norm, is left out: :func:`dense_score`
-    raises for it when it is scored, as it would without the memo.
-    """
-    import numpy as np
-
-    memo: dict[str, np.ndarray] = {}
-    for group in _window_groups(texts, cfg):
-        vectors = np.asarray(embedder.embed([w for _, segments in group for w in segments]),
-                             dtype=np.float64)
-        row = 0
-        for text, segments in group:
-            unit = _unit_rows(vectors[row:row + len(segments)])
-            row += len(segments)
-            if len(unit):
-                memo[text] = unit
-    return memo
 
 
 def _window_groups(texts: Iterable[str], cfg: SegmentConfig) -> Iterator[list]:
@@ -438,67 +429,93 @@ def unit_query(query_vec: np.ndarray) -> np.ndarray:
     return q / qn
 
 
-def dense_score(query_unit: np.ndarray, case_text: str, embedder,
-                cfg: SegmentConfig = SegmentConfig(), *,
-                windows: dict[str, np.ndarray] | None = None) -> float:
-    """Maximum cosine between the query and any window of the case.
+def dense_score(query_unit: np.ndarray, windows: np.ndarray) -> float:
+    """Maximum cosine between the query and any window of a candidate.
 
-    ``query_unit`` comes from :func:`unit_query`, once per query. ``windows``
-    memoizes :func:`_unit_windows` by case text. One memo serves one
-    embedder and one ``cfg``: a search run fills it with :func:`unit_windows`
-    and passes it for every query, so each candidate is segmented and
-    embedded once per run.
+    ``query_unit`` comes from :func:`unit_query`; ``windows`` holds the
+    candidate's windows embedded and scaled to unit norm, one per row, as a
+    :class:`DenseScorer` keeps them.
     """
-    memo = {} if windows is None else windows
-    unit = memo.get(case_text)
-    if unit is None:
-        unit = memo[case_text] = _unit_windows(case_text, embedder, cfg, query_unit.shape[0])
-    best = float((unit @ query_unit).max())
+    best = float((windows @ query_unit).max())
     # clamping the max equals the max of the clamped sims; NaN passes through
     return -1.0 if best < -1.0 else 1.0 if best > 1.0 else best
+
+
+class DenseScorer:
+    """Segment-and-max dense scoring with one embedder and one
+    :class:`SegmentConfig`, built once per run.
+
+    ``run`` holds the run's (query, pool) pairs. The queries are featurized
+    in one batch into the embedder's memo. Each distinct candidate text of
+    the pools is segmented once and its windows embedded once, in groups of
+    about ``WINDOW_GROUP_CHARS`` characters, one ``embed`` call per group, so
+    only one group's features exist at a time; the scorer keeps each text's
+    unit window rows alone. A window that embeds to zero norm (a tail too
+    short to featurize) has no direction and is dropped. A candidate left
+    with no window is a :class:`ZeroVector` when a pool that holds it is
+    scored.
+    """
+
+    label = "dense"
+
+    def __init__(self, run: Sequence[tuple[str, Mapping[str, str]]], embedder,
+                 seg_cfg: SegmentConfig = SegmentConfig()):
+        import numpy as np
+
+        self.embedder, self.seg_cfg = embedder, seg_cfg
+        embedder.memoize(query for query, _ in run)
+        self._windows: dict[str, np.ndarray] = {}
+        texts = (text for _, pool in run for text in pool.values())
+        for group in _window_groups(texts, seg_cfg):
+            vectors = np.asarray(embedder.embed([w for _, segments in group for w in segments]),
+                                 dtype=np.float64)
+            row = 0
+            for text, segments in group:
+                rows = vectors[row:row + len(segments)]
+                row += len(segments)
+                norms = np.linalg.norm(rows, axis=1)
+                nonzero = norms != 0.0
+                if nonzero.any():
+                    self._windows[text] = rows[nonzero] / norms[nonzero, None]
+
+    def __str__(self) -> str:
+        """The name ``search --scorer`` gives and the run rows record."""
+        return "dense"
+
+    def score(self, query: str, pool: Mapping[str, str]) -> list[tuple[str, float]]:
+        """Each candidate of the pool with its score, in pool order."""
+        query_unit = unit_query(self.embedder.embed([query])[0])
+        scored = []
+        for case_id, text in pool.items():
+            windows = self._windows.get(text)
+            if windows is None:
+                # no window has a direction; segment rejects an empty text
+                raise ZeroVector(f"all {len(segment(text, self.seg_cfg))} "
+                                 "segments embed to zero norm")
+            scored.append((case_id, dense_score(query_unit, windows)))
+        return scored
 
 
 # --------------------------------------------------------------------------
 # Search
 # --------------------------------------------------------------------------
 
-SCORER_BM25 = "bm25"
-SCORER_DENSE = "dense"
+#: The number of candidates :func:`search` returns when not told.
+DEFAULT_K = 30
 
 
-def search(query: str, corpus: Mapping[str, str], scorer: str = SCORER_BM25,
-           k: int = 30, *, bm25_params: Bm25Params = Bm25Params(),
-           index: Bm25Index | None = None, embedder=None,
-           seg_cfg: SegmentConfig = SegmentConfig(),
-           windows: dict | None = None) -> list[tuple[str, float]]:
-    """Exhaustively score the pool and return the top k.
+def search(query: str, pool: Mapping[str, str], scorer: Bm25Scorer | DenseScorer,
+           k: int = DEFAULT_K) -> list[tuple[str, float]]:
+    """The top ``k`` of the pool, ``{case id: text}``, by the scorer.
 
     Ordering is by descending score with ties broken by ascending case id,
-    so results are a pure function of the inputs. ``k`` larger than the
-    pool returns the whole pool. BM25 takes idf and avgdl from ``index``
-    when one is given, and otherwise from ``corpus``, the pool itself.
-    Dense scoring memoizes each candidate's windows in ``windows`` when one
-    is given (see :func:`dense_score`).
+    so results are a pure function of the inputs. ``k`` larger than the pool
+    returns the whole pool.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not corpus:
+    if not pool:
         raise EmptyCorpus("no candidates to score")
-
-    if scorer == SCORER_BM25:
-        idx = index if index is not None else Bm25Index.build(corpus)
-        query_tokens = idx.tokenizer(query)
-        scored = [(case_id, bm25_score(query_tokens, case_id, idx, bm25_params))
-                  for case_id in corpus]
-    elif scorer == SCORER_DENSE:
-        if embedder is None:
-            raise ValueError("dense scoring requires an embedder")
-        query_unit = unit_query(embedder.embed([query])[0])
-        scored = [(case_id, dense_score(query_unit, corpus[case_id], embedder, seg_cfg,
-                                        windows=windows))
-                  for case_id in corpus]
-    else:
-        raise ValueError(f"unknown scorer: {scorer!r}")
-
+    scored = scorer.score(query, pool)
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]

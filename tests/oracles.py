@@ -177,17 +177,36 @@ def segment_count(length, cfg):
 
 # --- search runs ----------------------------------------------------------
 
+def max_window_cosine_oracle(query_unit, text, embedder, cfg):
+    """A candidate's dense score on its own: segment it, embed its windows,
+    drop those of zero norm, scale the rest to unit norm and take the
+    largest cosine with the unit query, clamped to [-1, 1]."""
+    import numpy as np
+
+    from lexforge.errors import ZeroVector
+    from lexforge.retrieval import segment
+
+    windows = segment(text, cfg)
+    vectors = np.asarray(embedder.embed(windows), dtype=np.float64)
+    norms = np.linalg.norm(vectors, axis=1)
+    unit = vectors[norms != 0.0] / norms[norms != 0.0, None]
+    if not len(unit):
+        raise ZeroVector(f"all {len(windows)} segments embed to zero norm")
+    return float(np.clip(unit @ query_unit, -1.0, 1.0).max())
+
+
 def search_oracle(queries, texts, pools, *, scorer, k, bm25_params, index, embedder,
                   seg_cfg, pools_path):
     """A search run query by query, with nothing shared between queries.
 
     Each pool gets a fresh ``Bm25Index.build`` (or ``index`` when given) and
-    every candidate is scored by ``dense_score`` without a window memo.
-    Queries without a pool and pool ids missing from ``texts`` are skipped;
-    a pool with none of its ids in ``texts`` ends the run.
+    every candidate's windows are embedded anew for every query
+    (:func:`max_window_cosine_oracle`). Queries without a pool and pool ids
+    missing from ``texts`` are skipped; a pool with none of its ids in
+    ``texts`` ends the run.
     """
     from lexforge.errors import EmptyCorpus
-    from lexforge.retrieval import Bm25Index, bm25_score, dense_score, unit_query
+    from lexforge.retrieval import Bm25Index, bm25_score, unit_query
 
     run = {}
     for query_id, text in queries:
@@ -208,7 +227,7 @@ def search_oracle(queries, texts, pools, *, scorer, k, bm25_params, index, embed
             scored = [(cid, bm25_score(tokens, cid, idx, bm25_params)) for cid in pool]
         else:
             query_unit = unit_query(embedder.embed([text])[0])
-            scored = [(cid, dense_score(query_unit, pool[cid], embedder, seg_cfg))
+            scored = [(cid, max_window_cosine_oracle(query_unit, pool[cid], embedder, seg_cfg))
                       for cid in pool]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         run[query_id] = scored[:k]

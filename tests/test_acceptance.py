@@ -197,7 +197,8 @@ def test_extraction_inversion(corpus_1000):
 
 
 def test_truncation_scoring():
-    """dense_score equals per-segment max (1e-12); window counts closed-form."""
+    """The dense score equals the per-segment max (1e-12); window counts are
+    closed-form."""
     rng = np.random.default_rng(31)
     embedder = training.ToyEmbedder(dim=16, hash_buckets=1 << 11, seed=5)
     alphabet = list("被告人盗窃抢劫诈骗驾驶伤害财物现场鉴定价值人民币元某市区年月日一二三四五六七八九十")
@@ -210,7 +211,9 @@ def test_truncation_scoring():
         stride = int(rng.integers(1, max_len + 1))
         cfg = retrieval.SegmentConfig(max_len=max_len, stride=stride)
         query_vec = embedder.embed([query])[0]
-        got = retrieval.dense_score(retrieval.unit_query(query_vec), text, embedder, cfg)
+        pool = {"c": text}
+        scorer = retrieval.DenseScorer([(query, pool)], embedder, cfg)
+        got = scorer.score(query, pool)[0][1]
         qn = np.linalg.norm(query_vec)
         best = -2.0
         for seg in retrieval.segment(text, cfg):
@@ -283,11 +286,12 @@ def trend_world():
 
 
 def _trend_ndcg10(world, embedder):
-    run = {}
-    for qid in sorted(world["qrels"]):
-        pool = {cid: world["texts"][cid] for cid in world["pools"][qid]}
-        run[qid] = retrieval.search(world["eval_queries"][qid], pool,
-                                    scorer="dense", k=30, embedder=embedder)
+    pairs = {qid: (world["eval_queries"][qid],
+                   {cid: world["texts"][cid] for cid in world["pools"][qid]})
+             for qid in sorted(world["qrels"])}
+    scorer = retrieval.DenseScorer(list(pairs.values()), embedder)
+    run = {qid: retrieval.search(query, pool, scorer, k=30)
+           for qid, (query, pool) in pairs.items()}
     return evaluation.evaluate_run(run, world["qrels"]).macro["NDCG@10"]
 
 
@@ -397,7 +401,8 @@ def test_bm25_sanity(corpus_1000):
             assert abs(got - expected) <= 1e-9
 
     texts = {d.case_id: corpus.case_text(d) for d in corpus_1000.cases[:200]}
-    first = retrieval.search("被告人盗窃电动车价值人民币", texts, scorer="bm25", k=30)
-    second = retrieval.search("被告人盗窃电动车价值人民币", texts, scorer="bm25", k=30)
+    query = "被告人盗窃电动车价值人民币"
+    first = retrieval.search(query, texts, retrieval.Bm25Scorer([(query, texts)]), k=30)
+    second = retrieval.search(query, texts, retrieval.Bm25Scorer([(query, texts)]), k=30)
     report("bm25 sanity", worst <= 1e-9 and first == second,
            f"max |Δ|={worst:.2e}")

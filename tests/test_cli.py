@@ -153,7 +153,7 @@ class TestSearchSummary:
                        "--corpus", workdir / "corpus.jsonl", "--pools", path,
                        "--output", out) == 0
         assert capsys.readouterr().out == (
-            f"search: {len(pools)} queries, top-30 by bm25; "
+            f"search: {len(pools)} queries, top-30 by bm25 (pool statistics); "
             "2 pool ids not in corpus, 1 queries without a pool\n")
         run = _records(out)
         assert dropped["query_id"] not in {r["query_id"] for r in run}
@@ -219,22 +219,6 @@ class TestDeterminism:
                            "--n-queries", 3, "--seed", 5) == 0
         leftovers = [p for p in out.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
-
-
-class TestIngest:
-    def test_fixture_corpus_passes_through_unchanged(self, workdir, tmp_path):
-        out = tmp_path / "corpus.jsonl"
-        assert run_cli("ingest", "--input", workdir / "corpus.jsonl", "--output", out) == 0
-        assert out.read_bytes() == (workdir / "corpus.jsonl").read_bytes()
-
-    def test_aliases_come_out_under_their_field_names(self, tmp_path):
-        raw = tmp_path / "raw.jsonl"
-        fileio.write_jsonl(raw, [{"id": 7, "kind": "ruling", "fact": "经审理查明"}])
-        out = tmp_path / "corpus.jsonl"
-        assert run_cli("ingest", "--input", raw, "--output", out) == 0
-        assert _records(out) == [
-            {"case_id": "7", "doc_kind": "ruling", "fact": "经审理查明",
-             "reason": "", "judgment": ""}]
 
 
 class TestExitCodes:
@@ -363,8 +347,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("name,field,reason,argv", [
         ("corpus.jsonl", "case_id", "missing required field 'case_id'",
          ["extract", "--corpus", "corpus.jsonl", "--elements", "out"]),
-        ("corpus.jsonl", "case_id", "missing required field 'case_id'",
-         ["ingest", "--input", "corpus.jsonl", "--output", "out"]),
         ("elements.jsonl", "term", "missing field 'term'",
          ["augment", "--queries", "queries.jsonl", "--elements", "elements.jsonl",
           "--output", "out"]),
@@ -375,7 +357,7 @@ class TestExitCodes:
            ["train", "--pairs", "pairs.jsonl", "--queries", "queries.jsonl",
             "--corpus", "corpus.jsonl", "--output", "out"])
           for field in ("query_id", "positive_case_id", "kind"))],
-        ids=["corpus", "ingest", "elements", "queries",
+        ids=["corpus", "elements", "queries",
              "pairs-query_id", "pairs-positive_case_id", "pairs-kind"])
     def test_record_missing_a_field_names_file_and_line(self, workdir, tmp_path, capsys,
                                                         name, field, reason, argv):

@@ -153,6 +153,8 @@ BAD_FLAGS = [
       "--proportion", "1.5"], "--proportion = '1.5': proportion_augmented must be in [0, 1]"),
     (["search", "--queries", "q", "--corpus", "c", "--output", "o", "--k", "0"],
      "--k = '0': k must be >= 1"),
+    (["search", "--queries", "q", "--corpus", "c", "--output", "o", "--scorer", "dense"],
+     "dense scoring needs --checkpoint"),
     (["train", "--pairs", "p", "--queries", "q", "--corpus", "c", "--output", "o",
       "--epochs", "0"], "--epochs = '0': epochs must be >= 1"),
     (["train", "--pairs", "p", "--queries", "q", "--corpus", "c", "--output", "o",

@@ -70,6 +70,10 @@ class TestParseCase:
                           "reason": "r", "judgment": "j"})
         assert doc.case_id == "c1"
         assert doc.fact == "x" and doc.reason == "r" and doc.judgment == "j"
+        # a numeric id is text; a missing section is empty
+        doc = parse_case({"id": 7, "kind": "ruling", "fact": "经审理查明"})
+        assert (doc.case_id, doc.doc_kind, doc.reason, doc.judgment) == (
+            "7", DocKind.RULING, "", "")
 
     def test_missing_fact(self):
         with pytest.raises(MissingField) as err:

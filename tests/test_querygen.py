@@ -36,30 +36,33 @@ def _pool(n):
 class TestAssemblePrompt:
     def test_structure(self):
         tpl = PromptTemplate(exemplars=_pool(5), exemplars_per_prompt=2)
-        messages = assemble_prompt("事实描述", tpl, seed=1)
+        ids = select_exemplars(tpl, 1)
+        messages = assemble_prompt("事实描述", tpl, ids)
         roles = [m["role"] for m in messages]
         assert roles == ["system", "user", "user", "assistant", "user",
                          "assistant", "user"]
+        assert [m["content"] for m in messages[2:6]] == [
+            text for i in ids for text in tpl.exemplars[i]]
         assert messages[-1]["content"] == "事实描述"
 
     def test_default_system_text(self):
-        messages = assemble_prompt("事实", PromptTemplate(), seed=0)
+        messages = assemble_prompt("事实", PromptTemplate(), [0, 1])
         assert messages[0]["content"].startswith("As a legal expert")
 
     def test_deterministic_per_seed(self):
         tpl = PromptTemplate(exemplars=_pool(10))
-        assert assemble_prompt("x", tpl, 42) == assemble_prompt("x", tpl, 42)
+        assert select_exemplars(tpl, 42) == select_exemplars(tpl, 42)
         seeds = {tuple(select_exemplars(tpl, s)) for s in range(30)}
         assert len(seeds) > 1  # selection actually varies with the seed
 
     def test_pool_too_small(self):
         tpl = PromptTemplate(exemplars=_pool(1), exemplars_per_prompt=2)
         with pytest.raises(EmptyPool):
-            assemble_prompt("x", tpl, 0)
+            select_exemplars(tpl, 0)
 
     def test_empty_fact_rejected(self):
         with pytest.raises(ValueError):
-            assemble_prompt("", PromptTemplate(), 0)
+            assemble_prompt("", PromptTemplate(), [0, 1])
 
 
 class _ScriptedClient:

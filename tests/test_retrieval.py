@@ -3,6 +3,7 @@
 import math
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from lexforge.errors import BadIndex, EmptyCorpus, LexforgeError, UnknownDoc, Ze
 from lexforge.retrieval import (
     Bm25Index,
     Bm25Params,
+    Bm25Scorer,
+    DenseScorer,
     SegmentConfig,
     bm25_score,
     dense_score,
@@ -354,8 +357,17 @@ class _StubEmbedder:
     def __init__(self, table):
         self.table = table
 
+    def memoize(self, texts):
+        pass
+
     def embed(self, texts):
         return np.array([self.table[t] for t in texts], dtype=float)
+
+
+def _dense_score(query, text, embedder, cfg=SegmentConfig()):
+    """The dense score of one candidate, from a scorer built for it alone."""
+    pool = {"c": text}
+    return DenseScorer([(query, pool)], embedder, cfg).score(query, pool)[0][1]
 
 
 class TestDenseScore:
@@ -364,17 +376,16 @@ class TestDenseScore:
         table = {
             "aa": [0.2, 1.0, 0.0], "bb": [0.9, 0.2, 0.0], "cc": [0.5, 0.5, 0.0],
         }
-        embedder = _StubEmbedder(table)
         query = np.array([1.0, 0.0, 0.0])
         cosines = {t: np.dot(v, query) / np.linalg.norm(v)
                    for t, v in table.items()}
-        score = dense_score(unit_query(query), "aabbcc", embedder, cfg)
+        embedder = _StubEmbedder(table | {"q": query})
+        score = _dense_score("q", "aabbcc", embedder, cfg)
         assert score == pytest.approx(max(cosines.values()))
 
     def test_single_segment_equals_cosine(self):
-        embedder = _StubEmbedder({"ab": [1.0, 1.0, 0.0]})
-        query = np.array([1.0, 0.0, 0.0])
-        score = dense_score(unit_query(query), "ab", embedder, SegmentConfig(max_len=10))
+        embedder = _StubEmbedder({"ab": [1.0, 1.0, 0.0], "q": [1.0, 0.0, 0.0]})
+        score = _dense_score("q", "ab", embedder, SegmentConfig(max_len=10))
         assert score == pytest.approx(1 / math.sqrt(2))
 
     def test_brute_force_oracle(self):
@@ -389,7 +400,7 @@ class TestDenseScore:
             cfg = SegmentConfig(max_len=int(rng.integers(8, 64)),
                                 stride=int(rng.integers(4, 8)))
             query_vec = embedder.embed([query])[0]
-            got = dense_score(unit_query(query_vec), text, embedder, cfg)
+            got = _dense_score(query, text, embedder, cfg)
             best = -2.0
             for seg in segment(text, cfg):
                 v = embedder.embed([seg])[0]
@@ -404,7 +415,7 @@ class TestDenseScore:
         max of the clipped cosines, NaN included."""
         # a one-column unit matrix against the query [1.0] gives sims exactly
         unit = np.array(sims).reshape(-1, 1)
-        got = dense_score(np.array([1.0]), "case", None, windows={"case": unit})
+        got = dense_score(np.array([1.0]), unit)
         want = float(np.clip(np.array(sims), -1.0, 1.0).max())
         assert got == want or (math.isnan(got) and math.isnan(want))
         assert isinstance(got, float)
@@ -413,24 +424,44 @@ class TestDenseScore:
         embedder = _StubEmbedder({"ab": [1.0, 0.0, 0.0]})
         with pytest.raises(ZeroVector):
             unit_query(np.zeros(3))
-        with pytest.raises(ZeroVector):
-            search("ab", {"c1": "ab"}, scorer="dense", embedder=_StubEmbedder({"ab": [0.0] * 3}))
+        with pytest.raises(ZeroVector, match="query vector"):
+            _dense_score("ab", "ab", _StubEmbedder({"ab": [0.0] * 3}))
 
     def test_tail_too_short_to_featurize_is_skipped(self):
         from lexforge.training import ToyEmbedder
         embedder = ToyEmbedder(dim=12, hash_buckets=512, seed=3)
         rng = np.random.default_rng(5)
         text = "".join(rng.choice(list("某盗窃抢劫财物被告人驾驶车辆"), size=2049))
-        query_vec = unit_query(embedder.embed(["被告人盗窃财物"])[0])
         windows = segment(text, SegmentConfig())
         assert [len(w) for w in windows] == [2048, 1]
-        assert dense_score(query_vec, text, embedder) == dense_score(
-            query_vec, windows[0], embedder)
+        assert _dense_score("被告人盗窃财物", text, embedder) == _dense_score(
+            "被告人盗窃财物", windows[0], embedder)
 
     def test_all_windows_zero_rejected(self):
-        embedder = _StubEmbedder({"ab": [0.0, 0.0, 0.0], "c": [0.0, 0.0, 0.0]})
+        embedder = _StubEmbedder({"ab": [0.0, 0.0, 0.0], "c": [0.0, 0.0, 0.0],
+                                  "q": [1.0, 1.0, 1.0]})
         with pytest.raises(ZeroVector, match="all 2 segments"):
-            dense_score(unit_query(np.ones(3)), "abc", embedder, SegmentConfig(max_len=2))
+            _dense_score("q", "abc", embedder, SegmentConfig(max_len=2))
+
+    def test_zero_norm_candidate_fails_only_the_pools_that_hold_it(self):
+        """The scorer is built over every pool of the run, the zero-norm
+        candidate's included; only scoring a pool that holds it fails."""
+        embedder = _StubEmbedder({"ab": [1.0, 0.0, 0.0], "cd": [0.0, 1.0, 0.0],
+                                  "zz": [0.0, 0.0, 0.0], "q": [1.0, 1.0, 0.0]})
+        cfg = SegmentConfig(max_len=2)
+        first, second, third = {"c1": "ab"}, {"c1": "ab", "c2": "cd"}, {"c3": "zz", "c1": "ab"}
+        scorer = DenseScorer([("q", first), ("q", second), ("q", third), ("q", first)],
+                             embedder, cfg)
+        assert search("q", first, scorer, k=5) == [("c1", pytest.approx(1 / math.sqrt(2)))]
+        assert [cid for cid, _ in search("q", second, scorer, k=5)] == ["c1", "c2"]
+        with pytest.raises(ZeroVector, match="^all 1 segments embed to zero norm$"):
+            search("q", third, scorer, k=5)
+        assert search("q", first, scorer, k=5) == [("c1", pytest.approx(1 / math.sqrt(2)))]
+
+
+def _bm25(query, corpus, k):
+    """Search one pool with pool statistics, as a run of one query does."""
+    return search(query, corpus, Bm25Scorer([(query, corpus)]), k)
 
 
 class TestSearch:
@@ -439,33 +470,33 @@ class TestSearch:
 
     def test_pool_of_100_top_30(self):
         corpus = self._corpus(100)
-        results = search("词5 公共", corpus, scorer="bm25", k=30)
+        results = _bm25("词5 公共", corpus, k=30)
         assert len(results) == 30
         scores = [s for _, s in results]
         assert scores == sorted(scores, reverse=True)
 
     def test_k_clamps_to_pool(self):
         corpus = self._corpus(4)
-        assert len(search("词1", corpus, k=30)) == 4
+        assert len(_bm25("词1", corpus, k=30)) == 4
 
     def test_tie_break_by_case_id(self):
         corpus = {"b": "same text", "a": "same text", "c": "same text"}
-        results = search("same", corpus, scorer="bm25", k=3,
-                         index=Bm25Index.build(corpus, "whitespace"))
+        scorer = Bm25Scorer([], index=Bm25Index.build(corpus, "whitespace"))
+        results = search("same", corpus, scorer, k=3)
         assert [cid for cid, _ in results] == ["a", "b", "c"]
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            search("q", {}, k=1)
+            _bm25("q", {}, k=1)
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
-            search("q", {"a": "x"}, k=0)
+            _bm25("q", {"a": "x"}, k=0)
 
     def test_deterministic_across_calls(self):
         corpus = self._corpus(50)
-        a = search("词7 公共文本", corpus, k=20)
-        b = search("词7 公共文本", corpus, k=20)
+        a = _bm25("词7 公共文本", corpus, k=20)
+        b = _bm25("词7 公共文本", corpus, k=20)
         assert a == b
 
     def test_dense_search(self):
@@ -473,21 +504,23 @@ class TestSearch:
         embedder = ToyEmbedder(dim=16, hash_buckets=1024, seed=0)
         corpus = {"c1": "被告人盗窃电动车", "c2": "被告人醉酒驾驶汽车",
                   "c3": "完全无关的内容文字"}
-        results = search("盗窃电动车的案件", corpus, scorer="dense", k=3,
-                         embedder=embedder)
+        scorer = DenseScorer([("盗窃电动车的案件", corpus)], embedder)
+        results = search("盗窃电动车的案件", corpus, scorer, k=3)
         assert len(results) == 3
         assert results[0][0] == "c1"
-
-    def test_dense_requires_embedder(self):
-        with pytest.raises(ValueError):
-            search("q", {"a": "x"}, scorer="dense", k=1)
 
     def test_prebuilt_index_reused(self):
         corpus = self._corpus(10)
         index = Bm25Index.build(corpus)
-        direct = search("词3", corpus, k=5)
-        via_index = search("词3", corpus, k=5, index=index)
+        direct = _bm25("词3", corpus, k=5)
+        via_index = search("词3", corpus, Bm25Scorer([], index=index), k=5)
         assert direct == via_index
+
+    def test_scope_is_named(self):
+        corpus = self._corpus(3)
+        assert Bm25Scorer([("q", corpus)]).label == "bm25 (pool statistics)"
+        assert Bm25Scorer([], index=Bm25Index.build(corpus)).label == (
+            "bm25 (corpus statistics)")
 
 
 ALPHABET = "盗窃抢劫财物被告人驾驶 "
@@ -518,16 +551,28 @@ def search_inputs(draw):
     return texts, queries, pools, draw(st.integers(1, 12)), seg_cfg
 
 
+def _run(queries, texts, pools, *, scorer, k, bm25_params, index, embedder, seg_cfg,
+         pools_path):
+    """``cli._search_run`` with the scorer that ``search`` on the command
+    line builds from the options ``oracles.search_oracle`` takes."""
+    if scorer == "dense":
+        scorer_for = partial(DenseScorer, embedder=embedder, seg_cfg=seg_cfg)
+    else:
+        scorer_for = partial(Bm25Scorer, params=bm25_params, index=index)
+    return _search_run(queries, texts, pools, scorer_for, k=k, pools_path=pools_path)[0]
+
+
 class TestSearchRun:
-    """A run shares one index and one window memo; the rankings are those of
-    searching each query on its own (``oracles.search_oracle``)."""
+    """A run shares one scorer, with one index or one window memo; the
+    rankings are those of searching each query on its own
+    (``oracles.search_oracle``)."""
 
     EMBEDDER_SEED = 4
 
     def _both(self, texts, queries, pools, **opts):
         opts = {"bm25_params": Bm25Params(), "index": None, "embedder": None,
                 "seg_cfg": SegmentConfig(), "pools_path": "pools.jsonl"} | opts
-        got = _outcome(lambda: _search_run(queries, texts, pools, **opts)[0])
+        got = _outcome(lambda: _run(queries, texts, pools, **opts))
         want = _outcome(lambda: search_oracle(queries, texts, pools, **opts))
         return got, want
 
@@ -581,7 +626,7 @@ class TestSearchRun:
         pools = {"q0": sorted(set(texts) - {"blank"}), "q1": ["c1", "c3", "ghost", "c1"]}
         opts = {"scorer": "dense", "k": 4, "bm25_params": Bm25Params(), "index": None,
                 "embedder": embedder, "seg_cfg": cfg, "pools_path": "pools.jsonl"}
-        run = _search_run(queries, texts, pools, **opts)[0]
+        run = _run(queries, texts, pools, **opts)
         assert list(embedder._feature_memo) == ["盗窃财物", "驾驶车辆"]
         assert run == search_oracle(queries, texts, pools, **opts)
         # a candidate whose windows all embed to zero fails as it does unshared
@@ -601,11 +646,11 @@ class TestSearchRun:
             lambda cls, corpus, *a: builds.append(len(corpus)) or real_build(cls, corpus, *a)))
         monkeypatch.setattr(embedder, "embed",
                             lambda batch: embedded.extend(batch) or real_embed(batch))
-        _search_run(queries, texts, pools, scorer="bm25", k=3, index=None,
-                    pools_path="pools.jsonl")
+        opts = {"k": 3, "bm25_params": Bm25Params(), "index": None,
+                "embedder": embedder, "seg_cfg": SegmentConfig(max_len=8, stride=4),
+                "pools_path": "pools.jsonl"}
+        _run(queries, texts, pools, scorer="bm25", **opts)
         assert builds == [6]
-        _search_run(queries, texts, pools, scorer="dense", k=3, index=None,
-                    pools_path="pools.jsonl",
-                    embedder=embedder, seg_cfg=SegmentConfig(max_len=8, stride=4))
+        _run(queries, texts, pools, scorer="dense", **opts)
         windows = [w for t in texts.values() for w in segment(t, SegmentConfig(8, 4))]
         assert sorted(embedded) == sorted(windows + [q for _, q in queries])
