@@ -316,8 +316,8 @@ def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | No
 
     ``scorer_for`` builds the scorer from the run's (query text, pool)
     pairs, before the first query, so that it does each candidate's work
-    once per run. Returns the run, the scorer, the pool ids not in ``texts``
-    and the number of queries without a pool; both kinds are skipped. A
+    once per run. Returns the run, the pool ids not in ``texts`` and the
+    number of queries without a pool; both kinds are skipped. A
     pool with no id in ``texts`` is an :class:`EmptyCorpus` naming the query
     and ``pools_path``.
     """
@@ -340,7 +340,7 @@ def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | No
             raise EmptyCorpus(f"{pools_path}: none of the {len(pools[query_id])} "
                               f"pool ids of query {query_id!r} is in the corpus")
         run[query_id] = retrieval.search(text, pool, scorer, k)
-    return run, scorer, missing, unpooled
+    return run, missing, unpooled
 
 
 def _cmd_search(args, cfg: PipelineConfig) -> int:
@@ -363,11 +363,13 @@ def _cmd_search(args, cfg: PipelineConfig) -> int:
         index = retrieval.Bm25Index.load(Path(args.index)) if args.index else None
         scorer_for = functools.partial(retrieval.Bm25Scorer, params=cfg.bm25, index=index)
 
-    run, scorer, missing, unpooled = _search_run(
+    run, missing, unpooled = _search_run(
         ((q.query_id, q.text) for q in queries), texts, pools, scorer_for,
         k=k, pools_path=args.pools)
     _write_run(Path(args.output), run, args.scorer)
-    print(f"search: {len(run)} queries, top-{k} by {scorer.label}; "
+    label = (args.scorer if args.scorer == "dense"
+             else f"bm25 ({'corpus' if args.index else 'pool'} statistics)")
+    print(f"search: {len(run)} queries, top-{k} by {label}; "
           f"{len(missing)} pool ids not in corpus, {unpooled} queries without a pool")
     return EXIT_OK
 

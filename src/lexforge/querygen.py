@@ -445,7 +445,6 @@ class AnonymizationEntry:
     surface: str
     category: str
     replacement: str
-    out_start: int
     out_end: int
 
     def to_record(self) -> dict:
@@ -491,7 +490,7 @@ def anonymize(text: str, tagger: EntityTagger,
         log.append(AnonymizationEntry(
             start=span.start, end=span.end, surface=surface,
             category=span.category, replacement=replacement,
-            out_start=out_len, out_end=out_len + len(replacement)))
+            out_end=out_len + len(replacement)))
         out_len += len(replacement)
         cursor = span.end
     pieces.append(text[cursor:])
@@ -529,7 +528,7 @@ class QueryRecord:
             log.append(AnonymizationEntry(
                 start=start, end=end, surface=entry["surface"],
                 category=entry["category"], replacement=entry["replacement"],
-                out_start=-1, out_end=-1))
+                out_end=-1))
         return cls(
             query_id=record["query_id"],
             source_case_id=record["source_case_id"],

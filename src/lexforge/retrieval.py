@@ -318,6 +318,12 @@ def bm25_score(query_tokens: Sequence[str], doc_id: str, index: Bm25Index,
     return score
 
 
+def _distinct_pools(run: Iterable[tuple[str, Mapping[str, str]]]) -> Iterable[Mapping[str, str]]:
+    """Each pool object of the run once: without pools every query of a
+    run shares the one corpus mapping."""
+    return {id(pool): pool for _, pool in run}.values()
+
+
 class Bm25Scorer:
     """BM25 over one index and one :class:`Bm25Params`, built once per run.
 
@@ -336,9 +342,9 @@ class Bm25Scorer:
         self.params = params
         self.scope = "pool" if index is None else "corpus"
         if index is None:
-            index = Bm25Index.build({cid: text for _, pool in run for cid, text in pool.items()})
+            index = Bm25Index.build({cid: text for pool in _distinct_pools(run)
+                                     for cid, text in pool.items()})
         self.index = index
-        self.label = f"bm25 ({self.scope} statistics)"
 
     def __str__(self) -> str:
         """The name ``search --scorer`` gives and the run rows record."""
@@ -456,8 +462,6 @@ class DenseScorer:
     scored.
     """
 
-    label = "dense"
-
     def __init__(self, run: Sequence[tuple[str, Mapping[str, str]]], embedder,
                  seg_cfg: SegmentConfig = SegmentConfig()):
         import numpy as np
@@ -465,7 +469,7 @@ class DenseScorer:
         self.embedder, self.seg_cfg = embedder, seg_cfg
         embedder.memoize(query for query, _ in run)
         self._windows: dict[str, np.ndarray] = {}
-        texts = (text for _, pool in run for text in pool.values())
+        texts = (text for pool in _distinct_pools(run) for text in pool.values())
         for group in _window_groups(texts, seg_cfg):
             vectors = np.asarray(embedder.embed([w for _, segments in group for w in segments]),
                                  dtype=np.float64)

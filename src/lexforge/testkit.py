@@ -291,7 +291,6 @@ class CaseGroundTruth:
     entities: dict[str, list[str]] = field(default_factory=dict)
     tier: int = -1
     charge_index: int = -1
-    expected_exclusion: str | None = None
 
 
 @dataclass
@@ -458,7 +457,7 @@ def _build_ruling(case_id: str, rng: Random) -> tuple[CaseDocument, CaseGroundTr
         case_id=case_id, doc_kind=DocKind.RULING, fact=fact,
         reason=f"本院认为，罪犯{name}确有悔改表现，符合减刑条件。",
         judgment=f"对罪犯{name}减去有期徒刑六个月。")
-    return doc, CaseGroundTruth(elements=None, expected_exclusion="RULING")
+    return doc, CaseGroundTruth(elements=None)
 
 
 def _build_short_fact(case_id: str, spec: SyntheticSpec, rng: Random,
@@ -466,23 +465,23 @@ def _build_short_fact(case_id: str, spec: SyntheticSpec, rng: Random,
     doc, _ = _build_case(case_id, spec, rng, charge_index)
     limit = rng.randint(max(10, spec.min_fact_chars // 2), spec.min_fact_chars - 1)
     doc.fact = doc.fact[:limit]
-    return doc, CaseGroundTruth(elements=None, expected_exclusion="SHORT_FACT")
+    return doc, CaseGroundTruth(elements=None)
 
 
 def _build_unextractable(case_id: str, spec: SyntheticSpec, rng: Random,
                          charge_index: int) -> tuple[CaseDocument, CaseGroundTruth]:
     doc, _ = _build_case(case_id, spec, rng, charge_index)
     doc.judgment = "本判决为依法作出的处理决定。"  # no charge, no term
-    return doc, CaseGroundTruth(elements=None, expected_exclusion="EXTRACTION_FAILED")
+    return doc, CaseGroundTruth(elements=None)
 
 
 def generate_corpus(spec: SyntheticSpec) -> CorpusBuild:
     """Build a corpus with known elements; byte-identical under (spec, seed).
 
-    Returns ``spec.n_cases`` valid judgments, plus the requested number of
-    rulings, short-fact documents and unextractable documents, each tagged
-    in the bookkeeping with the exclusion reason the corpus filter must
-    assign.
+    Returns ``spec.n_cases`` valid judgments, then the requested number of
+    rulings, then of short-fact documents, then of unextractable documents,
+    each of which the corpus filter must exclude; their ground truth has no
+    elements.
     """
     cases: list[CaseDocument] = []
     truth: dict[str, CaseGroundTruth] = {}

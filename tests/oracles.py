@@ -283,6 +283,19 @@ def qrels_oracle(build, seed, n_queries, pool_size=100, annotated_size=30):
     return pools, labels
 
 
+def exclusion_oracle(build):
+    """``{case id: reason}`` the corpus filter must give each generated
+    non-judgment. ``generate_corpus`` appends them after the
+    ``spec.n_cases`` judgments: the rulings, then the short facts, then the
+    unextractable documents."""
+    spec = build.spec
+    reasons = (["RULING"] * spec.n_rulings + ["SHORT_FACT"] * spec.n_short_facts
+               + ["EXTRACTION_FAILED"] * spec.n_unextractable)
+    extra = build.cases[spec.n_cases:]
+    assert len(extra) == len(reasons)
+    return {doc.case_id: reason for doc, reason in zip(extra, reasons)}
+
+
 # --- augmentation ---------------------------------------------------------
 
 def element_score_oracle(a, b, cfg):

@@ -27,6 +27,7 @@ from oracles import (
     ap_oracle,
     bm25_oracle,
     element_score_oracle,
+    exclusion_oracle,
     filtered_loss_oracle,
     fd_gradient,
     ndcg_oracle,
@@ -186,9 +187,9 @@ def test_extraction_inversion(corpus_1000):
             mismatches += 1
 
     exclusion_ok = len(exclusions) == 80
+    expected = exclusion_oracle(corpus_1000)
     for exclusion in exclusions:
-        expected = corpus_1000.truth[exclusion.case_id].expected_exclusion
-        if exclusion.reason != expected:
+        if exclusion.reason != expected[exclusion.case_id]:
             exclusion_ok = False
     report("extraction inversion",
            mismatches == 0 and len(admitted) == 1000 and exclusion_ok,

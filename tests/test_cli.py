@@ -159,6 +159,17 @@ class TestSearchSummary:
         assert dropped["query_id"] not in {r["query_id"] for r in run}
         assert not {"ghost-1", "ghost-2"} & {r["case_id"] for r in run}
 
+    @pytest.mark.parametrize("flags,label", [
+        (("--index", "bm25.idx"), "bm25 (corpus statistics)"),
+        (("--scorer", "dense", "--checkpoint", "toy.ckpt"), "dense"),
+    ])
+    def test_names_the_scorer_and_scope(self, workdir, tmp_path, capsys, flags, label):
+        flags = [workdir / f if f.endswith((".idx", ".ckpt")) else f for f in flags]
+        assert run_cli("search", "--queries", workdir / "eval_queries.jsonl",
+                       "--corpus", workdir / "corpus.jsonl", "--pools", workdir / "pools.jsonl",
+                       *flags, "--output", tmp_path / "run.jsonl") == 0
+        assert f" top-30 by {label}; 0 pool ids" in capsys.readouterr().out
+
 
 class TestIdentityRunEval:
     def test_ideal_ordering_scores_one(self, workdir, tmp_path):

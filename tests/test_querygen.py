@@ -297,8 +297,9 @@ class TestAnonymize:
             out_residue = []
             cursor = 0
             for entry in log:
-                out_residue.append(out[cursor:entry.out_start])
-                assert out[entry.out_start:entry.out_end] == entry.replacement
+                out_start = entry.out_end - len(entry.replacement)
+                out_residue.append(out[cursor:out_start])
+                assert out[out_start:entry.out_end] == entry.replacement
                 cursor = entry.out_end
             out_residue.append(out[cursor:])
             assert "".join(in_residue) == "".join(out_residue)

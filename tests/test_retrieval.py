@@ -516,11 +516,10 @@ class TestSearch:
         via_index = search("词3", corpus, Bm25Scorer([], index=index), k=5)
         assert direct == via_index
 
-    def test_scope_is_named(self):
+    def test_scope_follows_the_index(self):
         corpus = self._corpus(3)
-        assert Bm25Scorer([("q", corpus)]).label == "bm25 (pool statistics)"
-        assert Bm25Scorer([], index=Bm25Index.build(corpus)).label == (
-            "bm25 (corpus statistics)")
+        assert Bm25Scorer([("q", corpus)]).scope == "pool"
+        assert Bm25Scorer([], index=Bm25Index.build(corpus)).scope == "corpus"
 
 
 ALPHABET = "盗窃抢劫财物被告人驾驶 "
@@ -654,3 +653,27 @@ class TestSearchRun:
         _run(queries, texts, pools, scorer="dense", **opts)
         windows = [w for t in texts.values() for w in segment(t, SegmentConfig(8, 4))]
         assert sorted(embedded) == sorted(windows + [q for _, q in queries])
+
+    def test_a_run_without_pools_walks_the_corpus_once(self):
+        """Every query of a run without pools shares the one corpus mapping;
+        the scorers walk it once, not once per query."""
+        from lexforge.training import ToyEmbedder
+
+        class Corpus(dict):
+            walks = 0
+
+            def items(self):
+                Corpus.walks += 1
+                return super().items()
+
+            def values(self):
+                Corpus.walks += 1
+                return super().values()
+
+        texts = Corpus({f"c{i}": "被告人盗窃财物" * (i + 1) for i in range(6)})
+        queries = [(f"q{j}", "盗窃" * (j + 1)) for j in range(4)]
+        Bm25Scorer([(q, texts) for _, q in queries])
+        assert Corpus.walks == 1
+        embedder = ToyEmbedder(dim=6, hash_buckets=64, seed=self.EMBEDDER_SEED)
+        DenseScorer([(q, texts) for _, q in queries], embedder, SegmentConfig(max_len=8))
+        assert Corpus.walks == 2

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import qrels_oracle
+from oracles import exclusion_oracle, qrels_oracle
 
 from lexforge.corpus import case_text, case_to_record, PrisonTerm, TermKind
 from lexforge.testkit import (
@@ -48,9 +48,9 @@ class TestGenerateCorpus:
         assert sum(counts.values()) == 1000
 
     def test_fact_length_floor(self, small_build):
+        exclusions = exclusion_oracle(small_build)
         for doc in small_build.cases:
-            truth = small_build.truth[doc.case_id]
-            if truth.expected_exclusion in (None, "EXTRACTION_FAILED", "RULING"):
+            if exclusions.get(doc.case_id) != "SHORT_FACT":
                 continue
             assert len(doc.fact) < small_build.spec.min_fact_chars
         for doc in small_build.cases:

@@ -3,12 +3,13 @@
 A top-level ``def``, ``class`` or assigned name in ``src/lexforge/``, a
 method of a top-level class and a field of a top-level dataclass must be
 mentioned by name in some ``.py`` file under ``src/`` or ``perfbench/``:
-read as a name or an attribute, imported, passed as a keyword argument, or
-spelled as a string literal (the benchmark wraps functions by their names).
-Neither the definition itself nor the re-export in ``lexforge/__init__.py``
-counts, and neither does a mention in ``tests/``: a definition only tests
-reach is code no stage consumes. Dunder names are read by Python and tools,
-not by name, and are left out.
+read as a name or an attribute, imported, or spelled as a string literal
+(the benchmark wraps functions by their names). A keyword argument's name
+is a parameter, not a mention: a field set in ``src/`` and read only by
+tests is reported. Neither the definition itself nor the re-export in
+``lexforge/__init__.py`` counts, and neither does a mention in ``tests/``:
+a definition only tests reach is code no stage consumes. Dunder names are
+read by Python and tools, not by name, and are left out.
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ def _mentions(tree: ast.Module, skip_imports: bool) -> Counter:
             found[node.id] += 1
         elif isinstance(node, ast.Attribute):
             found[node.attr] += 1
-        elif isinstance(node, ast.keyword) and node.arg is not None:
-            found[node.arg] += 1
         elif isinstance(node, ast.alias) and not skip_imports:
             found[node.name] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
