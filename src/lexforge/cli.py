@@ -163,6 +163,8 @@ def _cmd_fixtures(args, cfg: PipelineConfig) -> int:
         args, "n_cases", "n_rulings", "n_short_facts", charge_count="charges"),
         min_fact_chars=cfg.filter.min_fact_chars, seed=args.seed)
     qrels_params = config.parse(testkit.generate_qrels, _flags(args, "n_queries"))
+    if qrels_params.get("n_queries", 0) < 0:
+        raise UsageError(f"--n-queries = {args.n_queries!r}: n_queries must be >= 0")
     build = testkit.generate_corpus(spec)
     fileio.write_jsonl(out / "corpus.jsonl", (case_to_record(d) for d in build.cases))
     fileio.write_jsonl(out / "truth.jsonl", (
@@ -205,6 +207,8 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_synthesize(args, cfg: PipelineConfig) -> int:
+    if args.limit < 0:
+        raise UsageError(f"--limit = {args.limit}: limit must be >= 0")
     settings = config.with_values(cfg.client, _flags(args, "max_in_flight"))
     docs = _load_corpus(Path(args.corpus))
     elements = _load_elements(Path(args.elements))

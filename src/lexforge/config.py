@@ -11,6 +11,7 @@ from ``--seed``.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -84,7 +85,8 @@ def config_keys() -> dict[str, tuple[type, dict[str, str]]]:
 def parse(target, values: Mapping[str, tuple[str, str]]) -> dict:
     """Parse ``values``, (source, text) by field or parameter name, by the
     annotations of ``target``; the source (a flag, or a file, section and
-    key) names a text that fails to parse in the UsageError raised."""
+    key) names a text that fails to parse, or a number that is not finite,
+    in the UsageError raised."""
     hints = get_type_hints(target.__init__ if isinstance(target, type) else target)
     booleans = configparser.ConfigParser.BOOLEAN_STATES
     parsed = {}
@@ -95,6 +97,8 @@ def parse(target, values: Mapping[str, tuple[str, str]]) -> dict:
             if kind is bool and text.lower() not in booleans:
                 raise ValueError("not a boolean")
             parsed[name] = booleans[text.lower()] if kind is bool else kind(text)
+            if kind is float and not math.isfinite(parsed[name]):
+                raise ValueError("not a finite number")
         except ValueError as exc:
             raise UsageError(f"{source} = {text!r}: {exc}") from exc
     return parsed

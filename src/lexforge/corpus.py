@@ -17,7 +17,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ExtractionFailed, MalformedRecord, MissingField, UnknownArticle
+from .errors import ExtractionFailed, MalformedRecord, MissingField
 from .zhnum import NUMERAL_CHARS, int_to_numeral, numeral_to_int
 
 
@@ -136,39 +136,14 @@ def article_base(article_id: str) -> int:
     return int(canonical_article_id(article_id).split("-", 1)[0])
 
 
-@dataclass(frozen=True)
-class ArticleSplitRule:
-    """How statute articles are split into main and ancillary.
+def classify_article(article_id: int | str) -> str:
+    """Classify one article id as 'main' or 'ancillary'.
 
-    The default is positional: articles in the General Provisions range
-    (1..threshold) shape sentencing and are ancillary, everything above
-    defines a charge and is main. An explicit table overrides the
-    threshold entirely; looking up an id absent from the table raises
-    :class:`UnknownArticle`.
+    Articles of the General Provisions (1..GENERAL_PROVISIONS_MAX) shape
+    sentencing and are ancillary; every article above defines a charge and
+    is main.
     """
-
-    threshold: int = GENERAL_PROVISIONS_MAX
-    table: Mapping[str, str] | None = None
-
-    def __post_init__(self):
-        if self.table is not None:
-            bad = {v for v in self.table.values()} - {MAIN, ANCILLARY}
-            if bad:
-                raise ValueError(f"split table values must be main/ancillary, got {bad}")
-
-
-DEFAULT_SPLIT_RULE = ArticleSplitRule()
-
-
-def classify_article(article_id: int | str, rule: ArticleSplitRule = DEFAULT_SPLIT_RULE) -> str:
-    """Classify one article id as 'main' or 'ancillary' under the rule."""
-    canonical = canonical_article_id(article_id)
-    if rule.table is not None:
-        try:
-            return rule.table[canonical]
-        except KeyError:
-            raise UnknownArticle(f"article {canonical} not in split table") from None
-    return ANCILLARY if article_base(canonical) <= rule.threshold else MAIN
+    return ANCILLARY if article_base(article_id) <= GENERAL_PROVISIONS_MAX else MAIN
 
 
 # --------------------------------------------------------------------------
@@ -420,8 +395,7 @@ def format_prison_term(term: PrisonTerm) -> str:
     return label + parts
 
 
-def extract_elements(doc: CaseDocument,
-                     article_split: ArticleSplitRule = DEFAULT_SPLIT_RULE) -> LegalElements:
+def extract_elements(doc: CaseDocument) -> LegalElements:
     """Extract charges, partitioned articles and the prison term from a case.
 
     Charges and the term come from the judgment section, articles from the
@@ -442,7 +416,7 @@ def extract_elements(doc: CaseDocument,
 
     main, ancillary = set(), set()
     for article in article_ids:
-        if classify_article(article, article_split) == MAIN:
+        if classify_article(article) == MAIN:
             main.add(article)
         else:
             ancillary.add(article)
@@ -482,7 +456,6 @@ class Exclusion:
 
 def filter_corpus(docs: Iterable[CaseDocument],
                   cfg: CorpusFilterConfig = CorpusFilterConfig(),
-                  article_split: ArticleSplitRule = DEFAULT_SPLIT_RULE,
                   on_exclude: Callable[[Exclusion], None] | None = None,
                   ) -> Iterator[tuple[CaseDocument, LegalElements | None]]:
     """Admit judgment documents with long-enough facts and extractable elements.
@@ -506,7 +479,7 @@ def filter_corpus(docs: Iterable[CaseDocument],
                     f"{len(doc.fact)} < {cfg.min_fact_chars}")
             continue
         try:
-            elements = extract_elements(doc, article_split)
+            elements = extract_elements(doc)
         except ExtractionFailed as exc:
             if cfg.require_extractable_elements:
                 exclude(doc.case_id, REASON_EXTRACTION_FAILED, exc.detail)

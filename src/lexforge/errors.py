@@ -35,14 +35,6 @@ class ExtractionFailed(LexforgeError):
         super().__init__(f"extraction failed for {case_id!r}: {detail}")
 
 
-class UnknownArticle(LexforgeError):
-    """An explicit split table has no entry for the given article id."""
-
-
-class EmptyPool(LexforgeError):
-    """The exemplar pool is smaller than the number of exemplars requested."""
-
-
 class GenerationFailed(LexforgeError):
     """The text-generation client failed after the configured retries."""
 

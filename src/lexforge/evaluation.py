@@ -43,8 +43,7 @@ def restrict_to_annotated(ranking: Sequence, judged: Mapping[str, int]) -> list[
     return [case_id for case_id in ids if case_id in judged]
 
 
-def precision_at_k(ranking_labels: Sequence[int], k: int,
-                   relevant_label: int = RELEVANT_LABEL) -> float:
+def precision_at_k(ranking_labels: Sequence[int], k: int) -> float:
     """Fraction of the top k that carries the relevant label.
 
     Ranks beyond the ranking length count as non-relevant: the divisor is
@@ -53,25 +52,24 @@ def precision_at_k(ranking_labels: Sequence[int], k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     top = ranking_labels[:k]
-    return sum(1 for label in top if label == relevant_label) / k
+    return sum(1 for label in top if label == RELEVANT_LABEL) / k
 
 
 def average_precision(ranking_labels: Sequence[int],
-                      pool_labels: Sequence[int],
-                      relevant_label: int = RELEVANT_LABEL) -> float:
+                      pool_labels: Sequence[int]) -> float:
     """Mean of precision-at-relevant-ranks over the pool's relevant count.
 
     The divisor is the number of relevant candidates in the annotated pool,
     not just those retrieved, so a truncated ranking is penalized. Queries
     with no relevant candidate score 0.
     """
-    total_relevant = sum(1 for label in pool_labels if label == relevant_label)
+    total_relevant = sum(1 for label in pool_labels if label == RELEVANT_LABEL)
     if total_relevant == 0:
         return 0.0
     hits = 0
     accumulated = 0.0
     for rank, label in enumerate(ranking_labels, start=1):
-        if label == relevant_label:
+        if label == RELEVANT_LABEL:
             hits += 1
             accumulated += hits / rank
     return accumulated / total_relevant
@@ -95,7 +93,9 @@ def ndcg_at_k(ranking_labels: Sequence[int], pool_labels: Sequence[int],
     return dcg_at_k(ranking_labels, k, gain) / idcg
 
 
-METRIC_ORDER = ("P@5", "P@10", "MAP", "NDCG@10", "NDCG@20", "NDCG@30")
+P_KS = (5, 10)
+NDCG_KS = (10, 20, 30)
+METRIC_ORDER = (*(f"P@{k}" for k in P_KS), "MAP", *(f"NDCG@{k}" for k in NDCG_KS))
 
 
 @dataclass
@@ -115,32 +115,23 @@ class MetricsReport:
 
 
 def query_metrics(ranking: Sequence, judged: Mapping[str, int], *,
-                  p_ks: Sequence[int] = (5, 10),
-                  ndcg_ks: Sequence[int] = (10, 20, 30),
                   gain: str = GAIN_LINEAR) -> tuple[dict[str, float], bool]:
     """Metrics for one query; second value flags an empty annotated ranking."""
     filtered = restrict_to_annotated(ranking, judged)
     labels = [judged[case_id] for case_id in filtered]
     pool_labels = list(judged.values())
-    metrics: dict[str, float] = {}
     if not filtered:
-        for k in p_ks:
-            metrics[f"P@{k}"] = 0.0
-        metrics["MAP"] = 0.0
-        for k in ndcg_ks:
-            metrics[f"NDCG@{k}"] = 0.0
-        return metrics, True
-    for k in p_ks:
+        return dict.fromkeys(METRIC_ORDER, 0.0), True
+    metrics: dict[str, float] = {}
+    for k in P_KS:
         metrics[f"P@{k}"] = precision_at_k(labels, k)
     metrics["MAP"] = average_precision(labels, pool_labels)
-    for k in ndcg_ks:
+    for k in NDCG_KS:
         metrics[f"NDCG@{k}"] = ndcg_at_k(labels, pool_labels, k, gain)
     return metrics, False
 
 
 def evaluate_run(run: Run, qrels: Qrels, *,
-                 p_ks: Sequence[int] = (5, 10),
-                 ndcg_ks: Sequence[int] = (10, 20, 30),
                  gain: str = GAIN_LINEAR) -> MetricsReport:
     """Per-query metrics over the annotated pools plus unweighted macro means.
 
@@ -156,8 +147,7 @@ def evaluate_run(run: Run, qrels: Qrels, *,
     per_query: dict[str, dict[str, float]] = {}
     warnings: list[str] = []
     for query_id in sorted(set(qrels) & set(run)):
-        metrics, empty = query_metrics(
-            run[query_id], qrels[query_id], p_ks=p_ks, ndcg_ks=ndcg_ks, gain=gain)
+        metrics, empty = query_metrics(run[query_id], qrels[query_id], gain=gain)
         if empty:
             warnings.append(f"{query_id}: no annotated candidates in run")
         per_query[query_id] = metrics

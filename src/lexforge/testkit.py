@@ -278,6 +278,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_cases", "n_rulings", "n_short_facts", "n_unextractable"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.charge_count < 1 or self.charge_count > len(CHARGE_PROFILES):
             raise ValueError(
                 f"charge_count must be in 1..{len(CHARGE_PROFILES)}")

@@ -275,6 +275,10 @@ class ToyEmbedder:
     def __init__(self, dim: int = 64, hash_buckets: int = 1 << 15,
                  ngram_min: int = 2, ngram_max: int = 3, seed: int = 0,
                  weights: np.ndarray | None = None):
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+        if hash_buckets < 1:
+            raise ValueError("hash_buckets must be >= 1")
         if not 1 <= ngram_min <= ngram_max:
             raise ValueError("need 1 <= ngram_min <= ngram_max")
         self.dim = dim
@@ -385,9 +389,9 @@ def save_checkpoint(embedder: ToyEmbedder, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> ToyEmbedder:
     """Read a checkpoint :func:`save_checkpoint` wrote, with the weights read
-    straight into their array. A bad magic, a short header, another version
-    or a weight section of the wrong size is :class:`BadCheckpoint` naming
-    the file."""
+    straight into their array. A bad magic, a short header, another version,
+    a header :class:`ToyEmbedder` rejects or a weight section of the wrong
+    size is :class:`BadCheckpoint` naming the file."""
     with open(path, "rb") as fh:
         head = fh.read(len(_CKPT_MAGIC) + _CKPT_HEADER.size)
         if head[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
@@ -406,8 +410,11 @@ def load_checkpoint(path: str | Path) -> ToyEmbedder:
             size = fh.readinto(weights)
         if size != expected:
             raise BadCheckpoint(f"{path}: expected {expected} weight bytes, got {size}")
-    return ToyEmbedder(dim=dim, hash_buckets=buckets, ngram_min=nmin, ngram_max=nmax,
-                       seed=seed, weights=weights)
+    try:
+        return ToyEmbedder(dim=dim, hash_buckets=buckets, ngram_min=nmin, ngram_max=nmax,
+                           seed=seed, weights=weights)
+    except ValueError as exc:
+        raise BadCheckpoint(f"{path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -461,6 +468,9 @@ class TrainResult:
 #: The six blocks one pass touches (params, grad, m, v, two scratch) take
 #: 1.5 MiB, so they stay in a core's L2 cache between the update's passes.
 ADAM_BLOCK = 512 * 64
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
@@ -478,11 +488,10 @@ class Adam:
     the row as it was: dropping the row changes no result.
     """
 
-    def __init__(self, shape: tuple[int, ...], beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, shape: tuple[int, ...]):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         scratch = min(ADAM_BLOCK, self.m.size)
         self._scratch = (np.empty(scratch), np.empty(scratch))
 
@@ -493,7 +502,7 @@ class Adam:
         if not params.flags.c_contiguous:
             raise ValueError("params must be C-contiguous to be updated in place")
         self.t += 1
-        b1, b2, eps = self.beta1, self.beta2, self.eps
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         p, g = params.reshape(-1), np.ascontiguousarray(grad).reshape(-1)
         m, v = self.m.reshape(-1), self.v.reshape(-1)

@@ -135,10 +135,15 @@ BAD_FILES = [
     ("[augment]\nseed = 7\n", "[augment] seed: seeds come only from --seed"),
     ("[loss]\nmasking = maybe\n", "[loss] masking = 'maybe': not a boolean"),
     ("[augment]\nmatch_mode = bogus\n", "[augment] match_mode = 'bogus'"),
-    ("[augment]\nweight_term = inf\n",
-     "[augment] weight_term = 'inf': weight sum must be finite"),
+    ("[augment]\nweight_term = inf\n", "[augment] weight_term = 'inf': not a finite number"),
     ("[augment]\nweight_ancillary = nan\n",
-     "[augment] weight_ancillary = 'nan': weight sum must be finite"),
+     "[augment] weight_ancillary = 'nan': not a finite number"),
+    ("[augment]\nweight_ancillary = 1e308\nweight_term = 1e308\n",
+     "weight_term = '1e308': weight sum must be finite"),
+    ("[bm25]\nk1 = nan\n", "[bm25] k1 = 'nan': not a finite number"),
+    ("[bm25]\nk1 = inf\n", "[bm25] k1 = 'inf': not a finite number"),
+    ("[loss]\ntemperature = nan\n", "[loss] temperature = 'nan': not a finite number"),
+    ("[loss]\ntemperature = inf\n", "[loss] temperature = 'inf': not a finite number"),
     ("[filter]\nmin_fact_chars = ten\n", "[filter] min_fact_chars = 'ten'"),
     ("[augment]\nproportion_augmented = 0.5\n", "[augment] proportion_augmented: unknown key"),
     ("[client]\ntimeout = -1\n", "[client] timeout = '-1': timeout must be > 0"),
@@ -159,7 +164,22 @@ BAD_FLAGS = [
       "--epochs", "0"], "--epochs = '0': epochs must be >= 1"),
     (["train", "--pairs", "p", "--queries", "q", "--corpus", "c", "--output", "o",
       "--batch-size", "two"], "--batch-size = 'two'"),
+    (["train", "--pairs", "p", "--queries", "q", "--corpus", "c", "--output", "o",
+      "--learning-rate", "nan"], "--learning-rate = 'nan': not a finite number"),
+    (["train", "--pairs", "p", "--queries", "q", "--corpus", "c", "--output", "o",
+      "--hash-buckets", "0"], "--hash-buckets = '0': hash_buckets must be >= 1"),
+    (["train", "--pairs", "p", "--queries", "q", "--corpus", "c", "--output", "o",
+      "--hash-buckets", "-4"], "--hash-buckets = '-4': hash_buckets must be >= 1"),
+    (["train", "--pairs", "p", "--queries", "q", "--corpus", "c", "--output", "o",
+      "--dim", "0"], "--dim = '0': dim must be >= 1"),
     (["fixtures", "--out", "d", "--charges", "99"], "--charges = '99'"),
+    (["fixtures", "--out", "d", "--n-queries", "-1"], "--n-queries = '-1': n_queries must be >= 0"),
+    (["fixtures", "--out", "d", "--n-cases", "-1"], "--n-cases = '-1': n_cases must be >= 0"),
+    (["fixtures", "--out", "d", "--n-rulings", "-2"], "--n-rulings = '-2': n_rulings must be >= 0"),
+    (["fixtures", "--out", "d", "--n-short-facts", "-3"],
+     "--n-short-facts = '-3': n_short_facts must be >= 0"),
+    (["synthesize", "--corpus", "c", "--elements", "e", "--output", "o", "--limit", "-1"],
+     "--limit = -1: limit must be >= 0"),
     (["synthesize", "--corpus", "c", "--elements", "e", "--output", "o",
       "--max-in-flight", "0"], "--max-in-flight = '0': max_in_flight must be >= 1"),
 ]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from lexforge.corpus import (
     ANCILLARY,
     MAIN,
-    ArticleSplitRule,
     CaseDocument,
     CorpusFilterConfig,
     DocKind,
@@ -35,7 +34,6 @@ from lexforge.errors import (
     ExtractionFailed,
     MalformedRecord,
     MissingField,
-    UnknownArticle,
 )
 from lexforge.zhnum import int_to_numeral, numeral_to_int
 
@@ -118,13 +116,6 @@ class TestClassifyArticle:
     def test_sub_article_uses_base(self):
         assert classify_article("133-1") == MAIN
         assert article_base("133-1") == 133
-
-    def test_explicit_table(self):
-        rule = ArticleSplitRule(table={"999": ANCILLARY, "3": MAIN})
-        assert classify_article("999", rule) == ANCILLARY
-        assert classify_article("3", rule) == MAIN
-        with pytest.raises(UnknownArticle):
-            classify_article("7", rule)
 
     def test_bad_ids(self):
         with pytest.raises(ValueError):

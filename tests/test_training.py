@@ -341,6 +341,8 @@ class TestToyEmbedder:
         (lambda b: b[:3], "bad magic"),
         (lambda b: b[:20], "truncated header"),
         (lambda b: b[:8] + (2).to_bytes(4, "little") + b[12:], "unsupported version 2"),
+        (lambda b: b[:20] + (0).to_bytes(4, "little") + b[24:],
+         "need 1 <= ngram_min <= ngram_max"),
         (lambda b: b[:-1], "expected 1024 weight bytes, got 1023"),
         (lambda b: b + b"\0" * 8, "expected 1024 weight bytes, got 1032"),
     ])
