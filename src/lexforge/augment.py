@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
+from .config import AugmentConfig
 from .corpus import MONTH_BEARING, LegalElements, PrisonTerm, TermKind
 from .errors import MissingElements, NoMatch
 
@@ -36,27 +37,6 @@ TERM_DECAY_MONTHS = 24.0
 
 #: Similarity credit for the death/life pair, the only cross-kind affinity.
 LIFE_DEATH_SIMILARITY = 0.25
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    proportion_augmented: float = 0.7
-    weight_ancillary: float = 0.5
-    weight_term: float = 0.5
-    seed: int = 0
-    match_mode: str = "exact_main"  # or "shared_charge"
-
-    def __post_init__(self):
-        if not 0.0 <= self.proportion_augmented <= 1.0:
-            raise ValueError("proportion_augmented must be in [0, 1]")
-        if self.weight_ancillary < 0 or self.weight_term < 0:
-            raise ValueError("weights must be non-negative")
-        if not math.isfinite(self.weight_ancillary + self.weight_term):
-            raise ValueError("weight sum must be finite")
-        if self.weight_ancillary + self.weight_term <= 0:
-            raise ValueError("weight sum must be positive")
-        if self.match_mode not in ("exact_main", "shared_charge"):
-            raise ValueError(f"unknown match mode: {self.match_mode}")
 
 
 @dataclass(frozen=True)

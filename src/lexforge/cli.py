@@ -5,6 +5,9 @@ train -> index -> search -> eval -> report. Every stage reads and writes
 only the documented files (line-delimited JSON, a binary checkpoint and a
 binary BM25 index), writes outputs atomically, and is re-runnable. Exit
 codes: 0 success, 1 usage, 2 data error, 3 remote-client failure.
+
+This module imports only :mod:`config`, :mod:`fileio` and :mod:`errors`;
+each stage imports the modules it runs, so a stage process loads no other.
 """
 
 from __future__ import annotations
@@ -15,21 +18,10 @@ import json
 import sys
 from collections.abc import Iterator
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import augment as augment_mod
-from . import config, evaluation, fileio, retrieval
-from . import querygen as querygen_mod
+from . import config, fileio
 from .config import PipelineConfig
-from .corpus import (
-    CaseDocument,
-    Exclusion,
-    case_text,
-    elements_from_record,
-    elements_to_record,
-    case_to_record,
-    filter_corpus,
-    parse_case,
-)
 from .errors import (
     EmptyCorpus,
     GenerationFailed,
@@ -37,7 +29,9 @@ from .errors import (
     MalformedRecord,
     UsageError,
 )
-from .seeds import derive_seed
+
+if TYPE_CHECKING:
+    from .corpus import CaseDocument
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,15 +71,39 @@ def _parsed(path: Path, parse) -> Iterator:
 
 
 def _load_corpus(path: Path) -> dict[str, CaseDocument]:
+    from .corpus import parse_case
+
     return {doc.case_id: doc for doc in _parsed(path, parse_case)}
 
 
+def _load_texts(path: Path, wanted: set[str] | None = None) -> dict[str, str]:
+    """The text of each case of a corpus file, or of each case in ``wanted``.
+    Every record is parsed, so a bad one anywhere is a MalformedRecord, but
+    only the texts kept outlive their record."""
+    from .corpus import case_text, parse_case
+
+    return {doc.case_id: case_text(doc) for doc in _parsed(path, parse_case)
+            if wanted is None or doc.case_id in wanted}
+
+
 def _load_elements(path: Path):
+    from .corpus import elements_from_record
+
     return dict(_parsed(path, elements_from_record))
 
 
-def _load_queries(path: Path) -> list[querygen_mod.QueryRecord]:
-    return list(_parsed(path, querygen_mod.QueryRecord.from_record))
+class _Query(NamedTuple):
+    """What ``augment``, ``train`` and ``search`` read of a query record."""
+
+    query_id: str
+    source_case_id: str
+    text: str
+
+
+def _load_queries(path: Path) -> list[_Query]:
+    return [_Query(*_fields(path, lineno, record,
+                            query_id=None, source_case_id=None, text=None))
+            for lineno, record in fileio.read_jsonl(path)]
 
 
 def _fields(path: Path, lineno: int, record: dict, **parsers) -> list:
@@ -110,12 +128,23 @@ def _id_list(value) -> list:
     return value
 
 
+def _charges(value) -> frozenset[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"expected a list of strings, not {value!r}")
+    return frozenset(value)
+
+
 def _load_qrels(path: Path) -> dict[str, dict[str, int]]:
+    """Each query's labels; a repeated (query, case) is a MalformedRecord."""
     qrels: dict[str, dict[str, int]] = {}
     for lineno, record in fileio.read_jsonl(path):
         query_id, case_id, label = _fields(path, lineno, record,
                                            query_id=None, case_id=None, label=int)
-        qrels.setdefault(query_id, {})[case_id] = label
+        labels = qrels.setdefault(query_id, {})
+        if case_id in labels:
+            raise MalformedRecord(f"{path}:{lineno}: query {query_id!r} repeats "
+                                  f"case_id {case_id!r}")
+        labels[case_id] = label
     return qrels
 
 
@@ -129,10 +158,19 @@ def _load_pools(path: Path) -> dict[str, list[str]]:
 
 
 def _load_run(path: Path) -> dict[str, list[tuple[str, float]]]:
+    """Each query's (case id, score) list in rank order; a case id or a rank
+    repeated within a query is a MalformedRecord."""
     rows: dict[str, list[tuple[int, str, float]]] = {}
+    seen: dict[str, set[tuple[str, object]]] = {}
     for lineno, record in fileio.read_jsonl(path):
         query_id, rank, case_id, score = _fields(path, lineno, record, query_id=None,
                                                  rank=int, case_id=None, score=float)
+        taken = seen.setdefault(query_id, set())
+        for key in (("case_id", case_id), ("rank", rank)):
+            if key in taken:
+                raise MalformedRecord(f"{path}:{lineno}: query {query_id!r} repeats "
+                                      f"{key[0]} {key[1]!r}")
+            taken.add(key)
         rows.setdefault(query_id, []).append((rank, case_id, score))
     return {qid: [(cid, score) for _, cid, score in sorted(entries)]
             for qid, entries in rows.items()}
@@ -147,16 +185,14 @@ def _write_run(path: Path, run: dict[str, list[tuple[str, float]]], scorer: str)
     fileio.write_jsonl(path, records)
 
 
-def _corpus_texts(docs: dict[str, CaseDocument]) -> dict[str, str]:
-    return {cid: case_text(doc) for cid, doc in docs.items()}
-
-
 # --------------------------------------------------------------------------
 # Stage implementations
 # --------------------------------------------------------------------------
 
 def _cmd_fixtures(args, cfg: PipelineConfig) -> int:
-    from . import testkit
+    from . import querygen, testkit
+    from .corpus import case_to_record, elements_to_record
+    from .seeds import derive_seed
 
     out = Path(args.out)
     spec = config.with_values(testkit.SyntheticSpec, _flags(
@@ -181,8 +217,8 @@ def _cmd_fixtures(args, cfg: PipelineConfig) -> int:
         for cid, label in sorted(qrels_build.labels[qid].items())))
 
     docs = {d.case_id: d for d in build.cases}
-    client = querygen_mod.OfflineTemplateClient()
-    eval_queries = querygen_mod.generate_queries(
+    client = querygen.OfflineTemplateClient()
+    eval_queries = querygen.generate_queries(
         [docs[qrels_build.sources[qid]] for qid in sorted(qrels_build.sources)],
         client, global_seed=derive_seed(args.seed, "eval-queries"),
         max_query_chars=cfg.max_query_chars)
@@ -192,6 +228,8 @@ def _cmd_fixtures(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_extract(args, cfg: PipelineConfig) -> int:
+    from .corpus import Exclusion, elements_to_record, filter_corpus
+
     docs = _load_corpus(Path(args.corpus))
     exclusions: list[Exclusion] = []
     admitted = []
@@ -207,6 +245,8 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_synthesize(args, cfg: PipelineConfig) -> int:
+    from . import querygen
+
     if args.limit < 0:
         raise UsageError(f"--limit = {args.limit}: limit must be >= 0")
     settings = config.with_values(cfg.client, _flags(args, "max_in_flight"))
@@ -219,13 +259,13 @@ def _cmd_synthesize(args, cfg: PipelineConfig) -> int:
         if not settings.endpoint:
             raise UsageError("remote client needs an endpoint "
                              "(config [client] endpoint or LEXFORGE_ENDPOINT)")
-        client = querygen_mod.RemoteGenerationClient(
+        client = querygen.RemoteGenerationClient(
             endpoint=settings.endpoint, model=settings.model,
             api_key=settings.api_key, timeout=settings.timeout,
             max_retries=settings.retries, backoff=settings.backoff)
     else:
-        client = querygen_mod.OfflineTemplateClient()
-    queries = querygen_mod.generate_queries(
+        client = querygen.OfflineTemplateClient()
+    queries = querygen.generate_queries(
         targets, client, global_seed=args.seed,
         max_in_flight=settings.max_in_flight,
         max_query_chars=cfg.max_query_chars)
@@ -239,12 +279,14 @@ def _cmd_synthesize(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_augment(args, cfg: PipelineConfig) -> int:
+    from . import augment
+
     aug_cfg = config.with_values(
         cfg.augment, _flags(args, proportion_augmented="proportion"), seed=args.seed)
     queries = _load_queries(Path(args.queries))
     elements = _load_elements(Path(args.elements))
-    index = augment_mod.build_element_index(elements)
-    result = augment_mod.mix_pairs(queries, elements, index, aug_cfg)
+    index = augment.build_element_index(elements)
+    result = augment.mix_pairs(queries, elements, index, aug_cfg)
     fileio.write_jsonl(Path(args.output), (p.to_record() for p in result.pairs))
     print(f"augment: {len(result.pairs)} pairs, {result.augmented_count} augmented, "
           f"{len(result.fallbacks)} fallbacks; {index.signatures} signatures indexed, "
@@ -253,31 +295,32 @@ def _cmd_augment(args, cfg: PipelineConfig) -> int:
 
 
 def _training_examples(args) -> list:
-    """The pairs of ``--pairs``, with their texts. Only the texts the pairs
-    name outlive the call, so the rest of the corpus is freed before
-    training starts."""
+    """The pairs of ``--pairs``, with their texts. The pairs are read first,
+    so that only the query texts and case texts they name are kept: the
+    corpus is streamed and no parsed case outlives its record."""
     from .training import PairExample
 
-    docs = _load_corpus(Path(args.corpus))
-    queries = {q.query_id: q.text for q in _load_queries(Path(args.queries))}
-    texts: dict[str, str] = {}
-    examples = []
+    pairs = []
     for lineno, record in fileio.read_jsonl(Path(args.pairs)):
-        # train reads no kind, but a pair without one is malformed
-        query_id, case_id, _ = _fields(args.pairs, lineno, record, query_id=None,
-                                       positive_case_id=None, kind=None)
+        # train reads no kind, but a pair without one is malformed;
+        # positive_charges may be left out
+        pairs.append((lineno, *_fields(
+            args.pairs, lineno, {"positive_charges": [], **record}, query_id=None,
+            positive_case_id=None, kind=None, positive_charges=_charges)))
+    queries = {q.query_id: q.text for q in _load_queries(Path(args.queries))}
+    texts = _load_texts(Path(args.corpus), {case_id for _, _, case_id, _, _ in pairs})
+    examples = []
+    for lineno, query_id, case_id, _, charges in pairs:
         where = f"{args.pairs}:{lineno}"
         if query_id not in queries:
             raise MalformedRecord(f"{where}: field 'query_id': "
                                   f"{query_id!r} not in {args.queries}")
-        if case_id not in docs:
+        if case_id not in texts:
             raise MalformedRecord(f"{where}: field 'positive_case_id': "
                                   f"{case_id!r} not in {args.corpus}")
-        if case_id not in texts:
-            texts[case_id] = case_text(docs[case_id])
-        examples.append(PairExample(
-            query_text=queries[query_id], positive_text=texts[case_id],
-            positive_charges=frozenset(record.get("positive_charges", []))))
+        examples.append(PairExample(query_text=queries[query_id],
+                                    positive_text=texts[case_id],
+                                    positive_charges=charges))
     return examples
 
 
@@ -304,8 +347,13 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_index(args, cfg: PipelineConfig) -> int:
-    docs = _load_corpus(Path(args.corpus))
-    index = retrieval.Bm25Index.build(_corpus_texts(docs), **config.parse(
+    from . import retrieval
+
+    if args.tokenizer is not None and args.tokenizer not in retrieval.TOKENIZERS:
+        choices = ", ".join(map(repr, sorted(retrieval.TOKENIZERS)))
+        raise UsageError(f"argument --tokenizer: invalid choice: {args.tokenizer!r} "
+                         f"(choose from {choices})")
+    index = retrieval.Bm25Index.build(_load_texts(Path(args.corpus)), **config.parse(
         retrieval.Bm25Index.build, _flags(args, tokenizer_name="tokenizer")))
     written = index.save(Path(args.output))
     print(f"index: {index.n_docs} docs, {len(index.terms)} terms, "
@@ -325,6 +373,8 @@ def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | No
     pool with no id in ``texts`` is an :class:`EmptyCorpus` naming the query
     and ``pools_path``.
     """
+    from . import retrieval
+
     missing: set[str] = set()
     unpooled = 0
     ranked: list[tuple[str, str, dict[str, str]]] = []
@@ -348,13 +398,14 @@ def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | No
 
 
 def _cmd_search(args, cfg: PipelineConfig) -> int:
+    from . import retrieval
+
     k = config.parse(retrieval.search, _flags(args, "k")).get("k", retrieval.DEFAULT_K)
     if k < 1:
         raise UsageError(f"--k = {args.k!r}: k must be >= 1")
     if args.scorer == "dense" and not args.checkpoint:
         raise UsageError("dense scoring needs --checkpoint")
-    docs = _load_corpus(Path(args.corpus))
-    texts = _corpus_texts(docs)
+    texts = _load_texts(Path(args.corpus))
     queries = _load_queries(Path(args.queries))
     pools = _load_pools(Path(args.pools)) if args.pools else None
     if args.scorer == "dense":
@@ -379,6 +430,8 @@ def _cmd_search(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_eval(args, cfg: PipelineConfig) -> int:
+    from . import evaluation
+
     run = _load_run(Path(args.run))
     qrels = _load_qrels(Path(args.qrels))
     report = evaluation.evaluate_run(
@@ -413,8 +466,10 @@ def _load_metrics(path: Path) -> tuple[str, dict[str, float]]:
 
 
 def _cmd_report(args, cfg: PipelineConfig) -> int:
+    from .evaluation import METRIC_ORDER
+
     reports = [_load_metrics(Path(path)) for path in args.metrics]
-    names = [n for n in evaluation.METRIC_ORDER if all(n in m for _, m in reports)]
+    names = [n for n in METRIC_ORDER if all(n in m for _, m in reports)]
 
     header = ["run"] + names
     widths = [max(len(header[0]), *(len("Δ " + label) for label, _ in reports))]
@@ -499,7 +554,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("index", help="build and save a BM25 index")
     p.add_argument("--corpus", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--tokenizer", choices=sorted(retrieval.TOKENIZERS))
+    p.add_argument("--tokenizer")
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("search", help="rank candidate pools for each query")

@@ -6,6 +6,10 @@ parsed by the field's annotation, so each default is written once. The
 environment (``LEXFORGE_ENDPOINT``, ``LEXFORGE_MODEL``, ``LEXFORGE_API_KEY``)
 overrides the client credentials; flags override both. Seeds come only
 from ``--seed``.
+
+Every section's dataclass is defined here and the stage modules import it,
+so this module imports only :mod:`errors` and loading a config loads no
+stage.
 """
 
 from __future__ import annotations
@@ -18,13 +22,10 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .augment import AugmentConfig
-from .corpus import CorpusFilterConfig
 from .errors import UsageError
-from .querygen import DEFAULT_MAX_QUERY_CHARS
-from .retrieval import Bm25Params, SegmentConfig
 
 ENV_PREFIX = "LEXFORGE_"
+DEFAULT_MAX_QUERY_CHARS = 400
 #: The two keys named apart from the field they set, by field.
 KEY_OF_FIELD = {"proportion_augmented": "proportion", "masking_enabled": "masking"}
 
@@ -60,6 +61,82 @@ class LossConfig:
     def __post_init__(self):
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+
+
+@dataclass(frozen=True)
+class CorpusFilterConfig:
+    """Which records :func:`lexforge.corpus.filter_corpus` admits."""
+
+    min_fact_chars: int = 100
+    require_extractable_elements: bool = True
+
+    def __post_init__(self):
+        if self.min_fact_chars < 0:
+            raise ValueError("min_fact_chars must be >= 0")
+
+
+@dataclass(frozen=True)
+class AugmentConfig:
+    """The positive search and pair mix of :mod:`lexforge.augment`."""
+
+    proportion_augmented: float = 0.7
+    weight_ancillary: float = 0.5
+    weight_term: float = 0.5
+    seed: int = 0
+    match_mode: str = "exact_main"  # or "shared_charge"
+
+    def __post_init__(self):
+        if not 0.0 <= self.proportion_augmented <= 1.0:
+            raise ValueError("proportion_augmented must be in [0, 1]")
+        if self.weight_ancillary < 0 or self.weight_term < 0:
+            raise ValueError("weights must be non-negative")
+        if not math.isfinite(self.weight_ancillary + self.weight_term):
+            raise ValueError("weight sum must be finite")
+        if self.weight_ancillary + self.weight_term <= 0:
+            raise ValueError("weight sum must be positive")
+        if self.match_mode not in ("exact_main", "shared_charge"):
+            raise ValueError(f"unknown match mode: {self.match_mode}")
+
+
+@dataclass(frozen=True)
+class SegmentConfig:
+    """Window length and stride, in characters, of dense scoring in
+    :mod:`lexforge.retrieval`.
+
+    The window limit plays the role of a model's maximum input length; it
+    is counted in characters here because token counts depend on an
+    external tokenizer. ``stride`` defaults to ``max_len`` (non-overlapping
+    windows that reassemble to the original text). ``step`` is the stride in
+    effect and decides equality; ``stride`` keeps the value given, so a
+    ``dataclasses.replace`` with a new ``max_len`` and no stride steps by
+    the new length.
+    """
+
+    max_len: int = 2048
+    stride: int | None = field(default=None, compare=False)
+    step: int = field(init=False)
+
+    def __post_init__(self):
+        if self.max_len < 1:
+            raise ValueError("max_len must be positive")
+        step = self.max_len if self.stride is None else self.stride
+        if step < 1 or step > self.max_len:
+            raise ValueError("need 1 <= stride <= max_len")
+        object.__setattr__(self, "step", step)
+
+
+@dataclass(frozen=True)
+class Bm25Params:
+    """The BM25 parameters of :mod:`lexforge.retrieval`."""
+
+    k1: float = 1.2
+    b: float = 0.75
+
+    def __post_init__(self):
+        if self.k1 < 0:
+            raise ValueError("k1 must be >= 0")
+        if not 0.0 <= self.b <= 1.0:
+            raise ValueError("b must be in [0, 1]")
 
 
 @dataclass

@@ -17,6 +17,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .config import CorpusFilterConfig
 from .errors import ExtractionFailed, MalformedRecord, MissingField
 from .zhnum import NUMERAL_CHARS, int_to_numeral, numeral_to_int
 
@@ -94,16 +95,6 @@ class LegalElements:
         overlap = self.main_articles & self.ancillary_articles
         if overlap:
             raise ValueError(f"articles classified both ways: {sorted(overlap)}")
-
-
-@dataclass(frozen=True)
-class CorpusFilterConfig:
-    min_fact_chars: int = 100
-    require_extractable_elements: bool = True
-
-    def __post_init__(self):
-        if self.min_fact_chars < 0:
-            raise ValueError("min_fact_chars must be >= 0")
 
 
 # --------------------------------------------------------------------------

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Protocol, runtime_checkable
 
+from .config import DEFAULT_MAX_QUERY_CHARS
 from .corpus import CaseDocument
 from .errors import GenerationFailed, QueryTooLong
 from .seeds import derive_seed
 
 Message = dict[str, str]
-
-DEFAULT_MAX_QUERY_CHARS = 400
 
 ENTITY_CATEGORIES = ("person", "company", "location", "time")
 
@@ -500,24 +499,6 @@ class QueryRecord:
             "exemplar_ids": list(self.exemplar_ids),
             "anonymization_log": [e.to_record() for e in self.anonymization_log],
         }
-
-    @classmethod
-    def from_record(cls, record: Mapping) -> "QueryRecord":
-        log = []
-        for entry in record.get("anonymization_log", []):
-            start, end = entry["span"]
-            log.append(AnonymizationEntry(
-                start=start, end=end, surface=entry["surface"],
-                category=entry["category"], replacement=entry["replacement"],
-                out_end=-1))
-        return cls(
-            query_id=record["query_id"],
-            source_case_id=record["source_case_id"],
-            text=record["text"],
-            generator=record["generator"],
-            exemplar_ids=list(record.get("exemplar_ids", [])),
-            anonymization_log=log,
-        )
 
 
 def truncate_at_sentence(text: str, limit: int) -> str:

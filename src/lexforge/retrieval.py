@@ -28,12 +28,12 @@ import sys
 from array import array
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, count
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .config import Bm25Params, SegmentConfig
 from .errors import BadIndex, EmptyCorpus, UnknownDoc, ZeroVector
 from .fileio import atomic_write_bytes
 
@@ -59,18 +59,6 @@ TOKENIZERS: dict[str, Tokenizer] = {
     "char_bigram": tokenize_char_bigrams,
     "whitespace": tokenize_whitespace,
 }
-
-
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 1.2
-    b: float = 0.75
-
-    def __post_init__(self):
-        if self.k1 < 0:
-            raise ValueError("k1 must be >= 0")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
 
 
 class Bm25Index:
@@ -364,32 +352,6 @@ class Bm25Scorer:
 # --------------------------------------------------------------------------
 # Segment-and-max dense scoring
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SegmentConfig:
-    """Window length and stride, in characters.
-
-    The window limit plays the role of a model's maximum input length; it
-    is counted in characters here because token counts depend on an
-    external tokenizer. ``stride`` defaults to ``max_len`` (non-overlapping
-    windows that reassemble to the original text). ``step`` is the stride in
-    effect and decides equality; ``stride`` keeps the value given, so a
-    ``dataclasses.replace`` with a new ``max_len`` and no stride steps by
-    the new length.
-    """
-
-    max_len: int = 2048
-    stride: int | None = field(default=None, compare=False)
-    step: int = field(init=False)
-
-    def __post_init__(self):
-        if self.max_len < 1:
-            raise ValueError("max_len must be positive")
-        step = self.max_len if self.stride is None else self.stride
-        if step < 1 or step > self.max_len:
-            raise ValueError("need 1 <= stride <= max_len")
-        object.__setattr__(self, "step", step)
-
 
 def segment(text: str, cfg: SegmentConfig = SegmentConfig()) -> list[str]:
     """Contiguous windows of at most max_len stepping by stride; tail included."""

@@ -244,6 +244,15 @@ class TestExitCodes:
     def test_missing_required_flag_is_usage_error(self):
         assert run_cli("extract", "--corpus", "x.jsonl") == 1
 
+    def test_unknown_tokenizer_is_usage_error(self, workdir, tmp_path, capsys):
+        assert run_cli("index", "--corpus", workdir / "corpus.jsonl",
+                       "--output", tmp_path / "bm25.idx",
+                       "--tokenizer", "nope") == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: argument --tokenizer: invalid choice: 'nope' "
+            "(choose from 'char_bigram', 'whitespace')\n")
+        assert not (tmp_path / "bm25.idx").exists()
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert run_cli("extract", "--corpus", tmp_path / "nope.jsonl",
                        "--elements", tmp_path / "el.jsonl") == 2
@@ -253,7 +262,7 @@ class TestExitCodes:
         def lookup_fails(*args, **kwargs):
             raise KeyError("q-1")
 
-        monkeypatch.setattr(cli.evaluation, "evaluate_run", lookup_fails)
+        monkeypatch.setattr("lexforge.evaluation.evaluate_run", lookup_fails)
         with pytest.raises(KeyError):
             run_cli("eval", "--run", workdir / "run_bm25.jsonl",
                     "--qrels", workdir / "qrels.jsonl", "--output", tmp_path / "m.json")
@@ -389,6 +398,59 @@ class TestExitCodes:
                                "--output", tmp_path / "m.json")
         assert err.startswith(f"data error: {run}:1: field 'score': ")
 
+    @pytest.mark.parametrize("repeat,expected", [
+        ({"case_id": "c1", "rank": 3}, "query 'q' repeats case_id 'c1'"),
+        ({"case_id": "c3", "rank": 1}, "query 'q' repeats rank 1")])
+    def test_repeat_within_a_run_query_is_data_error(self, workdir, tmp_path, capsys,
+                                                     repeat, expected):
+        # the same case and rank under another query are no repeat
+        rows = [{"query_id": "q", "case_id": "c1", "rank": 1},
+                {"query_id": "p", "case_id": "c1", "rank": 1},
+                {"query_id": "q", "case_id": "c2", "rank": 2},
+                {"query_id": "q", **repeat}]
+        run = tmp_path / "run.jsonl"
+        fileio.write_jsonl(run, [{"score": 1.0, **row} for row in rows])
+        err = self._data_error(capsys, "eval", "--run", run, "--qrels", workdir / "qrels.jsonl",
+                               "--output", tmp_path / "m.json")
+        assert err == f"data error: {run}:4: {expected}\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_repeated_judgment_is_data_error(self, workdir, tmp_path, capsys):
+        qrels = tmp_path / "qrels.jsonl"
+        fileio.write_jsonl(qrels, [{"query_id": "q", "case_id": "d", "label": 3},
+                                   {"query_id": "p", "case_id": "d", "label": 1},
+                                   {"query_id": "q", "case_id": "d", "label": 0}])
+        err = self._data_error(capsys, "eval", "--run", workdir / "run_bm25.jsonl",
+                               "--qrels", qrels, "--output", tmp_path / "m.json")
+        assert err == f"data error: {qrels}:3: query 'q' repeats case_id 'd'\n"
+
+    @pytest.mark.parametrize("charges", ["盗窃罪", ["盗窃罪", 3], {"盗窃罪": 1}, None])
+    def test_charges_not_a_list_of_strings_is_data_error(self, workdir, tmp_path, capsys,
+                                                         charges):
+        records = _records(workdir / "pairs.jsonl")
+        records[2]["positive_charges"] = charges
+        pairs = tmp_path / "pairs.jsonl"
+        fileio.write_jsonl(pairs, records)
+        err = self._data_error(capsys, "train", "--pairs", pairs,
+                               "--queries", workdir / "queries.jsonl",
+                               "--corpus", workdir / "corpus.jsonl",
+                               "--output", tmp_path / "t.ckpt", "--dim", 4,
+                               "--hash-buckets", 64)
+        assert err == (f"data error: {pairs}:3: field 'positive_charges': "
+                       f"expected a list of strings, not {charges!r}\n")
+        assert not (tmp_path / "t.ckpt").exists()
+
+    def test_pairs_without_charges_train(self, workdir, tmp_path):
+        # positive_charges may be left out: such a pair masks no negative
+        records = _records(workdir / "pairs.jsonl")
+        for record in records:
+            del record["positive_charges"]
+        pairs = tmp_path / "pairs.jsonl"
+        fileio.write_jsonl(pairs, records)
+        assert run_cli("train", "--pairs", pairs, "--queries", workdir / "queries.jsonl",
+                       "--corpus", workdir / "corpus.jsonl", "--output", tmp_path / "t.ckpt",
+                       "--epochs", 1, "--dim", 4, "--hash-buckets", 64) == cli.EXIT_OK
+
     @pytest.mark.parametrize("content,reason", [
         ("not json", "not JSON: Expecting value: line 1 column 1 (char 0)"),
         ('{"label": "x", "per_query": {}}', "no 'macro' object of metric values"),
@@ -497,39 +559,68 @@ def test_cli_import_leaves_requests_out():
     assert result.stdout.strip() == "False"
 
 
-def test_numpy_free_stages_leave_numpy_out(workdir, tmp_path):
-    """Importing the CLI, synthesizing queries, mixing pairs, evaluating a
-    run, building a BM25 index and BM25 search, with or without it, never
-    load numpy, nor the fixture generator ``lexforge.testkit``."""
+#: The lexforge modules ``import lexforge.cli`` loads.
+CLI_MODULES = ["cli", "config", "errors", "fileio"]
+
+#: Per stage, its arguments (``{w}`` is the pipeline's data directory and
+#: ``{t}`` a fresh one), the lexforge modules it loads besides the CLI's, and
+#: whether it loads numpy. So ``eval`` and ``report`` load no corpus, query
+#: generation, augmentation, retrieval, training or fixture module; only
+#: ``fixtures`` and ``synthesize`` load ``querygen``; only ``fixtures``
+#: loads ``testkit``; and only ``train`` and dense ``search`` load numpy.
+STAGE_LOADS = {
+    "fixtures": ("fixtures --out {t}/d --n-cases 100 --n-queries 1 --seed 3",
+                 ["corpus", "querygen", "seeds", "testkit", "zhnum"], False),
+    "extract": ("extract --corpus {w}/corpus.jsonl --elements {t}/e.jsonl",
+                ["corpus", "zhnum"], False),
+    "synthesize": ("synthesize --corpus {w}/corpus.jsonl --elements {w}/elements.jsonl "
+                   "--output {t}/q.jsonl --seed 11",
+                   ["corpus", "querygen", "seeds", "zhnum"], False),
+    "augment": ("augment --queries {w}/queries.jsonl --elements {w}/elements.jsonl "
+                "--output {t}/p.jsonl --seed 11", ["augment", "corpus", "zhnum"], False),
+    "train": ("train --pairs {w}/pairs.jsonl --queries {w}/queries.jsonl "
+              "--corpus {w}/corpus.jsonl --output {t}/t.ckpt --epochs 1 --dim 4 "
+              "--hash-buckets 64", ["corpus", "seeds", "training", "zhnum"], True),
+    "index": ("index --corpus {w}/corpus.jsonl --output {t}/bm25.idx",
+              ["corpus", "retrieval", "zhnum"], False),
+    "search bm25": ("search --queries {w}/eval_queries.jsonl --corpus {w}/corpus.jsonl "
+                    "--pools {w}/pools.jsonl --output {t}/run.jsonl",
+                    ["corpus", "retrieval", "zhnum"], False),
+    "search bm25 --index": ("search --queries {w}/eval_queries.jsonl "
+                            "--corpus {w}/corpus.jsonl --pools {w}/pools.jsonl "
+                            "--index {w}/bm25.idx --output {t}/run.jsonl",
+                            ["corpus", "retrieval", "zhnum"], False),
+    "search dense": ("search --queries {w}/eval_queries.jsonl --corpus {w}/corpus.jsonl "
+                     "--pools {w}/pools.jsonl --scorer dense --checkpoint {w}/toy.ckpt "
+                     "--output {t}/run.jsonl",
+                     ["corpus", "retrieval", "seeds", "training", "zhnum"], True),
+    "eval": ("eval --run {w}/run_bm25.jsonl --qrels {w}/qrels.jsonl --output {t}/m.json",
+             ["evaluation"], False),
+    "report": ("report {w}/metrics_bm25.json {w}/metrics_dense.json",
+               ["evaluation"], False),
+}
+
+
+@pytest.mark.parametrize("stage", STAGE_LOADS)
+def test_each_stage_loads_only_its_modules(workdir, tmp_path, stage):
+    """In a fresh interpreter, ``import lexforge.cli`` loads only the CLI's
+    modules, and the stage then loads only its own (``STAGE_LOADS``)."""
     import os
     import subprocess
     import sys
-    synthesize = ["synthesize", "--corpus", workdir / "corpus.jsonl",
-                  "--elements", workdir / "elements.jsonl",
-                  "--output", tmp_path / "queries.jsonl", "--seed", 11]
-    augment = ["augment", "--queries", tmp_path / "queries.jsonl",
-               "--elements", workdir / "elements.jsonl",
-               "--output", tmp_path / "pairs.jsonl", "--seed", 11]
-    evaluate = ["eval", "--run", workdir / "run_bm25.jsonl", "--qrels", workdir / "qrels.jsonl",
-                "--output", tmp_path / "m.json"]
-    bm25 = ["search", "--queries", workdir / "eval_queries.jsonl",
-            "--corpus", workdir / "corpus.jsonl", "--pools", workdir / "pools.jsonl",
-            "--scorer", "bm25", "--output", tmp_path / "run.jsonl"]
-    index = ["index", "--corpus", workdir / "corpus.jsonl", "--output", tmp_path / "bm25.idx"]
-    bm25_index = [*bm25[:-2], "--index", tmp_path / "bm25.idx",
-                  "--output", tmp_path / "run_index.jsonl"]
-    code = ("import json, sys, lexforge.cli\n"
+    template, modules, numpy = STAGE_LOADS[stage]
+    argv = template.format(w=workdir, t=tmp_path).split()
+    code = ("import json, sys\n"
             "def loaded():\n"
-            "    return ['numpy' in sys.modules, 'lexforge.testkit' in sys.modules]\n"
-            "steps = [loaded()]\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    assert lexforge.cli.main(argv) == 0\n"
-            "    steps.append(loaded())\n"
-            "print(steps)\n")
-    argvs = json.dumps([[str(a) for a in argv]
-                        for argv in (synthesize, augment, evaluate, bm25, index,
-                                     bm25_index)])
+            "    return sorted(m[9:] for m in sys.modules if m.startswith('lexforge.'))\n"
+            "import lexforge.cli\n"
+            "imported = loaded()\n"
+            "assert lexforge.cli.main(sys.argv[1:]) == 0\n"
+            "print(json.dumps([imported, loaded(), 'numpy' in sys.modules]))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
-    result = subprocess.run([sys.executable, "-c", code, argvs], capture_output=True,
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert result.stdout.splitlines()[-1] == str([[False, False]] * 7)
+    imported, loaded, numpy_loaded = json.loads(result.stdout.splitlines()[-1])
+    assert imported == CLI_MODULES
+    assert loaded == sorted(CLI_MODULES + modules)
+    assert numpy_loaded is numpy

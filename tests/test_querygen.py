@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexforge import cli, fileio
 from lexforge.corpus import CaseDocument
 from lexforge.errors import GenerationFailed, QueryTooLong
 from lexforge.querygen import (
@@ -14,7 +15,6 @@ from lexforge.querygen import (
     OFFLINE_MAX_SENTENCES,
     OfflineTemplateClient,
     PatternTagger,
-    QueryRecord,
     RemoteGenerationClient,
     ReplacementDictionary,
     _DEFAULT_EXEMPLARS,
@@ -130,14 +130,15 @@ class TestGenerateQuery:
             record = generate_query(doc, client, seed=3)
             assert len(record.text) <= DEFAULT_MAX_QUERY_CHARS
 
-    def test_record_roundtrip(self):
+    def test_record_roundtrip(self, tmp_path):
+        # the pipeline reads back three fields of a query record
         client = OfflineTemplateClient()
         record = generate_query(_doc(), client, seed=5)
-        back = QueryRecord.from_record(record.to_record())
-        assert back.query_id == record.query_id
-        assert back.text == record.text
-        assert [e.surface for e in back.anonymization_log] == \
-               [e.surface for e in record.anonymization_log]
+        fileio.write_jsonl(tmp_path / "q.jsonl", [record.to_record()])
+        assert cli._load_queries(tmp_path / "q.jsonl") == [
+            (record.query_id, record.source_case_id, record.text)]
+        written = record.to_record()["anonymization_log"]
+        assert [e["surface"] for e in written] == [e.surface for e in record.anonymization_log]
 
     def test_amounts_survive_names_do_not(self):
         # construction-obstruction style fact: amounts are key legal elements
