@@ -177,12 +177,11 @@ def _load_run(path: Path) -> dict[str, list[tuple[str, float]]]:
 
 
 def _write_run(path: Path, run: dict[str, list[tuple[str, float]]], scorer: str) -> None:
-    records = []
-    for query_id in sorted(run):
-        for rank, (case_id, score) in enumerate(run[query_id], start=1):
-            records.append({"query_id": query_id, "case_id": case_id,
-                            "rank": rank, "score": score, "scorer": scorer})
-    fileio.write_jsonl(path, records)
+    fileio.write_jsonl(path, (
+        {"query_id": query_id, "case_id": case_id, "rank": rank, "score": score,
+         "scorer": scorer}
+        for query_id in sorted(run)
+        for rank, (case_id, score) in enumerate(run[query_id], start=1)))
 
 
 # --------------------------------------------------------------------------
@@ -232,15 +231,14 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
 
     docs = _load_corpus(Path(args.corpus))
     exclusions: list[Exclusion] = []
-    admitted = []
-    for doc, elements in filter_corpus((docs[c] for c in sorted(docs)),
-                                       cfg.filter, on_exclude=exclusions.append):
-        if elements is not None:
-            admitted.append(elements_to_record(doc.case_id, elements))
-    fileio.write_jsonl(Path(args.elements), admitted)
+    admitted = fileio.write_jsonl(Path(args.elements), (
+        elements_to_record(doc.case_id, elements)
+        for doc, elements in filter_corpus((docs[c] for c in sorted(docs)),
+                                           cfg.filter, on_exclude=exclusions.append)
+        if elements is not None))
     if args.exclusions:
         fileio.write_jsonl(Path(args.exclusions), (e.to_record() for e in exclusions))
-    print(f"extract: {len(admitted)} admitted, {len(exclusions)} excluded")
+    print(f"extract: {admitted} admitted, {len(exclusions)} excluded")
     return EXIT_OK
 
 
@@ -405,9 +403,10 @@ def _cmd_search(args, cfg: PipelineConfig) -> int:
         raise UsageError(f"--k = {args.k!r}: k must be >= 1")
     if args.scorer == "dense" and not args.checkpoint:
         raise UsageError("dense scoring needs --checkpoint")
-    texts = _load_texts(Path(args.corpus))
     queries = _load_queries(Path(args.queries))
     pools = _load_pools(Path(args.pools)) if args.pools else None
+    texts = _load_texts(Path(args.corpus), None if pools is None
+                        else {cid for pool in pools.values() for cid in pool})
     if args.scorer == "dense":
         from . import training
 

@@ -17,6 +17,10 @@ reads each chunk's code points as one integer array, packs every n-gram
 into an int64 key, hashes each distinct n-gram once per batch and finds
 each text's distinct buckets, in order of first occurrence, with one sort.
 The result is bit-identical to hashing the n-grams of one text at a time.
+The memo keeps each text's features as narrow integers, its buckets and
+their raw counts, each in the narrowest unsigned dtype that holds them;
+:meth:`ToyEmbedder.features` and :meth:`ToyEmbedder.featurize` decode them
+on read to an ``intp`` index and the float64 values ``1 + log(count)``.
 
 Training works on a compact copy of the weights that holds only the rows
 some training text reaches: embedding, the gradient buffer and Adam's
@@ -233,10 +237,13 @@ def _gram_buckets(occ_bucket: np.ndarray, joined: str, lens: np.ndarray,
 
 def _bucket_counts(occ_bucket: np.ndarray, per_text: np.ndarray, occ_start: np.ndarray,
                    hash_buckets: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each text's distinct buckets in order of first occurrence, with
-    ``1 + log(count)``. One sort of ``(text, bucket, occurrence)`` keys puts
-    each text's repeats of a bucket side by side, first occurrence first.
-    The key fits 63 bits: a chunk of several texts holds at most
+    """Each text's distinct buckets in order of first occurrence, with their
+    raw counts: the compact form the memo keeps (see :func:`_decoded`). The
+    buckets come in the narrowest unsigned dtype that holds
+    ``hash_buckets - 1``, the counts in the narrowest one that holds the
+    chunk's largest count. One sort of ``(text, bucket, occurrence)`` keys
+    puts each text's repeats of a bucket side by side, first occurrence
+    first. The key fits 63 bits: a chunk of several texts holds at most
     ``FEATURIZE_CHUNK`` grams, and a bucket is below 2**32."""
     n_grams = len(occ_bucket)
     occ_bits = n_grams.bit_length()
@@ -254,12 +261,20 @@ def _bucket_counts(occ_bucket: np.ndarray, per_text: np.ndarray, occ_start: np.n
     count_at = np.zeros(n_grams, dtype=np.int64)
     count_at[key[heads] & ((1 << occ_bits) - 1)] = np.diff(heads, append=n_grams)
     firsts = np.flatnonzero(count_at)  # text by text, in order of first occurrence
-    idx = occ_bucket[firsts]
-    values = 1.0 + np.log(count_at[firsts].astype(np.float64))
+    idx = occ_bucket[firsts].astype(np.min_scalar_type(hash_buckets - 1))
+    counts = count_at[firsts]
+    counts = counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
     cuts = np.searchsorted(firsts, occ_start).tolist() + [len(firsts)]
     # copies, not views: small arrays fill the space the chunk's working
     # arrays leave free, so a long batch does not fragment the heap
-    return [(idx[a:b].copy(), values[a:b].copy()) for a, b in zip(cuts, cuts[1:])]
+    return [(idx[a:b].copy(), counts[a:b].copy()) for a, b in zip(cuts, cuts[1:])]
+
+
+def _decoded(entry: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The features of a compact memo entry: the buckets as ``intp`` and
+    the damped counts ``1 + log(count)`` as float64."""
+    idx, counts = entry
+    return idx.astype(np.intp), 1.0 + np.log(counts.astype(np.float64))
 
 
 class ToyEmbedder:
@@ -298,22 +313,22 @@ class ToyEmbedder:
 
     def features(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Sparse feature vector of a text: (bucket indices, damped counts),
-        from the memo, which :meth:`memoize` fills on a miss."""
+        decoded from the memo, which :meth:`memoize` fills on a miss."""
         if text not in self._feature_memo:
             self.memoize([text])
-        return self._feature_memo[text]
+        return _decoded(self._feature_memo[text])
 
     def memoize(self, texts: Iterable[str]) -> None:
         """Featurize the texts not yet in the memo, in one batch, into it."""
         new = [text for text in dict.fromkeys(texts) if text not in self._feature_memo]
-        self._feature_memo.update(zip(new, self.featurize(new)))
+        self._feature_memo.update(zip(new, self._featurize_new(new)))
 
     def featurize(self, texts: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
         """The features of each text, as :meth:`features` gives them.
 
-        A text in the memo is read from it. The others are featurized in one
-        pass, chunk by chunk, and not memoized. Let ``compact`` be the text
-        without whitespace. Its features count the CRC32 buckets of
+        A text in the memo is decoded from it. The others are featurized in
+        one pass, chunk by chunk, and not memoized. Let ``compact`` be the
+        text without whitespace. Its features count the CRC32 buckets of
         ``compact[i:i + n]`` for each n from ``ngram_min`` to ``ngram_max``
         and each i, as ``1 + log(count)``. The buckets are listed in order of
         first occurrence, with n outermost, which fixes the summation order
@@ -321,13 +336,14 @@ class ToyEmbedder:
         """
         found = [self._feature_memo.get(text) for text in texts]
         new = list(dict.fromkeys(t for t, f in zip(texts, found) if f is None))
-        computed = dict(zip(new, self._featurize_new(new)))
-        return [computed[t] if f is None else f for t, f in zip(texts, found)]
+        computed = {t: _decoded(f) for t, f in zip(new, self._featurize_new(new))}
+        return [computed[t] if f is None else _decoded(f) for t, f in zip(texts, found)]
 
     def _featurize_new(self, texts: list[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Features of each text, chunk by chunk. The n-gram tables carry
-        over from chunk to chunk, so each distinct n-gram of the call is
-        hashed once; they live only as long as the call."""
+        """Compact features of each text, as the memo keeps them, chunk by
+        chunk. The n-gram tables carry over from chunk to chunk, so each
+        distinct n-gram of the call is hashed once; they live only as long
+        as the call."""
         tables = [_GramTable() for _ in range(self.ngram_max)]
         chunk: list[str] = []
         grams = 0
@@ -345,7 +361,7 @@ class ToyEmbedder:
 
     def _featurize_chunk(self, compacts: list[str], tables: list[_GramTable]
                          ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Features of whitespace-free texts, one chunk of a batch."""
+        """Compact features of whitespace-free texts, one chunk of a batch."""
         lens = np.fromiter(map(len, compacts), dtype=np.int64, count=len(compacts))
         per_n = [np.maximum(lens - n + 1, 0) for n in range(self.ngram_min, self.ngram_max + 1)]
         per_text = np.sum(per_n, axis=0)
@@ -592,7 +608,8 @@ def _compact_trainee(embedder: ToyEmbedder,
     Returns the copy and ``rows``, the reached buckets in ascending order:
     row ``r`` of the copy's weights is ``embedder.weights[rows[r]]``. The texts
     are featurized into the copy's own memo, whose bucket indices are then
-    renumbered in place to match, so their features exist once and the
+    renumbered in place to match (a position is below ``hash_buckets``, so
+    it fits the index's dtype), so their features exist once and the
     caller's memo is left as it was. The copy may only embed texts in its
     memo: a new text would get raw bucket ids, not renumbered ones. The
     copy's weights are a new array, so ``embedder.weights`` stays as it was

@@ -171,6 +171,39 @@ class TestSearchSummary:
         assert f" top-30 by {label}; 0 pool ids" in capsys.readouterr().out
 
 
+class TestPooledSearch:
+    """With ``--pools``, search keeps only the texts its pools name; the run
+    is the one it wrote when it kept every text."""
+
+    @pytest.mark.parametrize("flags", [
+        (), ("--index", "bm25.idx"), ("--scorer", "dense", "--checkpoint", "toy.ckpt")])
+    def test_run_equals_the_whole_corpus_run(self, workdir, tmp_path, capsys, monkeypatch,
+                                             flags):
+        flags = [workdir / f if f.endswith((".idx", ".ckpt")) else f for f in flags]
+        pools = _records(workdir / "pools.jsonl")
+        pools[0]["candidate_ids"].append("ghost-1")
+        path = tmp_path / "pools.jsonl"
+        fileio.write_jsonl(path, pools[1:] + pools[:1])
+        argv = ("search", "--queries", workdir / "eval_queries.jsonl",
+                "--corpus", workdir / "corpus.jsonl", "--pools", path, *flags)
+        wanted = []
+        real = cli._load_texts
+
+        def load_texts(corpus, keep=None):
+            wanted.append(keep)
+            return real(corpus, keep)
+
+        monkeypatch.setattr(cli, "_load_texts", load_texts)
+        assert run_cli(*argv, "--output", tmp_path / "pooled.jsonl") == 0
+        pooled_summary = capsys.readouterr().out
+        assert wanted == [{cid for pool in pools for cid in pool["candidate_ids"]}]
+        monkeypatch.setattr(cli, "_load_texts", lambda corpus, keep=None: real(corpus))
+        assert run_cli(*argv, "--output", tmp_path / "whole.jsonl") == 0
+        assert capsys.readouterr().out == pooled_summary
+        assert "1 pool ids not in corpus" in pooled_summary
+        assert (tmp_path / "pooled.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+
+
 class TestIdentityRunEval:
     def test_ideal_ordering_scores_one(self, workdir, tmp_path):
         qrels_rows = _records(workdir / "qrels.jsonl")
@@ -334,6 +367,22 @@ class TestExitCodes:
                                "--corpus", workdir / "corpus.jsonl", "--pools", pools,
                                "--output", tmp_path / "run.jsonl")
         assert err == f"data error: {pools}:1: {expected}\n"
+
+    def test_malformed_corpus_line_outside_every_pool_is_data_error(self, workdir, tmp_path,
+                                                                    capsys):
+        pooled = {cid for pool in _records(workdir / "pools.jsonl")
+                  for cid in pool["candidate_ids"]}
+        records = _records(workdir / "corpus.jsonl")
+        line = next(n for n, r in enumerate(records, start=1) if r["case_id"] not in pooled)
+        del records[line - 1]["fact"]
+        corpus = tmp_path / "corpus.jsonl"
+        fileio.write_jsonl(corpus, records)
+        err = self._data_error(capsys, "search", "--queries", workdir / "eval_queries.jsonl",
+                               "--corpus", corpus, "--pools", workdir / "pools.jsonl",
+                               "--output", tmp_path / "run.jsonl")
+        assert err == (f"data error: {corpus}:{line}: missing required field 'fact' "
+                       f"in record {records[line - 1]['case_id']!r}\n")
+        assert not (tmp_path / "run.jsonl").exists()
 
     def test_pool_with_no_corpus_id_is_data_error(self, workdir, tmp_path, capsys):
         query_id = _records(workdir / "eval_queries.jsonl")[0]["query_id"]

@@ -260,28 +260,46 @@ class TestToyEmbedder:
         assert idx.dtype == np.int64 and np.array_equal(idx, expected_idx)
         assert np.array_equal(values, expected_values)
 
-    def test_instances_share_no_feature_state(self):
+    def test_instances_share_no_feature_state(self, monkeypatch):
         e1 = ToyEmbedder(dim=8, hash_buckets=64, seed=1)
         e2 = ToyEmbedder(dim=8, hash_buckets=64, seed=1)
         text = "被告人盗窃财物"
         a = e1.features(text)
-        assert e1.features(text) is a  # memoized within an instance
+        entry = e1._feature_memo[text]
         assert e2._feature_memo == {}
         b = e2.features(text)
-        assert b is not a and b[0] is not a[0]
+        other = e2._feature_memo[text]
+        assert other[0] is not entry[0] and other[1] is not entry[1]
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
         assert list(e1._feature_memo) == list(e2._feature_memo) == [text]
+        # memoized within an instance: a hit featurizes nothing
+        monkeypatch.setattr(ToyEmbedder, "_featurize_new", None)
+        again = e1.features(text)
+        assert e1._feature_memo[text] is entry
+        assert np.array_equal(again[0], a[0]) and np.array_equal(again[1], a[1])
 
-    def test_memoized_texts_are_read_from_the_memo(self):
+    def test_memoized_texts_are_read_from_the_memo(self, monkeypatch):
         embedder = ToyEmbedder(dim=2, hash_buckets=64)
         first = embedder.features("被告人盗窃")
+        entry = embedder._feature_memo["被告人盗窃"]
+        featurized = []
+        real = ToyEmbedder._featurize_new
+
+        def featurize_new(self, texts):
+            featurized.append(list(texts))
+            return real(self, texts)
+
+        monkeypatch.setattr(ToyEmbedder, "_featurize_new", featurize_new)
         got = embedder.featurize(["财物", "被告人盗窃", "财物"])
-        assert got[1] is first and got[0] is got[2]
+        assert featurized == [["财物"]]
+        assert got[0] is got[2]
+        assert np.array_equal(got[1][0], first[0]) and np.array_equal(got[1][1], first[1])
         assert list(embedder._feature_memo) == ["被告人盗窃"]
         embedder.memoize(["财物", "被告人盗窃", "财物"])
+        assert featurized == [["财物"], ["财物"]]
         assert list(embedder._feature_memo) == ["被告人盗窃", "财物"]
-        assert embedder._feature_memo["被告人盗窃"] is first
+        assert embedder._feature_memo["被告人盗窃"] is entry
 
     def test_module_holds_no_mutable_state(self):
         mutable = (dict, list, set, bytearray, np.ndarray)
@@ -470,6 +488,43 @@ class TestFeaturize:
         self._assert_equal_oracle(
             ToyEmbedder(dim=2, hash_buckets=512, ngram_min=ngrams[0], ngram_max=ngrams[1]),
             texts)
+
+
+class TestCompactMemo:
+    """The memo keeps each text's buckets and raw counts in the narrowest
+    unsigned dtypes that hold them; decoded, they equal the plain loop
+    (``oracles.features_oracle``) bit for bit."""
+
+    @pytest.mark.parametrize("buckets, text, idx_dtype, count_dtype", [
+        pytest.param(64, "被告人盗窃财物", np.uint8, np.uint8, id="64-buckets"),
+        pytest.param(1 << 15, "被告人盗窃财物，盗窃财物", np.uint16, np.uint8,
+                     id="32768-buckets"),
+        # one bucket, counted 397 and 79,997 times
+        pytest.param(1, "盗" * 200, np.uint8, np.uint16, id="count-above-255"),
+        pytest.param(1, "盗" * 40_000, np.uint8, np.uint32, id="count-above-65535"),
+    ])
+    def test_entries_are_narrow_and_decode_exactly(self, buckets, text, idx_dtype,
+                                                   count_dtype):
+        embedder = ToyEmbedder(dim=2, hash_buckets=buckets)
+        idx, values = embedder.features(text)
+        stored_idx, stored_counts = embedder._feature_memo[text]
+        assert stored_idx.dtype == idx_dtype and stored_counts.dtype == count_dtype
+        want_idx, want_values = features_oracle(text, buckets, 2, 3)
+        assert idx.dtype == np.intp and values.dtype == np.float64
+        assert np.array_equal(idx, want_idx) and np.array_equal(values, want_values)
+
+    def test_buckets_above_16_bits(self):
+        buckets = 1 << 17
+        embedder = ToyEmbedder(dim=2, hash_buckets=buckets)
+        rng = np.random.default_rng(17)
+        texts = ["".join(map(chr, rng.integers(0x4E00, 0x9FA5, size=400))) for _ in range(3)]
+        embedder.memoize(texts)
+        for text, (idx, values) in zip(texts, embedder.featurize(texts)):
+            assert embedder._feature_memo[text][0].dtype == np.uint32
+            want_idx, want_values = features_oracle(text, buckets, 2, 3)
+            assert want_idx.max() > np.iinfo(np.uint16).max
+            assert idx.dtype == np.intp and np.array_equal(idx, want_idx)
+            assert np.array_equal(values, want_values)
 
 
 class TestTrainToy:
