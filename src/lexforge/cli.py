@@ -149,10 +149,13 @@ def _load_qrels(path: Path) -> dict[str, dict[str, int]]:
 
 
 def _load_pools(path: Path) -> dict[str, list[str]]:
+    """Each query's candidate ids; a repeated query is a MalformedRecord."""
     pools = {}
     for lineno, record in fileio.read_jsonl(path):
         query_id, candidate_ids = _fields(path, lineno, record,
                                           query_id=None, candidate_ids=_id_list)
+        if query_id in pools:
+            raise MalformedRecord(f"{path}:{lineno}: query {query_id!r} repeats its pool")
         pools[query_id] = candidate_ids
     return pools
 
@@ -268,11 +271,12 @@ def _cmd_synthesize(args, cfg: PipelineConfig) -> int:
         max_in_flight=settings.max_in_flight,
         max_query_chars=cfg.max_query_chars)
     fileio.write_jsonl(Path(args.output), (q.to_record() for q in queries))
+    summary = f"synthesize: {len(queries)} queries"
     if queries:
         avg_q = sum(len(q.text) for q in queries) / len(queries)
         avg_f = sum(len(d.fact) for d in targets) / len(targets)
-        print(f"synthesize: {len(queries)} queries "
-              f"(avg query {avg_q:.0f} chars vs avg fact {avg_f:.0f} chars)")
+        summary += f" (avg query {avg_q:.0f} chars vs avg fact {avg_f:.0f} chars)"
+    print(summary)
     return EXIT_OK
 
 

@@ -20,15 +20,20 @@ The result is bit-identical to hashing the n-grams of one text at a time.
 The memo keeps each text's features as narrow integers, its buckets and
 their raw counts, each in the narrowest unsigned dtype that holds them;
 :meth:`ToyEmbedder.features` and :meth:`ToyEmbedder.featurize` decode them
-on read to an ``intp`` index and the float64 values ``1 + log(count)``.
+on read to an ``intp`` index and the float64 values ``1 + log(count)``,
+all the texts of one call in one pass.
 
+The seeded init is drawn lazily: an embedder given no weights draws the
+whole matrix on the first read of :attr:`ToyEmbedder.weights`, and
+:meth:`ToyEmbedder.weight_rows` can draw some rows of it without the rest.
 Training works on a compact copy of the weights that holds only the rows
-some training text reaches: embedding, the gradient buffer and Adam's
-moments all cover those rows alone. That is exact. A row no text reaches
-has zero gradient and zero moments at every step, so the full-layout
-update would leave it unchanged bit for bit; every other row sees the same
-operations in the same order in either layout. The caller's weights get the
-trained rows back once, when the last step is done.
+some training text reaches, drawn that way: embedding, the gradient buffer
+and Adam's moments all cover those rows alone. That is exact. A row no
+text reaches has zero gradient and zero moments at every step, so the
+full-layout update would leave it unchanged bit for bit; every other row
+sees the same operations in the same order in either layout. Once the last
+step is done and the optimizer state is gone, the caller's weights are
+drawn, if they were not yet, and get the trained rows back.
 """
 
 from __future__ import annotations
@@ -146,6 +151,10 @@ def in_batch_loss(sim: np.ndarray, mask: np.ndarray | None = None,
 #: hundred bytes per n-gram, so a batch of any size holds about 2 MiB of
 #: them at a time. A text with more n-grams than this is a chunk of its own.
 FEATURIZE_CHUNK = 1 << 14
+
+#: Rows per block when :meth:`ToyEmbedder.weight_rows` runs the seeded init
+#: stream: it holds one block of rows it may not keep at a time.
+INIT_BLOCK_ROWS = 512
 
 #: Bits of a code point in an n-gram key.
 _CP_BITS = 21
@@ -270,11 +279,20 @@ def _bucket_counts(occ_bucket: np.ndarray, per_text: np.ndarray, occ_start: np.n
     return [(idx[a:b].copy(), counts[a:b].copy()) for a, b in zip(cuts, cuts[1:])]
 
 
-def _decoded(entry: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The features of a compact memo entry: the buckets as ``intp`` and
-    the damped counts ``1 + log(count)`` as float64."""
-    idx, counts = entry
-    return idx.astype(np.intp), 1.0 + np.log(counts.astype(np.float64))
+def _decoded(entries: Sequence[tuple[np.ndarray, np.ndarray]]
+             ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The features of compact memo entries: the buckets as ``intp`` and
+    the damped counts ``1 + log(count)`` as float64. The entries are
+    decoded together, in one pass, into views of two arrays; the values
+    are computed in place, with the same operations as the expression."""
+    if not entries:
+        return []
+    cuts = np.cumsum([len(idx) for idx, _ in entries[:-1]])
+    idx = np.concatenate([idx for idx, _ in entries]).astype(np.intp)
+    values = np.concatenate([counts for _, counts in entries]).astype(np.float64)
+    np.log(values, out=values)
+    values += 1.0
+    return list(zip(np.split(idx, cuts), np.split(values, cuts)))
 
 
 class ToyEmbedder:
@@ -284,7 +302,8 @@ class ToyEmbedder:
     counts), batched (:meth:`featurize`) and memoized per instance, by text
     (:meth:`features`, :meth:`memoize`); the only parameters are the
     ``hash_buckets × dim`` weights, initialized from a seeded uniform
-    distribution unless ``weights`` are given.
+    distribution unless ``weights`` are given. The seeded draw is made on
+    the first read of :attr:`weights`, not before.
     """
 
     def __init__(self, dim: int = 64, hash_buckets: int = 1 << 15,
@@ -301,22 +320,49 @@ class ToyEmbedder:
         self.ngram_min = ngram_min
         self.ngram_max = ngram_max
         self.seed = seed
-        if weights is None:
-            scale = 1.0 / np.sqrt(hash_buckets)
-            rng = np.random.default_rng(seed)
-            weights = rng.uniform(-scale, scale, size=(hash_buckets, dim))
-        elif weights.shape != (hash_buckets, dim):
+        if weights is not None and weights.shape != (hash_buckets, dim):
             raise ValueError(f"weights of shape {weights.shape} for {hash_buckets} "
                              f"buckets of dimension {dim}")
-        self.weights = weights
+        self._weights = weights
         self._feature_memo: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The weights; the seeded init is drawn whole on the first read."""
+        if self._weights is None:
+            self._weights = self.weight_rows(np.arange(self.hash_buckets))
+        return self._weights
+
+    @weights.setter
+    def weights(self, weights: np.ndarray) -> None:
+        self._weights = weights
+
+    def weight_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``weights[rows]`` for sorted unique row ids, without drawing the
+        weights if they are not drawn yet: the seeded init stream is then
+        run ``INIT_BLOCK_ROWS`` rows at a time, up to the last row asked
+        for, and only the rows asked for are kept. The uniform draw turns
+        each number of the stream into one double, so a block's rows come
+        out bit for bit as in one draw of the whole matrix."""
+        if self._weights is not None:
+            return self._weights[rows]
+        scale = 1.0 / np.sqrt(self.hash_buckets)
+        stream = np.random.default_rng(self.seed)
+        out = np.empty((len(rows), self.dim))
+        end = int(rows[-1]) + 1 if len(rows) else 0
+        for start in range(0, end, INIT_BLOCK_ROWS):
+            stop = min(start + INIT_BLOCK_ROWS, self.hash_buckets)
+            block = stream.uniform(-scale, scale, size=(stop - start, self.dim))
+            lo, hi = np.searchsorted(rows, [start, stop])
+            out[lo:hi] = block[rows[lo:hi] - start]
+        return out
 
     def features(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Sparse feature vector of a text: (bucket indices, damped counts),
         decoded from the memo, which :meth:`memoize` fills on a miss."""
         if text not in self._feature_memo:
             self.memoize([text])
-        return _decoded(self._feature_memo[text])
+        return _decoded([self._feature_memo[text]])[0]
 
     def memoize(self, texts: Iterable[str]) -> None:
         """Featurize the texts not yet in the memo, in one batch, into it."""
@@ -327,17 +373,19 @@ class ToyEmbedder:
         """The features of each text, as :meth:`features` gives them.
 
         A text in the memo is decoded from it. The others are featurized in
-        one pass, chunk by chunk, and not memoized. Let ``compact`` be the
-        text without whitespace. Its features count the CRC32 buckets of
-        ``compact[i:i + n]`` for each n from ``ngram_min`` to ``ngram_max``
-        and each i, as ``1 + log(count)``. The buckets are listed in order of
-        first occurrence, with n outermost, which fixes the summation order
-        of ``values @ weights[idx]``.
+        one pass, chunk by chunk, and not memoized. The distinct texts are
+        decoded together, and a text given twice gets the same arrays. Let
+        ``compact`` be the text without whitespace. Its features count the
+        CRC32 buckets of ``compact[i:i + n]`` for each n from ``ngram_min``
+        to ``ngram_max`` and each i, as ``1 + log(count)``. The buckets are
+        listed in order of first occurrence, with n outermost, which fixes
+        the summation order of ``values @ weights[idx]``.
         """
-        found = [self._feature_memo.get(text) for text in texts]
-        new = list(dict.fromkeys(t for t, f in zip(texts, found) if f is None))
-        computed = {t: _decoded(f) for t, f in zip(new, self._featurize_new(new))}
-        return [computed[t] if f is None else _decoded(f) for t, f in zip(texts, found)]
+        entries = {text: self._feature_memo.get(text) for text in texts}
+        new = [text for text, entry in entries.items() if entry is None]
+        entries.update(zip(new, self._featurize_new(new)))
+        decoded = dict(zip(entries, _decoded(list(entries.values()))))
+        return [decoded[text] for text in texts]
 
     def _featurize_new(self, texts: list[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Compact features of each text, as the memo keeps them, chunk by
@@ -572,9 +620,10 @@ def _batch_gradient(embedder: ToyEmbedder, batch: TrainingBatch, cfg: LossConfig
     """Loss and dL/dW for one batch, via the cosine chain rule.
 
     The gradient is written into ``buffer.grad``, which is cleared first.
+    The batch's texts are featurized, or decoded from the memo, in one call.
     """
-    q_feats = [embedder.features(t) for t in batch.queries]
-    c_feats = [embedder.features(t) for t in batch.positives]
+    feats = embedder.featurize(batch.queries + batch.positives)
+    q_feats, c_feats = feats[:len(batch.queries)], feats[len(batch.queries):]
     q_vecs = embedder._embed_features(q_feats)
     c_vecs = embedder._embed_features(c_feats)
 
@@ -593,7 +642,7 @@ def _batch_gradient(embedder: ToyEmbedder, batch: TrainingBatch, cfg: LossConfig
     buffer.clear()
     w_grad = buffer.grad
     touched = np.zeros(len(w_grad), dtype=bool)
-    for (idx, values), row in zip(q_feats + c_feats, np.concatenate([d_q, d_c])):
+    for (idx, values), row in zip(feats, np.concatenate([d_q, d_c])):
         if idx.size:
             w_grad[idx] += values[:, None] * row
             touched[idx] = True
@@ -612,11 +661,12 @@ def _compact_trainee(embedder: ToyEmbedder,
     it fits the index's dtype), so their features exist once and the
     caller's memo is left as it was. The copy may only embed texts in its
     memo: a new text would get raw bucket ids, not renumbered ones. The
-    copy's weights are a new array, so ``embedder.weights`` stays as it was
-    until the caller writes the rows back.
+    copy's weights are a new array from :meth:`ToyEmbedder.weight_rows`, so
+    ``embedder.weights`` stays as it was, undrawn if it was, until the
+    caller writes the rows back.
     """
     trainee = ToyEmbedder(embedder.dim, embedder.hash_buckets, embedder.ngram_min,
-                          embedder.ngram_max, embedder.seed, weights=embedder.weights)
+                          embedder.ngram_max, embedder.seed)
     trainee.memoize(texts)
     reach = np.zeros(embedder.hash_buckets, dtype=bool)
     for idx, _ in trainee._feature_memo.values():
@@ -626,7 +676,7 @@ def _compact_trainee(embedder: ToyEmbedder,
     position[rows] = np.arange(len(rows))
     for idx, _ in trainee._feature_memo.values():
         idx[:] = position[idx]
-    trainee.weights = embedder.weights[rows]
+    trainee.weights = embedder.weight_rows(rows)
     return trainee, rows
 
 
@@ -646,17 +696,28 @@ def train_toy(pairs: Sequence[PairExample], embedder: ToyEmbedder,
     epochs. The steps update a compact copy of the rows the training texts
     reach (see the module docstring); ``embedder.weights`` gets those rows
     back once, at the end, so a run that raises leaves the caller's weights
-    as they were before training.
+    as they were before training, and an undrawn seeded init undrawn.
     """
     pairs = list(pairs)
     per_epoch = len(_batches(range(len(pairs)), schedule.batch_size))
     if per_epoch == 0:
         noun = "pairs" if len(pairs) != 1 else "pair"
         raise InsufficientData(f"{len(pairs)} training {noun}: a batch needs two")
-    total_steps = schedule.epochs * per_epoch
 
     trainee, rows = _compact_trainee(
         embedder, (text for p in pairs for text in (p.query_text, p.positive_text)))
+    curve = _train_steps(pairs, trainee, schedule, loss_cfg, schedule.epochs * per_epoch)
+    # the optimizer state and gradient buffer are gone before this draws
+    # the caller's whole weight matrix, if it is not drawn yet
+    embedder.weights[rows] = trainee.weights
+    return TrainResult(loss_curve=curve)
+
+
+def _train_steps(pairs: list[PairExample], trainee: ToyEmbedder, schedule: TrainSchedule,
+                 loss_cfg: LossConfig, total_steps: int) -> list[tuple[int, float]]:
+    """Every step of the schedule on the trainee's weights, in place; the
+    loss curve. The optimizer and the gradient buffer live only as long as
+    this call."""
     optimizer = Adam(trainee.weights.shape)
     buffer = _GradientBuffer(trainee.weights.shape)
     curve: list[tuple[int, float]] = []
@@ -683,6 +744,4 @@ def train_toy(pairs: Sequence[PairExample], embedder: ToyEmbedder,
             curve.append((step, loss))
             optimizer.step(trainee.weights, w_grad, lr_at(step, total_steps, schedule))
             step += 1
-
-    embedder.weights[rows] = trainee.weights
-    return TrainResult(loss_curve=curve)
+    return curve

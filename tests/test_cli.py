@@ -140,6 +140,23 @@ class TestTenQueryAugment:
                             r"[1-9]\d* signatures indexed, [1-9]\d* scores computed\n", summary)
 
 
+class TestSynthesizeSummary:
+    def test_counts_queries_and_lengths(self, workdir, tmp_path, capsys):
+        assert run_cli("synthesize", "--corpus", workdir / "corpus.jsonl",
+                       "--elements", workdir / "elements.jsonl",
+                       "--output", tmp_path / "q.jsonl", "--limit", 3) == 0
+        assert re.fullmatch(r"synthesize: 3 queries \(avg query \d+ chars "
+                            r"vs avg fact \d+ chars\)\n", capsys.readouterr().out)
+
+    def test_no_queries_still_prints_the_count(self, workdir, tmp_path, capsys):
+        elements = tmp_path / "elements.jsonl"
+        elements.write_text("", encoding="utf-8")
+        assert run_cli("synthesize", "--corpus", workdir / "corpus.jsonl",
+                       "--elements", elements, "--output", tmp_path / "q.jsonl") == 0
+        assert capsys.readouterr().out == "synthesize: 0 queries\n"
+        assert (tmp_path / "q.jsonl").read_bytes() == b""
+
+
 class TestSearchSummary:
     def test_counts_skipped_pool_ids_and_queries(self, workdir, tmp_path, capsys):
         pools = _records(workdir / "pools.jsonl")
@@ -255,6 +272,55 @@ class TestDeterminism:
         for name in ("corpus.jsonl", "queries.jsonl", "pairs.jsonl",
                      "run.jsonl", "metrics.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_artifacts_do_not_depend_on_hash_seed_or_threads(self, tmp_path):
+        """The pipeline at the benchmark's ``tiny`` sizes, from ``fixtures``
+        to the last ``eval``, one process per stage: once under
+        ``PYTHONHASHSEED=0`` with one ``synthesize`` thread, once under
+        ``PYTHONHASHSEED=1`` with four. Every artifact is byte-identical,
+        so no string hash order and no thread timing reaches an output."""
+        import os
+        import subprocess
+        import sys
+        config = tmp_path / "pipeline.ini"
+        config.write_text("[segment]\nmax_len = 128\nstride = 64\n", encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed, threads in (("0", 1), ("1", 4)):
+            d = tmp_path / f"hash{hash_seed}"
+            ckpt, idx = d / "toy.ckpt", d / "bm25.idx"
+            search = ["search", "--queries", d / "eval_queries.jsonl",
+                      "--corpus", d / "corpus.jsonl", "--pools", d / "pools.jsonl"]
+            stages = [
+                ["fixtures", "--out", d, "--n-cases", 150, "--n-queries", 6, "--charges", 10,
+                 "--n-rulings", 5, "--n-short-facts", 4, "--seed", 7],
+                ["extract", "--corpus", d / "corpus.jsonl", "--elements", d / "elements.jsonl",
+                 "--exclusions", d / "exclusions.jsonl"],
+                ["synthesize", "--corpus", d / "corpus.jsonl", "--elements", d / "elements.jsonl",
+                 "--output", d / "queries.jsonl", "--max-in-flight", threads, "--seed", 7],
+                ["augment", "--queries", d / "queries.jsonl", "--elements", d / "elements.jsonl",
+                 "--output", d / "pairs.jsonl", "--proportion", 0.7, "--seed", 7],
+                ["train", "--pairs", d / "pairs.jsonl", "--queries", d / "queries.jsonl",
+                 "--corpus", d / "corpus.jsonl", "--output", ckpt, "--curve", d / "loss.tsv",
+                 "--epochs", 2, "--batch-size", 16, "--dim", 16, "--hash-buckets", 2048,
+                 "--seed", 7],
+                ["index", "--corpus", d / "corpus.jsonl", "--output", idx],
+                [*search, "--output", d / "run_bm25.jsonl"],
+                [*search, "--index", idx, "--output", d / "run_bm25_index.jsonl"],
+                [*search, "--scorer", "dense", "--checkpoint", ckpt,
+                 "--output", d / "run_dense.jsonl"],
+            ] + [["eval", "--run", d / f"run_{run}.jsonl", "--qrels", d / "qrels.jsonl",
+                  "--output", d / f"metrics_{run}.json", "--label", run]
+                 for run in ("bm25", "bm25_index", "dense")]
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+            for argv in stages:
+                subprocess.run([sys.executable, "-m", "lexforge.cli", "--config", config,
+                                *map(str, argv)], env=env, check=True, capture_output=True)
+            outputs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
+        a, b = outputs
+        assert len(a) == 18 and {"toy.ckpt", "loss.tsv", "bm25.idx"} <= set(a)
+        assert list(a) == list(b)
+        assert [name for name in a if a[name] != b[name]] == []
 
     def test_rerun_overwrites_atomically(self, tmp_path):
         out = tmp_path / "data"
@@ -472,6 +538,21 @@ class TestExitCodes:
         err = self._data_error(capsys, "eval", "--run", workdir / "run_bm25.jsonl",
                                "--qrels", qrels, "--output", tmp_path / "m.json")
         assert err == f"data error: {qrels}:3: query 'q' repeats case_id 'd'\n"
+
+    def test_repeated_pool_is_data_error(self, workdir, tmp_path, capsys):
+        # a second, shorter pool of a query used to replace its first one
+        records = _records(workdir / "pools.jsonl")
+        query_id = records[0]["query_id"]
+        records.append({"query_id": query_id,
+                        "candidate_ids": records[0]["candidate_ids"][:5]})
+        pools = tmp_path / "pools.jsonl"
+        fileio.write_jsonl(pools, records)
+        err = self._data_error(capsys, "search", "--queries", workdir / "eval_queries.jsonl",
+                               "--corpus", workdir / "corpus.jsonl", "--pools", pools,
+                               "--output", tmp_path / "run.jsonl")
+        assert err == (f"data error: {pools}:{len(records)}: query {query_id!r} "
+                       f"repeats its pool\n")
+        assert not (tmp_path / "run.jsonl").exists()
 
     @pytest.mark.parametrize("charges", ["盗窃罪", ["盗窃罪", 3], {"盗窃罪": 1}, None])
     def test_charges_not_a_list_of_strings_is_data_error(self, workdir, tmp_path, capsys,

@@ -13,6 +13,7 @@ from lexforge.errors import DegenerateRow, InsufficientData, NonFiniteLoss, Zero
 from lexforge.training import (
     ADAM_BLOCK,
     FEATURIZE_CHUNK,
+    INIT_BLOCK_ROWS,
     Adam,
     LossConfig,
     PairExample,
@@ -704,6 +705,71 @@ class TestCompactTraining:
         want = ToyEmbedder(**shape).weights
         assert not np.array_equal(trained.weights, want)
         assert embedder.weights.tobytes() == want.tobytes()
+
+
+def _eager_init(hash_buckets, dim, seed):
+    """The seeded init as one draw of the whole matrix."""
+    scale = 1.0 / np.sqrt(hash_buckets)
+    return np.random.default_rng(seed).uniform(-scale, scale, size=(hash_buckets, dim))
+
+
+class TestLazyInit:
+    """The seeded init is drawn on first read, and ``weight_rows`` draws
+    rows of it alone, both bit for bit as one eager draw."""
+
+    @pytest.mark.parametrize("buckets,dim", [
+        (1, 3), (INIT_BLOCK_ROWS, 2), (3 * INIT_BLOCK_ROWS + 7, 5), (1 << 12, 16)])
+    @pytest.mark.parametrize("pick", ["empty", "first", "last", "sparse", "all"])
+    def test_rows_equal_the_eager_draw(self, buckets, dim, pick):
+        rows = {"empty": np.empty(0, dtype=np.int64), "first": np.array([0]),
+                "last": np.array([buckets - 1]),
+                "sparse": np.unique(np.random.default_rng(buckets).integers(0, buckets, 40)),
+                "all": np.arange(buckets)}[pick]
+        want = _eager_init(buckets, dim, seed=buckets % 7)
+        embedder = ToyEmbedder(dim=dim, hash_buckets=buckets, seed=buckets % 7)
+        got = embedder.weight_rows(rows)
+        assert got.shape == (len(rows), dim)
+        assert got.tobytes() == want[rows].tobytes()
+        assert embedder.weights.tobytes() == want.tobytes()
+        embedder.weights[rows] += 1.0  # once drawn, rows are read from the weights
+        assert embedder.weight_rows(rows).tobytes() == embedder.weights[rows].tobytes()
+
+    def test_a_failed_run_draws_no_weights(self):
+        embedder = ToyEmbedder(dim=4, hash_buckets=1 << 12, seed=5)
+        # an empty query embeds to zero norm and stops the first batch
+        pairs = _toy_pairs(8) + [PairExample("", "空的查询所对应的正例")]
+        with pytest.raises(ZeroVector):
+            train_toy(pairs, embedder, TrainSchedule(epochs=1, batch_size=9))
+        assert embedder._weights is None
+        assert embedder.weights.tobytes() == _eager_init(1 << 12, 4, 5).tobytes()
+
+    def test_steps_hold_less_than_the_weight_matrix(self, monkeypatch):
+        """With a 2^15 x 64 embedder, the memory traced at every Adam step
+        is below the size of its weight matrix; the matrix is drawn after
+        the last step, as in a run on an embedder drawn before training."""
+        import tracemalloc
+        buckets, dim = 1 << 15, 64
+        traced = []
+        real_step = Adam.step
+
+        def step(self, params, grad, lr):
+            traced.append(tracemalloc.get_traced_memory()[0])
+            return real_step(self, params, grad, lr)
+
+        monkeypatch.setattr(Adam, "step", step)
+        schedule = TrainSchedule(epochs=2, batch_size=8, seed=3)
+        tracemalloc.start()
+        try:
+            embedder = ToyEmbedder(dim=dim, hash_buckets=buckets, seed=3)
+            train_toy(_toy_pairs(24), embedder, schedule)
+        finally:
+            tracemalloc.stop()
+        assert len(traced) == 6
+        assert max(traced) < buckets * dim * 8
+        drawn = ToyEmbedder(dim=dim, hash_buckets=buckets, seed=3)
+        drawn.weights  # noqa: B018 - the read draws the seeded init
+        train_toy(_toy_pairs(24), drawn, schedule)
+        assert embedder.weights.tobytes() == drawn.weights.tobytes()
 
 
 class TestAdam:
