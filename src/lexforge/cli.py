@@ -24,6 +24,7 @@ from . import config, fileio
 from .config import PipelineConfig
 from .errors import (
     EmptyCorpus,
+    FeaturelessText,
     GenerationFailed,
     LexforgeError,
     MalformedRecord,
@@ -84,12 +85,6 @@ def _load_texts(path: Path, wanted: set[str] | None = None) -> dict[str, str]:
 
     return {doc.case_id: case_text(doc) for doc in _parsed(path, parse_case)
             if wanted is None or doc.case_id in wanted}
-
-
-def _load_elements(path: Path):
-    from .corpus import elements_from_record
-
-    return dict(_parsed(path, elements_from_record))
 
 
 class _Query(NamedTuple):
@@ -237,8 +232,7 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
     admitted = fileio.write_jsonl(Path(args.elements), (
         elements_to_record(doc.case_id, elements)
         for doc, elements in filter_corpus((docs[c] for c in sorted(docs)),
-                                           cfg.filter, on_exclude=exclusions.append)
-        if elements is not None))
+                                           cfg.filter, on_exclude=exclusions.append)))
     if args.exclusions:
         fileio.write_jsonl(Path(args.exclusions), (e.to_record() for e in exclusions))
     print(f"extract: {admitted} admitted, {len(exclusions)} excluded")
@@ -247,13 +241,20 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
 
 def _cmd_synthesize(args, cfg: PipelineConfig) -> int:
     from . import querygen
+    from .corpus import elements_from_record
 
     if args.limit < 0:
         raise UsageError(f"--limit = {args.limit}: limit must be >= 0")
     settings = config.with_values(cfg.client, _flags(args, "max_in_flight"))
     docs = _load_corpus(Path(args.corpus))
-    elements = _load_elements(Path(args.elements))
-    targets = [docs[cid] for cid in sorted(elements) if cid in docs]
+
+    def in_corpus(record) -> str:
+        case_id, _ = elements_from_record(record)
+        if case_id not in docs:
+            raise ValueError(f"field 'case_id': {case_id!r} not in {args.corpus}")
+        return case_id
+
+    targets = [docs[cid] for cid in sorted(set(_parsed(Path(args.elements), in_corpus)))]
     if args.limit:
         targets = targets[:args.limit]
     if args.client == "remote":
@@ -282,11 +283,12 @@ def _cmd_synthesize(args, cfg: PipelineConfig) -> int:
 
 def _cmd_augment(args, cfg: PipelineConfig) -> int:
     from . import augment
+    from .corpus import elements_from_record
 
     aug_cfg = config.with_values(
         cfg.augment, _flags(args, proportion_augmented="proportion"), seed=args.seed)
     queries = _load_queries(Path(args.queries))
-    elements = _load_elements(Path(args.elements))
+    elements = dict(_parsed(Path(args.elements), elements_from_record))
     index = augment.build_element_index(elements)
     result = augment.mix_pairs(queries, elements, index, aug_cfg)
     fileio.write_jsonl(Path(args.output), (p.to_record() for p in result.pairs))
@@ -335,7 +337,14 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
         args, "epochs", "batch_size", "learning_rate"), seed=args.seed)
     loss_cfg = config.with_values(cfg.loss, _flags(args, masking_enabled="no_masking"))
     examples = _training_examples(args)
-    result = training.train_toy(examples, embedder, schedule, loss_cfg)
+    try:
+        result = training.train_toy(examples, embedder, schedule, loss_cfg)
+    except FeaturelessText as exc:
+        # each record of --pairs is one example, in order
+        lineno, record = list(fileio.read_jsonl(Path(args.pairs)))[exc.pair]
+        field = "query_id" if exc.field == "query_text" else "positive_case_id"
+        raise MalformedRecord(f"{args.pairs}:{lineno}: field {field!r}: the text of "
+                              f"{record[field]!r} has no character n-gram to embed") from None
     training.save_checkpoint(embedder, args.output)
     if args.curve:
         fileio.atomic_write_text(
@@ -463,7 +472,7 @@ def _load_metrics(path: Path) -> tuple[str, dict[str, float]]:
         raise MalformedRecord(f"{path}: not JSON: {exc}") from None
     macro = payload.get("macro") if isinstance(payload, dict) else None
     if not isinstance(macro, dict) or not all(
-            isinstance(v, (int, float)) for v in macro.values()):
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in macro.values()):
         raise MalformedRecord(f"{path}: no 'macro' object of metric values")
     return str(payload.get("label", path.stem)), macro
 

@@ -68,7 +68,6 @@ class CorpusFilterConfig:
     """Which records :func:`lexforge.corpus.filter_corpus` admits."""
 
     min_fact_chars: int = 100
-    require_extractable_elements: bool = True
 
     def __post_init__(self):
         if self.min_fact_chars < 0:

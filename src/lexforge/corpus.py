@@ -448,13 +448,12 @@ class Exclusion:
 def filter_corpus(docs: Iterable[CaseDocument],
                   cfg: CorpusFilterConfig = CorpusFilterConfig(),
                   on_exclude: Callable[[Exclusion], None] | None = None,
-                  ) -> Iterator[tuple[CaseDocument, LegalElements | None]]:
+                  ) -> Iterator[tuple[CaseDocument, LegalElements]]:
     """Admit judgment documents with long-enough facts and extractable elements.
 
     Exclusions are reported through ``on_exclude`` with a reason code, never
     raised. Fact length is counted in characters, so the cut is identical for
-    single-byte and multi-byte text. With ``require_extractable_elements``
-    off, extraction failures are admitted with elements ``None``.
+    single-byte and multi-byte text.
     """
 
     def exclude(case_id: str, reason: str, detail: str = ""):
@@ -472,8 +471,6 @@ def filter_corpus(docs: Iterable[CaseDocument],
         try:
             elements = extract_elements(doc)
         except ExtractionFailed as exc:
-            if cfg.require_extractable_elements:
-                exclude(doc.case_id, REASON_EXTRACTION_FAILED, exc.detail)
-                continue
-            elements = None
+            exclude(doc.case_id, REASON_EXTRACTION_FAILED, exc.detail)
+            continue
         yield doc, elements

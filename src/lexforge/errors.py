@@ -55,6 +55,15 @@ class ZeroVector(LexforgeError):
     """Cosine similarity is undefined for a zero-norm vector."""
 
 
+class FeaturelessText(LexforgeError):
+    """A training text has no character n-gram, so it embeds to zero."""
+
+    def __init__(self, pair: int, field: str):
+        self.pair = pair
+        self.field = field
+        super().__init__(f"pair {pair}: {field} has no character n-gram to embed")
+
+
 class DegenerateRow(LexforgeError):
     """A similarity row has no unmasked entries (the diagonal was masked)."""
 

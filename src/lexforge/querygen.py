@@ -17,7 +17,6 @@ from collections.abc import Iterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Protocol, runtime_checkable
 
 from .config import DEFAULT_MAX_QUERY_CHARS
 from .corpus import CaseDocument
@@ -101,13 +100,6 @@ def assemble_prompt(fact: str, exemplar_ids: list[int]) -> list[Message]:
 # --------------------------------------------------------------------------
 # Generation clients
 # --------------------------------------------------------------------------
-
-@runtime_checkable
-class GenerationClient(Protocol):
-    provenance: str
-
-    def complete(self, messages: Sequence[Message]) -> str: ...
-
 
 _SENTENCE_RE = re.compile(r"[^。！？!?]*[。！？!?]?")
 
@@ -226,11 +218,6 @@ class EntitySpan:
     start: int
     end: int
     category: str
-
-
-@runtime_checkable
-class EntityTagger(Protocol):
-    def tag(self, text: str) -> list[EntitySpan]: ...
 
 
 DEFAULT_SURNAMES = (
@@ -436,7 +423,7 @@ class AnonymizationEntry:
         }
 
 
-def anonymize(text: str, tagger: EntityTagger,
+def anonymize(text: str, tagger: PatternTagger,
               replacements: ReplacementDictionary, seed: int,
               ) -> tuple[str, list[AnonymizationEntry]]:
     """Replace tagged person/company/location/time spans with surrogates.
@@ -520,8 +507,8 @@ def truncate_at_sentence(text: str, limit: int) -> str:
 GENERATION_ATTEMPTS = 3
 
 
-def generate_query(doc: CaseDocument, client: GenerationClient, seed: int = 0, *,
-                   tagger: EntityTagger | None = None,
+def generate_query(doc: CaseDocument, client: OfflineTemplateClient | RemoteGenerationClient,
+                   seed: int = 0, *, tagger: PatternTagger | None = None,
                    replacements: ReplacementDictionary | None = None,
                    max_query_chars: int = DEFAULT_MAX_QUERY_CHARS) -> QueryRecord:
     """Synthesize one anonymized short query for a case, with id
@@ -574,7 +561,8 @@ def generate_query(doc: CaseDocument, client: GenerationClient, seed: int = 0, *
     )
 
 
-def generate_queries(docs: Sequence[CaseDocument], client: GenerationClient,
+def generate_queries(docs: Sequence[CaseDocument],
+                     client: OfflineTemplateClient | RemoteGenerationClient,
                      global_seed: int = 0, *, max_in_flight: int = 4,
                      max_query_chars: int = DEFAULT_MAX_QUERY_CHARS,
                      ) -> list[QueryRecord]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .corpus import (
+    MONTH_BEARING,
     CaseDocument,
     DocKind,
     LegalElements,
@@ -45,7 +46,6 @@ class ChargeProfile:
     months: tuple[tuple[int, int], ...]         # month range per tier
     amounts: tuple[tuple[int, int], ...]        # amount range per tier
     term_kind: TermKind = TermKind.FIXED_TERM
-    extra_mains: tuple[str, ...] = ()
     specials: tuple[TermKind, ...] = ()
 
 
@@ -60,7 +60,7 @@ CHARGE_PROFILES: tuple[ChargeProfile, ...] = (
         severity=("盗窃数额较大", "盗窃数额巨大", "盗窃数额特别巨大"),
         months=((6, 12), (30, 42), (96, 120)),
         amounts=((2000, 8000), (40000, 90000), (400000, 900000)),
-        extra_mains=("265",), specials=(TermKind.CONTROL, TermKind.FINE_ONLY),
+        specials=(TermKind.CONTROL, TermKind.FINE_ONLY),
     ),
     ChargeProfile(
         name="抢劫罪", main_articles=("263",),
@@ -72,7 +72,7 @@ CHARGE_PROFILES: tuple[ChargeProfile, ...] = (
         severity=("抢劫情节一般", "抢劫数额巨大", "抢劫情节特别严重"),
         months=((36, 60), (96, 120), (150, 180)),
         amounts=((1000, 5000), (50000, 100000), (200000, 500000)),
-        extra_mains=("269",), specials=(TermKind.LIFE, TermKind.DEATH),
+        specials=(TermKind.LIFE, TermKind.DEATH),
     ),
     ChargeProfile(
         name="诈骗罪", main_articles=("266",),
@@ -84,7 +84,7 @@ CHARGE_PROFILES: tuple[ChargeProfile, ...] = (
         severity=("诈骗数额较大", "诈骗数额巨大", "诈骗数额特别巨大"),
         months=((6, 12), (36, 48), (120, 144)),
         amounts=((5000, 20000), (60000, 150000), (600000, 1500000)),
-        extra_mains=("210",), specials=(TermKind.FINE_ONLY,),
+        specials=(TermKind.FINE_ONLY,),
     ),
     ChargeProfile(
         name="交通肇事罪", main_articles=("133",),
@@ -97,7 +97,7 @@ CHARGE_PROFILES: tuple[ChargeProfile, ...] = (
         severity=("肇事后负事故主要责任", "肇事后逃逸", "因逃逸致一人死亡"),
         months=((6, 24), (40, 80), (96, 144)),
         amounts=((30000, 80000), (80000, 200000), (200000, 500000)),
-        extra_mains=(), specials=(TermKind.EXEMPT,),
+        specials=(TermKind.EXEMPT,),
     ),
     ChargeProfile(
         name="危险驾驶罪", main_articles=("133-1",),
@@ -122,7 +122,7 @@ CHARGE_PROFILES: tuple[ChargeProfile, ...] = (
         severity=("致一人轻伤二级", "致一人重伤二级", "致一人严重残疾"),
         months=((6, 18), (36, 60), (96, 144)),
         amounts=((3000, 9000), (20000, 60000), (80000, 150000)),
-        extra_mains=("232",), specials=(TermKind.LIFE,),
+        specials=(TermKind.LIFE,),
     ),
     ChargeProfile(
         name="寻衅滋事罪", main_articles=("293",),
@@ -262,19 +262,22 @@ _COMPANY_INDUSTRIES = ("商贸", "运输", "建筑", "科技", "实业", "物流
 # which is what makes same-charge in-batch negatives false negatives
 _TIER_WEIGHTS = (0.75, 0.17, 0.08)
 
+#: Most ancillary articles a judgment cites.
+ANCILLARY_MAX = 3
+#: Filler sentences a fact draws before it is padded to ``min_fact_chars``.
+FILLER_RANGE = (4, 8)
+#: Share of judgments whose term is one of their charge's special kinds.
+SPECIAL_TERM_RATE = 0.04
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     n_cases: int = 1000
     charge_count: int = 10
-    articles_per_charge: int = 1
-    ancillary_max: int = 3
     n_rulings: int = 0
     n_short_facts: int = 0
     n_unextractable: int = 0
     min_fact_chars: int = 100
-    filler_range: tuple[int, int] = (4, 8)
-    special_term_rate: float = 0.04
     seed: int = 0
 
     def __post_init__(self):
@@ -284,21 +287,16 @@ class SyntheticSpec:
         if self.charge_count < 1 or self.charge_count > len(CHARGE_PROFILES):
             raise ValueError(
                 f"charge_count must be in 1..{len(CHARGE_PROFILES)}")
-        if self.articles_per_charge < 1 or self.articles_per_charge > 2:
-            raise ValueError("articles_per_charge must be 1 or 2")
 
 
 @dataclass(frozen=True)
 class CaseGroundTruth:
     elements: LegalElements | None
     entities: dict[str, list[str]] = field(default_factory=dict)
-    tier: int = -1
-    charge_index: int = -1
 
 
 @dataclass
 class CorpusBuild:
-    spec: SyntheticSpec
     cases: list[CaseDocument]
     truth: dict[str, CaseGroundTruth]
 
@@ -340,11 +338,10 @@ def _make_date(rng: Random) -> str:
     return f"{rng.randint(2012, 2021)}年{rng.randint(1, 12)}月{rng.randint(1, 28)}日"
 
 
-def _draw_term(profile: ChargeProfile, tier: int, rng: Random,
-               special_rate: float) -> PrisonTerm:
-    if profile.specials and rng.random() < special_rate:
+def _draw_term(profile: ChargeProfile, tier: int, rng: Random) -> PrisonTerm:
+    if profile.specials and rng.random() < SPECIAL_TERM_RATE:
         kind = rng.choice(profile.specials)
-        if kind in (TermKind.DEATH, TermKind.LIFE, TermKind.FINE_ONLY, TermKind.EXEMPT):
+        if kind not in MONTH_BEARING:
             return PrisonTerm(kind)
         return PrisonTerm(kind, rng.choice((6, 12, 18, 24)))
     lo, hi = profile.months[tier]
@@ -394,9 +391,9 @@ def _build_case(case_id: str, spec: SyntheticSpec, rng: Random,
     if "{company}" in event_template:
         entities["company"] = [company]
 
-    term = _draw_term(profile, tier, rng, spec.special_term_rate)
+    term = _draw_term(profile, tier, rng)
 
-    ancillary_count = rng.randint(0, spec.ancillary_max)
+    ancillary_count = rng.randint(0, ANCILLARY_MAX)
     ancillary = tuple(sorted(rng.sample(ANCILLARY_POOL, ancillary_count)))
     if term.kind is TermKind.LIFE or term.kind is TermKind.DEATH:
         ancillary = tuple(a for a in ancillary if a != "72")
@@ -409,7 +406,7 @@ def _build_case(case_id: str, spec: SyntheticSpec, rng: Random,
         date=date, name=name, location=location, venue=venue, event=event,
         severity=profile.severity[tier])
     fact_parts = [intro, post]
-    filler_count = rng.randint(*spec.filler_range)
+    filler_count = rng.randint(*FILLER_RANGE)
     fillers = rng.sample(FILLER_SENTENCES, min(filler_count, len(FILLER_SENTENCES)))
     fact_parts.extend(fillers)
     fact = "".join(fact_parts)
@@ -417,12 +414,7 @@ def _build_case(case_id: str, spec: SyntheticSpec, rng: Random,
     while len(fact) < spec.min_fact_chars and extra_filler:
         fact += extra_filler.pop(0)
 
-    mains = list(profile.main_articles)
-    if spec.articles_per_charge == 2 and profile.extra_mains:
-        mains.extend(profile.extra_mains[:1])
-    main_articles = frozenset(mains)
-
-    cited = list(mains) + list(ancillary)
+    cited = list(profile.main_articles) + list(ancillary)
     anc_clauses = "".join(_ANCILLARY_CLAUSES[a] for a in ancillary)
     reason = rng.choice(_REASON_SCAFFOLDS).format(
         name=name, charge=profile.name, clauses=anc_clauses,
@@ -442,13 +434,11 @@ def _build_case(case_id: str, spec: SyntheticSpec, rng: Random,
                        charge_labels=[profile.name])
     elements = LegalElements(
         charges=frozenset({profile.name}),
-        main_articles=main_articles,
+        main_articles=frozenset(profile.main_articles),
         ancillary_articles=frozenset(ancillary),
         prison_term=term,
     )
-    truth = CaseGroundTruth(elements=elements, entities=entities, tier=tier,
-                            charge_index=charge_index)
-    return doc, truth
+    return doc, CaseGroundTruth(elements=elements, entities=entities)
 
 
 def _build_ruling(case_id: str, rng: Random) -> tuple[CaseDocument, CaseGroundTruth]:
@@ -519,7 +509,7 @@ def generate_corpus(spec: SyntheticSpec) -> CorpusBuild:
             cases.append(doc)
             truth[case_id] = gt
 
-    return CorpusBuild(spec=spec, cases=cases, truth=truth)
+    return CorpusBuild(cases=cases, truth=truth)
 
 
 # --------------------------------------------------------------------------
@@ -528,19 +518,21 @@ def generate_corpus(spec: SyntheticSpec) -> CorpusBuild:
 
 #: Two terms count as matching circumstances within this month distance.
 TERM_MATCH_TOLERANCE_MONTHS = 12
+#: Candidates in each query's pool.
+POOL_SIZE = 100
+#: Candidates of a pool with a graded label, the source case among them.
+ANNOTATED_SIZE = 30
 
 
-def terms_match(a: PrisonTerm, b: PrisonTerm,
-                tolerance: int = TERM_MATCH_TOLERANCE_MONTHS) -> bool:
+def terms_match(a: PrisonTerm, b: PrisonTerm) -> bool:
     if a.kind != b.kind:
         return False
-    if a.kind in (TermKind.FIXED_TERM, TermKind.DETENTION, TermKind.CONTROL):
-        return abs(a.months - b.months) <= tolerance
+    if a.kind in MONTH_BEARING:
+        return abs(a.months - b.months) <= TERM_MATCH_TOLERANCE_MONTHS
     return True
 
 
-def agreement_label(source: LegalElements, candidate: LegalElements,
-                    tolerance: int = TERM_MATCH_TOLERANCE_MONTHS) -> int:
+def agreement_label(source: LegalElements, candidate: LegalElements) -> int:
     """Graded label from element agreement.
 
     Matching main articles stand in for matching key facts, matching terms
@@ -548,7 +540,7 @@ def agreement_label(source: LegalElements, candidate: LegalElements,
     only -> 1, neither -> 0.
     """
     facts = source.main_articles == candidate.main_articles
-    circumstances = terms_match(source.prison_term, candidate.prison_term, tolerance)
+    circumstances = terms_match(source.prison_term, candidate.prison_term)
     if facts and circumstances:
         return 3
     if facts:
@@ -565,9 +557,7 @@ class QrelsBuild:
     labels: dict[str, dict[str, int]]        # query_id -> annotated labels
 
 
-def generate_qrels(build: CorpusBuild, seed: int = 0, *, n_queries: int = 50,
-                   pool_size: int = 100, annotated_size: int = 30,
-                   tolerance: int = TERM_MATCH_TOLERANCE_MONTHS) -> QrelsBuild:
+def generate_qrels(build: CorpusBuild, seed: int = 0, *, n_queries: int = 50) -> QrelsBuild:
     """Benchmark-shaped fixtures: per query a candidate pool with a graded
     annotated subset, labels derived from ground-truth element agreement.
 
@@ -577,9 +567,9 @@ def generate_qrels(build: CorpusBuild, seed: int = 0, *, n_queries: int = 50,
     """
     elements = build.elements()
     valid_ids = sorted(elements)
-    if len(valid_ids) < pool_size:
+    if len(valid_ids) < POOL_SIZE:
         raise InsufficientData(
-            f"need at least {pool_size} valid cases for a pool, have {len(valid_ids)}")
+            f"need at least {POOL_SIZE} valid cases for a pool, have {len(valid_ids)}")
     rng = Random(derive_seed(seed, "qrels"))
     source_ids = sorted(rng.sample(valid_ids, min(n_queries, len(valid_ids))))
 
@@ -600,13 +590,13 @@ def generate_qrels(build: CorpusBuild, seed: int = 0, *, n_queries: int = 50,
 
         same_main = [c for c in by_main[key] if c != source_id]
         same_term = [c for c in same_main
-                     if terms_match(source.prison_term, elements[c].prison_term, tolerance)]
+                     if terms_match(source.prison_term, elements[c].prison_term)]
         same_term_set, same_main_set = set(same_term), set(same_main)
         diff_term = [c for c in same_main if c not in same_term_set]
         cross_main = [c for c in valid_ids
                       if c != source_id and c not in same_main_set]
         cross_near = [c for c in cross_main
-                      if terms_match(source.prison_term, elements[c].prison_term, tolerance)]
+                      if terms_match(source.prison_term, elements[c].prison_term)]
         cross_near_set = set(cross_near)
         cross_far = [c for c in cross_main if c not in cross_near_set]
 
@@ -620,23 +610,23 @@ def generate_qrels(build: CorpusBuild, seed: int = 0, *, n_queries: int = 50,
         take(same_term, 12)
         take(diff_term, 6)
         take(cross_near, 6)
-        take(cross_far, annotated_size - len(annotated))
+        take(cross_far, ANNOTATED_SIZE - len(annotated))
         annotated_set = set(annotated)
         backfill = [c for c in cross_main if c not in annotated_set]
         for c in backfill:
-            if len(annotated) >= annotated_size:
+            if len(annotated) >= ANNOTATED_SIZE:
                 break
             annotated.append(c)
-        annotated = annotated[:annotated_size]
+        annotated = annotated[:ANNOTATED_SIZE]
 
         annotated_set = set(annotated)
         rest = [c for c in valid_ids if c not in annotated_set]
-        unannotated = query_rng.sample(rest, min(pool_size - len(annotated), len(rest)))
+        unannotated = query_rng.sample(rest, min(POOL_SIZE - len(annotated), len(rest)))
         pool = sorted(annotated + unannotated)
 
         sources[query_id] = source_id
         pools[query_id] = pool
         labels[query_id] = {
-            c: agreement_label(source, elements[c], tolerance) for c in annotated}
+            c: agreement_label(source, elements[c]) for c in annotated}
 
     return QrelsBuild(sources=sources, pools=pools, labels=labels)

@@ -52,6 +52,7 @@ from .config import LossConfig
 from .errors import (
     BadCheckpoint,
     DegenerateRow,
+    FeaturelessText,
     InsufficientData,
     NonFiniteLoss,
     ZeroVector,
@@ -508,7 +509,6 @@ class TrainSchedule:
     epochs: int = 30
     batch_size: int = 32
     learning_rate: float = 1e-2
-    warmup_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -519,8 +519,6 @@ class TrainSchedule:
         # zero is allowed: it trains without moving the parameters
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1]")
 
 
 @dataclass
@@ -535,6 +533,8 @@ ADAM_BLOCK = 512 * 64
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+#: Share of the steps over which the learning rate warms up to its peak.
+WARMUP_FRACTION = 0.1
 
 
 class Adam:
@@ -592,7 +592,7 @@ class Adam:
 
 def lr_at(step: int, total_steps: int, schedule: TrainSchedule) -> float:
     """Linear warm-up to the peak rate, then linear decay toward zero."""
-    warmup = max(1, int(round(schedule.warmup_fraction * total_steps)))
+    warmup = max(1, int(round(WARMUP_FRACTION * total_steps)))
     if step < warmup:
         return schedule.learning_rate * (step + 1) / warmup
     remaining = max(1, total_steps - warmup)
@@ -696,7 +696,9 @@ def train_toy(pairs: Sequence[PairExample], embedder: ToyEmbedder,
     epochs. The steps update a compact copy of the rows the training texts
     reach (see the module docstring); ``embedder.weights`` gets those rows
     back once, at the end, so a run that raises leaves the caller's weights
-    as they were before training, and an undrawn seeded init undrawn.
+    as they were before training, and an undrawn seeded init undrawn. A
+    text with no n-gram, which would embed to a zero vector, is a
+    :class:`FeaturelessText` naming its pair, raised before the first step.
     """
     pairs = list(pairs)
     per_epoch = len(_batches(range(len(pairs)), schedule.batch_size))
@@ -706,6 +708,10 @@ def train_toy(pairs: Sequence[PairExample], embedder: ToyEmbedder,
 
     trainee, rows = _compact_trainee(
         embedder, (text for p in pairs for text in (p.query_text, p.positive_text)))
+    for i, pair in enumerate(pairs):
+        for name in ("query_text", "positive_text"):
+            if not trainee._feature_memo[getattr(pair, name)][0].size:
+                raise FeaturelessText(i, name)
     curve = _train_steps(pairs, trainee, schedule, loss_cfg, schedule.epochs * per_epoch)
     # the optimizer state and gradient buffer are gone before this draws
     # the caller's whole weight matrix, if it is not drawn yet

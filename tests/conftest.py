@@ -9,8 +9,12 @@ from lexforge import testkit
 
 
 @pytest.fixture(scope="session")
-def small_build():
+def small_spec():
     """300 valid cases plus documents every filter reason code applies to."""
-    spec = testkit.SyntheticSpec(n_cases=300, n_rulings=12, n_short_facts=9,
+    return testkit.SyntheticSpec(n_cases=300, n_rulings=12, n_short_facts=9,
                                  n_unextractable=5, seed=20)
-    return testkit.generate_corpus(spec)
+
+
+@pytest.fixture(scope="session")
+def small_build(small_spec):
+    return testkit.generate_corpus(small_spec)

@@ -44,11 +44,12 @@ def report(name: str, ok: bool, detail: str = ""):
     assert ok, f"{name}{suffix}"
 
 
+CORPUS_1000 = testkit.SyntheticSpec(n_cases=1000, n_rulings=50, n_short_facts=30, seed=7)
+
+
 @pytest.fixture(scope="module")
 def corpus_1000():
-    spec = testkit.SyntheticSpec(n_cases=1000, n_rulings=50, n_short_facts=30,
-                                 seed=7)
-    return testkit.generate_corpus(spec)
+    return testkit.generate_corpus(CORPUS_1000)
 
 
 def test_metric_oracle_equivalence():
@@ -187,7 +188,7 @@ def test_extraction_inversion(corpus_1000):
             mismatches += 1
 
     exclusion_ok = len(exclusions) == 80
-    expected = exclusion_oracle(corpus_1000)
+    expected = exclusion_oracle(corpus_1000, CORPUS_1000)
     for exclusion in exclusions:
         if exclusion.reason != expected[exclusion.case_id]:
             exclusion_ok = False

@@ -479,6 +479,41 @@ class TestExitCodes:
                        f"not in {workdir / source}\n")
         assert not (tmp_path / "t.ckpt").exists()
 
+    @pytest.mark.parametrize("field,source,key,blank", [
+        ("query_id", "queries.jsonl", "query_id", {"text": "x"}),
+        ("positive_case_id", "corpus.jsonl", "case_id",
+         {"fact": "x", "reason": "", "judgment": ""})])
+    def test_featureless_training_text_is_data_error(self, workdir, tmp_path, capsys,
+                                                     field, source, key, blank):
+        pairs = workdir / "pairs.jsonl"
+        ids = [record[field] for record in _records(pairs)]
+        records = _records(workdir / source)
+        for record in records:
+            if record[key] == ids[2]:
+                record.update(blank)
+        inputs = {name: workdir / name for name in ("queries.jsonl", "corpus.jsonl")}
+        inputs[source] = tmp_path / source
+        fileio.write_jsonl(inputs[source], records)
+        err = self._data_error(capsys, "train", "--pairs", pairs,
+                               "--queries", inputs["queries.jsonl"],
+                               "--corpus", inputs["corpus.jsonl"],
+                               "--output", tmp_path / "t.ckpt", "--dim", 4,
+                               "--hash-buckets", 64)
+        assert err == (f"data error: {pairs}:{ids.index(ids[2]) + 1}: field {field!r}: "
+                       f"the text of {ids[2]!r} has no character n-gram to embed\n")
+        assert not (tmp_path / "t.ckpt").exists()
+
+    def test_elements_id_not_in_corpus_is_data_error(self, workdir, tmp_path, capsys):
+        records = _records(workdir / "elements.jsonl")
+        records.append({**records[0], "case_id": "ghost-1"})
+        elements = tmp_path / "elements.jsonl"
+        fileio.write_jsonl(elements, records)
+        err = self._data_error(capsys, "synthesize", "--corpus", workdir / "corpus.jsonl",
+                               "--elements", elements, "--output", tmp_path / "q.jsonl")
+        assert err == (f"data error: {elements}:{len(records)}: field 'case_id': "
+                       f"'ghost-1' not in {workdir / 'corpus.jsonl'}\n")
+        assert not (tmp_path / "q.jsonl").exists()
+
     @pytest.mark.parametrize("name,field,reason,argv", [
         ("corpus.jsonl", "case_id", "missing required field 'case_id'",
          ["extract", "--corpus", "corpus.jsonl", "--elements", "out"]),
@@ -585,6 +620,7 @@ class TestExitCodes:
         ("not json", "not JSON: Expecting value: line 1 column 1 (char 0)"),
         ('{"label": "x", "per_query": {}}', "no 'macro' object of metric values"),
         ('{"macro": {"MAP": "high"}}', "no 'macro' object of metric values"),
+        ('{"macro": {"MAP": true}}', "no 'macro' object of metric values"),
         ("[1, 2]", "no 'macro' object of metric values"),
     ])
     def test_bad_metrics_file_is_data_error(self, workdir, tmp_path, capsys, content, reason):

@@ -35,7 +35,6 @@ max_in_flight = 2
 
 [filter]
 min_fact_chars = 50
-require_extractable_elements = no
 
 [augment]
 proportion = 0.4
@@ -87,7 +86,7 @@ class TestLoader:
             max_query_chars=300,
             client=ClientSettings(endpoint="http://api.test/v1", model="m1", api_key="k1",
                                   timeout=5.5, retries=7, backoff=0.25, max_in_flight=2),
-            filter=CorpusFilterConfig(min_fact_chars=50, require_extractable_elements=False),
+            filter=CorpusFilterConfig(min_fact_chars=50),
             augment=AugmentConfig(proportion_augmented=0.4, weight_ancillary=0.3,
                                   weight_term=0.9, match_mode="shared_charge"),
             loss=LossConfig(temperature=0.2, masking_enabled=False),
@@ -130,6 +129,8 @@ class TestLoader:
 BAD_FILES = [
     ("[bm25]\nb = 2\n", "[bm25] b = '2': b must be in [0, 1]"),
     ("[bm25]\nk = 1.0\n", "[bm25] k: unknown key"),
+    ("[filter]\nrequire_extractable_elements = false\n",
+     "[filter] require_extractable_elements: unknown key"),
     ("[segmnt]\nmax_len = 128\n", "unknown section [segmnt]"),
     ("[run]\nseed = 7\n", "[run] seed: seeds come only from --seed"),
     ("[augment]\nseed = 7\n", "[augment] seed: seeds come only from --seed"),

@@ -232,7 +232,7 @@ class TestExtraction:
         assert extract_article_ids(
             "依照《中华人民共和国刑法》第一百三十三条之一之规定。") == ["133-1"]
 
-    def test_generator_inversion(self, small_build):
+    def test_generator_inversion(self, small_spec, small_build):
         checked = 0
         for doc in small_build.cases:
             truth = small_build.truth[doc.case_id]
@@ -240,7 +240,7 @@ class TestExtraction:
                 continue
             assert extract_elements(doc) == truth.elements
             checked += 1
-        assert checked == small_build.spec.n_cases
+        assert checked == small_spec.n_cases
 
     def test_disjoint_invariant(self):
         with pytest.raises(ValueError):
@@ -294,23 +294,16 @@ class TestFilter:
         assert list(filter_corpus([doc], on_exclude=log.append)) == []
         assert log[0].reason == REASON_EXTRACTION_FAILED
 
-    def test_extraction_failure_admitted_when_not_required(self):
-        doc = CaseDocument(case_id="bad", fact="x" * 150,
-                           reason="无引用。", judgment="无结论。")
-        cfg = CorpusFilterConfig(require_extractable_elements=False)
-        out = list(filter_corpus([doc], cfg))
-        assert len(out) == 1 and out[0][1] is None
-
-    def test_count_oracle(self, small_build):
+    def test_count_oracle(self, small_spec, small_build):
         log = []
         admitted = list(filter_corpus(small_build.cases, on_exclude=log.append))
-        spec = small_build.spec
+        spec = small_spec
         assert len(admitted) == spec.n_cases
         reasons = sorted(e.reason for e in log)
         assert reasons.count(REASON_RULING) == spec.n_rulings
         assert reasons.count(REASON_SHORT_FACT) == spec.n_short_facts
         assert reasons.count(REASON_EXTRACTION_FAILED) == spec.n_unextractable
-        expected = exclusion_oracle(small_build)
+        expected = exclusion_oracle(small_build, spec)
         assert {e.case_id: e.reason for e in log} == expected
 
     def test_idempotent(self, small_build):

@@ -9,7 +9,6 @@ from oracles import exclusion_oracle, qrels_oracle
 
 from lexforge.corpus import case_text, case_to_record, PrisonTerm, TermKind
 from lexforge.testkit import (
-    CHARGE_PROFILES,
     SyntheticSpec,
     agreement_label,
     generate_corpus,
@@ -47,15 +46,15 @@ class TestGenerateCorpus:
         assert all(count >= 1 for count in counts.values())
         assert sum(counts.values()) == 1000
 
-    def test_fact_length_floor(self, small_build):
-        exclusions = exclusion_oracle(small_build)
+    def test_fact_length_floor(self, small_spec, small_build):
+        exclusions = exclusion_oracle(small_build, small_spec)
         for doc in small_build.cases:
             if exclusions.get(doc.case_id) != "SHORT_FACT":
                 continue
-            assert len(doc.fact) < small_build.spec.min_fact_chars
+            assert len(doc.fact) < small_spec.min_fact_chars
         for doc in small_build.cases:
             if small_build.truth[doc.case_id].elements is not None:
-                assert len(doc.fact) >= small_build.spec.min_fact_chars
+                assert len(doc.fact) >= small_spec.min_fact_chars
 
     def test_unique_case_ids(self, small_build):
         ids = [d.case_id for d in small_build.cases]
@@ -74,14 +73,6 @@ class TestGenerateCorpus:
         doc = small_build.cases[0]
         text = case_text(doc)
         assert doc.fact in text and doc.reason in text and doc.judgment in text
-
-    def test_articles_per_charge_two(self):
-        spec = SyntheticSpec(n_cases=20, charge_count=2, articles_per_charge=2, seed=0)
-        build = generate_corpus(spec)
-        for truth in build.truth.values():
-            profile = CHARGE_PROFILES[truth.charge_index]
-            expected = len(profile.main_articles) + (1 if profile.extra_mains else 0)
-            assert len(truth.elements.main_articles) == expected
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):

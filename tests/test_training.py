@@ -1,7 +1,7 @@
 """Cosine math, masking, in-batch loss with gradients, toy training."""
 
 import math
-import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexforge import training
-from lexforge.errors import DegenerateRow, InsufficientData, NonFiniteLoss, ZeroVector
+from lexforge.errors import (
+    DegenerateRow,
+    FeaturelessText,
+    InsufficientData,
+    NonFiniteLoss,
+    ZeroVector,
+)
 from lexforge.training import (
     ADAM_BLOCK,
     FEATURIZE_CHUNK,
@@ -537,6 +543,17 @@ class TestTrainToy:
         last = np.mean([loss for _, loss in result.loss_curve[-4:]])
         assert last < first
 
+    @pytest.mark.parametrize("field", ["query_text", "positive_text"])
+    def test_featureless_text_raises_before_the_first_step(self, field):
+        pairs = _toy_pairs(8)
+        pairs[5] = replace(pairs[5], **{field: " x "})
+        embedder = ToyEmbedder(dim=4, hash_buckets=64, seed=0)
+        before = embedder.weights.copy()
+        with pytest.raises(FeaturelessText, match=f"pair 5: {field} has no") as info:
+            train_toy(pairs, embedder, TrainSchedule(epochs=1, batch_size=4))
+        assert (info.value.pair, info.value.field) == (5, field)
+        np.testing.assert_array_equal(embedder.weights, before)
+
     def test_zero_learning_rate_keeps_parameters(self):
         embedder = ToyEmbedder(dim=8, hash_buckets=256, seed=2)
         before = embedder.weights.copy()
@@ -583,7 +600,7 @@ class TestTrainToy:
             train_toy(_toy_pairs(8), embedder, TrainSchedule(epochs=1, batch_size=4))
 
     def test_lr_schedule_shape(self):
-        schedule = TrainSchedule(learning_rate=1.0, warmup_fraction=0.1)
+        schedule = TrainSchedule(learning_rate=1.0)
         total = 100
         rates = [lr_at(t, total, schedule) for t in range(total)]
         peak = max(rates)
@@ -600,9 +617,9 @@ TRAIN_TEXTS = st.builds(str.__add__, st.text("盗窃抢劫财物被告人驾驶a
 @st.composite
 def training_runs(draw):
     """Pairs, an embedder shape, a schedule and masking, plus texts the
-    embedder has featurized before training. In one run of four, one text
-    is empty: it embeds to zero norm and stops the training at its first
-    batch, unless it only ever lands in a dropped singleton batch."""
+    embedder has featurized before training. In one run of four, one query
+    text is empty: it has no n-gram, so training stops before its first
+    step, even when the pair would only land in a dropped singleton batch."""
     pairs = [PairExample(draw(TRAIN_TEXTS), draw(TRAIN_TEXTS),
                          frozenset(draw(st.sets(st.sampled_from("xyz"), max_size=2))))
              for _ in range(draw(st.integers(2, 11)))]
@@ -632,12 +649,12 @@ class TestCompactTraining:
         pairs, shape, schedule, loss_cfg, warm = run
         fast, plain = ToyEmbedder(**shape), ToyEmbedder(**shape)
         fast.embed(warm)
-        try:
-            want = train_toy_oracle(pairs, plain, schedule, loss_cfg)
-        except ZeroVector as exc:
-            with pytest.raises(ZeroVector, match=f"^{re.escape(str(exc))}$"):
+        empty = [i for i, pair in enumerate(pairs) if not pair.query_text]
+        if empty:
+            with pytest.raises(FeaturelessText, match=f"^pair {empty[0]}: query_text "):
                 train_toy(pairs, fast, schedule, loss_cfg)
             return
+        want = train_toy_oracle(pairs, plain, schedule, loss_cfg)
         result = train_toy(pairs, fast, schedule, loss_cfg)
         assert result.loss_curve == want
         assert fast.weights.tobytes() == plain.weights.tobytes()
@@ -736,9 +753,9 @@ class TestLazyInit:
 
     def test_a_failed_run_draws_no_weights(self):
         embedder = ToyEmbedder(dim=4, hash_buckets=1 << 12, seed=5)
-        # an empty query embeds to zero norm and stops the first batch
+        # an empty query has no n-gram and stops the run before its first step
         pairs = _toy_pairs(8) + [PairExample("", "空的查询所对应的正例")]
-        with pytest.raises(ZeroVector):
+        with pytest.raises(FeaturelessText):
             train_toy(pairs, embedder, TrainSchedule(epochs=1, batch_size=9))
         assert embedder._weights is None
         assert embedder.weights.tobytes() == _eager_init(1 << 12, 4, 5).tobytes()
