@@ -40,12 +40,12 @@ def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
-def atomic_write_bytes(path: str | Path, *chunks) -> None:
+def atomic_write_bytes(path: str | Path, *chunks) -> int:
     """Write the chunks, each ``bytes`` or another C-contiguous buffer, in
-    order to path atomically (:func:`_atomic_file`)."""
+    order to path atomically (:func:`_atomic_file`); returns the byte
+    count."""
     with _atomic_file(path) as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+        return sum(fh.write(chunk) for chunk in chunks)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

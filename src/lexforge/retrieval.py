@@ -189,15 +189,13 @@ class Bm25Index:
         term_ids, tfs = _little_endian(self.term_ids), _little_endian(self.tfs)
         spans = [(self.offsets[row], self.offsets[row + 1]) for row in self._rows.values()]
         offsets = array(_OFFSET, accumulate((end - start for start, end in spans), initial=0))
-        data = b"".join([
-            _INDEX_MAGIC, _U32.pack(_INDEX_VERSION), *_packed([self.tokenizer_name]),
+        return atomic_write_bytes(
+            path, _INDEX_MAGIC, _U32.pack(_INDEX_VERSION), *_packed([self.tokenizer_name]),
             _U32.pack(self.n_docs), *_packed(self.doc_ids),
             _U32.pack(len(self.terms)), *_packed(self.terms),
             _little_endian(offsets),
             *(term_ids[start:end] for start, end in spans),
-            *(tfs[start:end] for start, end in spans)])
-        atomic_write_bytes(path, data)
-        return len(data)
+            *(tfs[start:end] for start, end in spans))
 
     @classmethod
     def load(cls, path: str | Path) -> "Bm25Index":

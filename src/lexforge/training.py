@@ -27,13 +27,15 @@ The seeded init is drawn lazily: an embedder given no weights draws the
 whole matrix on the first read of :attr:`ToyEmbedder.weights`, and
 :meth:`ToyEmbedder.weight_rows` can draw some rows of it without the rest.
 Training works on a compact copy of the weights that holds only the rows
-some training text reaches, drawn that way: embedding, the gradient buffer
-and Adam's moments all cover those rows alone. That is exact. A row no
-text reaches has zero gradient and zero moments at every step, so the
-full-layout update would leave it unchanged bit for bit; every other row
-sees the same operations in the same order in either layout. Once the last
-step is done and the optimizer state is gone, the caller's weights are
-drawn, if they were not yet, and get the trained rows back.
+some training text reaches, drawn that way: embedding and Adam's moments
+cover those rows alone, and each batch's gradient only the rows that
+batch touches, which Adam reads block by block as zeros with the touched
+rows written in. That is exact. A row no text reaches has zero gradient
+and zero moments at every step, so the full-layout update would leave it
+unchanged bit for bit; every other row sees the same operations in the
+same order in either layout. Once the last step is done and the optimizer
+state is gone, the caller's weights are drawn, if they were not yet, and
+get the trained rows back.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import struct
 import zlib
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from random import Random
 
@@ -288,12 +291,12 @@ def _decoded(entries: Sequence[tuple[np.ndarray, np.ndarray]]
     are computed in place, with the same operations as the expression."""
     if not entries:
         return []
-    cuts = np.cumsum([len(idx) for idx, _ in entries[:-1]])
+    ends = list(accumulate(len(idx) for idx, _ in entries))
     idx = np.concatenate([idx for idx, _ in entries]).astype(np.intp)
     values = np.concatenate([counts for _, counts in entries]).astype(np.float64)
     np.log(values, out=values)
     values += 1.0
-    return list(zip(np.split(idx, cuts), np.split(values, cuts)))
+    return [(idx[a:b], values[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 class ToyEmbedder:
@@ -527,8 +530,9 @@ class TrainResult:
 
 
 #: Elements per block of the Adam update: 512 rows of 64 float64 weights.
-#: The six blocks one pass touches (params, grad, m, v, two scratch) take
-#: 1.5 MiB, so they stay in a core's L2 cache between the update's passes.
+#: The five blocks one pass touches (params, m, v and two scratch, one of
+#: which holds the gradient first) take 1.25 MiB, so they stay in a core's
+#: L2 cache between the update's passes.
 ADAM_BLOCK = 512 * 64
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -540,11 +544,15 @@ WARMUP_FRACTION = 0.1
 class Adam:
     """Adaptive moment estimation, deterministic given the gradient stream.
 
-    :meth:`step` updates ``m``, ``v`` and the parameters in place, one
-    cache-sized block of the flattened arrays at a time, with the
-    floating-point operations of the textbook update in the same order, so
-    every element comes out bit for bit as ``m = b1*m + (1-b1)*g``,
-    ``v = b2*v + ((1-b2)*g)*g``, ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``.
+    :meth:`step` takes the gradient as the rows a batch touched: sorted
+    unique row ids and one gradient row each; every other row's gradient is
+    +0.0. It updates ``m``, ``v`` and the parameters in place, one block of
+    ``ADAM_BLOCK // dim`` rows at a time (at least one): the block's
+    gradient is a scratch filled with 0.0 into which its touched rows are
+    written, and every element, touched or not, gets the floating-point
+    operations of the textbook update in the same order, so it comes out
+    bit for bit as ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+    ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``.
 
     :func:`train_toy` keeps state only for the weight rows its texts reach.
     For any other row ``g = m = v = 0`` at every step, so ``m`` and ``v``
@@ -552,28 +560,37 @@ class Adam:
     the row as it was: dropping the row changes no result.
     """
 
-    def __init__(self, shape: tuple[int, ...]):
+    def __init__(self, shape: tuple[int, int]):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
-        scratch = min(ADAM_BLOCK, self.m.size)
+        self._block_rows = max(1, ADAM_BLOCK // shape[1])
+        scratch = min(self._block_rows, shape[0]) * shape[1]
         self._scratch = (np.empty(scratch), np.empty(scratch))
 
-    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
-        if params.shape != self.m.shape or grad.shape != self.m.shape:
-            raise ValueError(f"params {params.shape} and grad {grad.shape} "
-                             f"must have the optimizer's shape {self.m.shape}")
+    def step(self, params: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray,
+             lr: float) -> None:
+        """One update; ``grad_rows[i]`` is the gradient of row ``rows[i]``,
+        and ``rows`` is sorted and unique."""
+        n, dim = self.m.shape
+        if params.shape != self.m.shape or grad_rows.shape != (len(rows), dim):
+            raise ValueError(f"params {params.shape} and {len(rows)} gradient rows "
+                             f"{grad_rows.shape} do not fit the optimizer's shape "
+                             f"{self.m.shape}")
         if not params.flags.c_contiguous:
             raise ValueError("params must be C-contiguous to be updated in place")
         self.t += 1
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        p, g = params.reshape(-1), np.ascontiguousarray(grad).reshape(-1)
-        m, v = self.m.reshape(-1), self.v.reshape(-1)
-        for start in range(0, p.size, ADAM_BLOCK):
-            end = min(start + ADAM_BLOCK, p.size)
-            pb, gb, mb, vb = p[start:end], g[start:end], m[start:end], v[start:end]
-            s1, s2 = (buf[:end - start] for buf in self._scratch)
+        starts = range(0, n, self._block_rows)
+        edges = np.searchsorted(rows, starts).tolist() + [len(rows)]
+        for start, lo, hi in zip(starts, edges, edges[1:]):
+            end = min(start + self._block_rows, n)
+            pb, mb, vb = (a[start:end].reshape(-1) for a in (params, self.m, self.v))
+            gb, s1 = (buf[:(end - start) * dim] for buf in self._scratch)
+            s2 = gb  # the gradient's last read comes before s2's first write
+            gb.fill(0.0)
+            gb.reshape(-1, dim)[rows[lo:hi] - start] = grad_rows[lo:hi]
             np.multiply(mb, b1, out=mb)
             np.multiply(gb, 1 - b1, out=s1)
             np.add(mb, s1, out=mb)                 # m = b1*m + (1-b1)*g
@@ -600,27 +617,57 @@ def lr_at(step: int, total_steps: int, schedule: TrainSchedule) -> float:
 
 
 class _GradientBuffer:
-    """One dense dL/dW reused across steps, and the rows the last batch wrote.
+    """The rows one batch touches and their dL/dW, in arrays reused across
+    steps.
 
-    Every row outside ``rows`` is exactly 0.0, so clearing and checking the
-    buffer only has to visit those rows.
+    ``touched`` and ``position`` have an entry per weight row: a batch marks
+    its rows in ``touched`` and unmarks them once it has their sorted ids,
+    and ``position[r]`` is then row r's place among them. ``grad`` has a row
+    per touched row of the largest batch; a batch uses its first rows.
     """
 
     def __init__(self, shape: tuple[int, int]):
-        self.grad = np.zeros(shape)
-        self.rows = np.empty(0, dtype=np.int64)
+        self.touched = np.zeros(shape[0], dtype=bool)
+        self.position = np.zeros(shape[0], dtype=np.intp)
+        self.grad = np.empty((0, shape[1]))
 
-    def clear(self) -> None:
-        self.grad[self.rows] = 0.0
-        self.rows = np.empty(0, dtype=np.int64)
+    def rows(self, buckets: Iterable[np.ndarray]) -> np.ndarray:
+        """The rows the bucket arrays (at least one) name, sorted, each
+        once."""
+        self.touched[np.concatenate(list(buckets))] = True
+        rows = np.flatnonzero(self.touched)
+        self.touched[rows] = False
+        return rows
+
+    def reserve(self, n_rows: int) -> None:
+        """Make ``grad`` at least ``n_rows`` tall. Training reserves the
+        largest batch's rows before its first step, so the buffer is
+        allocated once: regrowing it as larger batches come leaves freed
+        blocks behind that keep the process's peak higher."""
+        if n_rows > len(self.grad):
+            self.grad = np.empty((n_rows, self.grad.shape[1]))
+
+    def start(self, feats: Sequence[tuple[np.ndarray, np.ndarray]]
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted rows the features touch, with ``position`` set for
+        them, and a gradient row of 0.0 for each."""
+        rows = self.rows(idx for idx, _ in feats)
+        self.position[rows] = np.arange(len(rows))
+        self.reserve(len(rows))
+        grad = self.grad[:len(rows)]
+        grad.fill(0.0)
+        return rows, grad
 
 
 def _batch_gradient(embedder: ToyEmbedder, batch: TrainingBatch, cfg: LossConfig,
-                    buffer: _GradientBuffer) -> tuple[float, np.ndarray]:
+                    buffer: _GradientBuffer) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss and dL/dW for one batch, via the cosine chain rule.
 
-    The gradient is written into ``buffer.grad``, which is cleared first.
-    The batch's texts are featurized, or decoded from the memo, in one call.
+    Returns ``(loss, rows, grad)``: the weight rows the batch's texts touch,
+    sorted, and their gradient, a view of ``buffer.grad``; every other row's
+    gradient is zero. Each text adds its term to its rows, text by text,
+    from 0.0, as into a gradient over every row. The batch's texts are
+    featurized, or decoded from the memo, in one call.
     """
     feats = embedder.featurize(batch.queries + batch.positives)
     q_feats, c_feats = feats[:len(batch.queries)], feats[len(batch.queries):]
@@ -639,15 +686,10 @@ def _batch_gradient(embedder: ToyEmbedder, batch: TrainingBatch, cfg: LossConfig
     d_q = (grad_sim @ c_unit - (grad_sim * sim).sum(axis=1, keepdims=True) * q_unit) / qn
     d_c = (grad_sim.T @ q_unit - (grad_sim * sim).sum(axis=0)[:, None] * c_unit) / cn
 
-    buffer.clear()
-    w_grad = buffer.grad
-    touched = np.zeros(len(w_grad), dtype=bool)
+    rows, w_grad = buffer.start(feats)
     for (idx, values), row in zip(feats, np.concatenate([d_q, d_c])):
-        if idx.size:
-            w_grad[idx] += values[:, None] * row
-            touched[idx] = True
-    buffer.rows = np.flatnonzero(touched)
-    return loss, w_grad
+        w_grad[buffer.position[idx]] += values[:, None] * row
+    return loss, rows, w_grad
 
 
 def _compact_trainee(embedder: ToyEmbedder,
@@ -684,6 +726,16 @@ def _batches(order: Sequence[int], batch_size: int) -> list[list[int]]:
     chunks = [list(order[i:i + batch_size]) for i in range(0, len(order), batch_size)]
     # a singleton batch has no in-batch negatives; drop it
     return [chunk for chunk in chunks if len(chunk) >= 2]
+
+
+def _steps(n_pairs: int, schedule: TrainSchedule) -> Iterator[tuple[int, list[int]]]:
+    """Each step's epoch and the pair indices of its batch, in order: the
+    pairs are shuffled once per epoch, from the schedule seed."""
+    for epoch in range(schedule.epochs):
+        order = list(range(n_pairs))
+        Random(derive_seed(schedule.seed, "shuffle", epoch)).shuffle(order)
+        for chunk in _batches(order, schedule.batch_size):
+            yield epoch, chunk
 
 
 def train_toy(pairs: Sequence[PairExample], embedder: ToyEmbedder,
@@ -726,28 +778,27 @@ def _train_steps(pairs: list[PairExample], trainee: ToyEmbedder, schedule: Train
     this call."""
     optimizer = Adam(trainee.weights.shape)
     buffer = _GradientBuffer(trainee.weights.shape)
+    memo = trainee._feature_memo
+    buffer.reserve(max(
+        len(buffer.rows(memo[text][0] for i in chunk
+                        for text in (pairs[i].query_text, pairs[i].positive_text)))
+        for _, chunk in _steps(len(pairs), schedule)))
     curve: list[tuple[int, float]] = []
-    step = 0
 
-    for epoch in range(schedule.epochs):
-        rng = Random(derive_seed(schedule.seed, "shuffle", epoch))
-        order = list(range(len(pairs)))
-        rng.shuffle(order)
-        for chunk in _batches(order, schedule.batch_size):
-            batch = TrainingBatch(
-                queries=[pairs[i].query_text for i in chunk],
-                positives=[pairs[i].positive_text for i in chunk],
-                positive_charges=[pairs[i].positive_charges for i in chunk])
-            try:
-                loss, w_grad = _batch_gradient(trainee, batch, loss_cfg, buffer)
-            except ValueError as exc:
-                raise NonFiniteLoss(
-                    f"aborted at step {step} (epoch {epoch}, "
-                    f"batch rows {chunk[:4]}...): {exc}") from exc
-            if not np.isfinite(loss) or not np.isfinite(w_grad[buffer.rows]).all():
-                raise NonFiniteLoss(
-                    f"non-finite loss at step {step} (epoch {epoch}): {loss}")
-            curve.append((step, loss))
-            optimizer.step(trainee.weights, w_grad, lr_at(step, total_steps, schedule))
-            step += 1
+    for step, (epoch, chunk) in enumerate(_steps(len(pairs), schedule)):
+        batch = TrainingBatch(
+            queries=[pairs[i].query_text for i in chunk],
+            positives=[pairs[i].positive_text for i in chunk],
+            positive_charges=[pairs[i].positive_charges for i in chunk])
+        try:
+            loss, rows, w_grad = _batch_gradient(trainee, batch, loss_cfg, buffer)
+        except ValueError as exc:
+            raise NonFiniteLoss(
+                f"aborted at step {step} (epoch {epoch}, "
+                f"batch rows {chunk[:4]}...): {exc}") from exc
+        if not np.isfinite(loss) or not np.isfinite(w_grad).all():
+            raise NonFiniteLoss(
+                f"non-finite loss at step {step} (epoch {epoch}): {loss}")
+        curve.append((step, loss))
+        optimizer.step(trainee.weights, rows, w_grad, lr_at(step, total_steps, schedule))
     return curve

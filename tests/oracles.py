@@ -395,6 +395,16 @@ class AdamOracle:
         params -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def dense_gradient(rows, grad_rows, shape):
+    """A row-sparse gradient as the full array: ``grad_rows[i]`` in row
+    ``rows[i]``, +0.0 in every other row."""
+    import numpy as np
+
+    dense = np.zeros(shape)
+    dense[rows] = grad_rows
+    return dense
+
+
 def batch_gradient_oracle(embedder, batch, cfg):
     """Loss and dL/dW of one batch into a fresh ``zeros_like`` array, with
     every text featurized by ``features`` and again by ``embed``."""

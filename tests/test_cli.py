@@ -331,6 +331,90 @@ class TestDeterminism:
         assert leftovers == []
 
 
+#: Runs a lexforge command with every file it writes capped at argv[1]
+#: bytes: a write past the cap fails with EFBIG, as on a full disk, once the
+#: file holds that many bytes (Python ignores SIGXFSZ).
+_CAPPED = ("import resource, sys\n"
+           "_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)\n"
+           "resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), hard))\n"
+           "from lexforge.cli import main\n"
+           "sys.exit(main(sys.argv[2:]))\n")
+
+
+def _writers(w, d):
+    """(target, argv, the file whose size the target's new content has):
+    each stage's output, and train's ``--curve``, written into d from the
+    workdir's inputs. Each target is the first file its command writes past
+    half that size."""
+    search = ["search", "--queries", w / "eval_queries.jsonl", "--corpus", w / "corpus.jsonl",
+              "--pools", w / "pools.jsonl", "--scorer", "bm25", "--k", 30]
+    train = ["train", "--pairs", w / "pairs.jsonl", "--queries", w / "queries.jsonl",
+             "--corpus", w / "corpus.jsonl", "--output", d / "toy.ckpt",
+             "--epochs", 2, "--batch-size", 16, "--seed", 11]
+    return {
+        "fixtures": ("corpus.jsonl", ["fixtures", "--out", d, "--n-cases", 150,
+                                      "--n-queries", 6, "--n-rulings", 5,
+                                      "--n-short-facts", 4, "--seed", 11], w / "corpus.jsonl"),
+        "extract": ("elements.jsonl", ["extract", "--corpus", w / "corpus.jsonl",
+                                       "--elements", d / "elements.jsonl",
+                                       "--exclusions", d / "exclusions.jsonl"],
+                    w / "elements.jsonl"),
+        "synthesize": ("queries.jsonl", ["synthesize", "--corpus", w / "corpus.jsonl",
+                                         "--elements", w / "elements.jsonl",
+                                         "--output", d / "queries.jsonl", "--seed", 11],
+                       w / "queries.jsonl"),
+        "augment": ("pairs.jsonl", ["augment", "--queries", w / "queries.jsonl",
+                                    "--elements", w / "elements.jsonl",
+                                    "--output", d / "pairs.jsonl", "--proportion", 0.7,
+                                    "--seed", 11], w / "pairs.jsonl"),
+        "checkpoint": ("toy.ckpt", train + ["--dim", 16, "--hash-buckets", 2048],
+                       w / "toy.ckpt"),
+        # a checkpoint of 1 x 8 weights is written whole below the cap
+        "curve": ("loss.tsv", train + ["--curve", d / "loss.tsv", "--dim", 1,
+                                       "--hash-buckets", 8], w / "loss.tsv"),
+        "index": ("bm25.idx", ["index", "--corpus", w / "corpus.jsonl",
+                               "--output", d / "bm25.idx"], w / "bm25.idx"),
+        "search": ("run.jsonl", search + ["--output", d / "run.jsonl"], w / "run_bm25.jsonl"),
+        "eval": ("metrics.json", ["eval", "--run", w / "run_bm25.jsonl",
+                                  "--qrels", w / "qrels.jsonl", "--output", d / "metrics.json",
+                                  "--label", "bm25"], w / "metrics_bm25.json"),
+        "report": ("report.txt", ["report", w / "metrics_bm25.json", w / "metrics_dense.json",
+                                  "--output", d / "report.txt"], d / "report_full.txt"),
+    }
+
+
+class TestAtomicWriters:
+    @pytest.mark.parametrize("writer", ["fixtures", "extract", "synthesize", "augment",
+                                        "checkpoint", "curve", "index", "search", "eval",
+                                        "report"])
+    def test_a_write_that_fails_partway_keeps_the_earlier_file(self, workdir, tmp_path,
+                                                               writer):
+        """Each writer, run with its files capped at half the size of the
+        file it writes, fails partway through that file; the earlier file
+        there is left as it was, and no temp file is left behind."""
+        import os
+        import subprocess
+        import sys
+        d = tmp_path / "out"
+        d.mkdir()
+        target, argv, full = _writers(workdir, d)[writer]
+        if writer == "report":
+            assert run_cli(*argv[:-1], full) == 0
+        cap = full.stat().st_size // 2
+        earlier = "an earlier file\n".encode("utf-8")
+        (d / target).write_bytes(earlier)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run([sys.executable, "-c", _CAPPED, str(cap), *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode != 0
+        assert "File too large" in proc.stderr
+        assert (d / target).read_bytes() == earlier
+        assert [p.name for p in d.iterdir() if p.name.endswith(".tmp")] == []
+        if writer == "curve":
+            assert 0 < (d / "toy.ckpt").stat().st_size < cap
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):
         assert run_cli("frobnicate") == 1

@@ -41,6 +41,7 @@ from oracles import (
     AdamOracle,
     batch_gradient_oracle,
     cosine_oracle,
+    dense_gradient,
     false_negative_mask_oracle,
     features_oracle,
     fd_gradient,
@@ -415,8 +416,9 @@ class TestToyEmbedder:
             positives=["被告人盗窃电动车一辆", "被告人醉酒后驾驶汽车"],
             positive_charges=[frozenset({"a"}), frozenset({"b"})])
         cfg = LossConfig()
-        _, w_grad = _batch_gradient(embedder, batch, cfg,
-                                    _GradientBuffer(embedder.weights.shape))
+        _, rows, grad_rows = _batch_gradient(embedder, batch, cfg,
+                                             _GradientBuffer(embedder.weights.shape))
+        w_grad = dense_gradient(rows, grad_rows, embedder.weights.shape)
 
         eps = 1e-6
         rng = np.random.default_rng(0)
@@ -664,9 +666,10 @@ class TestCompactTraining:
         seen = []
         real_step = Adam.step
 
-        def step(self, params, grad, lr):
-            seen.append((params.shape, grad.shape, self.m.shape, self.v.shape))
-            return real_step(self, params, grad, lr)
+        def step(self, params, rows, grad_rows, lr):
+            seen.append((params.shape, self.m.shape, self.v.shape))
+            assert grad_rows.shape == (len(rows), 4) and 0 < len(rows) <= len(params)
+            return real_step(self, params, rows, grad_rows, lr)
 
         monkeypatch.setattr(Adam, "step", step)
         pairs = _toy_pairs(30)
@@ -677,8 +680,28 @@ class TestCompactTraining:
             for text in (p.query_text, p.positive_text):
                 reach.update(features_oracle(text, buckets, 2, 3)[0].tolist())
         assert len(seen) == len(result.loss_curve) == 8
-        assert set(seen) == {((len(reach), 4),) * 4}
+        assert set(seen) == {((len(reach), 4),) * 3}
         assert len(reach) == 16 if buckets == 16 else len(reach) < buckets // 2
+
+    def test_the_gradient_buffer_is_allocated_once(self, monkeypatch):
+        """Training reserves the largest batch's touched rows before its
+        first step: every batch writes into one allocation, exactly that
+        tall."""
+        seen = []
+        real_gradient = training._batch_gradient
+
+        def gradient(embedder, batch, cfg, buffer):
+            loss, rows, grad = real_gradient(embedder, batch, cfg, buffer)
+            seen.append((buffer.grad.ctypes.data, len(buffer.grad), len(rows)))
+            return loss, rows, grad
+
+        monkeypatch.setattr(training, "_batch_gradient", gradient)
+        train_toy(_toy_pairs(30), ToyEmbedder(dim=4, hash_buckets=4096, seed=7),
+                  TrainSchedule(epochs=3, batch_size=7, seed=7))
+        touched = [n for _, _, n in seen]
+        assert len(seen) == 15 and len(set(touched)) > 1
+        assert {(address, height) for address, height, _ in seen} == {
+            (seen[0][0], max(touched))}
 
     def test_caller_embedder_embeds_as_a_fresh_one(self):
         pairs = _toy_pairs(24)
@@ -762,30 +785,45 @@ class TestLazyInit:
 
     def test_steps_hold_less_than_the_weight_matrix(self, monkeypatch):
         """With a 2^15 x 64 embedder, the memory traced at every Adam step
-        is below the size of its weight matrix; the matrix is drawn after
-        the last step, as in a run on an embedder drawn before training."""
+        is below the size of its weight matrix, and the only arrays alive
+        as large as the reached rows x dim are the trainee's weights, ``m``
+        and ``v``: the batch's gradient covers only the rows it touched.
+        The matrix is drawn after the last step, as in a run on an embedder
+        drawn before training."""
         import tracemalloc
         buckets, dim = 1 << 15, 64
-        traced = []
+        numpy_domain = np.lib.tracemalloc_domain
+        traced, large = [], []
         real_step = Adam.step
 
-        def step(self, params, grad, lr):
+        def step(self, params, rows, grad_rows, lr):
             traced.append(tracemalloc.get_traced_memory()[0])
-            return real_step(self, params, grad, lr)
+            large.append((params.nbytes, [t.size for t in tracemalloc.take_snapshot().traces
+                                          if t.domain == numpy_domain
+                                          and t.size >= params.nbytes]))
+            assert len(rows) < len(params)
+            return real_step(self, params, rows, grad_rows, lr)
 
         monkeypatch.setattr(Adam, "step", step)
-        schedule = TrainSchedule(epochs=2, batch_size=8, seed=3)
+        pairs = _toy_pairs(24) + [PairExample(f"被告人于{2000 + i}年第{i}次实施犯罪行为",
+                                              f"法院认定被告人第{i}次犯罪事实清楚{i * 7}")
+                                  for i in range(40)]
+        schedule = TrainSchedule(epochs=2, batch_size=16, seed=3)
         tracemalloc.start()
         try:
             embedder = ToyEmbedder(dim=dim, hash_buckets=buckets, seed=3)
-            train_toy(_toy_pairs(24), embedder, schedule)
+            train_toy(pairs, embedder, schedule)
         finally:
             tracemalloc.stop()
-        assert len(traced) == 6
+        assert len(traced) == 8
         assert max(traced) < buckets * dim * 8
+        # Adam's block-sized scratch is smaller than the reached rows here
+        assert min(reached for reached, _ in large) > ADAM_BLOCK * 8
+        assert all(sizes == [reached] * 3 for reached, sizes in large)
+        monkeypatch.undo()
         drawn = ToyEmbedder(dim=dim, hash_buckets=buckets, seed=3)
         drawn.weights  # noqa: B018 - the read draws the seeded init
-        train_toy(_toy_pairs(24), drawn, schedule)
+        train_toy(pairs, drawn, schedule)
         assert embedder.weights.tobytes() == drawn.weights.tobytes()
 
 
@@ -794,53 +832,75 @@ class TestAdam:
         params = np.zeros((2, 2))
         grad = np.array([[1.0, -2.0], [0.5, 0.0]])
         opt = Adam(params.shape)
-        opt.step(params, grad, lr=0.1)
+        opt.step(params, np.arange(2), grad, lr=0.1)
         # after one step m_hat = grad, v_hat = grad^2
         expected = -0.1 * grad / (np.abs(grad) + 1e-8)
         np.testing.assert_allclose(params, expected, atol=1e-9)
 
 
 class TestFastPathsMatchOracles:
-    @pytest.mark.parametrize("shape", [(3, 5), (1000, 37), (1100, 64)])
+    @pytest.mark.parametrize("shape", [(3, 5), (1000, 37), (1100, 64), (2, ADAM_BLOCK + 3)])
     def test_adam_on_sparse_row_stream(self, shape):
+        """Row-sparse steps equal the oracle fed the densified gradient, bit
+        for bit, in the parameters, ``m`` and ``v``. The shapes include a
+        ``dim`` that does not divide ``ADAM_BLOCK`` and one wider than a
+        block; the steps include one with no touched row, rows on both sides
+        of a block edge and ``lr`` 0."""
         assert np.prod(shape) % ADAM_BLOCK != 0
-        rng = np.random.default_rng(shape[0])
+        n, dim = shape
+        edge = max(1, ADAM_BLOCK // dim)
+        rng = np.random.default_rng(n)
         params = rng.normal(size=shape)
         expected = params.copy()
         fast, plain = Adam(shape), AdamOracle(shape)
-        for step in range(7):
-            grad = np.zeros(shape)
-            rows = rng.choice(shape[0], size=max(1, shape[0] // 5), replace=False)
-            grad[rows] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=(len(rows), shape[1]))
-            lr = 1e-2 * (step + 1) if step < 6 else 0.0
-            fast.step(params, grad, lr)
-            plain.step(expected, grad, lr)
-            assert np.array_equal(params, expected)
-            assert np.array_equal(fast.m, plain.m) and np.array_equal(fast.v, plain.v)
+        for step in range(9):
+            if step == 3:
+                rows = np.empty(0, dtype=np.intp)
+            elif step == 4:
+                rows = np.unique(np.clip([edge - 2, edge - 1, edge, edge + 1], 0, n - 1))
+            else:
+                rows = np.sort(rng.choice(n, size=max(1, n // 5), replace=False))
+            grad_rows = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=(len(rows), dim))
+            grad_rows[grad_rows > 1] = -0.0
+            lr = 1e-2 * (step + 1) if step < 7 else 0.0
+            fast.step(params, rows, grad_rows, lr)
+            plain.step(expected, dense_gradient(rows, grad_rows, shape), lr)
+            assert params.tobytes() == expected.tobytes()
+            assert fast.m.tobytes() == plain.m.tobytes()
+            assert fast.v.tobytes() == plain.v.tobytes()
 
     def test_adam_rejects_arrays_it_cannot_update_in_place(self):
         opt = Adam((4, 6))
+        rows = np.arange(2)
         with pytest.raises(ValueError, match="shape"):
-            opt.step(np.zeros((6, 4)), np.zeros((6, 4)), 0.1)
+            opt.step(np.zeros((6, 4)), rows, np.zeros((2, 4)), 0.1)
+        with pytest.raises(ValueError, match="shape"):
+            opt.step(np.zeros((4, 6)), rows, np.zeros((3, 6)), 0.1)
         with pytest.raises(ValueError, match="contiguous"):
-            opt.step(np.zeros((6, 4)).T, np.zeros((4, 6)), 0.1)
+            opt.step(np.zeros((6, 4)).T, rows, np.zeros((2, 6)), 0.1)
 
     def test_reused_gradient_buffer(self):
+        """One buffer serves batches of different sizes: each batch's rows
+        are sorted, unique and exactly the buckets of its texts, and its
+        gradient, a view of the buffer, is the oracle's on those rows."""
         embedder = ToyEmbedder(dim=8, hash_buckets=512, seed=6)
         pairs = _toy_pairs(24)
         buffer = _GradientBuffer(embedder.weights.shape)
         cfg = LossConfig()
-        for start in range(0, 24, 6):
-            chunk = pairs[start:start + 6]
+        for start, stop in ((0, 6), (6, 8), (8, 20), (20, 24)):
+            chunk = pairs[start:stop]
             batch = TrainingBatch(queries=[p.query_text for p in chunk],
                                   positives=[p.positive_text for p in chunk],
                                   positive_charges=[p.positive_charges for p in chunk])
-            loss, grad = _batch_gradient(embedder, batch, cfg, buffer)
+            loss, rows, grad = _batch_gradient(embedder, batch, cfg, buffer)
             expected_loss, expected = batch_gradient_oracle(embedder, batch, cfg)
-            assert grad is buffer.grad
-            assert loss == expected_loss and np.array_equal(grad, expected)
-            outside = np.ones(len(grad), dtype=bool)
-            outside[buffer.rows] = False
-            assert not grad[outside].any()
-            embedder.weights -= 0.1 * grad  # the next batch sees new weights
+            buckets = set()
+            for text in batch.queries + batch.positives:
+                buckets.update(features_oracle(text, 512, 2, 3)[0].tolist())
+            assert rows.tolist() == sorted(buckets)
+            assert grad.shape == (len(rows), 8) and np.shares_memory(grad, buffer.grad)
+            assert loss == expected_loss
+            assert dense_gradient(rows, grad, expected.shape).tobytes() == expected.tobytes()
+            assert not buffer.touched.any()
+            embedder.weights -= 0.1 * expected  # the next batch sees new weights
 
