@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
+from array import array
 from collections.abc import Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -33,6 +35,7 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .corpus import CaseDocument
+    from .training import TrainingSet
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,10 +98,10 @@ class _Query(NamedTuple):
     text: str
 
 
-def _load_queries(path: Path) -> list[_Query]:
-    return [_Query(*_fields(path, lineno, record,
-                            query_id=None, source_case_id=None, text=None))
-            for lineno, record in fileio.read_jsonl(path)]
+def _queries(path: Path) -> Iterator[_Query]:
+    for lineno, record in fileio.read_jsonl(path):
+        yield _Query(*_fields(path, lineno, record,
+                              query_id=None, source_case_id=None, text=None))
 
 
 def _fields(path: Path, lineno: int, record: dict, **parsers) -> list:
@@ -287,7 +290,7 @@ def _cmd_augment(args, cfg: PipelineConfig) -> int:
 
     aug_cfg = config.with_values(
         cfg.augment, _flags(args, proportion_augmented="proportion"), seed=args.seed)
-    queries = _load_queries(Path(args.queries))
+    queries = list(_queries(Path(args.queries)))
     elements = dict(_parsed(Path(args.elements), elements_from_record))
     index = augment.build_element_index(elements)
     result = augment.mix_pairs(queries, elements, index, aug_cfg)
@@ -298,34 +301,60 @@ def _cmd_augment(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _training_examples(args) -> list:
-    """The pairs of ``--pairs``, with their texts. The pairs are read first,
-    so that only the query texts and case texts they name are kept: the
-    corpus is streamed and no parsed case outlives its record."""
-    from .training import PairExample
+def _training_set(args, embedder) -> tuple[TrainingSet, array]:
+    """The pairs of ``--pairs`` as a training set over one feature store,
+    and the line of each pair.
 
-    pairs = []
+    The pairs are read first, into columns: each names its query and its
+    case by a number, in order of first mention. Then the queries file and
+    the corpus are streamed, and the text of each id the pairs name is
+    featurized into the store as it is read, a chunk at a time; a later
+    record of the same id takes its place, as the last one in a dict
+    would. Every record is parsed, so a bad one anywhere is a
+    MalformedRecord, but no text outlives its featurization and no parsed
+    case its record. Then a pair whose ``query_id`` is not in the queries
+    file, or whose ``positive_case_id`` is not in the corpus, is a
+    MalformedRecord naming the pairs file, the line and the field.
+    """
+    from .corpus import case_text, parse_case
+    from .training import FeatureStore, TrainingSet
+
+    ids: tuple[dict, dict] = ({}, {})  # query ids, case ids
+    charge_ids: dict[frozenset[str], int] = {}
+    lines, charges, numbers = array("q"), array("q"), (array("q"), array("q"))
     for lineno, record in fileio.read_jsonl(Path(args.pairs)):
         # train reads no kind, but a pair without one is malformed;
         # positive_charges may be left out
-        pairs.append((lineno, *_fields(
+        query_id, case_id, _, pair_charges = _fields(
             args.pairs, lineno, {"positive_charges": [], **record}, query_id=None,
-            positive_case_id=None, kind=None, positive_charges=_charges)))
-    queries = {q.query_id: q.text for q in _load_queries(Path(args.queries))}
-    texts = _load_texts(Path(args.corpus), {case_id for _, _, case_id, _, _ in pairs})
-    examples = []
-    for lineno, query_id, case_id, _, charges in pairs:
-        where = f"{args.pairs}:{lineno}"
-        if query_id not in queries:
-            raise MalformedRecord(f"{where}: field 'query_id': "
-                                  f"{query_id!r} not in {args.queries}")
-        if case_id not in texts:
-            raise MalformedRecord(f"{where}: field 'positive_case_id': "
-                                  f"{case_id!r} not in {args.corpus}")
-        examples.append(PairExample(query_text=queries[query_id],
-                                    positive_text=texts[case_id],
-                                    positive_charges=charges))
-    return examples
+            positive_case_id=None, kind=None, positive_charges=_charges)
+        lines.append(lineno)
+        for column, known, key in zip(numbers, ids, (query_id, case_id)):
+            column.append(known.setdefault(key, len(known)))
+        charges.append(charge_ids.setdefault(pair_charges, len(charge_ids)))
+    slots = tuple(array("q", [-1]) * len(known) for known in ids)
+
+    def texts() -> Iterator[str]:
+        count = itertools.count()
+        for query in _queries(Path(args.queries)):
+            if (number := ids[0].get(query.query_id)) is not None:
+                slots[0][number] = next(count)
+                yield query.text
+        for doc in _parsed(Path(args.corpus), parse_case):
+            if (number := ids[1].get(doc.case_id)) is not None:
+                slots[1][number] = next(count)
+                yield case_text(doc)
+
+    store = FeatureStore(embedder, texts())
+    for i, pair in enumerate(zip(*numbers)):
+        for field, source, known, slot, number in zip(
+                ("query_id", "positive_case_id"), (args.queries, args.corpus), ids, slots, pair):
+            if slot[number] < 0:
+                raise MalformedRecord(f"{args.pairs}:{lines[i]}: field {field!r}: "
+                                      f"{list(known)[number]!r} not in {source}")
+    return TrainingSet(store, *(array("q", (slot[n] for n in column))
+                                for slot, column in zip(slots, numbers)),
+                       charges, charge_ids), lines
 
 
 def _cmd_train(args, cfg: PipelineConfig) -> int:
@@ -336,13 +365,13 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
     schedule = config.with_values(training.TrainSchedule, _flags(
         args, "epochs", "batch_size", "learning_rate"), seed=args.seed)
     loss_cfg = config.with_values(cfg.loss, _flags(args, masking_enabled="no_masking"))
-    examples = _training_examples(args)
+    data, lines = _training_set(args, embedder)
     try:
-        result = training.train_toy(examples, embedder, schedule, loss_cfg)
+        result = training.train_toy(data, embedder, schedule, loss_cfg)
     except FeaturelessText as exc:
-        # each record of --pairs is one example, in order
-        lineno, record = list(fileio.read_jsonl(Path(args.pairs)))[exc.pair]
+        lineno = lines[exc.pair]
         field = "query_id" if exc.field == "query_text" else "positive_case_id"
+        record = next(record for n, record in fileio.read_jsonl(Path(args.pairs)) if n == lineno)
         raise MalformedRecord(f"{args.pairs}:{lineno}: field {field!r}: the text of "
                               f"{record[field]!r} has no character n-gram to embed") from None
     training.save_checkpoint(embedder, args.output)
@@ -352,7 +381,7 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
             "".join(f"{step}\t{loss:.10f}\n" for step, loss in result.loss_curve))
     first = result.loss_curve[0][1]
     last = result.loss_curve[-1][1]
-    print(f"train: {len(examples)} pairs, {len(result.loss_curve)} steps, "
+    print(f"train: {len(data)} pairs, {len(result.loss_curve)} steps, "
           f"loss {first:.4f} -> {last:.4f}")
     return EXIT_OK
 
@@ -416,7 +445,7 @@ def _cmd_search(args, cfg: PipelineConfig) -> int:
         raise UsageError(f"--k = {args.k!r}: k must be >= 1")
     if args.scorer == "dense" and not args.checkpoint:
         raise UsageError("dense scoring needs --checkpoint")
-    queries = _load_queries(Path(args.queries))
+    queries = list(_queries(Path(args.queries)))
     pools = _load_pools(Path(args.pools)) if args.pools else None
     texts = _load_texts(Path(args.corpus), None if pools is None
                         else {cid for pool in pools.values() for cid in pool})
@@ -610,8 +639,14 @@ def main(argv: list[str] | None = None) -> int:
     except GenerationFailed as exc:
         print(f"remote client failure: {exc}", file=sys.stderr)
         return EXIT_REMOTE
-    except (LexforgeError, FileNotFoundError) as exc:
+    except LexforgeError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:
+        # an input or output the system refused: missing, a directory, not
+        # permitted, or a write past a size limit or the free space
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"data error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_DATA
 
 

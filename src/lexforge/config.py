@@ -201,9 +201,13 @@ def load_config(path: str | Path | None = None,
     if path is not None:
         if not Path(path).exists():
             raise UsageError(f"config file not found: {path}")
+        try:
+            text = Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: not UTF-8 at byte {exc.start + 1}") from None
         parser = configparser.ConfigParser()
         try:
-            parser.read(path, encoding="utf-8")
+            parser.read_string(text, source=os.fspath(path))
             for section in parser.sections():
                 if section not in keys:
                     raise UsageError(f"{path}: unknown section [{section}]")

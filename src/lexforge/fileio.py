@@ -26,17 +26,20 @@ def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
     same directory, renamed over path when the block ends, removed if the
     block raises, so that a failed write leaves any earlier file at path as
     it was. The file gets the mode a plain ``open`` would give it: 0o666
-    less the umask."""
+    less the umask. An ``OSError`` that names no file, as a failed write
+    does, or that names the temp file, is made to name path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename in (None, os.fspath(tmp)):
+            exc.filename, exc.filename2 = os.fspath(path), None
         raise
 
 
@@ -67,11 +70,49 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> int:
     return count
 
 
+#: Bytes per read of :func:`_lines`, as many as a text file reads at a time.
+READ_BLOCK = 1 << 13
+
+
+def _lines(path: str | Path, fh: BinaryIO) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of a binary file; a line ends at a
+    newline byte, so a file with CRLF line ends has the same line numbers
+    as one without. The lines are decoded a block of whole lines at a time,
+    so no line is held as bytes too. A block that is not UTF-8 is decoded
+    line by line, and its first bad line is a MalformedRecord naming the
+    file, the line and the byte, counting from 1 within the line."""
+    lineno, rest = 0, b""
+    while True:
+        block = fh.read(READ_BLOCK)
+        if not block:
+            if not rest:
+                return
+            block = b"\n"  # end the file's last line, which has no newline
+        head = rest + block
+        cut = head.rfind(b"\n") + 1
+        whole, rest = head[:cut], head[cut:]
+        try:
+            lines = whole.decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            lines = whole.split(b"\n")
+        for line in lines[:-1]:  # the last piece is the empty one after a newline
+            lineno += 1
+            if isinstance(line, bytes):
+                try:
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise MalformedRecord(f"{path}:{lineno}: not UTF-8 at byte "
+                                          f"{exc.start + 1}") from None
+            yield lineno, line
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, dict) for each non-empty line; raises
-    MalformedRecord, naming the file and the line, on bad JSON."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    """Yield (line number, dict) for each non-empty line. The file is read
+    as bytes and decoded by :func:`_lines`, so a line that is not UTF-8,
+    like one that is not a JSON object, is a MalformedRecord naming the
+    file, the line and the reason."""
+    with open(path, "rb") as fh:
+        for lineno, line in _lines(path, fh):
             line = line.strip()
             if not line:
                 continue

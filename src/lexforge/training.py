@@ -11,31 +11,39 @@ identical to deleting those entries from the negative set.
 The :class:`ToyEmbedder` is a desk-scale trainable encoder (hashed
 character n-grams into a linear map); it exists to exercise the loss,
 masking, batching and end-to-end trend checks, not to stand in for a
-pre-trained model. Its one featurization path, :meth:`ToyEmbedder.featurize`,
-takes a batch of texts in chunks of about ``FEATURIZE_CHUNK`` n-grams. It
-reads each chunk's code points as one integer array, packs every n-gram
-into an int64 key, hashes each distinct n-gram once per batch and finds
-each text's distinct buckets, in order of first occurrence, with one sort.
-The result is bit-identical to hashing the n-grams of one text at a time.
-The memo keeps each text's features as narrow integers, its buckets and
-their raw counts, each in the narrowest unsigned dtype that holds them;
-:meth:`ToyEmbedder.features` and :meth:`ToyEmbedder.featurize` decode them
-on read to an ``intp`` index and the float64 values ``1 + log(count)``,
-all the texts of one call in one pass.
+pre-trained model. Its one featurization path,
+:meth:`ToyEmbedder._featurize_chunks`, takes a stream of texts in chunks of
+about ``FEATURIZE_CHUNK`` n-grams. It reads each chunk's code points as one
+integer array, packs every n-gram into an int64 key, hashes each distinct
+n-gram once per call and finds each text's distinct buckets, in order of
+first occurrence, with one sort. The result is bit-identical to hashing the
+n-grams of one text at a time. A chunk comes out as two narrow arrays, its
+texts' buckets and their raw counts, each in the narrowest unsigned dtype
+that holds them. The memo that :meth:`ToyEmbedder.features`,
+:meth:`ToyEmbedder.featurize` and dense search read keeps a copy of each
+text's slice of them, by text; a :class:`FeatureStore`, which training
+reads, keeps the chunks' arrays as they are, by slot. Both decode on read
+to an ``intp`` index and the float64 values ``1 + log(count)``, all the
+texts of one call in one pass.
+
+Training reads a :class:`TrainingSet`: the pairs as integer columns over
+one store, so that no text outlives the featurization of its chunk and no
+object per pair or per text is alive during the steps.
 
 The seeded init is drawn lazily: an embedder given no weights draws the
 whole matrix on the first read of :attr:`ToyEmbedder.weights`, and
 :meth:`ToyEmbedder.weight_rows` can draw some rows of it without the rest.
 Training works on a compact copy of the weights that holds only the rows
-some training text reaches, drawn that way: embedding and Adam's moments
-cover those rows alone, and each batch's gradient only the rows that
-batch touches, which Adam reads block by block as zeros with the touched
-rows written in. That is exact. A row no text reaches has zero gradient
-and zero moments at every step, so the full-layout update would leave it
-unchanged bit for bit; every other row sees the same operations in the
-same order in either layout. Once the last step is done and the optimizer
-state is gone, the caller's weights are drawn, if they were not yet, and
-get the trained rows back.
+some text of the store reaches, drawn that way, and the store numbers its
+buckets by those rows: embedding and Adam's moments cover those rows
+alone, and each batch's gradient only the rows that batch touches, which
+Adam reads block by block as zeros with the touched rows written in. That
+is exact. A row no text reaches has zero gradient and zero moments at
+every step, so the full-layout update would leave it unchanged bit for
+bit; every other row sees the same operations in the same order in either
+layout. Once the last step is done and the optimizer state is gone, the
+caller's weights are drawn, if they were not yet, and get the trained rows
+back.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
@@ -249,15 +258,17 @@ def _gram_buckets(occ_bucket: np.ndarray, joined: str, lens: np.ndarray,
 
 
 def _bucket_counts(occ_bucket: np.ndarray, per_text: np.ndarray, occ_start: np.ndarray,
-                   hash_buckets: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each text's distinct buckets in order of first occurrence, with their
-    raw counts: the compact form the memo keeps (see :func:`_decoded`). The
-    buckets come in the narrowest unsigned dtype that holds
-    ``hash_buckets - 1``, the counts in the narrowest one that holds the
-    chunk's largest count. One sort of ``(text, bucket, occurrence)`` keys
-    puts each text's repeats of a bucket side by side, first occurrence
-    first. The key fits 63 bits: a chunk of several texts holds at most
-    ``FEATURIZE_CHUNK`` grams, and a bucket is below 2**32."""
+                   hash_buckets: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The distinct buckets of a chunk's texts, text after text, each
+    text's in order of first occurrence, with their raw counts; and the
+    offset of each text's first entry, then the entry count. This is the
+    compact form the memo and :class:`FeatureStore` keep (see
+    :func:`_decoded`). The buckets come in the narrowest unsigned dtype that
+    holds ``hash_buckets - 1``, the counts in the narrowest one that holds
+    the chunk's largest count. One sort of ``(text, bucket, occurrence)``
+    keys puts each text's repeats of a bucket side by side, first
+    occurrence first. The key fits 63 bits: a chunk of several texts holds
+    at most ``FEATURIZE_CHUNK`` grams, and a bucket is below 2**32."""
     n_grams = len(occ_bucket)
     occ_bits = n_grams.bit_length()
     bucket_bits = (min(hash_buckets, 1 << 32) - 1).bit_length()
@@ -277,15 +288,12 @@ def _bucket_counts(occ_bucket: np.ndarray, per_text: np.ndarray, occ_start: np.n
     idx = occ_bucket[firsts].astype(np.min_scalar_type(hash_buckets - 1))
     counts = count_at[firsts]
     counts = counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
-    cuts = np.searchsorted(firsts, occ_start).tolist() + [len(firsts)]
-    # copies, not views: small arrays fill the space the chunk's working
-    # arrays leave free, so a long batch does not fragment the heap
-    return [(idx[a:b].copy(), counts[a:b].copy()) for a, b in zip(cuts, cuts[1:])]
+    return idx, counts, np.searchsorted(firsts, occ_start).tolist() + [len(firsts)]
 
 
 def _decoded(entries: Sequence[tuple[np.ndarray, np.ndarray]]
              ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The features of compact memo entries: the buckets as ``intp`` and
+    """The features of compact memo or store entries: the buckets as ``intp`` and
     the damped counts ``1 + log(count)`` as float64. The entries are
     decoded together, in one pass, into views of two arrays; the values
     are computed in place, with the same operations as the expression."""
@@ -391,11 +399,23 @@ class ToyEmbedder:
         decoded = dict(zip(entries, _decoded(list(entries.values()))))
         return [decoded[text] for text in texts]
 
-    def _featurize_new(self, texts: list[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Compact features of each text, as the memo keeps them, chunk by
-        chunk. The n-gram tables carry over from chunk to chunk, so each
-        distinct n-gram of the call is hashed once; they live only as long
-        as the call."""
+    def _featurize_new(self, texts: Iterable[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Compact features of each text, as the memo keeps them: copies of
+        its slices of :meth:`_featurize_chunks`' output. They are copies, not
+        views, so that small arrays fill the space the chunk's working
+        arrays leave free and a long batch does not fragment the heap."""
+        for idx, counts, cuts in self._featurize_chunks(texts):
+            for a, b in zip(cuts, cuts[1:]):
+                yield idx[a:b].copy(), counts[a:b].copy()
+
+    def _featurize_chunks(self, texts: Iterable[str]
+                          ) -> Iterator[tuple[np.ndarray, np.ndarray, list[int]]]:
+        """Compact features of the texts, chunk by chunk, as
+        :func:`_bucket_counts` gives them for each chunk of about
+        ``FEATURIZE_CHUNK`` n-grams. The texts are read as the chunks fill,
+        so only one chunk's texts are held at a time. The n-gram tables
+        carry over from chunk to chunk, so each distinct n-gram of the call
+        is hashed once; they live only as long as the call."""
         tables = [_GramTable() for _ in range(self.ngram_max)]
         chunk: list[str] = []
         grams = 0
@@ -404,15 +424,15 @@ class ToyEmbedder:
             count = sum(max(0, len(compact) - n + 1)
                         for n in range(self.ngram_min, self.ngram_max + 1))
             if chunk and grams + count > FEATURIZE_CHUNK:
-                yield from self._featurize_chunk(chunk, tables)
+                yield self._featurize_chunk(chunk, tables)
                 chunk, grams = [], 0
             chunk.append(compact)
             grams += count
         if chunk:
-            yield from self._featurize_chunk(chunk, tables)
+            yield self._featurize_chunk(chunk, tables)
 
     def _featurize_chunk(self, compacts: list[str], tables: list[_GramTable]
-                         ) -> list[tuple[np.ndarray, np.ndarray]]:
+                         ) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """Compact features of whitespace-free texts, one chunk of a batch."""
         lens = np.fromiter(map(len, compacts), dtype=np.int64, count=len(compacts))
         per_n = [np.maximum(lens - n + 1, 0) for n in range(self.ngram_min, self.ngram_max + 1)]
@@ -424,15 +444,69 @@ class ToyEmbedder:
         return _bucket_counts(occ_bucket, per_text, occ_start, self.hash_buckets)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        return self._embed_features(self.featurize(texts))
+        return _embedded(self.featurize(texts), self.weights)
 
-    def _embed_features(self, feats: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Rows ``values @ weights[idx]`` of already featurized texts."""
-        out = np.zeros((len(feats), self.dim))
-        for row, (idx, values) in enumerate(feats):
-            if idx.size:
-                out[row] = values @ self.weights[idx]
-        return out
+
+def _embedded(feats: Sequence[tuple[np.ndarray, np.ndarray]], weights: np.ndarray) -> np.ndarray:
+    """Rows ``values @ weights[idx]`` of featurized texts; a text with no
+    feature embeds to zeros."""
+    out = np.zeros((len(feats), weights.shape[1]))
+    for row, (idx, values) in enumerate(feats):
+        if idx.size:
+            out[row] = values @ weights[idx]
+    return out
+
+
+class FeatureStore:
+    """The compact features of a sequence of texts, packed: the i-th text
+    is slot i.
+
+    The texts are featurized in one call, chunk by chunk
+    (:meth:`ToyEmbedder._featurize_chunks`), and each chunk's bucket and
+    count arrays are kept as they come, so a text is held only until its
+    chunk is featurized, and the store holds two arrays per chunk, not two
+    per text. Slot s's entries are ``offsets[s]`` to ``offsets[s + 1]`` of
+    the chunks' entries laid end to end.
+
+    The buckets are then renumbered in place to positions among
+    :attr:`rows`, the buckets that some text reaches, in ascending order: a
+    stored bucket b is bucket ``rows[b]`` of the embedder. A position is
+    below ``hash_buckets``, so it fits the buckets' dtype.
+    """
+
+    def __init__(self, embedder: ToyEmbedder, texts: Iterable[str]):
+        self._buckets: list[np.ndarray] = []
+        self._counts: list[np.ndarray] = []
+        offsets, starts = array("q", [0]), array("q")
+        for buckets, counts, cuts in embedder._featurize_chunks(texts):
+            starts.append(offsets[-1])
+            offsets.extend(starts[-1] + cut for cut in cuts[1:])
+            self._buckets.append(buckets)
+            self._counts.append(counts)
+        self.offsets = np.array(offsets, dtype=np.int64)
+        self._starts = np.array(starts, dtype=np.int64)  # each chunk's first entry
+        reach = np.zeros(embedder.hash_buckets, dtype=bool)
+        for buckets in self._buckets:
+            reach[buckets] = True
+        self.rows = np.flatnonzero(reach)
+        position = np.zeros(embedder.hash_buckets, dtype=np.int64)
+        position[self.rows] = np.arange(len(self.rows))
+        for buckets in self._buckets:
+            buckets[:] = position[buckets]
+
+    def entries(self, slots: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The compact entries of the slots, renumbered buckets and raw
+        counts, as views of their chunks' arrays."""
+        starts, ends = self.offsets[slots], self.offsets[slots + 1]
+        chunks = self._starts.searchsorted(starts, side="right") - 1
+        bases = self._starts[chunks]
+        return [(self._buckets[c][a:b], self._counts[c][a:b]) for c, a, b in zip(
+            chunks.tolist(), (starts - bases).tolist(), (ends - bases).tolist())]
+
+    def features(self, slots: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The features of the slots, as :meth:`ToyEmbedder.featurize` gives
+        them, with the buckets renumbered."""
+        return _decoded(self.entries(slots))
 
 
 _CKPT_MAGIC = b"LXTOYEMB"
@@ -493,18 +567,45 @@ def load_checkpoint(path: str | Path) -> ToyEmbedder:
 class PairExample:
     query_text: str
     positive_text: str
-    positive_charges: frozenset[str] = frozenset()
+    positive_charges: frozenset[str]
 
 
-@dataclass(frozen=True)
-class TrainingBatch:
-    queries: list[str]
-    positives: list[str]
-    positive_charges: list[frozenset[str]]
+class TrainingSet:
+    """Query-positive pairs as columns over one :class:`FeatureStore`.
 
-    def __post_init__(self):
-        if not (len(self.queries) == len(self.positives) == len(self.positive_charges)):
-            raise ValueError("batch lists must have equal length")
+    Pair i's query is store slot ``queries[i]``, its positive slot
+    ``positives[i]``, and the charges of its positive are
+    ``charge_sets[charges[i]]``: a training set holds few distinct charge
+    sets, and each is kept once. The columns are integer arrays, so the
+    pairs hold no text and no object per pair.
+    """
+
+    def __init__(self, store: FeatureStore, queries: Iterable[int], positives: Iterable[int],
+                 charges: Iterable[int], charge_sets: Iterable[frozenset[str]]):
+        self.store = store
+        self.queries, self.positives, self.charges = (
+            np.array(column, dtype=np.intp) for column in (queries, positives, charges))
+        self.charge_sets = list(charge_sets)
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[PairExample], embedder: ToyEmbedder) -> TrainingSet:
+        """The pairs, with each distinct text featurized once, into one
+        store, in order of first appearance."""
+        slots: dict[str, int] = {}
+        charge_ids: dict[frozenset[str], int] = {}
+        columns = (array("q"), array("q"), array("q"))
+        for pair in pairs:
+            for column, ids, key in zip(columns, (slots, slots, charge_ids), (
+                    pair.query_text, pair.positive_text, frozenset(pair.positive_charges))):
+                column.append(ids.setdefault(key, len(ids)))
+        return cls(FeatureStore(embedder, slots), *columns, charge_ids)
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    def slots(self, pairs: Sequence[int]) -> np.ndarray:
+        """The store slots of the pairs' queries, then of their positives."""
+        return np.concatenate([self.queries[pairs], self.positives[pairs]])
 
 
 @dataclass(frozen=True)
@@ -659,23 +760,26 @@ class _GradientBuffer:
         return rows, grad
 
 
-def _batch_gradient(embedder: ToyEmbedder, batch: TrainingBatch, cfg: LossConfig,
-                    buffer: _GradientBuffer) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and dL/dW for one batch, via the cosine chain rule.
+def _batch_gradient(weights: np.ndarray, data: TrainingSet, pairs: Sequence[int],
+                    cfg: LossConfig, buffer: _GradientBuffer
+                    ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss and dL/dW for one batch, the given pairs of ``data``, via the
+    cosine chain rule; ``weights`` has a row per row of ``data.store.rows``.
 
     Returns ``(loss, rows, grad)``: the weight rows the batch's texts touch,
     sorted, and their gradient, a view of ``buffer.grad``; every other row's
     gradient is zero. Each text adds its term to its rows, text by text,
     from 0.0, as into a gradient over every row. The batch's texts are
-    featurized, or decoded from the memo, in one call.
+    decoded from the store in one call.
     """
-    feats = embedder.featurize(batch.queries + batch.positives)
-    q_feats, c_feats = feats[:len(batch.queries)], feats[len(batch.queries):]
-    q_vecs = embedder._embed_features(q_feats)
-    c_vecs = embedder._embed_features(c_feats)
+    feats = data.store.features(data.slots(pairs))
+    q_feats, c_feats = feats[:len(pairs)], feats[len(pairs):]
+    q_vecs = _embedded(q_feats, weights)
+    c_vecs = _embedded(c_feats, weights)
 
     sim = cosine_matrix(q_vecs, c_vecs)
-    mask = false_negative_mask(batch.positive_charges) if cfg.masking_enabled else None
+    mask = (false_negative_mask([data.charge_sets[c] for c in data.charges[pairs].tolist()])
+            if cfg.masking_enabled else None)
     loss, grad_sim = in_batch_loss(sim, mask, cfg)
 
     qn = np.linalg.norm(q_vecs, axis=1, keepdims=True)
@@ -690,36 +794,6 @@ def _batch_gradient(embedder: ToyEmbedder, batch: TrainingBatch, cfg: LossConfig
     for (idx, values), row in zip(feats, np.concatenate([d_q, d_c])):
         w_grad[buffer.position[idx]] += values[:, None] * row
     return loss, rows, w_grad
-
-
-def _compact_trainee(embedder: ToyEmbedder,
-                     texts: Iterable[str]) -> tuple[ToyEmbedder, np.ndarray]:
-    """A copy of the embedder over only the weight rows the texts reach.
-
-    Returns the copy and ``rows``, the reached buckets in ascending order:
-    row ``r`` of the copy's weights is ``embedder.weights[rows[r]]``. The texts
-    are featurized into the copy's own memo, whose bucket indices are then
-    renumbered in place to match (a position is below ``hash_buckets``, so
-    it fits the index's dtype), so their features exist once and the
-    caller's memo is left as it was. The copy may only embed texts in its
-    memo: a new text would get raw bucket ids, not renumbered ones. The
-    copy's weights are a new array from :meth:`ToyEmbedder.weight_rows`, so
-    ``embedder.weights`` stays as it was, undrawn if it was, until the
-    caller writes the rows back.
-    """
-    trainee = ToyEmbedder(embedder.dim, embedder.hash_buckets, embedder.ngram_min,
-                          embedder.ngram_max, embedder.seed)
-    trainee.memoize(texts)
-    reach = np.zeros(embedder.hash_buckets, dtype=bool)
-    for idx, _ in trainee._feature_memo.values():
-        reach[idx] = True
-    rows = np.flatnonzero(reach)
-    position = np.zeros(embedder.hash_buckets, dtype=np.int64)
-    position[rows] = np.arange(len(rows))
-    for idx, _ in trainee._feature_memo.values():
-        idx[:] = position[idx]
-    trainee.weights = embedder.weight_rows(rows)
-    return trainee, rows
 
 
 def _batches(order: Sequence[int], batch_size: int) -> list[list[int]]:
@@ -738,67 +812,65 @@ def _steps(n_pairs: int, schedule: TrainSchedule) -> Iterator[tuple[int, list[in
             yield epoch, chunk
 
 
-def train_toy(pairs: Sequence[PairExample], embedder: ToyEmbedder,
+def train_toy(pairs: TrainingSet | Iterable[PairExample], embedder: ToyEmbedder,
               schedule: TrainSchedule = TrainSchedule(),
               loss_cfg: LossConfig = LossConfig()) -> TrainResult:
     """First-order training of the toy embedder on query-positive pairs.
 
-    Fully deterministic under the schedule seed: shuffling, batching and
-    every update are reproducible bit for bit, over a fixed number of
-    epochs. The steps update a compact copy of the rows the training texts
-    reach (see the module docstring); ``embedder.weights`` gets those rows
-    back once, at the end, so a run that raises leaves the caller's weights
-    as they were before training, and an undrawn seeded init undrawn. A
-    text with no n-gram, which would embed to a zero vector, is a
-    :class:`FeaturelessText` naming its pair, raised before the first step.
+    ``pairs`` is a :class:`TrainingSet` featurized by an embedder with this
+    one's hash buckets and n-gram lengths, or pairs of texts, which are
+    packed into one first (:meth:`TrainingSet.from_pairs`). Fully
+    deterministic under the schedule seed: shuffling, batching and every
+    update are reproducible bit for bit, over a fixed number of epochs. The
+    steps update a compact copy of the rows the store reaches (see the
+    module docstring); ``embedder.weights`` gets those rows back once, at
+    the end, so a run that raises leaves the caller's weights as they were
+    before training, and an undrawn seeded init undrawn. A text with no
+    n-gram, which would embed to a zero vector, is a
+    :class:`FeaturelessText` naming the first pair that has one, raised
+    before the first step.
     """
-    pairs = list(pairs)
-    per_epoch = len(_batches(range(len(pairs)), schedule.batch_size))
+    data = pairs if isinstance(pairs, TrainingSet) else TrainingSet.from_pairs(pairs, embedder)
+    per_epoch = len(_batches(range(len(data)), schedule.batch_size))
     if per_epoch == 0:
-        noun = "pairs" if len(pairs) != 1 else "pair"
-        raise InsufficientData(f"{len(pairs)} training {noun}: a batch needs two")
+        noun = "pairs" if len(data) != 1 else "pair"
+        raise InsufficientData(f"{len(data)} training {noun}: a batch needs two")
 
-    trainee, rows = _compact_trainee(
-        embedder, (text for p in pairs for text in (p.query_text, p.positive_text)))
-    for i, pair in enumerate(pairs):
-        for name in ("query_text", "positive_text"):
-            if not trainee._feature_memo[getattr(pair, name)][0].size:
-                raise FeaturelessText(i, name)
-    curve = _train_steps(pairs, trainee, schedule, loss_cfg, schedule.epochs * per_epoch)
+    empty = np.diff(data.store.offsets) == 0
+    featureless = np.flatnonzero(empty[data.queries] | empty[data.positives])
+    if featureless.size:
+        i = int(featureless[0])
+        raise FeaturelessText(i, "query_text" if empty[data.queries[i]] else "positive_text")
+    weights = embedder.weight_rows(data.store.rows)
+    curve = _train_steps(data, weights, schedule, loss_cfg, schedule.epochs * per_epoch)
     # the optimizer state and gradient buffer are gone before this draws
     # the caller's whole weight matrix, if it is not drawn yet
-    embedder.weights[rows] = trainee.weights
+    embedder.weights[data.store.rows] = weights
     return TrainResult(loss_curve=curve)
 
 
-def _train_steps(pairs: list[PairExample], trainee: ToyEmbedder, schedule: TrainSchedule,
+def _train_steps(data: TrainingSet, weights: np.ndarray, schedule: TrainSchedule,
                  loss_cfg: LossConfig, total_steps: int) -> list[tuple[int, float]]:
-    """Every step of the schedule on the trainee's weights, in place; the
+    """Every step of the schedule on the compact weights, in place; the
     loss curve. The optimizer and the gradient buffer live only as long as
     this call."""
-    optimizer = Adam(trainee.weights.shape)
-    buffer = _GradientBuffer(trainee.weights.shape)
-    memo = trainee._feature_memo
+    optimizer = Adam(weights.shape)
+    buffer = _GradientBuffer(weights.shape)
     buffer.reserve(max(
-        len(buffer.rows(memo[text][0] for i in chunk
-                        for text in (pairs[i].query_text, pairs[i].positive_text)))
-        for _, chunk in _steps(len(pairs), schedule)))
+        len(buffer.rows(idx for idx, _ in data.store.entries(data.slots(pairs))))
+        for _, pairs in _steps(len(data), schedule)))
     curve: list[tuple[int, float]] = []
 
-    for step, (epoch, chunk) in enumerate(_steps(len(pairs), schedule)):
-        batch = TrainingBatch(
-            queries=[pairs[i].query_text for i in chunk],
-            positives=[pairs[i].positive_text for i in chunk],
-            positive_charges=[pairs[i].positive_charges for i in chunk])
+    for step, (epoch, pairs) in enumerate(_steps(len(data), schedule)):
         try:
-            loss, rows, w_grad = _batch_gradient(trainee, batch, loss_cfg, buffer)
+            loss, rows, w_grad = _batch_gradient(weights, data, pairs, loss_cfg, buffer)
         except ValueError as exc:
             raise NonFiniteLoss(
                 f"aborted at step {step} (epoch {epoch}, "
-                f"batch rows {chunk[:4]}...): {exc}") from exc
+                f"batch rows {pairs[:4]}...): {exc}") from exc
         if not np.isfinite(loss) or not np.isfinite(w_grad).all():
             raise NonFiniteLoss(
                 f"non-finite loss at step {step} (epoch {epoch}): {loss}")
         curve.append((step, loss))
-        optimizer.step(trainee.weights, rows, w_grad, lr_at(step, total_steps, schedule))
+        optimizer.step(weights, rows, w_grad, lr_at(step, total_steps, schedule))
     return curve

@@ -339,6 +339,25 @@ def augmented_positive_oracle(source_case_id, source, index, cfg):
     return best_id
 
 
+# --- file reading ---------------------------------------------------------
+
+def lines_oracle(path, data):
+    """The (line number, text) of each line of ``data`` before the first
+    that is not UTF-8, each line's bytes decoded on their own, and the
+    MalformedRecord message for that line (None if every line decodes),
+    which names its first bad byte, counting from 1."""
+    pieces = data.split(b"\n")
+    if pieces[-1] == b"":
+        pieces.pop()
+    out = []
+    for lineno, raw in enumerate(pieces, start=1):
+        try:
+            out.append((lineno, raw.decode("utf-8")))
+        except UnicodeDecodeError as exc:
+            return out, f"{path}:{lineno}: not UTF-8 at byte {exc.start + 1}"
+    return out, None
+
+
 # --- training fast paths --------------------------------------------------
 
 def features_oracle(text, hash_buckets, ngram_min, ngram_max):
@@ -405,19 +424,22 @@ def dense_gradient(rows, grad_rows, shape):
     return dense
 
 
-def batch_gradient_oracle(embedder, batch, cfg):
-    """Loss and dL/dW of one batch into a fresh ``zeros_like`` array, with
-    every text featurized by ``features`` and again by ``embed``."""
+def batch_gradient_oracle(embedder, pairs, cfg):
+    """Loss and dL/dW of one batch of ``PairExample``s into a fresh
+    ``zeros_like`` array, with every text featurized by ``features`` and
+    again by ``embed``."""
     import numpy as np
 
     from lexforge.training import cosine_matrix, in_batch_loss
 
-    q_feats = [embedder.features(t) for t in batch.queries]
-    c_feats = [embedder.features(t) for t in batch.positives]
-    q_vecs = embedder.embed(batch.queries)
-    c_vecs = embedder.embed(batch.positives)
+    queries = [p.query_text for p in pairs]
+    positives = [p.positive_text for p in pairs]
+    q_feats = [embedder.features(t) for t in queries]
+    c_feats = [embedder.features(t) for t in positives]
+    q_vecs = embedder.embed(queries)
+    c_vecs = embedder.embed(positives)
     sim = cosine_matrix(q_vecs, c_vecs)
-    mask = (false_negative_mask_oracle(batch.positive_charges)
+    mask = (false_negative_mask_oracle([p.positive_charges for p in pairs])
             if cfg.masking_enabled else None)
     loss, grad_sim = in_batch_loss(sim, mask, cfg)
     qn = np.linalg.norm(q_vecs, axis=1, keepdims=True)
@@ -445,7 +467,7 @@ def train_toy_oracle(pairs, embedder, schedule, loss_cfg):
     import numpy as np
 
     from lexforge.seeds import derive_seed
-    from lexforge.training import TrainingBatch, _batches, lr_at
+    from lexforge.training import _batches, lr_at
 
     total_steps = schedule.epochs * len(_batches(range(len(pairs)), schedule.batch_size))
     optimizer = AdamOracle(embedder.weights.shape)
@@ -454,11 +476,7 @@ def train_toy_oracle(pairs, embedder, schedule, loss_cfg):
         order = list(range(len(pairs)))
         Random(derive_seed(schedule.seed, "shuffle", epoch)).shuffle(order)
         for chunk in _batches(order, schedule.batch_size):
-            batch = TrainingBatch(
-                queries=[pairs[i].query_text for i in chunk],
-                positives=[pairs[i].positive_text for i in chunk],
-                positive_charges=[pairs[i].positive_charges for i in chunk])
-            loss, w_grad = batch_gradient_oracle(embedder, batch, loss_cfg)
+            loss, w_grad = batch_gradient_oracle(embedder, [pairs[i] for i in chunk], loss_cfg)
             assert np.isfinite(loss) and np.isfinite(w_grad).all()
             optimizer.step(embedder.weights, w_grad, lr_at(len(curve), total_steps, schedule))
             curve.append((len(curve), loss))

@@ -1,5 +1,6 @@
 """End-to-end pipeline through the command-line interface."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -245,6 +246,28 @@ class TestIdentityRunEval:
                 assert value == pytest.approx(1.0)
 
 
+#: The sha256 of the ``tiny`` pipeline's artifacts, with the numpy and
+#: BLAS build they were made with. A change that alters an artifact on
+#: purpose updates the table and says which artifact changed and why.
+PINNED = json.loads((Path(__file__).parent / "pinned_artifacts.json").read_text(encoding="utf-8"))
+
+
+def _assert_pinned(sha256: dict[str, str]) -> None:
+    """Each artifact has its pinned sha256. The pins hold for the numpy and
+    BLAS they were made with; on another, the test fails naming both, since
+    floating-point results, and so the checkpoint and every file after it,
+    may differ there."""
+    import numpy as np
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    here = {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+    moved = [f"{key} {PINNED[key]} (pinned) vs {here[key]} (here)"
+             for key in here if here[key] != PINNED[key]]
+    assert not moved, f"the artifacts were pinned on another build: {'; '.join(moved)}"
+    differ = sorted(name for name in sha256.keys() | PINNED["sha256"].keys()
+                    if sha256.get(name) != PINNED["sha256"].get(name))
+    assert not differ, f"artifacts whose sha256 is not the pinned one: {differ}"
+
+
 class TestDeterminism:
     def test_pipeline_reruns_are_byte_identical(self, tmp_path):
         outputs = []
@@ -278,7 +301,8 @@ class TestDeterminism:
         to the last ``eval``, one process per stage: once under
         ``PYTHONHASHSEED=0`` with one ``synthesize`` thread, once under
         ``PYTHONHASHSEED=1`` with four. Every artifact is byte-identical,
-        so no string hash order and no thread timing reaches an output."""
+        so no string hash order and no thread timing reaches an output, and
+        has the sha256 pinned in ``pinned_artifacts.json`` (``PINNED``)."""
         import os
         import subprocess
         import sys
@@ -321,6 +345,7 @@ class TestDeterminism:
         assert len(a) == 18 and {"toy.ckpt", "loss.tsv", "bm25.idx"} <= set(a)
         assert list(a) == list(b)
         assert [name for name in a if a[name] != b[name]] == []
+        _assert_pinned({name: hashlib.sha256(data).hexdigest() for name, data in a.items()})
 
     def test_rerun_overwrites_atomically(self, tmp_path):
         out = tmp_path / "data"
@@ -390,8 +415,9 @@ class TestAtomicWriters:
     def test_a_write_that_fails_partway_keeps_the_earlier_file(self, workdir, tmp_path,
                                                                writer):
         """Each writer, run with its files capped at half the size of the
-        file it writes, fails partway through that file; the earlier file
-        there is left as it was, and no temp file is left behind."""
+        file it writes, fails partway through that file, as a data error
+        of one line that names the file; the earlier file there is left as
+        it was, and no temp file is left behind."""
         import os
         import subprocess
         import sys
@@ -407,12 +433,192 @@ class TestAtomicWriters:
                "PYTHONDONTWRITEBYTECODE": "1"}
         proc = subprocess.run([sys.executable, "-c", _CAPPED, str(cap), *map(str, argv)],
                               env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode != 0
-        assert "File too large" in proc.stderr
+        assert proc.returncode == cli.EXIT_DATA
+        assert proc.stderr == f"data error: {d / target}: File too large\n"
+        assert "Traceback" not in proc.stderr
         assert (d / target).read_bytes() == earlier
         assert [p.name for p in d.iterdir() if p.name.endswith(".tmp")] == []
         if writer == "curve":
             assert 0 < (d / "toy.ckpt").stat().st_size < cap
+
+
+class TestSystemErrors:
+    """An input or output the operating system refuses is a data error of
+    one line that names the path and the system's reason."""
+
+    def _one_line(self, capsys, *argv):
+        assert run_cli(*argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    def test_missing_input(self, workdir, tmp_path, capsys):
+        missing = tmp_path / "nope.jsonl"
+        err = self._one_line(capsys, "extract", "--corpus", missing,
+                             "--elements", tmp_path / "el.jsonl")
+        assert err == f"data error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("flag", ["--pairs", "--queries", "--corpus"])
+    def test_a_directory_as_input(self, workdir, tmp_path, capsys, flag):
+        inputs = {"--pairs": workdir / "pairs.jsonl", "--queries": workdir / "queries.jsonl",
+                  "--corpus": workdir / "corpus.jsonl", flag: tmp_path}
+        err = self._one_line(capsys, "train", *(a for kv in inputs.items() for a in kv),
+                             "--output", tmp_path / "t.ckpt", "--dim", 4,
+                             "--hash-buckets", 64)
+        assert err == f"data error: {tmp_path}: Is a directory\n"
+
+    def test_a_directory_as_output(self, workdir, tmp_path, capsys):
+        (tmp_path / "m.json").mkdir()
+        err = self._one_line(capsys, "eval", "--run", workdir / "run_bm25.jsonl",
+                             "--qrels", workdir / "qrels.jsonl", "--output", tmp_path / "m.json")
+        assert err == f"data error: {tmp_path / 'm.json'}: Is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+    def test_a_full_disk(self, workdir, tmp_path, capsys, monkeypatch):
+        real_fdopen = fileio.os.fdopen
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(fileio.os, "fdopen", lambda fd, mode: FullDisk(real_fdopen(fd, mode)))
+        out = tmp_path / "el.jsonl"
+        err = self._one_line(capsys, "extract", "--corpus", workdir / "corpus.jsonl",
+                             "--elements", out)
+        assert err == f"data error: {out}: No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in a JSONL input is a data error naming the
+    file, the line and the byte; in the config file, a usage error naming
+    the file."""
+
+    @pytest.mark.parametrize("name,argv", [
+        ("pairs.jsonl", ["train", "--pairs", "pairs.jsonl", "--queries", "queries.jsonl",
+                         "--corpus", "corpus.jsonl", "--output", "out"]),
+        ("queries.jsonl", ["train", "--pairs", "pairs.jsonl", "--queries", "queries.jsonl",
+                           "--corpus", "corpus.jsonl", "--output", "out"]),
+        ("corpus.jsonl", ["train", "--pairs", "pairs.jsonl", "--queries", "queries.jsonl",
+                          "--corpus", "corpus.jsonl", "--output", "out"]),
+        ("pools.jsonl", ["search", "--queries", "eval_queries.jsonl", "--corpus",
+                         "corpus.jsonl", "--pools", "pools.jsonl", "--output", "out"]),
+    ])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    def test_a_bad_byte_names_file_line_and_byte(self, workdir, tmp_path, capsys, name,
+                                                 argv, newline):
+        lines = (workdir / name).read_bytes().splitlines()
+        lines[2] = b'{"' + b"\xff" + lines[2][1:]
+        bad = tmp_path / name
+        bad.write_bytes(newline.join(lines) + newline)
+        files = {arg: workdir / arg for arg in argv if arg.endswith(".jsonl")}
+        files |= {name: bad, "out": tmp_path / "out"}
+        assert run_cli(*(files.get(arg, arg) for arg in argv)) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {bad}:3: not UTF-8 at byte 3\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_crlf_lines_are_numbered_as_lf_lines(self, tmp_path):
+        for newline in (b"\n", b"\r\n"):
+            path = tmp_path / "x.jsonl"
+            path.write_bytes(newline.join([b'{"a": 1}', b"", b'{"b": 2}', b"[3]"]) + newline)
+            read = fileio.read_jsonl(path)
+            assert [next(read), next(read)] == [(1, {"a": 1}), (3, {"b": 2})]
+            with pytest.raises(cli.MalformedRecord, match=":4: expected an object"):
+                next(read)
+
+    def test_config_file(self, tmp_path, capsys):
+        config = tmp_path / "pipeline.ini"
+        config.write_bytes(b"[bm25]\nk1 = 1.\xe9\n")
+        assert run_cli("--config", config, "report", tmp_path / "m.json") == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {config}: not UTF-8 at byte 15\n"
+
+
+class TestTrainInputs:
+    """``train`` streams the queries and the corpus: a repeated id keeps its
+    last record's text, and every record is parsed, with the errors in the
+    order of the inputs."""
+
+    def _train(self, workdir, out, queries=None, corpus=None, pairs=None):
+        return run_cli("train", "--pairs", pairs or workdir / "pairs.jsonl",
+                       "--queries", queries or workdir / "queries.jsonl",
+                       "--corpus", corpus or workdir / "corpus.jsonl",
+                       "--output", out / "toy.ckpt", "--curve", out / "loss.tsv",
+                       "--epochs", 2, "--batch-size", 16, "--dim", 16,
+                       "--hash-buckets", 2048, "--seed", 11)
+
+    @pytest.mark.parametrize("name,key,blank,other", [
+        ("queries.jsonl", "query_id", {"text": " "}, {"text": "另一段查询文字"}),
+        ("corpus.jsonl", "case_id", {"fact": "", "reason": " ", "judgment": ""},
+         {"fact": "另一段案件事实", "reason": "", "judgment": ""})])
+    def test_a_repeated_id_keeps_its_last_text(self, workdir, tmp_path, name, key, blank,
+                                               other):
+        """A record of a paired id with no n-gram, before the id's own
+        record, changes nothing; another record after it trains as a file
+        with that record in its place."""
+        records = _records(workdir / name)
+        paired = {r["query_id" if key == "query_id" else "positive_case_id"]
+                  for r in _records(workdir / "pairs.jsonl")}
+        at = next(i for i, r in enumerate(records) if r[key] in paired)
+        flag = {name.split(".")[0]: tmp_path / name}
+        runs = {"before": [{**records[at], **blank}] + records,
+                "after": records + [{**records[at], **other}],
+                "replaced": records[:at] + [{**records[at], **other}] + records[at + 1:]}
+        for run, lines in runs.items():
+            fileio.write_jsonl(tmp_path / name, lines)
+            assert self._train(workdir, tmp_path / run, **flag) == 0
+        for artifact in ("toy.ckpt", "loss.tsv"):
+            assert (tmp_path / "before" / artifact).read_bytes() == (
+                workdir / artifact).read_bytes()
+            assert (tmp_path / "after" / artifact).read_bytes() == (
+                tmp_path / "replaced" / artifact).read_bytes()
+        assert (tmp_path / "after" / "toy.ckpt").read_bytes() != (
+            workdir / "toy.ckpt").read_bytes()
+
+    def test_errors_come_in_input_order(self, workdir, tmp_path, capsys):
+        """A bad queries line before a bad corpus line; a bad corpus line no
+        pair names; a pair id in no input before an earlier pair's text with
+        no n-gram."""
+        queries, corpus = _records(workdir / "queries.jsonl"), _records(workdir / "corpus.jsonl")
+        pairs = _records(workdir / "pairs.jsonl")
+        paths = {name: tmp_path / name for name in ("queries.jsonl", "corpus.jsonl",
+                                                    "pairs.jsonl")}
+
+        def error(q=queries, c=corpus, p=pairs):
+            for name, records in zip(paths, (q, c, p)):
+                fileio.write_jsonl(paths[name], records)
+            assert self._train(workdir, tmp_path / "out", *paths.values()) == cli.EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+            return err
+
+        no_text = [dict(queries[0])] + queries[1:]
+        del no_text[0]["text"]
+        no_id = corpus[:-1] + [{k: v for k, v in corpus[-1].items() if k != "case_id"}]
+        q, c = paths["queries.jsonl"], paths["corpus.jsonl"]
+        assert error(q=no_text, c=no_id) == f"data error: {q}:1: missing field 'text'\n"
+        named = {r["positive_case_id"] for r in pairs}
+        outside = next(i for i, r in enumerate(corpus) if r["case_id"] not in named)
+        no_fact = corpus[:outside] + [{k: v for k, v in corpus[outside].items()
+                                       if k != "fact"}] + corpus[outside + 1:]
+        assert error(c=no_fact).startswith(f"data error: {c}:{outside + 1}: ")
+        blank = {pairs[0]["query_id"]}
+        featureless = [{**r, "text": " "} if r["query_id"] in blank else r for r in queries]
+        ghost = pairs[:5] + [{**pairs[5], "positive_case_id": "ghost-1"}] + pairs[6:]
+        assert error(q=featureless, p=ghost) == (
+            f"data error: {paths['pairs.jsonl']}:6: field 'positive_case_id': 'ghost-1' "
+            f"not in {c}\n")
+        assert error(q=featureless) == (
+            f"data error: {paths['pairs.jsonl']}:1: field 'query_id': the text of "
+            f"{pairs[0]['query_id']!r} has no character n-gram to embed\n")
 
 
 class TestExitCodes:

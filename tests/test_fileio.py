@@ -1,10 +1,16 @@
 """The streaming atomic JSONL writer against the join-then-encode original."""
 
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexforge import fileio
+from lexforge.errors import MalformedRecord
+
+from oracles import lines_oracle
 
 RECORDS = [
     {"case_id": "c1", "fact": "被告人张某于2019年盗窃财物，价值人民币三千元。"},
@@ -65,3 +71,28 @@ def test_a_failed_first_write_leaves_no_file(tmp_path):
     with pytest.raises(RuntimeError):
         fileio.write_jsonl(path, _raising_after(2))
     assert list(tmp_path.iterdir()) == []
+
+
+#: Line contents: text with multi-byte characters, raw bytes that may not be
+#: UTF-8, carriage returns, and lines longer than one read block.
+LINE_PIECES = st.one_of(
+    st.text("盗窃 a\r\U0001F600", max_size=30).map(str.encode),
+    st.binary(max_size=8),
+    st.builds(lambda c, n: (c * n).encode(), st.sampled_from(["盗", "ab", "\U0001F600"]),
+              st.integers(fileio.READ_BLOCK // 4, fileio.READ_BLOCK)))
+
+
+@given(st.lists(LINE_PIECES, max_size=8), st.sampled_from([b"\n", b"\r\n"]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_lines_equal_the_per_line_decode(pieces, newline, trailing):
+    """The block-wise decode yields each line, and raises at the first bad
+    line and byte, as decoding each line's bytes on its own does; lines
+    cross block boundaries, and a character may be split across two."""
+    data = newline.join(pieces) + (newline if trailing else b"")
+    got, error = [], None
+    try:
+        for line in fileio._lines("x.jsonl", io.BytesIO(data)):
+            got.append(line)
+    except MalformedRecord as exc:
+        error = str(exc)
+    assert (got, error) == lines_oracle("x.jsonl", data)

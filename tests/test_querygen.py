@@ -135,7 +135,7 @@ class TestGenerateQuery:
         client = OfflineTemplateClient()
         record = generate_query(_doc(), client, seed=5)
         fileio.write_jsonl(tmp_path / "q.jsonl", [record.to_record()])
-        assert cli._load_queries(tmp_path / "q.jsonl") == [
+        assert list(cli._queries(tmp_path / "q.jsonl")) == [
             (record.query_id, record.source_case_id, record.text)]
         written = record.to_record()["anonymization_log"]
         assert [e["surface"] for e in written] == [e.surface for e in record.anonymization_log]

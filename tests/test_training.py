@@ -21,11 +21,12 @@ from lexforge.training import (
     FEATURIZE_CHUNK,
     INIT_BLOCK_ROWS,
     Adam,
+    FeatureStore,
     LossConfig,
     PairExample,
     ToyEmbedder,
+    TrainingSet,
     TrainSchedule,
-    TrainingBatch,
     _batch_gradient,
     _GradientBuffer,
     cosine_matrix,
@@ -411,14 +412,14 @@ class TestToyEmbedder:
     def test_weight_gradient_matches_finite_differences(self):
         # end-to-end chain: features -> linear map -> cosine -> loss
         embedder = ToyEmbedder(dim=6, hash_buckets=50, seed=2)
-        batch = TrainingBatch(
-            queries=["盗窃电动车", "醉酒驾驶机动车"],
-            positives=["被告人盗窃电动车一辆", "被告人醉酒后驾驶汽车"],
-            positive_charges=[frozenset({"a"}), frozenset({"b"})])
+        batch = [PairExample("盗窃电动车", "被告人盗窃电动车一辆", frozenset({"a"})),
+                 PairExample("醉酒驾驶机动车", "被告人醉酒后驾驶汽车", frozenset({"b"}))]
         cfg = LossConfig()
-        _, rows, grad_rows = _batch_gradient(embedder, batch, cfg,
-                                             _GradientBuffer(embedder.weights.shape))
-        w_grad = dense_gradient(rows, grad_rows, embedder.weights.shape)
+        data = TrainingSet.from_pairs(batch, embedder)
+        reached = data.store.rows
+        _, rows, grad_rows = _batch_gradient(embedder.weights[reached], data, [0, 1], cfg,
+                                             _GradientBuffer((len(reached), 6)))
+        w_grad = dense_gradient(reached[rows], grad_rows, embedder.weights.shape)
 
         eps = 1e-6
         rng = np.random.default_rng(0)
@@ -534,6 +535,62 @@ class TestCompactMemo:
             assert want_idx.max() > np.iinfo(np.uint16).max
             assert idx.dtype == np.intp and np.array_equal(idx, want_idx)
             assert np.array_equal(values, want_values)
+
+
+@st.composite
+def store_texts(draw):
+    """Texts for a store: among them empty and whitespace-only texts,
+    texts with an n-gram counted more than 255 times, the same text in two
+    slots and, in one batch of four, a text longer than a featurization
+    chunk."""
+    texts = draw(st.lists(st.one_of(
+        st.text(FEATURE_CHARS, max_size=40),
+        st.text(" \n\t\u3000", max_size=4),
+        st.builds(str.__mul__, st.sampled_from(["盗", "a１", "\U00020BB7"]),
+                  st.integers(200, 700))), max_size=10))
+    if texts and draw(st.booleans()):
+        texts.insert(draw(st.integers(0, len(texts))), draw(st.sampled_from(texts)))
+    if draw(st.integers(0, 3)) == 0:
+        rng = np.random.default_rng(draw(st.integers(0, 3)))
+        texts.insert(draw(st.integers(0, len(texts))),
+                     "".join(rng.choice(list(FEATURE_CHARS), size=FEATURIZE_CHUNK)))
+    return texts
+
+
+class TestFeatureStore:
+    """Each slot of the packed store decodes to ``ToyEmbedder.features`` of
+    its text, bit for bit, once its renumbered buckets are mapped back
+    through ``rows``; ``rows`` is every bucket a text reaches."""
+
+    @given(store_texts(), st.sampled_from([(1, 1), (2, 3), (1, 4)]),
+           st.sampled_from([7, 64, 1 << 15]))
+    @settings(max_examples=100, deadline=None)
+    def test_slots_decode_to_the_features(self, texts, ngrams, buckets):
+        shape = {"dim": 2, "hash_buckets": buckets, "ngram_min": ngrams[0],
+                 "ngram_max": ngrams[1]}
+        store = FeatureStore(ToyEmbedder(**shape), iter(texts))
+        plain = ToyEmbedder(**shape)
+        assert len(store.offsets) == len(texts) + 1
+        reached = set()
+        for slots in (np.arange(len(texts)), np.arange(len(texts))[::-1]):
+            for slot, (idx, values) in zip(slots.tolist(), store.features(slots)):
+                want_idx, want_values = plain.features(texts[slot])
+                assert idx.dtype == np.intp and values.dtype == np.float64
+                assert np.array_equal(store.rows[idx], want_idx)
+                assert values.tobytes() == want_values.tobytes()
+                reached.update(want_idx.tolist())
+        assert store.rows.tolist() == sorted(reached)
+
+    def test_a_chunk_keeps_narrow_arrays(self):
+        """The store keeps each chunk's two arrays as featurization made
+        them, in the narrowest dtypes, one pair of arrays per chunk."""
+        texts = ["被告人盗窃财物" * 40] * 200 + ["盗" * 300]
+        store = FeatureStore(ToyEmbedder(dim=2, hash_buckets=1 << 15), texts)
+        grams = sum(2 * len(t) - 3 for t in texts)
+        assert len(store._buckets) == len(store._counts) < len(texts) // 10
+        assert len(store._buckets) >= grams // FEATURIZE_CHUNK
+        assert {a.dtype for a in store._buckets} == {np.dtype(np.uint16)}
+        assert {a.dtype for a in store._counts} == {np.dtype(np.uint8), np.dtype(np.uint16)}
 
 
 class TestTrainToy:
@@ -661,6 +718,30 @@ class TestCompactTraining:
         assert result.loss_curve == want
         assert fast.weights.tobytes() == plain.weights.tobytes()
 
+    @given(training_runs(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_any_slot_layout_equals_the_full_layout_loop(self, run, rng):
+        """A set that keeps each pair's texts in slots of their own, in any
+        order, and a slot no pair names, as a stream of records with
+        repeated ids gives it, trains as the plain loop does."""
+        pairs, shape, schedule, loss_cfg, warm = run
+        texts = [t for p in pairs for t in (p.query_text, p.positive_text)] + warm
+        order = list(range(len(texts)))
+        rng.shuffle(order)
+        slot = {i: n for n, i in enumerate(order)}
+        data = TrainingSet(FeatureStore(ToyEmbedder(**shape), [texts[i] for i in order]),
+                           [slot[2 * i] for i in range(len(pairs))],
+                           [slot[2 * i + 1] for i in range(len(pairs))],
+                           range(len(pairs)), [p.positive_charges for p in pairs])
+        fast, plain = ToyEmbedder(**shape), ToyEmbedder(**shape)
+        if any(not p.query_text for p in pairs):
+            with pytest.raises(FeaturelessText):
+                train_toy(data, fast, schedule, loss_cfg)
+            return
+        want = train_toy_oracle(pairs, plain, schedule, loss_cfg)
+        assert train_toy(data, fast, schedule, loss_cfg).loss_curve == want
+        assert fast.weights.tobytes() == plain.weights.tobytes()
+
     @pytest.mark.parametrize("buckets", [16, 4096])
     def test_adam_steps_over_the_reachable_rows(self, monkeypatch, buckets):
         seen = []
@@ -690,8 +771,8 @@ class TestCompactTraining:
         seen = []
         real_gradient = training._batch_gradient
 
-        def gradient(embedder, batch, cfg, buffer):
-            loss, rows, grad = real_gradient(embedder, batch, cfg, buffer)
+        def gradient(weights, data, pairs, cfg, buffer):
+            loss, rows, grad = real_gradient(weights, data, pairs, cfg, buffer)
             seen.append((buffer.grad.ctypes.data, len(buffer.grad), len(rows)))
             return loss, rows, grad
 
@@ -732,11 +813,11 @@ class TestCompactTraining:
         calls = []
         real_gradient = training._batch_gradient
 
-        def gradient(embedder, batch, cfg, buffer):
+        def gradient(weights, data, pairs, cfg, buffer):
             calls.append(1)
             if len(calls) > 2 * per_epoch:
                 raise ValueError("injected")
-            return real_gradient(embedder, batch, cfg, buffer)
+            return real_gradient(weights, data, pairs, cfg, buffer)
 
         monkeypatch.setattr(training, "_batch_gradient", gradient)
         embedder = ToyEmbedder(**shape)
@@ -777,7 +858,7 @@ class TestLazyInit:
     def test_a_failed_run_draws_no_weights(self):
         embedder = ToyEmbedder(dim=4, hash_buckets=1 << 12, seed=5)
         # an empty query has no n-gram and stops the run before its first step
-        pairs = _toy_pairs(8) + [PairExample("", "空的查询所对应的正例")]
+        pairs = _toy_pairs(8) + [PairExample("", "空的查询所对应的正例", frozenset())]
         with pytest.raises(FeaturelessText):
             train_toy(pairs, embedder, TrainSchedule(epochs=1, batch_size=9))
         assert embedder._weights is None
@@ -786,33 +867,39 @@ class TestLazyInit:
     def test_steps_hold_less_than_the_weight_matrix(self, monkeypatch):
         """With a 2^15 x 64 embedder, the memory traced at every Adam step
         is below the size of its weight matrix, and the only arrays alive
-        as large as the reached rows x dim are the trainee's weights, ``m``
+        as large as the reached rows x dim are the compact weights, ``m``
         and ``v``: the batch's gradient covers only the rows it touched.
-        The matrix is drawn after the last step, as in a run on an embedder
-        drawn before training."""
+        No training text, and no pair, made while training reads them, is
+        alive at any step, and the features are held in a few arrays, not
+        in arrays per text. The matrix is drawn after the last step, as in
+        a run on an embedder drawn before training."""
+        import inspect
         import tracemalloc
         buckets, dim = 1 << 15, 64
         numpy_domain = np.lib.tracemalloc_domain
-        traced, large = [], []
+        source, first = inspect.getsourcelines(_unheld_pairs)
+        made_there = range(first, first + len(source))
+        traced, large, numpy_blocks, unheld = [], [], [], []
         real_step = Adam.step
 
         def step(self, params, rows, grad_rows, lr):
             traced.append(tracemalloc.get_traced_memory()[0])
-            large.append((params.nbytes, [t.size for t in tracemalloc.take_snapshot().traces
+            traces = tracemalloc.take_snapshot().traces
+            large.append((params.nbytes, [t.size for t in traces
                                           if t.domain == numpy_domain
                                           and t.size >= params.nbytes]))
+            numpy_blocks.append(sum(t.domain == numpy_domain for t in traces))
+            unheld.append(sum(t.size for t in traces if t.traceback[0].filename == __file__
+                              and t.traceback[0].lineno in made_there))
             assert len(rows) < len(params)
             return real_step(self, params, rows, grad_rows, lr)
 
         monkeypatch.setattr(Adam, "step", step)
-        pairs = _toy_pairs(24) + [PairExample(f"被告人于{2000 + i}年第{i}次实施犯罪行为",
-                                              f"法院认定被告人第{i}次犯罪事实清楚{i * 7}")
-                                  for i in range(40)]
         schedule = TrainSchedule(epochs=2, batch_size=16, seed=3)
         tracemalloc.start()
         try:
             embedder = ToyEmbedder(dim=dim, hash_buckets=buckets, seed=3)
-            train_toy(pairs, embedder, schedule)
+            train_toy(_unheld_pairs(64), embedder, schedule)
         finally:
             tracemalloc.stop()
         assert len(traced) == 8
@@ -820,11 +907,27 @@ class TestLazyInit:
         # Adam's block-sized scratch is smaller than the reached rows here
         assert min(reached for reached, _ in large) > ADAM_BLOCK * 8
         assert all(sizes == [reached] * 3 for reached, sizes in large)
+        # 128 distinct texts: a memo would hold two arrays for each
+        assert max(numpy_blocks) < 32
+        assert unheld == [0] * 8
         monkeypatch.undo()
         drawn = ToyEmbedder(dim=dim, hash_buckets=buckets, seed=3)
         drawn.weights  # noqa: B018 - the read draws the seeded init
-        train_toy(pairs, drawn, schedule)
+        train_toy(_unheld_pairs(64), drawn, schedule)
         assert embedder.weights.tobytes() == drawn.weights.tobytes()
+
+
+#: Charge sets for :func:`_unheld_pairs`, made before anything is traced.
+UNHELD_CHARGES = tuple(frozenset({charge}) for charge in ("盗窃罪", "抢劫罪", "诈骗罪"))
+
+
+def _unheld_pairs(n):
+    """n pairs with distinct texts, each made as it is drawn, so that only
+    the reader holds them."""
+    for i in range(n):
+        query = f"被告人于{2000 + i}年第{i}次实施犯罪行为"
+        positive = f"法院认定被告人第{i}次犯罪事实清楚{i * 7}"
+        yield PairExample(query, positive, UNHELD_CHARGES[i % 3])
 
 
 class TestAdam:
@@ -885,22 +988,23 @@ class TestFastPathsMatchOracles:
         gradient, a view of the buffer, is the oracle's on those rows."""
         embedder = ToyEmbedder(dim=8, hash_buckets=512, seed=6)
         pairs = _toy_pairs(24)
-        buffer = _GradientBuffer(embedder.weights.shape)
+        data = TrainingSet.from_pairs(pairs, embedder)
+        reached = data.store.rows
+        buffer = _GradientBuffer((len(reached), 8))
         cfg = LossConfig()
         for start, stop in ((0, 6), (6, 8), (8, 20), (20, 24)):
-            chunk = pairs[start:stop]
-            batch = TrainingBatch(queries=[p.query_text for p in chunk],
-                                  positives=[p.positive_text for p in chunk],
-                                  positive_charges=[p.positive_charges for p in chunk])
-            loss, rows, grad = _batch_gradient(embedder, batch, cfg, buffer)
-            expected_loss, expected = batch_gradient_oracle(embedder, batch, cfg)
+            chunk = list(range(start, stop))
+            loss, rows, grad = _batch_gradient(embedder.weights[reached], data, chunk, cfg,
+                                               buffer)
+            expected_loss, expected = batch_gradient_oracle(embedder, pairs[start:stop], cfg)
             buckets = set()
-            for text in batch.queries + batch.positives:
-                buckets.update(features_oracle(text, 512, 2, 3)[0].tolist())
-            assert rows.tolist() == sorted(buckets)
+            for p in pairs[start:stop]:
+                for text in (p.query_text, p.positive_text):
+                    buckets.update(features_oracle(text, 512, 2, 3)[0].tolist())
+            assert reached[rows].tolist() == sorted(buckets)
             assert grad.shape == (len(rows), 8) and np.shares_memory(grad, buffer.grad)
             assert loss == expected_loss
-            assert dense_gradient(rows, grad, expected.shape).tobytes() == expected.tobytes()
+            assert (dense_gradient(reached[rows], grad, expected.shape).tobytes()
+                    == expected.tobytes())
             assert not buffer.touched.any()
             embedder.weights -= 0.1 * expected  # the next batch sees new weights
-
