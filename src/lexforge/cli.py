@@ -31,6 +31,7 @@ from .errors import (
     LexforgeError,
     MalformedRecord,
     UsageError,
+    ZeroVector,
 )
 
 if TYPE_CHECKING:
@@ -101,7 +102,7 @@ class _Query(NamedTuple):
 def _queries(path: Path) -> Iterator[_Query]:
     for lineno, record in fileio.read_jsonl(path):
         yield _Query(*_fields(path, lineno, record,
-                              query_id=None, source_case_id=None, text=None))
+                              query_id=_id, source_case_id=_id, text=None))
 
 
 def _fields(path: Path, lineno: int, record: dict, **parsers) -> list:
@@ -120,10 +121,16 @@ def _fields(path: Path, lineno: int, record: dict, **parsers) -> list:
     return values
 
 
-def _id_list(value) -> list:
+def _id(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string id, not {type(value).__name__}")
+    return value
+
+
+def _id_list(value) -> list[str]:
     if not isinstance(value, list):
         raise TypeError(f"expected a list of ids, not {type(value).__name__}")
-    return value
+    return [_id(v) for v in value]
 
 
 def _charges(value) -> frozenset[str]:
@@ -137,7 +144,7 @@ def _load_qrels(path: Path) -> dict[str, dict[str, int]]:
     qrels: dict[str, dict[str, int]] = {}
     for lineno, record in fileio.read_jsonl(path):
         query_id, case_id, label = _fields(path, lineno, record,
-                                           query_id=None, case_id=None, label=int)
+                                           query_id=_id, case_id=_id, label=int)
         labels = qrels.setdefault(query_id, {})
         if case_id in labels:
             raise MalformedRecord(f"{path}:{lineno}: query {query_id!r} repeats "
@@ -151,7 +158,7 @@ def _load_pools(path: Path) -> dict[str, list[str]]:
     pools = {}
     for lineno, record in fileio.read_jsonl(path):
         query_id, candidate_ids = _fields(path, lineno, record,
-                                          query_id=None, candidate_ids=_id_list)
+                                          query_id=_id, candidate_ids=_id_list)
         if query_id in pools:
             raise MalformedRecord(f"{path}:{lineno}: query {query_id!r} repeats its pool")
         pools[query_id] = candidate_ids
@@ -164,8 +171,8 @@ def _load_run(path: Path) -> dict[str, list[tuple[str, float]]]:
     rows: dict[str, list[tuple[int, str, float]]] = {}
     seen: dict[str, set[tuple[str, object]]] = {}
     for lineno, record in fileio.read_jsonl(path):
-        query_id, rank, case_id, score = _fields(path, lineno, record, query_id=None,
-                                                 rank=int, case_id=None, score=float)
+        query_id, rank, case_id, score = _fields(path, lineno, record, query_id=_id,
+                                                 rank=int, case_id=_id, score=float)
         taken = seen.setdefault(query_id, set())
         for key in (("case_id", case_id), ("rank", rank)):
             if key in taken:
@@ -326,8 +333,8 @@ def _training_set(args, embedder) -> tuple[TrainingSet, array]:
         # train reads no kind, but a pair without one is malformed;
         # positive_charges may be left out
         query_id, case_id, _, pair_charges = _fields(
-            args.pairs, lineno, {"positive_charges": [], **record}, query_id=None,
-            positive_case_id=None, kind=None, positive_charges=_charges)
+            args.pairs, lineno, {"positive_charges": [], **record}, query_id=_id,
+            positive_case_id=_id, kind=None, positive_charges=_charges)
         lines.append(lineno)
         for column, known, key in zip(numbers, ids, (query_id, case_id)):
             column.append(known.setdefault(key, len(known)))
@@ -409,9 +416,9 @@ def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | No
     ``scorer_for`` builds the scorer from the run's (query text, pool)
     pairs, before the first query, so that it does each candidate's work
     once per run. Returns the run, the pool ids not in ``texts`` and the
-    number of queries without a pool; both kinds are skipped. A
-    pool with no id in ``texts`` is an :class:`EmptyCorpus` naming the query
-    and ``pools_path``.
+    number of queries without a pool; both kinds are skipped. A pool with no
+    id in ``texts`` is an :class:`EmptyCorpus` naming the query and
+    ``pools_path``; a :class:`ZeroVector` from scoring one names the query.
     """
     from . import retrieval
 
@@ -433,7 +440,10 @@ def _search_run(queries, texts: dict[str, str], pools: dict[str, list[str]] | No
         if pools is not None and not pool:
             raise EmptyCorpus(f"{pools_path}: none of the {len(pools[query_id])} "
                               f"pool ids of query {query_id!r} is in the corpus")
-        run[query_id] = retrieval.search(text, pool, scorer, k)
+        try:
+            run[query_id] = retrieval.search(text, pool, scorer, k)
+        except ZeroVector as exc:
+            raise ZeroVector(f"query {query_id!r}: {exc}") from None
     return run, missing, unpooled
 
 

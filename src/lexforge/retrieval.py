@@ -12,10 +12,10 @@ pools. :class:`Bm25Scorer` has one of two scopes for the collection
 statistics: ``corpus``, from a corpus index such as a saved one, or
 ``pool``, where one index over the union of the run's pools tokenizes each
 candidate once and each pool takes exact statistics from its
-:meth:`Bm25Index.subset`. :class:`DenseScorer` embeds each candidate's
-windows once and keeps their unit rows. An index stores each distinct term
-once and its postings in flat arrays, in memory and on disk alike. Only the
-dense scorer imports numpy.
+:meth:`Bm25Index.subset`. :class:`DenseScorer` embeds the run's queries in
+one call and each candidate's windows once, and keeps the vectors. An index
+stores each distinct term once and its postings in flat arrays, in memory
+and on disk alike. Only the dense scorer imports numpy.
 """
 
 from __future__ import annotations
@@ -411,23 +411,25 @@ class DenseScorer:
     """Segment-and-max dense scoring with one embedder and one
     :class:`SegmentConfig`, built once per run.
 
-    ``run`` holds the run's (query, pool) pairs. The queries are featurized
-    in one batch into the embedder's memo. Each distinct candidate text of
-    the pools is segmented once and its windows embedded once, in groups of
-    about ``WINDOW_GROUP_CHARS`` characters, one ``embed`` call per group, so
-    only one group's features exist at a time; the scorer keeps each text's
-    unit window rows alone. A window that embeds to zero norm (a tail too
-    short to featurize) has no direction and is dropped. A candidate left
-    with no window is a :class:`ZeroVector` when a pool that holds it is
-    scored.
+    ``run`` holds the run's (query, pool) pairs. Its distinct queries are
+    embedded in one ``embed`` call, and the scorer keeps each one's vector.
+    Each distinct candidate text of the pools is segmented once and its
+    windows embedded once, in groups of about ``WINDOW_GROUP_CHARS``
+    characters, one ``embed`` call per group, so only one group's features
+    exist at a time; the scorer keeps each text's unit window rows alone. A
+    window that embeds to zero norm (a tail too short to featurize) has no
+    direction and is dropped. A query of zero norm, or a candidate left with
+    no window, is a :class:`ZeroVector` when a pool of it is scored.
     """
 
     def __init__(self, run: Sequence[tuple[str, Mapping[str, str]]], embedder,
                  seg_cfg: SegmentConfig = SegmentConfig()):
         import numpy as np
 
-        self.embedder, self.seg_cfg = embedder, seg_cfg
-        embedder.memoize(query for query, _ in run)
+        self.seg_cfg = seg_cfg
+        queries = list(dict.fromkeys(query for query, _ in run))
+        self._queries = dict(zip(queries, np.asarray(embedder.embed(queries),
+                                                     dtype=np.float64)))
         self._windows: dict[str, np.ndarray] = {}
         texts = (text for pool in _distinct_pools(run) for text in pool.values())
         for group in _window_groups(texts, seg_cfg):
@@ -447,14 +449,15 @@ class DenseScorer:
         return "dense"
 
     def score(self, query: str, pool: Mapping[str, str]) -> list[tuple[str, float]]:
-        """Each candidate of the pool with its score, in pool order."""
-        query_unit = unit_query(self.embedder.embed([query])[0])
+        """Each candidate of the pool with its score, in pool order, for a
+        query of the run."""
+        query_unit = unit_query(self._queries[query])
         scored = []
         for case_id, text in pool.items():
             windows = self._windows.get(text)
             if windows is None:
                 # no window has a direction; segment rejects an empty text
-                raise ZeroVector(f"all {len(segment(text, self.seg_cfg))} "
+                raise ZeroVector(f"case {case_id!r}: all {len(segment(text, self.seg_cfg))} "
                                  "segments embed to zero norm")
             scored.append((case_id, dense_score(query_unit, windows)))
         return scored

@@ -19,12 +19,12 @@ n-gram once per call and finds each text's distinct buckets, in order of
 first occurrence, with one sort. The result is bit-identical to hashing the
 n-grams of one text at a time. A chunk comes out as two narrow arrays, its
 texts' buckets and their raw counts, each in the narrowest unsigned dtype
-that holds them. The memo that :meth:`ToyEmbedder.features`,
-:meth:`ToyEmbedder.featurize` and dense search read keeps a copy of each
-text's slice of them, by text; a :class:`FeatureStore`, which training
-reads, keeps the chunks' arrays as they are, by slot. Both decode on read
-to an ``intp`` index and the float64 values ``1 + log(count)``, all the
-texts of one call in one pass.
+that holds them. The path has two readers, and neither keeps state on the
+embedder. :meth:`ToyEmbedder.featurize`, which :meth:`ToyEmbedder.embed`
+calls, decodes views of the chunks' arrays and keeps nothing; a
+:class:`FeatureStore`, which training reads, keeps the chunks' arrays as
+they are, by slot. Both decode on read to an ``intp`` index and the
+float64 values ``1 + log(count)``, all the texts of one call in one pass.
 
 Training reads a :class:`TrainingSet`: the pairs as integer columns over
 one store, so that no text outlives the featurization of its chunk and no
@@ -262,7 +262,7 @@ def _bucket_counts(occ_bucket: np.ndarray, per_text: np.ndarray, occ_start: np.n
     """The distinct buckets of a chunk's texts, text after text, each
     text's in order of first occurrence, with their raw counts; and the
     offset of each text's first entry, then the entry count. This is the
-    compact form the memo and :class:`FeatureStore` keep (see
+    compact form :class:`FeatureStore` keeps (see
     :func:`_decoded`). The buckets come in the narrowest unsigned dtype that
     holds ``hash_buckets - 1``, the counts in the narrowest one that holds
     the chunk's largest count. One sort of ``(text, bucket, occurrence)``
@@ -293,7 +293,7 @@ def _bucket_counts(occ_bucket: np.ndarray, per_text: np.ndarray, occ_start: np.n
 
 def _decoded(entries: Sequence[tuple[np.ndarray, np.ndarray]]
              ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The features of compact memo or store entries: the buckets as ``intp`` and
+    """The features of compact entries: the buckets as ``intp`` and
     the damped counts ``1 + log(count)`` as float64. The entries are
     decoded together, in one pass, into views of two arrays; the values
     are computed in place, with the same operations as the expression."""
@@ -310,9 +310,9 @@ def _decoded(entries: Sequence[tuple[np.ndarray, np.ndarray]]
 class ToyEmbedder:
     """Hashed character n-gram featurizer followed by a linear map.
 
-    Featurization is deterministic (CRC32 bucket hashing, log-damped
-    counts), batched (:meth:`featurize`) and memoized per instance, by text
-    (:meth:`features`, :meth:`memoize`); the only parameters are the
+    An embedder holds its shape, its seed and its weights, and no per-text
+    state. Featurization is deterministic (CRC32 bucket hashing, log-damped
+    counts) and batched (:meth:`featurize`); the only parameters are the
     ``hash_buckets × dim`` weights, initialized from a seeded uniform
     distribution unless ``weights`` are given. The seeded draw is made on
     the first read of :attr:`weights`, not before.
@@ -336,7 +336,6 @@ class ToyEmbedder:
             raise ValueError(f"weights of shape {weights.shape} for {hash_buckets} "
                              f"buckets of dimension {dim}")
         self._weights = weights
-        self._feature_memo: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def weights(self) -> np.ndarray:
@@ -344,10 +343,6 @@ class ToyEmbedder:
         if self._weights is None:
             self._weights = self.weight_rows(np.arange(self.hash_buckets))
         return self._weights
-
-    @weights.setter
-    def weights(self, weights: np.ndarray) -> None:
-        self._weights = weights
 
     def weight_rows(self, rows: np.ndarray) -> np.ndarray:
         """``weights[rows]`` for sorted unique row ids, without drawing the
@@ -370,43 +365,28 @@ class ToyEmbedder:
         return out
 
     def features(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse feature vector of a text: (bucket indices, damped counts),
-        decoded from the memo, which :meth:`memoize` fills on a miss."""
-        if text not in self._feature_memo:
-            self.memoize([text])
-        return _decoded([self._feature_memo[text]])[0]
-
-    def memoize(self, texts: Iterable[str]) -> None:
-        """Featurize the texts not yet in the memo, in one batch, into it."""
-        new = [text for text in dict.fromkeys(texts) if text not in self._feature_memo]
-        self._feature_memo.update(zip(new, self._featurize_new(new)))
+        """Sparse feature vector of a text: (bucket indices, damped counts)."""
+        return self.featurize([text])[0]
 
     def featurize(self, texts: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
         """The features of each text, as :meth:`features` gives them.
 
-        A text in the memo is decoded from it. The others are featurized in
-        one pass, chunk by chunk, and not memoized. The distinct texts are
-        decoded together, and a text given twice gets the same arrays. Let
-        ``compact`` be the text without whitespace. Its features count the
-        CRC32 buckets of ``compact[i:i + n]`` for each n from ``ngram_min``
-        to ``ngram_max`` and each i, as ``1 + log(count)``. The buckets are
-        listed in order of first occurrence, with n outermost, which fixes
-        the summation order of ``values @ weights[idx]``.
+        The distinct texts are featurized in one pass, chunk by chunk, and
+        decoded together from views of the chunks' arrays, as
+        :class:`FeatureStore` decodes its slots; a text given twice gets the
+        same arrays. Let ``compact`` be the text without whitespace. Its
+        features count the CRC32 buckets of ``compact[i:i + n]`` for each n
+        from ``ngram_min`` to ``ngram_max`` and each i, as
+        ``1 + log(count)``. The buckets are listed in order of first
+        occurrence, with n outermost, which fixes the summation order of
+        ``values @ weights[idx]``.
         """
-        entries = {text: self._feature_memo.get(text) for text in texts}
-        new = [text for text, entry in entries.items() if entry is None]
-        entries.update(zip(new, self._featurize_new(new)))
-        decoded = dict(zip(entries, _decoded(list(entries.values()))))
+        distinct = list(dict.fromkeys(texts))
+        entries = [(idx[a:b], counts[a:b])
+                   for idx, counts, cuts in self._featurize_chunks(distinct)
+                   for a, b in zip(cuts, cuts[1:])]
+        decoded = dict(zip(distinct, _decoded(entries)))
         return [decoded[text] for text in texts]
-
-    def _featurize_new(self, texts: Iterable[str]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Compact features of each text, as the memo keeps them: copies of
-        its slices of :meth:`_featurize_chunks`' output. They are copies, not
-        views, so that small arrays fill the space the chunk's working
-        arrays leave free and a long batch does not fragment the heap."""
-        for idx, counts, cuts in self._featurize_chunks(texts):
-            for a, b in zip(cuts, cuts[1:]):
-                yield idx[a:b].copy(), counts[a:b].copy()
 
     def _featurize_chunks(self, texts: Iterable[str]
                           ) -> Iterator[tuple[np.ndarray, np.ndarray, list[int]]]:

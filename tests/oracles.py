@@ -177,7 +177,7 @@ def segment_count(length, cfg):
 
 # --- search runs ----------------------------------------------------------
 
-def max_window_cosine_oracle(query_unit, text, embedder, cfg):
+def max_window_cosine_oracle(query_unit, case_id, text, embedder, cfg):
     """A candidate's dense score on its own: segment it, embed its windows,
     drop those of zero norm, scale the rest to unit norm and take the
     largest cosine with the unit query, clamped to [-1, 1]."""
@@ -191,7 +191,7 @@ def max_window_cosine_oracle(query_unit, text, embedder, cfg):
     norms = np.linalg.norm(vectors, axis=1)
     unit = vectors[norms != 0.0] / norms[norms != 0.0, None]
     if not len(unit):
-        raise ZeroVector(f"all {len(windows)} segments embed to zero norm")
+        raise ZeroVector(f"case {case_id!r}: all {len(windows)} segments embed to zero norm")
     return float(np.clip(unit @ query_unit, -1.0, 1.0).max())
 
 
@@ -203,9 +203,10 @@ def search_oracle(queries, texts, pools, *, scorer, k, bm25_params, index, embed
     every candidate's windows are embedded anew for every query
     (:func:`max_window_cosine_oracle`). Queries without a pool and pool ids
     missing from ``texts`` are skipped; a pool with none of its ids in
-    ``texts`` ends the run.
+    ``texts`` ends the run, and so does a query or a candidate of zero
+    norm, naming the query.
     """
-    from lexforge.errors import EmptyCorpus
+    from lexforge.errors import EmptyCorpus, ZeroVector
     from lexforge.retrieval import Bm25Index, bm25_score, unit_query
 
     run = {}
@@ -226,9 +227,13 @@ def search_oracle(queries, texts, pools, *, scorer, k, bm25_params, index, embed
             tokens = idx.tokenizer(text)
             scored = [(cid, bm25_score(tokens, cid, idx, bm25_params)) for cid in pool]
         else:
-            query_unit = unit_query(embedder.embed([text])[0])
-            scored = [(cid, max_window_cosine_oracle(query_unit, pool[cid], embedder, seg_cfg))
-                      for cid in pool]
+            try:
+                query_unit = unit_query(embedder.embed([text])[0])
+                scored = [(cid, max_window_cosine_oracle(query_unit, cid, pool[cid], embedder,
+                                                         seg_cfg))
+                          for cid in pool]
+            except ZeroVector as exc:
+                raise ZeroVector(f"query {query_id!r}: {exc}") from None
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         run[query_id] = scored[:k]
     return run

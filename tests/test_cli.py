@@ -246,26 +246,75 @@ class TestIdentityRunEval:
                 assert value == pytest.approx(1.0)
 
 
-#: The sha256 of the ``tiny`` pipeline's artifacts, with the numpy and
-#: BLAS build they were made with. A change that alters an artifact on
-#: purpose updates the table and says which artifact changed and why.
+#: The sha256 of the ``tiny`` pipeline's artifacts, by fixture seed, with
+#: the numpy and BLAS build they were made with. A change that alters an
+#: artifact on purpose updates the table and says which artifact changed
+#: and why.
 PINNED = json.loads((Path(__file__).parent / "pinned_artifacts.json").read_text(encoding="utf-8"))
 
 
-def _assert_pinned(sha256: dict[str, str]) -> None:
-    """Each artifact has its pinned sha256. The pins hold for the numpy and
-    BLAS they were made with; on another, the test fails naming both, since
-    floating-point results, and so the checkpoint and every file after it,
-    may differ there."""
+def _assert_pinned(sha256: dict[str, str], seed: int) -> None:
+    """Each artifact has the sha256 pinned for its seed. The pins hold for
+    the numpy and BLAS they were made with; on another, the test fails
+    naming both, since floating-point results, and so the checkpoint and
+    every file after it, may differ there."""
     import numpy as np
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     here = {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
     moved = [f"{key} {PINNED[key]} (pinned) vs {here[key]} (here)"
              for key in here if here[key] != PINNED[key]]
     assert not moved, f"the artifacts were pinned on another build: {'; '.join(moved)}"
-    differ = sorted(name for name in sha256.keys() | PINNED["sha256"].keys()
-                    if sha256.get(name) != PINNED["sha256"].get(name))
-    assert not differ, f"artifacts whose sha256 is not the pinned one: {differ}"
+    pinned = PINNED["sha256"][str(seed)]
+    differ = sorted(name for name in sha256.keys() | pinned.keys()
+                    if sha256.get(name) != pinned.get(name))
+    assert not differ, f"seed {seed}: artifacts whose sha256 is not the pinned one: {differ}"
+
+
+def _tiny_pipeline(root: Path, seed: int, hash_seed: str, threads: int) -> dict[str, bytes]:
+    """The pipeline at the benchmark's ``tiny`` sizes, from ``fixtures`` to
+    the last ``eval``, one process per stage under ``PYTHONHASHSEED`` =
+    ``hash_seed``, with ``threads`` ``synthesize`` threads, in a new
+    directory ``root``; every artifact it writes, by name."""
+    import os
+    import subprocess
+    import sys
+    root.mkdir()
+    config, d = root / "pipeline.ini", root / "out"
+    config.write_text("[segment]\nmax_len = 128\nstride = 64\n", encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    ckpt, idx = d / "toy.ckpt", d / "bm25.idx"
+    search = ["search", "--queries", d / "eval_queries.jsonl",
+              "--corpus", d / "corpus.jsonl", "--pools", d / "pools.jsonl"]
+    stages = [
+        ["fixtures", "--out", d, "--n-cases", 150, "--n-queries", 6, "--charges", 10,
+         "--n-rulings", 5, "--n-short-facts", 4, "--seed", seed],
+        ["extract", "--corpus", d / "corpus.jsonl", "--elements", d / "elements.jsonl",
+         "--exclusions", d / "exclusions.jsonl"],
+        ["synthesize", "--corpus", d / "corpus.jsonl", "--elements", d / "elements.jsonl",
+         "--output", d / "queries.jsonl", "--max-in-flight", threads, "--seed", seed],
+        ["augment", "--queries", d / "queries.jsonl", "--elements", d / "elements.jsonl",
+         "--output", d / "pairs.jsonl", "--proportion", 0.7, "--seed", seed],
+        ["train", "--pairs", d / "pairs.jsonl", "--queries", d / "queries.jsonl",
+         "--corpus", d / "corpus.jsonl", "--output", ckpt, "--curve", d / "loss.tsv",
+         "--epochs", 2, "--batch-size", 16, "--dim", 16, "--hash-buckets", 2048,
+         "--seed", seed],
+        ["index", "--corpus", d / "corpus.jsonl", "--output", idx],
+        [*search, "--output", d / "run_bm25.jsonl"],
+        [*search, "--index", idx, "--output", d / "run_bm25_index.jsonl"],
+        [*search, "--scorer", "dense", "--checkpoint", ckpt,
+         "--output", d / "run_dense.jsonl"],
+    ] + [["eval", "--run", d / f"run_{run}.jsonl", "--qrels", d / "qrels.jsonl",
+          "--output", d / f"metrics_{run}.json", "--label", run]
+         for run in ("bm25", "bm25_index", "dense")]
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+    for argv in stages:
+        subprocess.run([sys.executable, "-m", "lexforge.cli", "--config", config,
+                        *map(str, argv)], env=env, check=True, capture_output=True)
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+def _sha256(artifacts: dict[str, bytes]) -> dict[str, str]:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
 
 
 class TestDeterminism:
@@ -297,55 +346,23 @@ class TestDeterminism:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_artifacts_do_not_depend_on_hash_seed_or_threads(self, tmp_path):
-        """The pipeline at the benchmark's ``tiny`` sizes, from ``fixtures``
-        to the last ``eval``, one process per stage: once under
-        ``PYTHONHASHSEED=0`` with one ``synthesize`` thread, once under
+        """The ``tiny`` pipeline at seed 7 (:func:`_tiny_pipeline`), once
+        under ``PYTHONHASHSEED=0`` with one ``synthesize`` thread, once under
         ``PYTHONHASHSEED=1`` with four. Every artifact is byte-identical,
         so no string hash order and no thread timing reaches an output, and
         has the sha256 pinned in ``pinned_artifacts.json`` (``PINNED``)."""
-        import os
-        import subprocess
-        import sys
-        config = tmp_path / "pipeline.ini"
-        config.write_text("[segment]\nmax_len = 128\nstride = 64\n", encoding="utf-8")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        outputs = []
-        for hash_seed, threads in (("0", 1), ("1", 4)):
-            d = tmp_path / f"hash{hash_seed}"
-            ckpt, idx = d / "toy.ckpt", d / "bm25.idx"
-            search = ["search", "--queries", d / "eval_queries.jsonl",
-                      "--corpus", d / "corpus.jsonl", "--pools", d / "pools.jsonl"]
-            stages = [
-                ["fixtures", "--out", d, "--n-cases", 150, "--n-queries", 6, "--charges", 10,
-                 "--n-rulings", 5, "--n-short-facts", 4, "--seed", 7],
-                ["extract", "--corpus", d / "corpus.jsonl", "--elements", d / "elements.jsonl",
-                 "--exclusions", d / "exclusions.jsonl"],
-                ["synthesize", "--corpus", d / "corpus.jsonl", "--elements", d / "elements.jsonl",
-                 "--output", d / "queries.jsonl", "--max-in-flight", threads, "--seed", 7],
-                ["augment", "--queries", d / "queries.jsonl", "--elements", d / "elements.jsonl",
-                 "--output", d / "pairs.jsonl", "--proportion", 0.7, "--seed", 7],
-                ["train", "--pairs", d / "pairs.jsonl", "--queries", d / "queries.jsonl",
-                 "--corpus", d / "corpus.jsonl", "--output", ckpt, "--curve", d / "loss.tsv",
-                 "--epochs", 2, "--batch-size", 16, "--dim", 16, "--hash-buckets", 2048,
-                 "--seed", 7],
-                ["index", "--corpus", d / "corpus.jsonl", "--output", idx],
-                [*search, "--output", d / "run_bm25.jsonl"],
-                [*search, "--index", idx, "--output", d / "run_bm25_index.jsonl"],
-                [*search, "--scorer", "dense", "--checkpoint", ckpt,
-                 "--output", d / "run_dense.jsonl"],
-            ] + [["eval", "--run", d / f"run_{run}.jsonl", "--qrels", d / "qrels.jsonl",
-                  "--output", d / f"metrics_{run}.json", "--label", run]
-                 for run in ("bm25", "bm25_index", "dense")]
-            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
-            for argv in stages:
-                subprocess.run([sys.executable, "-m", "lexforge.cli", "--config", config,
-                                *map(str, argv)], env=env, check=True, capture_output=True)
-            outputs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
-        a, b = outputs
+        a, b = (_tiny_pipeline(tmp_path / f"hash{hash_seed}", 7, hash_seed, threads)
+                for hash_seed, threads in (("0", 1), ("1", 4)))
         assert len(a) == 18 and {"toy.ckpt", "loss.tsv", "bm25.idx"} <= set(a)
         assert list(a) == list(b)
         assert [name for name in a if a[name] != b[name]] == []
-        _assert_pinned({name: hashlib.sha256(data).hexdigest() for name, data in a.items()})
+        _assert_pinned(_sha256(a), 7)
+
+    def test_a_second_seed_keeps_its_pins(self, tmp_path):
+        """The ``tiny`` pipeline at seed 8, run once: every artifact has the
+        sha256 pinned for that seed, so the pins cover more than one draw
+        of the fixtures, pairs and weights."""
+        _assert_pinned(_sha256(_tiny_pipeline(tmp_path / "seed8", 8, "0", 1)), 8)
 
     def test_rerun_overwrites_atomically(self, tmp_path):
         out = tmp_path / "data"
@@ -442,6 +459,56 @@ class TestAtomicWriters:
             assert 0 < (d / "toy.ckpt").stat().st_size < cap
 
 
+def _commands(w, d):
+    """The 11 commands of the ``tiny`` pipeline, each reading its inputs
+    from the workdir w and writing into d."""
+    search = ["search", "--queries", w / "eval_queries.jsonl", "--corpus", w / "corpus.jsonl",
+              "--pools", w / "pools.jsonl", "--output", d / "run.jsonl"]
+    return {
+        "fixtures": ["fixtures", "--out", d, "--n-cases", 150, "--n-queries", 6],
+        "extract": ["extract", "--corpus", w / "corpus.jsonl", "--elements", d / "el.jsonl"],
+        "synthesize": ["synthesize", "--corpus", w / "corpus.jsonl",
+                       "--elements", w / "elements.jsonl", "--output", d / "q.jsonl"],
+        "augment": ["augment", "--queries", w / "queries.jsonl",
+                    "--elements", w / "elements.jsonl", "--output", d / "p.jsonl"],
+        "train": ["train", "--pairs", w / "pairs.jsonl", "--queries", w / "queries.jsonl",
+                  "--corpus", w / "corpus.jsonl", "--output", d / "t.ckpt", "--dim", 4,
+                  "--hash-buckets", 64],
+        "index": ["index", "--corpus", w / "corpus.jsonl", "--output", d / "bm25.idx"],
+        "search": search,
+        "search --index": search + ["--index", w / "bm25.idx"],
+        "search dense": search + ["--scorer", "dense", "--checkpoint", w / "toy.ckpt"],
+        "eval": ["eval", "--run", w / "run_bm25.jsonl", "--qrels", w / "qrels.jsonl",
+                 "--output", d / "m.json"],
+        "report": ["report", w / "metrics_bm25.json", w / "metrics_dense.json"],
+    }
+
+
+#: The file inputs of each command of :func:`_commands`, by flag; ``metrics``
+#: is ``report``'s first positional file. Every command reads ``--config``.
+_INPUTS = {
+    "fixtures": [],
+    "extract": ["--corpus"],
+    "synthesize": ["--corpus", "--elements"],
+    "augment": ["--queries", "--elements"],
+    "train": ["--pairs", "--queries", "--corpus"],
+    "index": ["--corpus"],
+    "search": ["--queries", "--corpus", "--pools"],
+    "search --index": ["--queries", "--corpus", "--pools", "--index"],
+    "search dense": ["--queries", "--corpus", "--pools", "--checkpoint"],
+    "eval": ["--run", "--qrels"],
+    "report": ["metrics"],
+}
+
+
+def _given(argv: list, flag: str, path: Path) -> list:
+    """argv with ``path`` as the file input ``flag`` (see ``_INPUTS``)."""
+    if flag == "--config":
+        return ["--config", path, *argv]
+    at = 0 if flag == "metrics" else argv.index(flag)
+    return [*argv[:at + 1], path, *argv[at + 2:]]
+
+
 class TestSystemErrors:
     """An input or output the operating system refuses is a data error of
     one line that names the path and the system's reason."""
@@ -458,14 +525,23 @@ class TestSystemErrors:
                              "--elements", tmp_path / "el.jsonl")
         assert err == f"data error: {missing}: No such file or directory\n"
 
-    @pytest.mark.parametrize("flag", ["--pairs", "--queries", "--corpus"])
+    def _a_directory_as(self, workdir, tmp_path, capsys, command, flag):
+        argv = _given(_commands(workdir, tmp_path / "out")[command], flag, tmp_path)
+        assert self._one_line(capsys, *argv) == f"data error: {tmp_path}: Is a directory\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", _INPUTS["train"])
     def test_a_directory_as_input(self, workdir, tmp_path, capsys, flag):
-        inputs = {"--pairs": workdir / "pairs.jsonl", "--queries": workdir / "queries.jsonl",
-                  "--corpus": workdir / "corpus.jsonl", flag: tmp_path}
-        err = self._one_line(capsys, "train", *(a for kv in inputs.items() for a in kv),
-                             "--output", tmp_path / "t.ckpt", "--dim", 4,
-                             "--hash-buckets", 64)
-        assert err == f"data error: {tmp_path}: Is a directory\n"
+        self._a_directory_as(workdir, tmp_path, capsys, "train", flag)
+
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param(command, flag, id=f"{command} {flag}")
+        for command, flags in _INPUTS.items()
+        for flag in ["--config", *flags] if command != "train" or flag == "--config"])
+    def test_a_directory_as_any_other_input(self, workdir, tmp_path, capsys, command, flag):
+        """Every other file input of every command, ``--config`` included:
+        train's own inputs are :meth:`test_a_directory_as_input`."""
+        self._a_directory_as(workdir, tmp_path, capsys, command, flag)
 
     def test_a_directory_as_output(self, workdir, tmp_path, capsys):
         (tmp_path / "m.json").mkdir()
@@ -830,6 +906,47 @@ class TestExitCodes:
         err = self._data_error(capsys, *(files.get(arg, arg) for arg in argv))
         assert err == f"data error: {bad}:2: {reason}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, name, field", [
+        ("search", "eval_queries.jsonl", "query_id"),
+        ("search", "pools.jsonl", "query_id"),
+        ("search", "pools.jsonl", "candidate_ids"),
+        ("augment", "queries.jsonl", "source_case_id"),
+        ("train", "pairs.jsonl", "query_id"),
+        ("train", "pairs.jsonl", "positive_case_id"),
+        ("train", "queries.jsonl", "query_id"),
+        ("eval", "qrels.jsonl", "query_id"),
+        ("eval", "qrels.jsonl", "case_id"),
+        ("eval", "run_bm25.jsonl", "query_id"),
+        ("eval", "run_bm25.jsonl", "case_id"),
+    ])
+    def test_an_id_that_is_not_a_string_is_data_error(self, workdir, tmp_path, capsys,
+                                                     command, name, field):
+        records = _records(workdir / name)
+        if field == "candidate_ids":
+            records[0][field][1] = ["q", 1]
+        else:
+            records[0][field] = ["q", 1]
+        bad = tmp_path / name
+        fileio.write_jsonl(bad, records)
+        argv = [bad if arg == workdir / name else arg
+                for arg in _commands(workdir, tmp_path / "out")[command]]
+        err = self._data_error(capsys, *argv)
+        assert err == f"data error: {bad}:1: field {field!r}: expected a string id, not list\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_a_query_of_zero_norm_names_the_query(self, workdir, tmp_path, capsys):
+        """A one-character query has no bigram to embed; dense search fails
+        when it reaches that query, naming it."""
+        records = _records(workdir / "eval_queries.jsonl")
+        records[1]["text"] = "盗"
+        queries = tmp_path / "eval_queries.jsonl"
+        fileio.write_jsonl(queries, records)
+        argv = [queries if arg == workdir / "eval_queries.jsonl" else arg
+                for arg in _commands(workdir, tmp_path / "out")["search dense"]]
+        err = self._data_error(capsys, *argv)
+        assert err == (f"data error: query {records[1]['query_id']!r}: "
+                       "query vector has zero norm\n")
 
     def test_bad_run_line_is_data_error(self, workdir, tmp_path, capsys):
         run = tmp_path / "run.jsonl"

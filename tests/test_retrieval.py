@@ -357,9 +357,6 @@ class _StubEmbedder:
     def __init__(self, table):
         self.table = table
 
-    def memoize(self, texts):
-        pass
-
     def embed(self, texts):
         return np.array([self.table[t] for t in texts], dtype=float)
 
@@ -427,6 +424,18 @@ class TestDenseScore:
         with pytest.raises(ZeroVector, match="query vector"):
             _dense_score("ab", "ab", _StubEmbedder({"ab": [0.0] * 3}))
 
+    def test_zero_norm_query_fails_only_when_it_is_scored(self):
+        """The scorer embeds every query of the run when it is built; a
+        query of zero norm fails when its pool is scored, not before."""
+        embedder = _StubEmbedder({"ab": [1.0, 0.0, 0.0], "q": [1.0, 1.0, 0.0],
+                                  "z": [0.0, 0.0, 0.0]})
+        pool = {"c1": "ab"}
+        scorer = DenseScorer([("q", pool), ("z", pool), ("q", pool)], embedder,
+                             SegmentConfig(max_len=2))
+        assert search("q", pool, scorer, k=5) == [("c1", pytest.approx(1 / math.sqrt(2)))]
+        with pytest.raises(ZeroVector, match="^query vector has zero norm$"):
+            search("z", pool, scorer, k=5)
+
     def test_tail_too_short_to_featurize_is_skipped(self):
         from lexforge.training import ToyEmbedder
         embedder = ToyEmbedder(dim=12, hash_buckets=512, seed=3)
@@ -454,7 +463,7 @@ class TestDenseScore:
                              embedder, cfg)
         assert search("q", first, scorer, k=5) == [("c1", pytest.approx(1 / math.sqrt(2)))]
         assert [cid for cid, _ in search("q", second, scorer, k=5)] == ["c1", "c2"]
-        with pytest.raises(ZeroVector, match="^all 1 segments embed to zero norm$"):
+        with pytest.raises(ZeroVector, match="^case 'c3': all 1 segments embed to zero norm$"):
             search("q", third, scorer, k=5)
         assert search("q", first, scorer, k=5) == [("c1", pytest.approx(1 / math.sqrt(2)))]
 
@@ -562,9 +571,9 @@ def _run(queries, texts, pools, *, scorer, k, bm25_params, index, embedder, seg_
 
 
 class TestSearchRun:
-    """A run shares one scorer, with one index or one window memo; the
-    rankings are those of searching each query on its own
-    (``oracles.search_oracle``)."""
+    """A run shares one scorer, with one index, or with its queries and
+    each candidate's windows embedded once; the rankings are those of
+    searching each query on its own (``oracles.search_oracle``)."""
 
     EMBEDDER_SEED = 4
 
@@ -608,16 +617,19 @@ class TestSearchRun:
         pools["q2"].append("zero")
         got, want = self._both(texts, queries, pools, scorer="dense", k=5,
                                embedder=embedder, seg_cfg=cfg)
-        assert got == want == (ZeroVector, "all 1 segments embed to zero norm")
+        assert got == want == (ZeroVector,
+                               "query 'q2': case 'zero': all 1 segments embed to zero norm")
 
     @pytest.mark.parametrize("group_chars", [1, 30, 1 << 16])
     def test_dense_run_keeps_no_window_features(self, monkeypatch, group_chars):
         """The windows are embedded in groups and only their unit rows are
-        kept: the embedder's memo ends with the searched queries alone."""
+        kept: the scorer holds the query vectors and those rows alone, and
+        the embedder holds no per-text state."""
         from lexforge import retrieval
         from lexforge.training import ToyEmbedder
         monkeypatch.setattr(retrieval, "WINDOW_GROUP_CHARS", group_chars)
         embedder = ToyEmbedder(dim=6, hash_buckets=64, seed=self.EMBEDDER_SEED)
+        state = set(vars(embedder))
         cfg = SegmentConfig(max_len=8, stride=4)
         texts = {f"c{i}": "被告人盗窃财物驾驶车辆" * (i + 1) for i in range(6)}
         texts["blank"] = " "
@@ -625,13 +637,46 @@ class TestSearchRun:
         pools = {"q0": sorted(set(texts) - {"blank"}), "q1": ["c1", "c3", "ghost", "c1"]}
         opts = {"scorer": "dense", "k": 4, "bm25_params": Bm25Params(), "index": None,
                 "embedder": embedder, "seg_cfg": cfg, "pools_path": "pools.jsonl"}
-        run = _run(queries, texts, pools, **opts)
-        assert list(embedder._feature_memo) == ["盗窃财物", "驾驶车辆"]
+        scorers = []
+
+        def scorer_for(run):
+            scorers.append(DenseScorer(run, embedder, cfg))
+            return scorers[-1]
+
+        run = _search_run(queries, texts, pools, scorer_for, k=4, pools_path="pools.jsonl")[0]
         assert run == search_oracle(queries, texts, pools, **opts)
+        assert set(vars(embedder)) == state
+        scorer, = scorers
+        assert set(vars(scorer)) == {"seg_cfg", "_queries", "_windows"}
+        assert list(scorer._queries) == ["盗窃财物", "驾驶车辆"]
+        assert all(v.shape == (6,) for v in scorer._queries.values())
+        assert sorted(scorer._windows) == sorted(texts[c] for c in pools["q0"])
+        for text, rows in scorer._windows.items():
+            assert rows.shape == (len(segment(text, cfg)), 6)
+            assert np.allclose(np.linalg.norm(rows, axis=1), 1.0)
         # a candidate whose windows all embed to zero fails as it does unshared
         pools["q1"].append("blank")
         got, want = self._both(texts, queries, pools, **opts)
-        assert got == want == (ZeroVector, "all 1 segments embed to zero norm")
+        assert got == want == (ZeroVector,
+                               "query 'q1': case 'blank': all 1 segments embed to zero norm")
+
+    def test_the_queries_are_embedded_in_one_call(self, monkeypatch):
+        """The run's distinct queries, each once, in order of first
+        appearance, are one ``embed`` call; no other call holds a query."""
+        from lexforge.training import ToyEmbedder
+        embedder = ToyEmbedder(dim=6, hash_buckets=64, seed=self.EMBEDDER_SEED)
+        texts = {f"c{i}": "被告人盗窃财物" * (i + 1) for i in range(4)}
+        queries = [("q0", "驾驶车辆"), ("q1", "抢劫财物"), ("q2", "驾驶车辆"), ("q3", "诈骗")]
+        pools = {qid: sorted(texts) for qid, _ in queries}
+        calls = []
+        real_embed = embedder.embed
+        monkeypatch.setattr(embedder, "embed", lambda batch: calls.append(list(batch))
+                            or real_embed(batch))
+        opts = {"k": 3, "bm25_params": Bm25Params(), "index": None, "embedder": embedder,
+                "seg_cfg": SegmentConfig(max_len=8, stride=4), "pools_path": "pools.jsonl"}
+        _run(queries, texts, pools, scorer="dense", **opts)
+        distinct = ["驾驶车辆", "抢劫财物", "诈骗"]
+        assert [call for call in calls if set(call) & set(distinct)] == [distinct]
 
     def test_each_candidate_work_is_done_once(self, monkeypatch):
         from lexforge.training import ToyEmbedder

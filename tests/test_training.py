@@ -251,7 +251,7 @@ class TestToyEmbedder:
 
     def test_checkpoint_roundtrip(self, tmp_path):
         embedder = ToyEmbedder(dim=12, hash_buckets=256, seed=9)
-        embedder.weights += 0.123  # make it differ from a fresh init
+        embedder.weights[...] += 0.123  # make it differ from a fresh init
         path = tmp_path / "toy.ckpt"
         save_checkpoint(embedder, path)
         loaded = load_checkpoint(path)
@@ -268,47 +268,6 @@ class TestToyEmbedder:
         expected_idx, expected_values = features_oracle(text, buckets, *ngrams)
         assert idx.dtype == np.int64 and np.array_equal(idx, expected_idx)
         assert np.array_equal(values, expected_values)
-
-    def test_instances_share_no_feature_state(self, monkeypatch):
-        e1 = ToyEmbedder(dim=8, hash_buckets=64, seed=1)
-        e2 = ToyEmbedder(dim=8, hash_buckets=64, seed=1)
-        text = "被告人盗窃财物"
-        a = e1.features(text)
-        entry = e1._feature_memo[text]
-        assert e2._feature_memo == {}
-        b = e2.features(text)
-        other = e2._feature_memo[text]
-        assert other[0] is not entry[0] and other[1] is not entry[1]
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-        assert list(e1._feature_memo) == list(e2._feature_memo) == [text]
-        # memoized within an instance: a hit featurizes nothing
-        monkeypatch.setattr(ToyEmbedder, "_featurize_new", None)
-        again = e1.features(text)
-        assert e1._feature_memo[text] is entry
-        assert np.array_equal(again[0], a[0]) and np.array_equal(again[1], a[1])
-
-    def test_memoized_texts_are_read_from_the_memo(self, monkeypatch):
-        embedder = ToyEmbedder(dim=2, hash_buckets=64)
-        first = embedder.features("被告人盗窃")
-        entry = embedder._feature_memo["被告人盗窃"]
-        featurized = []
-        real = ToyEmbedder._featurize_new
-
-        def featurize_new(self, texts):
-            featurized.append(list(texts))
-            return real(self, texts)
-
-        monkeypatch.setattr(ToyEmbedder, "_featurize_new", featurize_new)
-        got = embedder.featurize(["财物", "被告人盗窃", "财物"])
-        assert featurized == [["财物"]]
-        assert got[0] is got[2]
-        assert np.array_equal(got[1][0], first[0]) and np.array_equal(got[1][1], first[1])
-        assert list(embedder._feature_memo) == ["被告人盗窃"]
-        embedder.memoize(["财物", "被告人盗窃", "财物"])
-        assert featurized == [["财物"], ["财物"]]
-        assert list(embedder._feature_memo) == ["被告人盗窃", "财物"]
-        assert embedder._feature_memo["被告人盗窃"] is entry
 
     def test_module_holds_no_mutable_state(self):
         mutable = (dict, list, set, bytearray, np.ndarray)
@@ -463,9 +422,44 @@ def feature_batches(draw):
     return texts
 
 
+#: All that a :class:`ToyEmbedder` holds: its shape, its seed and its weights.
+EMBEDDER_STATE = {"dim", "hash_buckets", "ngram_min", "ngram_max", "seed", "_weights"}
+
+
 class TestFeaturize:
     """The batched pass equals the plain per-text loop
-    (``oracles.features_oracle``) bit for bit, buckets in the same order."""
+    (``oracles.features_oracle``) bit for bit, buckets in the same order,
+    and leaves no per-text state on the embedder."""
+
+    def test_an_embedder_holds_its_shape_seed_and_weights_alone(self):
+        embedder = ToyEmbedder(dim=2, hash_buckets=64, seed=1)
+        assert set(vars(embedder)) == EMBEDDER_STATE
+        embedder.features("被告人盗窃财物")
+        embedder.embed(["被告人盗窃财物", "驾驶车辆"])
+        assert set(vars(embedder)) == EMBEDDER_STATE
+
+    def test_two_instances_featurize_alike(self):
+        texts = ["被告人盗窃财物", "", "驾驶 车辆", "被告人盗窃财物"]
+        a, b = (ToyEmbedder(dim=8, hash_buckets=64, seed=1).featurize(texts) for _ in range(2))
+        for (a_idx, a_values), (b_idx, b_values) in zip(a, b):
+            assert np.array_equal(a_idx, b_idx) and np.array_equal(a_values, b_values)
+
+    def test_a_repeated_text_is_featurized_once(self, monkeypatch):
+        featurized = []
+        real = ToyEmbedder._featurize_chunks
+
+        def featurize_chunks(self, texts):
+            texts = list(texts)
+            featurized.append(texts)
+            return real(self, texts)
+
+        monkeypatch.setattr(ToyEmbedder, "_featurize_chunks", featurize_chunks)
+        embedder = ToyEmbedder(dim=2, hash_buckets=64)
+        got = embedder.featurize(["财物", "被告人盗窃", "财物"])
+        assert featurized == [["财物", "被告人盗窃"]]
+        assert got[0] is got[2] and got[0][0] is not got[1][0]
+        first = embedder.features("被告人盗窃")
+        assert np.array_equal(got[1][0], first[0]) and np.array_equal(got[1][1], first[1])
 
     def _assert_equal_oracle(self, embedder, texts):
         got = embedder.featurize(texts)
@@ -475,7 +469,7 @@ class TestFeaturize:
                 text, embedder.hash_buckets, embedder.ngram_min, embedder.ngram_max)
             assert idx.dtype == np.int64 and values.dtype == np.float64
             assert np.array_equal(idx, want_idx) and np.array_equal(values, want_values)
-        assert embedder._feature_memo == {}
+        assert set(vars(embedder)) == EMBEDDER_STATE
 
     @given(feature_batches(), st.sampled_from([(1, 1), (2, 3), (1, 4), (3, 6)]),
            st.sampled_from([7, 64, 1 << 15]))
@@ -498,43 +492,6 @@ class TestFeaturize:
         self._assert_equal_oracle(
             ToyEmbedder(dim=2, hash_buckets=512, ngram_min=ngrams[0], ngram_max=ngrams[1]),
             texts)
-
-
-class TestCompactMemo:
-    """The memo keeps each text's buckets and raw counts in the narrowest
-    unsigned dtypes that hold them; decoded, they equal the plain loop
-    (``oracles.features_oracle``) bit for bit."""
-
-    @pytest.mark.parametrize("buckets, text, idx_dtype, count_dtype", [
-        pytest.param(64, "被告人盗窃财物", np.uint8, np.uint8, id="64-buckets"),
-        pytest.param(1 << 15, "被告人盗窃财物，盗窃财物", np.uint16, np.uint8,
-                     id="32768-buckets"),
-        # one bucket, counted 397 and 79,997 times
-        pytest.param(1, "盗" * 200, np.uint8, np.uint16, id="count-above-255"),
-        pytest.param(1, "盗" * 40_000, np.uint8, np.uint32, id="count-above-65535"),
-    ])
-    def test_entries_are_narrow_and_decode_exactly(self, buckets, text, idx_dtype,
-                                                   count_dtype):
-        embedder = ToyEmbedder(dim=2, hash_buckets=buckets)
-        idx, values = embedder.features(text)
-        stored_idx, stored_counts = embedder._feature_memo[text]
-        assert stored_idx.dtype == idx_dtype and stored_counts.dtype == count_dtype
-        want_idx, want_values = features_oracle(text, buckets, 2, 3)
-        assert idx.dtype == np.intp and values.dtype == np.float64
-        assert np.array_equal(idx, want_idx) and np.array_equal(values, want_values)
-
-    def test_buckets_above_16_bits(self):
-        buckets = 1 << 17
-        embedder = ToyEmbedder(dim=2, hash_buckets=buckets)
-        rng = np.random.default_rng(17)
-        texts = ["".join(map(chr, rng.integers(0x4E00, 0x9FA5, size=400))) for _ in range(3)]
-        embedder.memoize(texts)
-        for text, (idx, values) in zip(texts, embedder.featurize(texts)):
-            assert embedder._feature_memo[text][0].dtype == np.uint32
-            want_idx, want_values = features_oracle(text, buckets, 2, 3)
-            assert want_idx.max() > np.iinfo(np.uint16).max
-            assert idx.dtype == np.intp and np.array_equal(idx, want_idx)
-            assert np.array_equal(values, want_values)
 
 
 @st.composite
@@ -591,6 +548,33 @@ class TestFeatureStore:
         assert len(store._buckets) >= grams // FEATURIZE_CHUNK
         assert {a.dtype for a in store._buckets} == {np.dtype(np.uint16)}
         assert {a.dtype for a in store._counts} == {np.dtype(np.uint8), np.dtype(np.uint16)}
+
+    @pytest.mark.parametrize("buckets, texts, idx_dtype, count_dtype", [
+        pytest.param(64, ["被告人盗窃财物"], np.uint8, np.uint8, id="64-buckets"),
+        pytest.param(1 << 15, ["被告人盗窃财物，盗窃财物"], np.uint16, np.uint8,
+                     id="32768-buckets"),
+        # one bucket, counted 397 and 79,997 times
+        pytest.param(1, ["盗" * 200], np.uint8, np.uint16, id="count-above-255"),
+        pytest.param(1, ["盗" * 40_000], np.uint8, np.uint32, id="count-above-65535"),
+        pytest.param(1 << 17, ["".join(map(chr, np.random.default_rng(17).integers(
+            0x4E00, 0x9FA5, size=400))) for _ in range(3)], np.uint32, np.uint8,
+                     id="buckets-above-16-bits"),
+    ])
+    def test_a_chunk_is_narrow_and_decodes_exactly(self, buckets, texts, idx_dtype,
+                                                   count_dtype):
+        """A chunk's buckets and raw counts come in the narrowest unsigned
+        dtypes that hold them; decoded, they equal the plain loop bit for
+        bit."""
+        (idx, counts, cuts), = ToyEmbedder(dim=2, hash_buckets=buckets)._featurize_chunks(texts)
+        assert idx.dtype == idx_dtype and counts.dtype == count_dtype
+        decoded = training._decoded([(idx[a:b], counts[a:b]) for a, b in zip(cuts, cuts[1:])])
+        assert len(decoded) == len(texts)
+        for text, (got_idx, got_values) in zip(texts, decoded):
+            want_idx, want_values = features_oracle(text, buckets, 2, 3)
+            assert got_idx.dtype == np.intp and got_values.dtype == np.float64
+            assert np.array_equal(got_idx, want_idx) and np.array_equal(got_values, want_values)
+        if buckets > 1 << 16:
+            assert max(int(i.max()) for i, _ in decoded) > np.iinfo(np.uint16).max
 
 
 class TestTrainToy:
@@ -788,13 +772,12 @@ class TestCompactTraining:
         pairs = _toy_pairs(24)
         shape = {"dim": 8, "hash_buckets": 4096, "seed": 8}
         embedder = ToyEmbedder(**shape)
-        memoized = [pairs[0].query_text, pairs[1].positive_text, "与训练无关的文本"]
-        embedder.embed(memoized)
+        embedded = [pairs[0].query_text, pairs[1].positive_text, "与训练无关的文本"]
+        embedder.embed(embedded)
         train_toy(pairs, embedder, TrainSchedule(epochs=2, batch_size=8, seed=8))
-        fresh = ToyEmbedder(**shape)
-        assert not np.array_equal(fresh.weights, embedder.weights)
-        fresh.weights = embedder.weights.copy()
-        texts = (memoized + [p.query_text for p in pairs] + [p.positive_text for p in pairs]
+        assert not np.array_equal(ToyEmbedder(**shape).weights, embedder.weights)
+        fresh = ToyEmbedder(**shape, weights=embedder.weights.copy())
+        texts = (embedded + [p.query_text for p in pairs] + [p.positive_text for p in pairs]
                  + ["训练之后的新文本"])
         assert embedder.embed(texts).tobytes() == fresh.embed(texts).tobytes()
         for text in texts:
@@ -1007,4 +990,4 @@ class TestFastPathsMatchOracles:
             assert (dense_gradient(reached[rows], grad, expected.shape).tobytes()
                     == expected.tobytes())
             assert not buffer.touched.any()
-            embedder.weights -= 0.1 * expected  # the next batch sees new weights
+            embedder.weights[...] -= 0.1 * expected  # the next batch sees new weights
