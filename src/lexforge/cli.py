@@ -102,7 +102,7 @@ class _Query(NamedTuple):
 def _queries(path: Path) -> Iterator[_Query]:
     for lineno, record in fileio.read_jsonl(path):
         yield _Query(*_fields(path, lineno, record,
-                              query_id=_id, source_case_id=_id, text=None))
+                              query_id=_id, source_case_id=_id, text=_text))
 
 
 def _fields(path: Path, lineno: int, record: dict, **parsers) -> list:
@@ -124,6 +124,12 @@ def _fields(path: Path, lineno: int, record: dict, **parsers) -> list:
 def _id(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string id, not {type(value).__name__}")
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, not {type(value).__name__}")
     return value
 
 

@@ -11,16 +11,17 @@ A search run builds one scorer and shares each candidate's work across its
 pools. :class:`Bm25Scorer` has one of two scopes for the collection
 statistics: ``corpus``, from a corpus index such as a saved one, or
 ``pool``, where one index over the union of the run's pools tokenizes each
-candidate once and each pool takes exact statistics from its
-:meth:`Bm25Index.subset`. :class:`DenseScorer` embeds the run's queries in
-one call and each candidate's windows once, and keeps the vectors. An index
-stores each distinct term once and its postings in flat arrays, in memory
-and on disk alike. Only the dense scorer imports numpy.
+candidate once and each pool's statistics are counted over its own
+candidates when it is scored. Either way a query's terms are weighted once
+and :func:`bm25_score` sums them per candidate. :class:`DenseScorer` embeds
+the run's queries in one call and each candidate's windows once, and keeps
+the vectors. An index stores each distinct term once and its postings in
+flat arrays, in memory and on disk alike. Only the dense scorer imports
+numpy.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import operator
 import struct
@@ -29,7 +30,7 @@ from array import array
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
-from itertools import accumulate, count
+from itertools import count
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -68,11 +69,9 @@ class Bm25Index:
     Row ``r`` of the postings is entries ``offsets[r]:offsets[r + 1]`` of the
     parallel arrays ``term_ids`` (indexes into ``terms``) and ``tfs``: each
     distinct term of one document with its count, in the document's order of
-    first occurrence. ``doc_ids`` are the index's documents, sorted; in an
-    index built or loaded, row ``r`` is document ``doc_ids[r]``. A
-    :meth:`subset` shares the postings, their row lengths and their decoded
-    rows with the index it came from, and selects its own rows. The
-    statistics are integer counts over the index's own rows.
+    first occurrence. ``doc_ids`` are the index's documents, sorted, and row
+    ``r`` is document ``doc_ids[r]``. The statistics are integer counts over
+    the rows.
     """
 
     def __init__(self, tokenizer_name: str, terms: list[str], offsets: array,
@@ -80,40 +79,20 @@ class Bm25Index:
         self.tokenizer_name = tokenizer_name
         self.terms = terms
         self.offsets, self.term_ids, self.tfs = offsets, term_ids, tfs
-        self._row_lens = [sum(tfs[offsets[row]:offsets[row + 1]])
-                          for row in range(len(doc_ids))]
-        self._decoded: dict[int, dict[str, int]] = {}
-        self._is_subset = False
-        self._select(doc_ids, range(len(doc_ids)))
-
-    def _select(self, doc_ids: list[str], rows: Iterable[int]) -> None:
-        """Make ``doc_ids``, at postings ``rows``, this index's documents."""
         self.doc_ids = doc_ids
-        self._rows = dict(zip(doc_ids, rows))
         self.n_docs = len(doc_ids)
-        self.doc_lens = {doc_id: self._row_lens[row] for doc_id, row in self._rows.items()}
+        self._rows = {doc_id: row for row, doc_id in enumerate(doc_ids)}
+        self.doc_lens = {doc_id: sum(tfs[offsets[row]:offsets[row + 1]])
+                         for row, doc_id in enumerate(doc_ids)}
         self.avgdl = (sum(self.doc_lens.values()) / self.n_docs) if self.n_docs else 0.0
-        self._idf: dict[str, float] = {}
-        # a subset starts as a copy: drop the doc_freq counted over its source
-        self.__dict__.pop("doc_freq", None)
+        self._decoded: dict[int, dict[str, int]] = {}
 
     @cached_property
     def doc_freq(self) -> dict[str, int]:
         """The number of the index's documents that hold each term, terms in
-        order of first occurrence; counted over the index's rows on first use.
-
-        A subset counts the terms of its decoded rows, which scoring its
-        pool decodes anyway, so no term id is boxed. An index built or
-        loaded counts its postings, so that scoring a few of its documents
-        decodes only those."""
-        doc_freq: Counter = Counter()
-        if self._is_subset:
-            for doc_id in self.doc_ids:
-                doc_freq.update(self.term_freqs(doc_id).keys())
-            return doc_freq
-        for row in self._rows.values():
-            doc_freq.update(self.term_ids[self.offsets[row]:self.offsets[row + 1]])
-        return {self.terms[term_id]: n for term_id, n in doc_freq.items()}
+        order of first occurrence; counted over the postings on first use,
+        so that scoring a few of the documents decodes only those."""
+        return {self.terms[term_id]: n for term_id, n in Counter(self.term_ids).items()}
 
     @property
     def tokenizer(self) -> Tokenizer:
@@ -135,23 +114,6 @@ class Bm25Index:
             offsets.append(len(term_ids))
         return cls(tokenizer_name, list(ids), offsets, term_ids, tfs, doc_ids)
 
-    def subset(self, doc_ids: Iterable[str]) -> "Bm25Index":
-        """The index :meth:`build` would make from these documents alone.
-
-        The postings are shared with this index, not recomputed; the
-        statistics are integer counts over the subset's rows, so they equal
-        a fresh build's exactly. Only the term ids differ.
-        """
-        ids = sorted(set(doc_ids))
-        try:
-            rows = [self._rows[doc_id] for doc_id in ids]
-        except KeyError as exc:
-            raise UnknownDoc(f"doc {exc.args[0]!r} not in index") from None
-        subset = copy.copy(self)
-        subset._select(ids, rows)
-        subset._is_subset = True
-        return subset
-
     def term_freqs(self, doc_id: str) -> dict[str, int]:
         """The document's ``{term: tf}`` in first-occurrence order, decoded
         from its postings row on first use and memoized."""
@@ -166,15 +128,6 @@ class Bm25Index:
                                                self.tfs[start:end]))
         return tf
 
-    def idf(self, term: str) -> float:
-        """Memoized: the index never changes after construction."""
-        value = self._idf.get(term)
-        if value is None:
-            df = self.doc_freq.get(term, 0)
-            value = 0.0 if df == 0 else math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
-            self._idf[term] = value
-        return value
-
     def save(self, path: str | Path) -> int:
         """Write the index to a versioned little-endian binary file; returns
         its size in bytes.
@@ -183,19 +136,14 @@ class Bm25Index:
         name; the doc ids and then the terms, each list a ``<I`` count of
         strings; then the postings: ``n_docs + 1`` ``<Q`` offsets, and as
         many ``<I`` term ids and then ``<I`` tfs as the last offset says.
-        Every string is UTF-8 preceded by its ``<I`` byte length. The rows
-        are written in doc id order, so a subset writes only its own.
+        Every string is UTF-8 preceded by its ``<I`` byte length.
         """
-        term_ids, tfs = _little_endian(self.term_ids), _little_endian(self.tfs)
-        spans = [(self.offsets[row], self.offsets[row + 1]) for row in self._rows.values()]
-        offsets = array(_OFFSET, accumulate((end - start for start, end in spans), initial=0))
         return atomic_write_bytes(
             path, _INDEX_MAGIC, _U32.pack(_INDEX_VERSION), *_packed([self.tokenizer_name]),
             _U32.pack(self.n_docs), *_packed(self.doc_ids),
             _U32.pack(len(self.terms)), *_packed(self.terms),
-            _little_endian(offsets),
-            *(term_ids[start:end] for start, end in spans),
-            *(tfs[start:end] for start, end in spans))
+            _little_endian(self.offsets), _little_endian(self.term_ids),
+            _little_endian(self.tfs))
 
     @classmethod
     def load(cls, path: str | Path) -> "Bm25Index":
@@ -289,18 +237,23 @@ def _read_index(data: memoryview, pos: int) -> Bm25Index:
     return Bm25Index(tokenizer_name, terms, offsets, term_ids, tfs, doc_ids)
 
 
-def bm25_score(query_tokens: Sequence[str], doc_id: str, index: Bm25Index,
-               params: Bm25Params = Bm25Params()) -> float:
-    """Sum over query terms of idf · tf·(k1+1) / (tf + k1·(1-b+b·|d|/avgdl))."""
-    tf = index.term_freqs(doc_id)
-    dl = index.doc_lens[doc_id]
-    norm = params.k1 * (1.0 - params.b + params.b * dl / index.avgdl) if index.avgdl else params.k1
+def _idf(n_docs: int, df: int) -> float:
+    """The idf of a term that ``df`` of ``n_docs`` documents hold; 0 for none."""
+    return 0.0 if df == 0 else math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+
+
+def bm25_score(weighted: Sequence[tuple[str, float]], tf: Mapping[str, int], dl: int,
+               avgdl: float, params: Bm25Params = Bm25Params()) -> float:
+    """One candidate's score: the sum over the query's ``(term, idf)`` list of
+    idf · tf·(k1+1) / (tf + k1·(1-b+b·|d|/avgdl)), where ``tf`` is the
+    candidate's ``{term: count}`` and ``dl`` its length in tokens."""
+    norm = params.k1 * (1.0 - params.b + params.b * dl / avgdl) if avgdl else params.k1
     score = 0.0
-    for term in query_tokens:
+    for term, idf in weighted:
         f = tf.get(term, 0)
         if f == 0:
             continue
-        score += index.idf(term) * f * (params.k1 + 1.0) / (f + norm)
+        score += idf * f * (params.k1 + 1.0) / (f + norm)
     return score
 
 
@@ -313,13 +266,14 @@ def _distinct_pools(run: Iterable[tuple[str, Mapping[str, str]]]) -> Iterable[Ma
 class Bm25Scorer:
     """BM25 over one index and one :class:`Bm25Params`, built once per run.
 
-    The scope says where a pool's idf and mean document length come from.
+    The scope says where a pool's statistics (the document count, the mean
+    document length and each query term's document frequency) come from.
     With ``index`` given (a corpus index, such as ``search --index`` loads)
     the scope is ``corpus``: every pool takes them from the indexed corpus.
     Without one it is ``pool``: the scorer builds one index over the union
     of the run's pools, so each candidate is tokenized once per run, and
-    scores each pool with that index's :meth:`Bm25Index.subset`, whose
-    statistics equal an index built over the pool alone. ``run`` holds the
+    counts each pool's statistics over the pool's own candidates, so they
+    equal those of an index built over the pool alone. ``run`` holds the
     run's (query, pool) pairs; only pool scope reads it.
     """
 
@@ -337,14 +291,23 @@ class Bm25Scorer:
         return "bm25"
 
     def score(self, query: str, pool: Mapping[str, str]) -> list[tuple[str, float]]:
-        """Each candidate of the pool with its score, in pool order."""
+        """Each candidate of the pool with its score, in pool order. The
+        query's terms are weighted once, in token order with repeats kept."""
         index = self.index
-        # a pool that is not the whole union takes its own statistics
-        if self.scope == "pool" and len(pool) < index.n_docs:
-            index = index.subset(pool)
         query_tokens = index.tokenizer(query)
-        return [(case_id, bm25_score(query_tokens, case_id, index, self.params))
-                for case_id in pool]
+        tfs = [index.term_freqs(case_id) for case_id in pool]
+        lens = [index.doc_lens[case_id] for case_id in pool]
+        terms = dict.fromkeys(query_tokens)
+        # a pool smaller than the union counts its own; an empty one scores nothing
+        if self.scope == "pool" and 0 < len(pool) < index.n_docs:
+            n_docs, avgdl = len(pool), sum(lens) / len(pool)
+            doc_freq = {term: sum(term in tf for tf in tfs) for term in terms}
+        else:
+            n_docs, avgdl, doc_freq = index.n_docs, index.avgdl, index.doc_freq
+        idf = {term: _idf(n_docs, doc_freq.get(term, 0)) for term in terms}
+        weighted = [(term, idf[term]) for term in query_tokens]
+        return [(case_id, bm25_score(weighted, tf, dl, avgdl, self.params))
+                for case_id, tf, dl in zip(pool, tfs, lens)]
 
 
 # --------------------------------------------------------------------------

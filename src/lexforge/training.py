@@ -70,7 +70,6 @@ from .errors import (
     ZeroVector,
 )
 from .fileio import atomic_write_bytes
-from .seeds import derive_seed
 
 #: Additive stand-in for minus infinity; underflows to exact zero softmax mass.
 MASK_SURROGATE = -1.0e9
@@ -785,6 +784,8 @@ def _batches(order: Sequence[int], batch_size: int) -> list[list[int]]:
 def _steps(n_pairs: int, schedule: TrainSchedule) -> Iterator[tuple[int, list[int]]]:
     """Each step's epoch and the pair indices of its batch, in order: the
     pairs are shuffled once per epoch, from the schedule seed."""
+    from .seeds import derive_seed
+
     for epoch in range(schedule.epochs):
         order = list(range(n_pairs))
         Random(derive_seed(schedule.seed, "shuffle", epoch)).shuffle(order)

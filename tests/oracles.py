@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 
 
 # --- ranking metrics ------------------------------------------------------
@@ -158,6 +159,34 @@ def bm25_oracle(query_tokens, doc_tokens_by_id, doc_id, k1, b):
     return score
 
 
+def bm25_counter_oracle(query, pool, stats_docs, tokenizer_name, params):
+    """Each candidate of ``pool`` with its BM25 score, in pool order, from
+    ``Counter``s over the tokens of ``stats_docs`` (``{doc id: text}``: the
+    documents the statistics are counted over, the pool's among them). A
+    candidate's score is a sequential sum over the query's tokens of
+    idf·tf·(k1+1) / (tf + k1·(1-b+b·|d|/avgdl)), with the terms it lacks left
+    out."""
+    from lexforge.retrieval import TOKENIZERS
+
+    tokenize = TOKENIZERS[tokenizer_name]
+    counts = {doc_id: Counter(tokenize(text)) for doc_id, text in stats_docs.items()}
+    n = len(counts)
+    total = sum(sum(tf.values()) for tf in counts.values())
+    df = Counter(term for tf in counts.values() for term in tf)
+    k1, b = params.k1, params.b
+    scored = []
+    for case_id in pool:
+        tf = counts[case_id]
+        score = 0.0
+        for term in tokenize(query):
+            if tf[term]:
+                idf = math.log(1.0 + (n - df[term] + 0.5) / (df[term] + 0.5))
+                norm = k1 * (1.0 - b + b * sum(tf.values()) / (total / n))
+                score += idf * tf[term] * (k1 + 1.0) / (tf[term] + norm)
+        scored.append((case_id, score))
+    return scored
+
+
 # --- segmentation ---------------------------------------------------------
 
 def window_oracle(length, max_len, stride):
@@ -199,15 +228,16 @@ def search_oracle(queries, texts, pools, *, scorer, k, bm25_params, index, embed
                   seg_cfg, pools_path):
     """A search run query by query, with nothing shared between queries.
 
-    Each pool gets a fresh ``Bm25Index.build`` (or ``index`` when given) and
-    every candidate's windows are embedded anew for every query
-    (:func:`max_window_cosine_oracle`). Queries without a pool and pool ids
-    missing from ``texts`` are skipped; a pool with none of its ids in
-    ``texts`` ends the run, and so does a query or a candidate of zero
-    norm, naming the query.
+    Each pool's BM25 statistics are counted anew by
+    :func:`bm25_counter_oracle` (over ``texts`` of the documents of
+    ``index`` when given, with its tokenizer), and every candidate's windows
+    are embedded anew for every query (:func:`max_window_cosine_oracle`).
+    Queries without a pool and pool ids missing from ``texts`` are skipped;
+    a pool with none of its ids in ``texts`` ends the run, and so does a
+    query or a candidate of zero norm, naming the query.
     """
     from lexforge.errors import EmptyCorpus, ZeroVector
-    from lexforge.retrieval import Bm25Index, bm25_score, unit_query
+    from lexforge.retrieval import unit_query
 
     run = {}
     for query_id, text in queries:
@@ -223,9 +253,11 @@ def search_oracle(queries, texts, pools, *, scorer, k, bm25_params, index, embed
         if not pool:
             raise EmptyCorpus("no candidates to score")
         if scorer == "bm25":
-            idx = index if index is not None else Bm25Index.build(pool)
-            tokens = idx.tokenizer(text)
-            scored = [(cid, bm25_score(tokens, cid, idx, bm25_params)) for cid in pool]
+            if index is None:
+                scored = bm25_counter_oracle(text, pool, pool, "char_bigram", bm25_params)
+            else:
+                scored = bm25_counter_oracle(text, pool, {d: texts[d] for d in index.doc_ids},
+                                             index.tokenizer_name, bm25_params)
         else:
             try:
                 query_unit = unit_query(embedder.embed([text])[0])

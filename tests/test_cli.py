@@ -543,6 +543,22 @@ class TestSystemErrors:
         train's own inputs are :meth:`test_a_directory_as_input`."""
         self._a_directory_as(workdir, tmp_path, capsys, command, flag)
 
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param(command, flag, id=f"{command} {flag}")
+        for command, flags in _INPUTS.items() for flag in ["--config", *flags]])
+    def test_a_missing_file_as_any_input(self, workdir, tmp_path, capsys, command, flag):
+        """Every file input of every command; a missing ``--config`` is the
+        usage error the README documents."""
+        missing = tmp_path / "nope"
+        argv = _given(_commands(workdir, tmp_path / "out")[command], flag, missing)
+        if flag == "--config":
+            assert run_cli(*argv) == cli.EXIT_USAGE
+            assert capsys.readouterr().err == f"usage error: config file not found: {missing}\n"
+        else:
+            assert self._one_line(capsys, *argv) == (
+                f"data error: {missing}: No such file or directory\n")
+        assert not (tmp_path / "out").exists()
+
     def test_a_directory_as_output(self, workdir, tmp_path, capsys):
         (tmp_path / "m.json").mkdir()
         err = self._one_line(capsys, "eval", "--run", workdir / "run_bm25.jsonl",
@@ -572,6 +588,27 @@ class TestSystemErrors:
                              "--elements", out)
         assert err == f"data error: {out}: No space left on device\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestTruncatedInput:
+    """A JSONL input whose last record is cut short, with no newline after
+    it, is a data error of one line that names the file and that line."""
+
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param(command, flag, id=f"{command} {flag}")
+        for command, flags in _INPUTS.items() for flag in flags
+        if flag not in ("--index", "--checkpoint", "metrics")])
+    def test_a_cut_last_line(self, workdir, tmp_path, capsys, command, flag):
+        argv = _commands(workdir, tmp_path / "out")[command]
+        source = Path(argv[argv.index(flag) + 1])
+        lines = source.read_text(encoding="utf-8").splitlines()
+        cut = tmp_path / source.name
+        cut.write_text("\n".join(lines[:-1] + [lines[-1][:len(lines[-1]) // 2]]),
+                       encoding="utf-8")
+        assert run_cli(*_given(argv, flag, cut)) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"data error: {cut}:{len(lines)}: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestNonUtf8Input:
@@ -927,13 +964,29 @@ class TestExitCodes:
             records[0][field][1] = ["q", 1]
         else:
             records[0][field] = ["q", 1]
+        err, bad = self._first_record_changed(workdir, tmp_path, capsys, command, name, records)
+        assert err == f"data error: {bad}:1: field {field!r}: expected a string id, not list\n"
+
+    @pytest.mark.parametrize("command, name", [
+        ("search", "eval_queries.jsonl"), ("augment", "queries.jsonl"),
+        ("train", "queries.jsonl")])
+    def test_a_text_that_is_not_a_string_is_data_error(self, workdir, tmp_path, capsys,
+                                                      command, name):
+        records = _records(workdir / name)
+        records[0]["text"] = ["a", "b"]
+        err, bad = self._first_record_changed(workdir, tmp_path, capsys, command, name, records)
+        assert err == f"data error: {bad}:1: field 'text': expected a string, not list\n"
+
+    def _first_record_changed(self, workdir, tmp_path, capsys, command, name, records):
+        """The command's data error with ``records`` as its input ``name``,
+        and that file; nothing is written."""
         bad = tmp_path / name
         fileio.write_jsonl(bad, records)
         argv = [bad if arg == workdir / name else arg
                 for arg in _commands(workdir, tmp_path / "out")[command]]
         err = self._data_error(capsys, *argv)
-        assert err == f"data error: {bad}:1: field {field!r}: expected a string id, not list\n"
         assert not (tmp_path / "out").exists()
+        return err, bad
 
     def test_a_query_of_zero_norm_names_the_query(self, workdir, tmp_path, capsys):
         """A one-character query has no bigram to embed; dense search fails
@@ -1166,7 +1219,7 @@ STAGE_LOADS = {
     "search dense": ("search --queries {w}/eval_queries.jsonl --corpus {w}/corpus.jsonl "
                      "--pools {w}/pools.jsonl --scorer dense --checkpoint {w}/toy.ckpt "
                      "--output {t}/run.jsonl",
-                     ["corpus", "retrieval", "seeds", "training", "zhnum"], True),
+                     ["corpus", "retrieval", "training", "zhnum"], True),
     "eval": ("eval --run {w}/run_bm25.jsonl --qrels {w}/qrels.jsonl --output {t}/m.json",
              ["evaluation"], False),
     "report": ("report {w}/metrics_bm25.json {w}/metrics_dense.json",

@@ -54,23 +54,29 @@ class TestTokenizers:
         assert tokenize_whitespace("The Quick fox") == ["the", "quick", "fox"]
 
 
+def _score(query, doc_id, index, params=Bm25Params()):
+    """One document's score with the index's own statistics (corpus scope)."""
+    [(_, score)] = Bm25Scorer([], params, index=index).score(query, {doc_id: ""})
+    return score
+
+
 class TestBm25:
     def test_single_doc_hand_value(self):
         # one doc, query term once, |d| = avgdl: score reduces to the idf,
         # ln(1 + 0.5/1.5) = ln(4/3)
         index = Bm25Index.build({"d1": "alpha beta gamma"}, "whitespace")
-        score = bm25_score(["alpha"], "d1", index)
+        score = _score("alpha", "d1", index)
         assert score == pytest.approx(math.log(4 / 3), abs=1e-12)
         assert score == pytest.approx(0.28768, abs=1e-5)
 
     def test_absent_term_contributes_zero(self):
         index = Bm25Index.build({"d1": "alpha beta"}, "whitespace")
-        assert bm25_score(["zeta"], "d1", index) == 0.0
+        assert _score("zeta", "d1", index) == 0.0
 
     def test_k1_irrelevant_at_zero_tf(self):
         index = Bm25Index.build({"d1": "alpha"}, "whitespace")
-        a = bm25_score(["missing"], "d1", index, Bm25Params(k1=1.2))
-        b = bm25_score(["missing"], "d1", index, Bm25Params(k1=2.4))
+        a = _score("missing", "d1", index, Bm25Params(k1=1.2))
+        b = _score("missing", "d1", index, Bm25Params(k1=2.4))
         assert a == b == 0.0
 
     def test_five_doc_corpus_matches_formula(self):
@@ -87,13 +93,13 @@ class TestBm25:
         for query in (["cat"], ["the", "cat"], ["dog", "mat", "bird"]):
             for doc_id in docs:
                 expected = bm25_oracle(query, tokens, doc_id, params.k1, params.b)
-                got = bm25_score(query, doc_id, index, params)
+                got = _score(" ".join(query), doc_id, index, params)
                 assert got == pytest.approx(expected, abs=1e-9), (query, doc_id)
 
     def test_unknown_doc(self):
         index = Bm25Index.build({"d1": "x y"}, "whitespace")
         with pytest.raises(UnknownDoc):
-            bm25_score(["x"], "ghost", index)
+            _score("x", "ghost", index)
 
     def test_monotonic_in_tf(self):
         # same doc length, increasing tf of the query term
@@ -101,13 +107,21 @@ class TestBm25:
             "a": "q x x x", "b": "q q x x", "c": "q q q x",
         }
         index = Bm25Index.build(docs, "whitespace")
-        scores = [bm25_score(["q"], d, index) for d in ("a", "b", "c")]
+        scores = [_score("q", d, index) for d in ("a", "b", "c")]
         assert scores[0] < scores[1] < scores[2]
 
     def test_idf_decreases_with_df(self):
+        # the same document, and the same lengths, in both corpora
         rare = Bm25Index.build({"a": "q x", "b": "y z", "c": "w v"}, "whitespace")
         common = Bm25Index.build({"a": "q x", "b": "q z", "c": "q v"}, "whitespace")
-        assert rare.idf("q") > common.idf("q")
+        assert _score("q", "a", rare) > _score("q", "a", common) > 0.0
+
+    def test_score_sums_the_weighted_terms(self):
+        # |d| = avgdl and tf = 1: each term adds its weight; a repeat adds it
+        # again and a term the document lacks adds nothing
+        tf = {"x": 1, "y": 1}
+        assert bm25_score([("x", 2.0)], tf, 2, 2.0) == 2.0
+        assert bm25_score([("x", 2.0), ("z", 5.0), ("x", 2.0), ("y", 0.5)], tf, 2, 2.0) == 4.5
 
     def test_index_save_load(self, tmp_path):
         index = Bm25Index.build({"d1": "盗窃财物", "d2": "交通肇事"})
@@ -115,7 +129,7 @@ class TestBm25:
         assert index.save(path) == path.stat().st_size
         loaded = Bm25Index.load(path)
         _assert_same_index(loaded, index)
-        assert bm25_score(["盗窃"], "d1", loaded) == bm25_score(["盗窃"], "d1", index)
+        assert _score("盗窃", "d1", loaded) == _score("盗窃", "d1", index)
 
 
 def _stats(index):
@@ -150,9 +164,9 @@ class TestBuild:
             got.save(tmp / "got.idx")
             loaded = Bm25Index.load(tmp / "got.idx")
             _assert_same_index(loaded, got)
-            query = got.terms[::2]
-            assert [bm25_score(query, d, loaded) for d in loaded.doc_ids] == [
-                bm25_score(query, d, got) for d in got.doc_ids]
+            query, pool = " ".join(got.terms[::2]), dict.fromkeys(got.doc_ids, "")
+            assert (Bm25Scorer([], index=loaded).score(query, pool)
+                    == Bm25Scorer([], index=got).score(query, pool))
 
     @pytest.mark.parametrize("name,texts,term", [
         ("char_bigram", ("被告人盗窃财物", "盗窃电动车"), "盗窃"),
@@ -189,47 +203,34 @@ def _layout(doc_ids, terms, offsets, term_ids, tfs, tokenizer="whitespace", vers
             + b"".join(map(u32, term_ids)) + b"".join(map(u32, tfs)))
 
 
-class TestSubset:
+class TestPoolScope:
+    """A pool-scope scorer counts each pool's statistics over the pool's own
+    candidates: its scores are those of a corpus-scope scorer over an index
+    built from the pool alone."""
+
     @given(st.dictionaries(st.sampled_from([f"d{i}" for i in range(12)]),
                            st.text("盗窃抢劫财物 ab", max_size=30), max_size=12),
            st.data())
     @settings(max_examples=150, deadline=None)
-    def test_equals_a_build_over_the_subset(self, tmp_path_factory, corpus, data):
-        tmp = tmp_path_factory.getbasetemp() / "subset"
-        tmp.mkdir(exist_ok=True)
-        ids = data.draw(st.lists(st.sampled_from(sorted(corpus)), max_size=20)
-                        if corpus else st.just([]))
+    def test_equals_a_build_over_the_pool(self, corpus, data):
+        ids = st.lists(st.sampled_from(sorted(corpus)), max_size=20) if corpus else st.just([])
+        pools = [{i: corpus[i] for i in data.draw(ids)}
+                 for _ in range(data.draw(st.integers(1, 4)))]
+        queries = data.draw(st.lists(st.text("盗窃抢劫财物 abx", max_size=12),
+                                     min_size=len(pools), max_size=len(pools)))
+        run = list(zip(queries, pools))
+        real_build = Bm25Index.build.__func__
         for name in ("char_bigram", "whitespace"):
-            full = Bm25Index.build(corpus, name)
-            # counted and decoded before the subset is taken, which must not reuse either
-            assert sum(full.doc_freq.values()) == len(full.term_ids)
-            for doc_id in corpus:
-                full.term_freqs(doc_id)
-            got = full.subset(ids)
-            want = Bm25Index.build({i: corpus[i] for i in ids}, name)
-            assert got.term_ids is full.term_ids
-            assert (got.n_docs, got.avgdl, got.tokenizer_name) == (
-                want.n_docs, want.avgdl, want.tokenizer_name)
-            assert _stats(got) == _stats(want)
-            # a saved subset holds its own rows only
-            got.save(tmp / "subset.idx")
-            loaded = Bm25Index.load(tmp / "subset.idx")
-            assert (_stats(loaded), loaded.avgdl) == (_stats(want), want.avgdl)
-
-    def test_unknown_doc(self):
-        with pytest.raises(UnknownDoc, match="'ghost'"):
-            Bm25Index.build({"d1": "x"}).subset(["d1", "ghost"])
-        full = Bm25Index.build({"d1": "x", "d2": "y"})
-        assert full.term_freqs("d2") == {"y": 1}
-        with pytest.raises(UnknownDoc, match="'d2'"):
-            full.subset(["d1"]).term_freqs("d2")
-
-    def test_idf_memo_is_the_formula(self):
-        index = Bm25Index.build({"a": "q x", "b": "q z", "c": "w v"}, "whitespace")
-        for term in ("q", "w", "absent", "q"):
-            df = index.doc_freq.get(term, 0)
-            want = math.log(1 + (3 - df + 0.5) / (df + 0.5)) if df else 0.0
-            assert index.idf(term) == want
+            with pytest.MonkeyPatch.context() as patch:
+                # pool scope builds its union index with the default tokenizer
+                patch.setattr(Bm25Index, "build", classmethod(
+                    lambda cls, corpus, tokenizer_name=name: real_build(cls, corpus,
+                                                                        tokenizer_name)))
+                scorer = Bm25Scorer(run)
+                assert scorer.index.tokenizer_name == name
+                for query, pool in run:
+                    want = Bm25Scorer([], index=Bm25Index.build(pool))
+                    assert scorer.score(query, pool) == want.score(query, pool)
 
 
 class TestIndexFile:
