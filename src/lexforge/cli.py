@@ -373,6 +373,9 @@ def _training_set(args, embedder) -> tuple[TrainingSet, array]:
 def _cmd_train(args, cfg: PipelineConfig) -> int:
     from . import training
 
+    if not 0 <= args.seed < training.SEED_END:
+        # checked here, ahead of the embedder: its error would name only the parsed flags
+        raise UsageError(f"--seed = {args.seed!r}: seed must be in [0, 2**63)")
     embedder = config.with_values(
         training.ToyEmbedder, _flags(args, "dim", "hash_buckets"), seed=args.seed)
     schedule = config.with_values(training.TrainSchedule, _flags(

@@ -30,7 +30,16 @@ Training reads a :class:`TrainingSet`: the pairs as integer columns over
 one store, so that no text outlives the featurization of its chunk and no
 object per pair or per text is alive during the steps.
 
-The seeded init is drawn lazily: an embedder given no weights draws the
+The seeded init is numpy's ``default_rng(seed).uniform(-scale, scale,
+(hash_buckets, dim))``, bit for bit, computed here without numpy.random:
+:func:`_pcg64_seeded` hashes the seed as numpy's SeedSequence does and seeds
+PCG64, a 128-bit LCG whose output is the XSL-RR permutation of each new
+state. The LCG advances in closed form (:func:`_pcg64_jump`), so the
+stream is computed a chunk of ``INIT_CHUNK`` values at a time, each
+chunk's states from the last ones in one vectorized step, and chunks that
+hold no row asked for are jumped over. NEP 19 keeps numpy's stream fixed.
+
+The init is drawn lazily: an embedder given no weights draws the
 whole matrix on the first read of :attr:`ToyEmbedder.weights`, and
 :meth:`ToyEmbedder.weight_rows` can draw some rows of it without the rest.
 Training works on a compact copy of the weights that holds only the rows
@@ -164,9 +173,14 @@ def in_batch_loss(sim: np.ndarray, mask: np.ndarray | None = None,
 #: them at a time. A text with more n-grams than this is a chunk of its own.
 FEATURIZE_CHUNK = 1 << 14
 
-#: Rows per block when :meth:`ToyEmbedder.weight_rows` runs the seeded init
-#: stream: it holds one block of rows it may not keep at a time.
-INIT_BLOCK_ROWS = 512
+#: Values per chunk of the seeded init stream, rounded down to whole rows (at
+#: least one): a chunk's working arrays take about 100 bytes per value, so
+#: :meth:`ToyEmbedder.weight_rows` holds about 400 KiB beyond its output.
+INIT_CHUNK = 1 << 12
+
+#: A seed is below this and not negative: the checkpoint header stores it as
+#: an ``int64``, and numpy's seeds are not negative.
+SEED_END = 1 << 63
 
 #: Bits of a code point in an n-gram key.
 _CP_BITS = 21
@@ -306,6 +320,122 @@ def _decoded(entries: Sequence[tuple[np.ndarray, np.ndarray]]
     return [(idx[a:b], values[a:b]) for a, b in zip([0, *ends], ends)]
 
 
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+#: PCG64's LCG multiplier (``PCG_DEFAULT_MULTIPLIER_128``).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_seeded(seed: int) -> tuple[int, int]:
+    """The state and increment of ``np.random.PCG64(seed)``.
+
+    SeedSequence hashes the seed's 32-bit words, low first, into a pool of
+    four words (a word past the seed's last hashes as 0 would, so four
+    words cover any seed below 2**128), mixes every pool word into every
+    other, and hashes the pool, cycled, into eight words:
+    ``generate_state(4, uint64)``, two words per uint64, low first. PCG64
+    takes uint64s 0-1 as its initial state and 2-3 as its stream, and seeds
+    as PCG's ``srandom`` does: from state 0 it steps once, adds the initial
+    state and steps again. The hashes are uint32 arithmetic, as in numpy's
+    C code."""
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _M32
+        value = value * hash_a & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(seed >> shift & _M32) for shift in (0, 32, 64, 96)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_b = 0x8B51F9DD
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _M32
+        value = value * hash_b & _M32
+        state.append(value ^ value >> 16)
+    initial, stream = ((state[i] | state[i + 1] << 32) << 64 | state[i + 2] | state[i + 3] << 32
+                       for i in (0, 4))
+    inc = (stream << 1 | 1) & _M128
+    return ((inc + initial) * _PCG_MULT + inc) & _M128, inc
+
+
+def _pcg64_jump(steps: int, inc: int) -> tuple[int, int]:
+    """``(mult, plus)`` such that ``steps`` LCG steps take a state x to
+    ``mult * x + plus`` mod 2**128, by squaring the one-step map (Brown's
+    jump-ahead, as PCG's ``advance`` does it)."""
+    mult, plus = 1, 0
+    step_mult, step_plus = _PCG_MULT, inc
+    while steps:
+        if steps & 1:
+            mult = mult * step_mult & _M128
+            plus = (plus * step_mult + step_plus) & _M128
+        step_plus = (step_mult + 1) * step_plus & _M128
+        step_mult = step_mult * step_mult & _M128
+        steps >>= 1
+    return mult, plus
+
+
+def _pcg64_affine(lo: np.ndarray, hi: np.ndarray, mult: int, plus: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``mult * x + plus`` mod 2**128 for each 128-bit x, given and
+    returned as its low and high uint64 halves. The high half of the low
+    halves' product is summed from 32-bit limbs; every other product needs
+    only its low 64 bits, which uint64 multiplication keeps."""
+    m_lo = np.uint64(mult & _M64)
+    m0, m1 = np.uint64(mult & _M32), np.uint64(mult >> 32 & _M32)
+    p_lo, p_hi = np.uint64(plus & _M64), np.uint64(plus >> 64)
+    x0, x1 = lo & _M32, lo >> 32
+    t01, t10 = x0 * m1, x1 * m0
+    carry = (x0 * m0 >> 32) + (t01 & _M32) + (t10 & _M32)
+    new_hi = x1 * m1 + (carry >> 32) + (t01 >> 32) + (t10 >> 32)
+    new_hi += lo * np.uint64(mult >> 64)
+    new_hi += hi * m_lo
+    new_hi += p_hi
+    new_lo = lo * m_lo
+    new_lo += p_lo
+    new_hi += new_lo < p_lo  # the carry out of the low half
+    return new_lo, new_hi
+
+
+def _pcg64_states(state: int, inc: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n states after ``state`` that give the stream's next n outputs:
+    one step, then doubled ``log2(n)`` times, each half jumped from the
+    last."""
+    state = (state * _PCG_MULT + inc) & _M128
+    lo = np.array([state & _M64], dtype=np.uint64)
+    hi = np.array([state >> 64], dtype=np.uint64)
+    while len(lo) < n:
+        more = _pcg64_affine(lo, hi, *_pcg64_jump(len(lo), inc))
+        lo, hi = np.concatenate([lo, more[0]]), np.concatenate([hi, more[1]])
+    return lo[:n], hi[:n]
+
+
+def _pcg64_uniform(lo: np.ndarray, hi: np.ndarray, low: float, span: float) -> np.ndarray:
+    """The uniform draws the states give, as numpy's ``random_uniform``:
+    XSL-RR (the halves' xor rotated right by the state's top six bits),
+    its top 53 bits times 2**-53, then ``low + span * d``."""
+    bits = hi >> 58
+    out = hi ^ lo
+    out = (out >> bits) | (out << ((64 - bits) & 63))
+    out >>= 11
+    draws = out.astype(np.float64)
+    draws *= 1.0 / (1 << 53)
+    draws *= span
+    draws += low
+    return draws
+
+
 class ToyEmbedder:
     """Hashed character n-gram featurizer followed by a linear map.
 
@@ -326,6 +456,8 @@ class ToyEmbedder:
             raise ValueError("hash_buckets must be >= 1")
         if not 1 <= ngram_min <= ngram_max:
             raise ValueError("need 1 <= ngram_min <= ngram_max")
+        if not 0 <= seed < SEED_END:
+            raise ValueError(f"seed = {seed!r}: seed must be in [0, 2**63)")
         self.dim = dim
         self.hash_buckets = hash_buckets
         self.ngram_min = ngram_min
@@ -345,22 +477,32 @@ class ToyEmbedder:
 
     def weight_rows(self, rows: np.ndarray) -> np.ndarray:
         """``weights[rows]`` for sorted unique row ids, without drawing the
-        weights if they are not drawn yet: the seeded init stream is then
-        run ``INIT_BLOCK_ROWS`` rows at a time, up to the last row asked
-        for, and only the rows asked for are kept. The uniform draw turns
-        each number of the stream into one double, so a block's rows come
-        out bit for bit as in one draw of the whole matrix."""
+        weights if they are not drawn yet. The seeded init stream is then
+        computed a chunk of whole rows at a time, ``INIT_CHUNK`` values or
+        one row, only for the chunks that hold a row asked for: the LCG
+        jumps over the others. Only the rows asked for are kept, so the
+        call holds its output and one chunk's working arrays, however many
+        buckets there are. Value k of the stream is weight ``k // dim``,
+        ``k % dim``, and each comes out bit for bit as in numpy's one draw
+        of the whole matrix (see the module docstring)."""
         if self._weights is not None:
             return self._weights[rows]
         scale = 1.0 / np.sqrt(self.hash_buckets)
-        stream = np.random.default_rng(self.seed)
+        low, span = float(-scale), float(scale - -scale)
+        per_chunk = max(1, INIT_CHUNK // self.dim)
+        state, inc = _pcg64_seeded(self.seed)
+        lo, hi = _pcg64_states(state, inc, per_chunk * self.dim)  # rows 0 to per_chunk - 1
+        at = 0
         out = np.empty((len(rows), self.dim))
-        end = int(rows[-1]) + 1 if len(rows) else 0
-        for start in range(0, end, INIT_BLOCK_ROWS):
-            stop = min(start + INIT_BLOCK_ROWS, self.hash_buckets)
-            block = stream.uniform(-scale, scale, size=(stop - start, self.dim))
-            lo, hi = np.searchsorted(rows, [start, stop])
-            out[lo:hi] = block[rows[lo:hi] - start]
+        i = 0
+        while i < len(rows):
+            start = int(rows[i]) // per_chunk * per_chunk
+            lo, hi = _pcg64_affine(lo, hi, *_pcg64_jump((start - at) * self.dim, inc))
+            at = start
+            end = int(np.searchsorted(rows, start + per_chunk))
+            chunk = _pcg64_uniform(lo, hi, low, span).reshape(per_chunk, self.dim)
+            out[i:end] = chunk[rows[i:end] - start]
+            i = end
         return out
 
     def features(self, text: str) -> tuple[np.ndarray, np.ndarray]:

@@ -545,3 +545,13 @@ def surrogate_draw_oracle(pools, category, rng, forbidden):
     while not clear(f"{base}{n}"):
         n += 1
     return f"{base}{n}"
+
+
+# --- seeds ----------------------------------------------------------------
+
+def derive_seed_oracle(root, *labels):
+    """The child seed from ``hashlib``'s SHA-256 of the joined label path."""
+    import hashlib
+
+    material = ":".join([str(int(root)), *(str(x) for x in labels)])
+    return int.from_bytes(hashlib.sha256(material.encode("utf-8")).digest()[:8], "little")

@@ -501,6 +501,25 @@ _INPUTS = {
 }
 
 
+#: The outputs of each command of :func:`_commands`, by flag, added if the
+#: command has none; a file name is one that ``fixtures`` writes into its
+#: ``--out``.
+_OUTPUTS = {
+    "fixtures": ["corpus.jsonl", "truth.jsonl", "pools.jsonl", "qrels.jsonl",
+                 "eval_queries.jsonl"],
+    "extract": ["--elements", "--exclusions"],
+    "synthesize": ["--output"],
+    "augment": ["--output"],
+    "train": ["--output", "--curve"],
+    "index": ["--output"],
+    "search": ["--output"],
+    "search --index": ["--output"],
+    "search dense": ["--output"],
+    "eval": ["--output"],
+    "report": ["--output"],
+}
+
+
 def _given(argv: list, flag: str, path: Path) -> list:
     """argv with ``path`` as the file input ``flag`` (see ``_INPUTS``)."""
     if flag == "--config":
@@ -558,6 +577,27 @@ class TestSystemErrors:
             assert self._one_line(capsys, *argv) == (
                 f"data error: {missing}: No such file or directory\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, output", [
+        pytest.param(command, output, id=f"{command} {output}")
+        for command, outputs in _OUTPUTS.items() for output in outputs])
+    def test_a_directory_as_any_output(self, workdir, tmp_path, capsys, command, output):
+        """Every output of every command, ``--curve``, ``--exclusions`` and
+        ``report --output`` included; the directory is left as it was, and
+        no temp file is left beside it."""
+        argv = _commands(workdir, tmp_path / "out")[command]
+        if output.startswith("--"):
+            target = tmp_path / "target"
+            argv = _given(argv, output, target) if output in argv else [*argv, output, target]
+        else:
+            target = tmp_path / "out" / output
+        target.mkdir(parents=True)
+        (target / "kept").write_text("kept\n")
+        err = self._one_line(capsys, *argv)
+        assert err == f"data error: {target}: Is a directory\n"
+        assert [p.name for p in target.iterdir()] == ["kept"]
+        assert (target / "kept").read_text() == "kept\n"
+        assert [p.name for p in target.parent.iterdir() if p.name.endswith(".tmp")] == []
 
     def test_a_directory_as_output(self, workdir, tmp_path, capsys):
         (tmp_path / "m.json").mkdir()
@@ -754,6 +794,16 @@ class TestExitCodes:
             "usage error: argument --tokenizer: invalid choice: 'nope' "
             "(choose from 'char_bigram', 'whitespace')\n")
         assert not (tmp_path / "bm25.idx").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 63])
+    def test_a_seed_outside_the_range_is_usage_error(self, tmp_path, capsys, seed):
+        """Reported before any input is read: none of these inputs exists."""
+        missing = tmp_path / "nope.jsonl"
+        assert run_cli("train", "--pairs", missing, "--queries", missing, "--corpus", missing,
+                       "--output", tmp_path / "t.ckpt", "--seed", seed) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: --seed = {seed}: seed must be in [0, 2**63)\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run_cli("extract", "--corpus", tmp_path / "nope.jsonl",
@@ -1194,6 +1244,8 @@ CLI_MODULES = ["cli", "config", "errors", "fileio"]
 #: generation, augmentation, retrieval, training or fixture module; only
 #: ``fixtures`` and ``synthesize`` load ``querygen``; only ``fixtures``
 #: loads ``testkit``; and only ``train`` and dense ``search`` load numpy.
+#: No stage loads ``UNLOADED``.
+UNLOADED = ["numpy.random", "hashlib", "_hashlib"]
 STAGE_LOADS = {
     "fixtures": ("fixtures --out {t}/d --n-cases 100 --n-queries 1 --seed 3",
                  ["corpus", "querygen", "seeds", "testkit", "zhnum"], False),
@@ -1230,7 +1282,8 @@ STAGE_LOADS = {
 @pytest.mark.parametrize("stage", STAGE_LOADS)
 def test_each_stage_loads_only_its_modules(workdir, tmp_path, stage):
     """In a fresh interpreter, ``import lexforge.cli`` loads only the CLI's
-    modules, and the stage then loads only its own (``STAGE_LOADS``)."""
+    modules, and the stage then loads only its own (``STAGE_LOADS``), and
+    none of ``UNLOADED``: neither numpy's random module nor OpenSSL."""
     import os
     import subprocess
     import sys
@@ -1242,11 +1295,13 @@ def test_each_stage_loads_only_its_modules(workdir, tmp_path, stage):
             "import lexforge.cli\n"
             "imported = loaded()\n"
             "assert lexforge.cli.main(sys.argv[1:]) == 0\n"
-            "print(json.dumps([imported, loaded(), 'numpy' in sys.modules]))\n")
+            "print(json.dumps([imported, loaded(), 'numpy' in sys.modules,\n"
+            f"                  [m for m in {UNLOADED!r} if m in sys.modules]]))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-    imported, loaded, numpy_loaded = json.loads(result.stdout.splitlines()[-1])
+    imported, loaded, numpy_loaded, unloaded = json.loads(result.stdout.splitlines()[-1])
     assert imported == CLI_MODULES
     assert loaded == sorted(CLI_MODULES + modules)
     assert numpy_loaded is numpy
+    assert unloaded == []

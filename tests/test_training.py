@@ -19,7 +19,7 @@ from lexforge.errors import (
 from lexforge.training import (
     ADAM_BLOCK,
     FEATURIZE_CHUNK,
-    INIT_BLOCK_ROWS,
+    INIT_CHUNK,
     Adam,
     FeatureStore,
     LossConfig,
@@ -331,6 +331,8 @@ class TestToyEmbedder:
          "need 1 <= ngram_min <= ngram_max"),
         (lambda b: b[:-1], "expected 1024 weight bytes, got 1023"),
         (lambda b: b + b"\0" * 8, "expected 1024 weight bytes, got 1032"),
+        (lambda b: b[:28] + (-1).to_bytes(8, "little", signed=True) + b[36:],
+         "seed = -1: seed must be in [0, 2**63)"),
     ])
     def test_checkpoint_failure_names_the_file_and_reason(self, tmp_path, cut, reason):
         from lexforge.errors import BadCheckpoint
@@ -817,12 +819,60 @@ def _eager_init(hash_buckets, dim, seed):
     return np.random.default_rng(seed).uniform(-scale, scale, size=(hash_buckets, dim))
 
 
+#: Seeds at the edges of SeedSequence's 32-bit words and of the seed range.
+INIT_SEEDS = [0, 1, (1 << 32) - 1, (1 << 32) + 1, (1 << 63) - 1]
+
+
+@st.composite
+def init_draws(draw):
+    """A seed, a dimension, a bucket count that is not a whole number of
+    the stream's chunks, and sorted unique rows: any, the first, the last,
+    all of them or none."""
+    dim = draw(st.sampled_from([1, 3, 64]))
+    per_chunk = INIT_CHUNK // dim
+    buckets = draw(st.integers(1, 3 * per_chunk).filter(lambda n: n % per_chunk))
+    picked = draw(st.one_of(st.sets(st.integers(0, buckets - 1), max_size=40),
+                            st.just(set(range(buckets)))))
+    ends = draw(st.sampled_from([(), (0,), (buckets - 1,), (0, buckets - 1)]))
+    rows = np.array(sorted(picked.union(ends)), dtype=np.int64)
+    return draw(st.sampled_from(INIT_SEEDS)), dim, buckets, rows
+
+
 class TestLazyInit:
     """The seeded init is drawn on first read, and ``weight_rows`` draws
     rows of it alone, both bit for bit as one eager draw."""
 
+    @settings(max_examples=80, deadline=None)
+    @given(init_draws())
+    def test_the_stream_is_numpys(self, case):
+        """numpy's ``default_rng(seed).uniform`` is the oracle, bit for bit."""
+        seed, dim, buckets, rows = case
+        got = ToyEmbedder(dim=dim, hash_buckets=buckets, seed=seed).weight_rows(rows)
+        assert got.shape == (len(rows), dim)
+        assert got.tobytes() == _eager_init(buckets, dim, seed)[rows].tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 63])
+    def test_a_seed_outside_the_range_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=rf"seed = {seed}: seed must be in \[0, 2\*\*63\)"):
+            ToyEmbedder(seed=seed)
+
+    def test_a_draw_holds_its_output_and_one_chunk(self):
+        """Drawing all 2^15 x 64 weights holds, beyond the 16 MiB output,
+        only one chunk's working arrays: about 100 bytes per value."""
+        import tracemalloc
+        embedder = ToyEmbedder(dim=64, hash_buckets=1 << 15, seed=201)
+        rows = np.arange(1 << 15)
+        tracemalloc.start()
+        try:
+            out = embedder.weight_rows(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 16 << 20
+        assert peak - out.nbytes < INIT_CHUNK * 128
+
     @pytest.mark.parametrize("buckets,dim", [
-        (1, 3), (INIT_BLOCK_ROWS, 2), (3 * INIT_BLOCK_ROWS + 7, 5), (1 << 12, 16)])
+        (1, 3), (512, 2), (3 * 512 + 7, 5), (1 << 12, 16)])
     @pytest.mark.parametrize("pick", ["empty", "first", "last", "sparse", "all"])
     def test_rows_equal_the_eager_draw(self, buckets, dim, pick):
         rows = {"empty": np.empty(0, dtype=np.int64), "first": np.array([0]),
