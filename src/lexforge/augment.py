@@ -50,19 +50,24 @@ class ElementIndex:
 
     Bucket keys are sorted tuples of article ids, so set order never
     matters. A charge-name side index backs the relaxed match mode. Each
-    case id is added once.
+    case is indexed once, in case-id order, when the index is built.
 
-    The index also holds the memo behind :func:`find_augmented_positive`,
-    which ``add`` clears: each candidate set grouped by signature, with its
-    distinct ancillary-article sets and terms kept once each, and the
-    leading candidates per (candidate set, source signature, config).
+    The index also holds the memo behind :func:`find_augmented_positive`:
+    each candidate set grouped by signature, with its distinct
+    ancillary-article sets and terms kept once each, and the leading
+    candidates per (candidate set, source signature, config).
     ``signatures`` counts the groups made and ``scores`` the group scores
     computed.
     """
 
-    def __init__(self):
+    def __init__(self, corpus: Mapping[str, LegalElements]):
         self._buckets: dict[tuple[str, ...], list[IndexEntry]] = {}
         self._by_charge: dict[str, list[IndexEntry]] = {}
+        for case_id, elements in sorted(corpus.items()):
+            entry = IndexEntry(case_id, elements)
+            self._buckets.setdefault(self.key_for(elements.main_articles), []).append(entry)
+            for charge in elements.charges:
+                self._by_charge.setdefault(charge, []).append(entry)
         self._groups: dict[tuple, _SignatureGroups] = {}
         self._leaders: dict[tuple, list[str]] = {}
         self.signatures = 0
@@ -71,14 +76,6 @@ class ElementIndex:
     @staticmethod
     def key_for(main_articles: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(main_articles))
-
-    def add(self, case_id: str, elements: LegalElements) -> None:
-        entry = IndexEntry(case_id, elements)
-        self._buckets.setdefault(self.key_for(elements.main_articles), []).append(entry)
-        for charge in elements.charges:
-            self._by_charge.setdefault(charge, []).append(entry)
-        self._groups.clear()
-        self._leaders.clear()
 
     def bucket(self, main_articles: Iterable[str]) -> list[IndexEntry]:
         return self._buckets.get(self.key_for(main_articles), [])
@@ -170,10 +167,7 @@ def _level_ids(scores: list[float], level: float, ids: list[list[str]]) -> list[
 
 def build_element_index(corpus: Mapping[str, LegalElements]) -> ElementIndex:
     """Index every case exactly once, in case-id order for determinism."""
-    index = ElementIndex()
-    for case_id in sorted(corpus):
-        index.add(case_id, corpus[case_id])
-    return index
+    return ElementIndex(corpus)
 
 
 def term_similarity(a: PrisonTerm, b: PrisonTerm) -> float:

@@ -214,6 +214,8 @@ def _cmd_fixtures(args, cfg: PipelineConfig) -> int:
     qrels_params = config.parse(testkit.generate_qrels, _flags(args, "n_queries"))
     if qrels_params.get("n_queries", 0) < 0:
         raise UsageError(f"--n-queries = {args.n_queries!r}: n_queries must be >= 0")
+    fileio.check_outputs(*(out / name for name in (
+        "corpus.jsonl", "truth.jsonl", "pools.jsonl", "qrels.jsonl", "eval_queries.jsonl")))
     build = testkit.generate_corpus(spec)
     fileio.write_jsonl(out / "corpus.jsonl", (case_to_record(d) for d in build.cases))
     fileio.write_jsonl(out / "truth.jsonl", (
@@ -244,6 +246,7 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
     from .corpus import Exclusion, elements_to_record, filter_corpus
 
     docs = _load_corpus(Path(args.corpus))
+    fileio.check_outputs(args.elements, args.exclusions)
     exclusions: list[Exclusion] = []
     admitted = fileio.write_jsonl(Path(args.elements), (
         elements_to_record(doc.case_id, elements)
@@ -382,6 +385,7 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
         args, "epochs", "batch_size", "learning_rate"), seed=args.seed)
     loss_cfg = config.with_values(cfg.loss, _flags(args, masking_enabled="no_masking"))
     data, lines = _training_set(args, embedder)
+    fileio.check_outputs(args.output, args.curve)
     try:
         result = training.train_toy(data, embedder, schedule, loss_cfg)
     except FeaturelessText as exc:

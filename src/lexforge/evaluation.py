@@ -34,13 +34,11 @@ def gain_value(label: int, gain: str = GAIN_LINEAR) -> float:
     raise ValueError(f"unknown gain convention: {gain!r}")
 
 
-def restrict_to_annotated(ranking: Sequence, judged: Mapping[str, int]) -> list[str]:
-    """Drop candidates outside the annotated pool, preserving order.
-
-    ``ranking`` may be case ids or (case_id, score) pairs.
-    """
-    ids = [item[0] if isinstance(item, (tuple, list)) else item for item in ranking]
-    return [case_id for case_id in ids if case_id in judged]
+def restrict_to_annotated(ranking: Sequence[tuple[str, float]],
+                          judged: Mapping[str, int]) -> list[str]:
+    """The case ids of the ranked ``(case_id, score)`` pairs that are in the
+    annotated pool, in ranking order."""
+    return [case_id for case_id, _ in ranking if case_id in judged]
 
 
 def precision_at_k(ranking_labels: Sequence[int], k: int) -> float:
@@ -114,7 +112,7 @@ class MetricsReport:
         }
 
 
-def query_metrics(ranking: Sequence, judged: Mapping[str, int], *,
+def query_metrics(ranking: Sequence[tuple[str, float]], judged: Mapping[str, int], *,
                   gain: str = GAIN_LINEAR) -> tuple[dict[str, float], bool]:
     """Metrics for one query; second value flags an empty annotated ranking."""
     filtered = restrict_to_annotated(ranking, judged)

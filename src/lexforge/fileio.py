@@ -10,6 +10,7 @@ never leave a partially written artifact behind.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from collections.abc import Iterable, Iterator, Mapping
@@ -41,6 +42,15 @@ def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
         if isinstance(exc, OSError) and exc.filename in (None, os.fspath(tmp)):
             exc.filename, exc.filename2 = os.fspath(path), None
         raise
+
+
+def check_outputs(*paths: str | Path | None) -> None:
+    """Raise ``IsADirectoryError`` for the first path, Nones aside, that is a
+    directory: a stage calls this before its first write, so that an output
+    it cannot write fails it before an earlier output is replaced."""
+    for path in paths:
+        if path is not None and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
 
 
 def atomic_write_bytes(path: str | Path, *chunks) -> int:

@@ -26,9 +26,10 @@ calls, decodes views of the chunks' arrays and keeps nothing; a
 they are, by slot. Both decode on read to an ``intp`` index and the
 float64 values ``1 + log(count)``, all the texts of one call in one pass.
 
-Training reads a :class:`TrainingSet`: the pairs as integer columns over
-one store, so that no text outlives the featurization of its chunk and no
-object per pair or per text is alive during the steps.
+Training reads a :class:`TrainingSet`, which the ``train`` stage builds as
+it streams its inputs: the pairs as integer columns over one store, so that
+no text outlives the featurization of its chunk and no object per pair or
+per text is alive during the steps.
 
 The seeded init is numpy's ``default_rng(seed).uniform(-scale, scale,
 (hash_buckets, dim))``, bit for bit, computed here without numpy.random:
@@ -131,7 +132,8 @@ def in_batch_loss(sim: np.ndarray, mask: np.ndarray | None = None,
     ``-(1/N) Σ_i log( exp(s_ii/τ) / Σ_{j unmasked or j=i} exp(s_ij/τ) )``
     and grad is its analytic gradient with respect to ``sim``. Masked
     entries are excluded from every denominator and receive exactly zero
-    gradient.
+    gradient. The mask argument alone decides masking: a mask given is
+    applied, and ``None`` masks nothing.
     """
     s = np.asarray(sim, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -140,8 +142,7 @@ def in_batch_loss(sim: np.ndarray, mask: np.ndarray | None = None,
         raise ValueError("similarity matrix contains non-finite entries")
     n = s.shape[0]
 
-    apply_mask = mask is not None and cfg.masking_enabled
-    if apply_mask:
+    if mask is not None:
         m = np.asarray(mask, dtype=bool)
         if m.shape != s.shape:
             raise ValueError(f"mask shape {m.shape} != sim shape {s.shape}")
@@ -159,7 +160,7 @@ def in_batch_loss(sim: np.ndarray, mask: np.ndarray | None = None,
 
     softmax = exp / denom[:, None]
     grad = (softmax - np.eye(n)) / (n * cfg.temperature)
-    if apply_mask:
+    if mask is not None:
         grad[m] = 0.0
     return loss, grad
 
@@ -684,13 +685,6 @@ def load_checkpoint(path: str | Path) -> ToyEmbedder:
 # Training loop
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairExample:
-    query_text: str
-    positive_text: str
-    positive_charges: frozenset[str]
-
-
 class TrainingSet:
     """Query-positive pairs as columns over one :class:`FeatureStore`.
 
@@ -707,19 +701,6 @@ class TrainingSet:
         self.queries, self.positives, self.charges = (
             np.array(column, dtype=np.intp) for column in (queries, positives, charges))
         self.charge_sets = list(charge_sets)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[PairExample], embedder: ToyEmbedder) -> TrainingSet:
-        """The pairs, with each distinct text featurized once, into one
-        store, in order of first appearance."""
-        slots: dict[str, int] = {}
-        charge_ids: dict[frozenset[str], int] = {}
-        columns = (array("q"), array("q"), array("q"))
-        for pair in pairs:
-            for column, ids, key in zip(columns, (slots, slots, charge_ids), (
-                    pair.query_text, pair.positive_text, frozenset(pair.positive_charges))):
-                column.append(ids.setdefault(key, len(ids)))
-        return cls(FeatureStore(embedder, slots), *columns, charge_ids)
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -935,17 +916,16 @@ def _steps(n_pairs: int, schedule: TrainSchedule) -> Iterator[tuple[int, list[in
             yield epoch, chunk
 
 
-def train_toy(pairs: TrainingSet | Iterable[PairExample], embedder: ToyEmbedder,
+def train_toy(data: TrainingSet, embedder: ToyEmbedder,
               schedule: TrainSchedule = TrainSchedule(),
               loss_cfg: LossConfig = LossConfig()) -> TrainResult:
     """First-order training of the toy embedder on query-positive pairs.
 
-    ``pairs`` is a :class:`TrainingSet` featurized by an embedder with this
-    one's hash buckets and n-gram lengths, or pairs of texts, which are
-    packed into one first (:meth:`TrainingSet.from_pairs`). Fully
-    deterministic under the schedule seed: shuffling, batching and every
-    update are reproducible bit for bit, over a fixed number of epochs. The
-    steps update a compact copy of the rows the store reaches (see the
+    ``data`` is a :class:`TrainingSet` featurized by an embedder with this
+    one's hash buckets and n-gram lengths, as the ``train`` stage builds
+    one from its input files. Fully deterministic under the schedule seed:
+    shuffling, batching and every update are reproducible bit for bit,
+    over a fixed number of epochs. The steps update a compact copy of the rows the store reaches (see the
     module docstring); ``embedder.weights`` gets those rows back once, at
     the end, so a run that raises leaves the caller's weights as they were
     before training, and an undrawn seeded init undrawn. A text with no
@@ -953,7 +933,6 @@ def train_toy(pairs: TrainingSet | Iterable[PairExample], embedder: ToyEmbedder,
     :class:`FeaturelessText` naming the first pair that has one, raised
     before the first step.
     """
-    data = pairs if isinstance(pairs, TrainingSet) else TrainingSet.from_pairs(pairs, embedder)
     per_epoch = len(_batches(range(len(data)), schedule.batch_size))
     if per_epoch == 0:
         noun = "pairs" if len(data) != 1 else "pair"

@@ -461,22 +461,40 @@ def dense_gradient(rows, grad_rows, shape):
     return dense
 
 
+def training_set(pairs, embedder):
+    """A ``TrainingSet`` of ``(query text, positive text, positive
+    charges)`` pairs, featurized by ``embedder``: each distinct text in
+    one slot of one store and each distinct charge set kept once, both in
+    order of first appearance."""
+    from array import array
+
+    from lexforge.training import FeatureStore, TrainingSet
+
+    slots, charge_ids = {}, {}
+    columns = (array("q"), array("q"), array("q"))
+    for query, positive, charges in pairs:
+        for column, ids, key in zip(columns, (slots, slots, charge_ids),
+                                    (query, positive, frozenset(charges))):
+            column.append(ids.setdefault(key, len(ids)))
+    return TrainingSet(FeatureStore(embedder, slots), *columns, charge_ids)
+
+
 def batch_gradient_oracle(embedder, pairs, cfg):
-    """Loss and dL/dW of one batch of ``PairExample``s into a fresh
-    ``zeros_like`` array, with every text featurized by ``features`` and
-    again by ``embed``."""
+    """Loss and dL/dW of one batch of ``(query text, positive text,
+    positive charges)`` pairs into a fresh ``zeros_like`` array, with every
+    text featurized by ``features`` and again by ``embed``."""
     import numpy as np
 
     from lexforge.training import cosine_matrix, in_batch_loss
 
-    queries = [p.query_text for p in pairs]
-    positives = [p.positive_text for p in pairs]
+    queries = [query for query, _, _ in pairs]
+    positives = [positive for _, positive, _ in pairs]
     q_feats = [embedder.features(t) for t in queries]
     c_feats = [embedder.features(t) for t in positives]
     q_vecs = embedder.embed(queries)
     c_vecs = embedder.embed(positives)
     sim = cosine_matrix(q_vecs, c_vecs)
-    mask = (false_negative_mask_oracle([p.positive_charges for p in pairs])
+    mask = (false_negative_mask_oracle([charges for _, _, charges in pairs])
             if cfg.masking_enabled else None)
     loss, grad_sim = in_batch_loss(sim, mask, cfg)
     qn = np.linalg.norm(q_vecs, axis=1, keepdims=True)

@@ -33,6 +33,7 @@ from oracles import (
     ndcg_oracle,
     precision_oracle,
     segment_count,
+    training_set,
     window_oracle,
 )
 
@@ -302,18 +303,16 @@ def _trend_train(world, proportion, masking, seed):
         world["train_queries"], world["elements"], world["index"],
         augment.AugmentConfig(proportion_augmented=proportion, seed=seed))
     by_id = {q.query_id: q for q in world["train_queries"]}
-    pairs = [training.PairExample(
-        query_text=by_id[p.query_id].text,
-        positive_text=world["texts"][p.positive_case_id],
-        positive_charges=p.positive_charges) for p in mix.pairs]
     embedder = training.ToyEmbedder(dim=TREND_DIM, hash_buckets=TREND_BUCKETS,
                                     seed=seed)
+    data = training_set([(by_id[p.query_id].text, world["texts"][p.positive_case_id],
+                          p.positive_charges) for p in mix.pairs], embedder)
     schedule = training.TrainSchedule(
         epochs=TREND_EPOCHS, batch_size=TREND_BATCH,
         learning_rate=TREND_LEARNING_RATE, seed=seed)
     cfg = training.LossConfig(temperature=TREND_TEMPERATURE,
                               masking_enabled=masking)
-    training.train_toy(pairs, embedder, schedule, cfg)
+    training.train_toy(data, embedder, schedule, cfg)
     return embedder
 
 

@@ -286,13 +286,6 @@ class TestSignatureSearch:
         assert find_augmented_positive("src", corpus["src"], index, only_term) == "term"
         assert find_augmented_positive("src", corpus["src"], index, only_anc) == "anc"
 
-    def test_add_clears_the_memo(self):
-        corpus = {"c5": _el({"133"}, {"67"}), "c6": _el({"133"}, {"72"})}
-        index = build_element_index(corpus)
-        assert find_augmented_positive("c5", corpus["c5"], index) == "c6"
-        index.add("c9", _el({"133"}, {"67"}))
-        assert find_augmented_positive("c5", corpus["c5"], index) == "c9"
-
     def test_counts_signatures_and_scores(self):
         corpus = {f"c{i}": _el({"133"}, {"67"} if i % 2 else {"72"}, months=12 + i % 3)
                   for i in range(30)}

@@ -247,27 +247,55 @@ class TestIdentityRunEval:
 
 
 #: The sha256 of the ``tiny`` pipeline's artifacts, by fixture seed, with
-#: the numpy and BLAS build they were made with. A change that alters an
-#: artifact on purpose updates the table and says which artifact changed
-#: and why.
+#: the numpy and BLAS build and the CPU code paths they were made with (see
+#: :func:`_made_with`). A change that alters an artifact on purpose updates
+#: the table and says which artifact changed and why.
 PINNED = json.loads((Path(__file__).parent / "pinned_artifacts.json").read_text(encoding="utf-8"))
 
 
-def _assert_pinned(sha256: dict[str, str], seed: int) -> None:
-    """Each artifact has the sha256 pinned for its seed. The pins hold for
-    the numpy and BLAS they were made with; on another, the test fails
-    naming both, since floating-point results, and so the checkpoint and
-    every file after it, may differ there."""
+def _made_with() -> dict:
+    """What this machine computes the artifacts with: the numpy version and
+    its BLAS build; numpy's enabled CPU dispatch targets, which pick the
+    SIMD ``exp`` and ``log``; and the core OpenBLAS picked for this CPU,
+    from the OpenBLAS bundled with numpy, or None where that library or
+    its ``scipy_openblas_get_corename64_`` is absent."""
+    import ctypes
+
     import numpy as np
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    here = {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
-    moved = [f"{key} {PINNED[key]} (pinned) vs {here[key]} (here)"
-             for key in here if here[key] != PINNED[key]]
-    assert not moved, f"the artifacts were pinned on another build: {'; '.join(moved)}"
+    core = None
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "cpu_dispatch": [t for t in __cpu_dispatch__ if __cpu_features__[t]],
+            "openblas_core": core}
+
+
+def _assert_pinned(sha256: dict[str, str], seed: int) -> None:
+    """Each artifact has the sha256 pinned for its seed. Floating-point
+    results, and so the checkpoint and every file after it, may differ
+    with the numpy, the BLAS and the CPU code paths, so a failure names
+    each recorded one that differs here, or says that none does. The pins
+    hold only for the numpy and BLAS they were made with: on another, the
+    test fails naming both."""
+    here = _made_with()
+    moved = [key for key in here if here[key] != PINNED[key]]
+    cause = ("; ".join(f"{key} {PINNED[key]} (pinned) vs {here[key]} (here)" for key in moved)
+             or f"no recorded field ({', '.join(here)}) differs here")
     pinned = PINNED["sha256"][str(seed)]
     differ = sorted(name for name in sha256.keys() | pinned.keys()
                     if sha256.get(name) != pinned.get(name))
-    assert not differ, f"seed {seed}: artifacts whose sha256 is not the pinned one: {differ}"
+    assert not differ, (f"seed {seed}: artifacts whose sha256 is not the pinned one: "
+                        f"{differ}; {cause}")
+    assert not {"numpy", "blas"} & set(moved), (
+        f"the artifacts were pinned on another build: {cause}")
 
 
 def _tiny_pipeline(root: Path, seed: int, hash_seed: str, threads: int) -> dict[str, bytes]:
@@ -583,20 +611,34 @@ class TestSystemErrors:
         for command, outputs in _OUTPUTS.items() for output in outputs])
     def test_a_directory_as_any_output(self, workdir, tmp_path, capsys, command, output):
         """Every output of every command, ``--curve``, ``--exclusions`` and
-        ``report --output`` included; the directory is left as it was, and
-        no temp file is left beside it."""
+        ``report --output`` included; the directory is left as it was, no
+        temp file is left beside it, and every other output of the command,
+        before or after it, keeps its earlier bytes."""
         argv = _commands(workdir, tmp_path / "out")[command]
-        if output.startswith("--"):
-            target = tmp_path / "target"
-            argv = _given(argv, output, target) if output in argv else [*argv, output, target]
-        else:
-            target = tmp_path / "out" / output
+        others = []
+        for name in _OUTPUTS[command]:
+            if not name.startswith("--"):
+                path = tmp_path / "out" / name
+            elif name in argv and name != output:
+                path = argv[argv.index(name) + 1]
+            else:
+                path = tmp_path / name.lstrip("-")
+                argv = _given(argv, name, path) if name in argv else [*argv, name, path]
+            if name == output:
+                target = path
+            else:
+                others.append(path)
         target.mkdir(parents=True)
         (target / "kept").write_text("kept\n")
+        earlier = "an earlier file\n".encode("utf-8")
+        for path in others:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(earlier)
         err = self._one_line(capsys, *argv)
         assert err == f"data error: {target}: Is a directory\n"
         assert [p.name for p in target.iterdir()] == ["kept"]
         assert (target / "kept").read_text() == "kept\n"
+        assert [p.read_bytes() for p in others] == [earlier] * len(others)
         assert [p.name for p in target.parent.iterdir() if p.name.endswith(".tmp")] == []
 
     def test_a_directory_as_output(self, workdir, tmp_path, capsys):
@@ -772,6 +814,31 @@ class TestTrainInputs:
         assert error(q=featureless) == (
             f"data error: {paths['pairs.jsonl']}:1: field 'query_id': the text of "
             f"{pairs[0]['query_id']!r} has no character n-gram to embed\n")
+
+
+    def test_the_stage_trains_as_train_toy_on_the_pairs_texts(self, workdir, tmp_path):
+        """The workdir's ``train`` checkpoint is byte-equal to the one
+        ``train_toy`` writes, with the same schedule, from a training set
+        that ``oracles.training_set`` builds from each pair's query text,
+        the ``case_text`` of its case and its charges: the set the stage
+        streams from its files and the one tests build feed training the
+        same data."""
+        from oracles import training_set
+
+        from lexforge import training
+        from lexforge.corpus import case_text, parse_case
+
+        queries = {r["query_id"]: r["text"] for r in _records(workdir / "queries.jsonl")}
+        cases = {r["case_id"]: case_text(parse_case(r))
+                 for r in _records(workdir / "corpus.jsonl")}
+        pairs = [(queries[r["query_id"]], cases[r["positive_case_id"]],
+                  r["positive_charges"]) for r in _records(workdir / "pairs.jsonl")]
+        embedder = training.ToyEmbedder(dim=16, hash_buckets=2048, seed=11)
+        training.train_toy(training_set(pairs, embedder), embedder,
+                           training.TrainSchedule(epochs=2, batch_size=16, seed=11))
+        training.save_checkpoint(embedder, tmp_path / "toy.ckpt")
+        assert len(pairs) > 100
+        assert (tmp_path / "toy.ckpt").read_bytes() == (workdir / "toy.ckpt").read_bytes()
 
 
 class TestExitCodes:

@@ -30,15 +30,10 @@ class TestRestrict:
 
     def test_fully_annotated_unchanged(self):
         judged = {"a": 1, "b": 2}
-        assert restrict_to_annotated(["b", "a"], judged) == ["b", "a"]
-
-    def test_idempotent(self):
-        judged = {"a": 1, "b": 2}
-        once = restrict_to_annotated(["b", "x", "a"], judged)
-        assert restrict_to_annotated(once, judged) == once
+        assert restrict_to_annotated([("b", 2.0), ("a", 1.0)], judged) == ["b", "a"]
 
     def test_empty_intersection_scores_zero_with_warning(self):
-        metrics, empty = query_metrics(["x", "y"], {"a": 3})
+        metrics, empty = query_metrics([("x", 2.0), ("y", 1.0)], {"a": 3})
         assert empty
         assert all(v == 0.0 for v in metrics.values())
 

@@ -1,7 +1,6 @@
 """Cosine math, masking, in-batch loss with gradients, toy training."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from lexforge.training import (
     Adam,
     FeatureStore,
     LossConfig,
-    PairExample,
     ToyEmbedder,
     TrainingSet,
     TrainSchedule,
@@ -48,6 +46,7 @@ from oracles import (
     fd_gradient,
     filtered_loss_oracle,
     train_toy_oracle,
+    training_set,
 )
 
 
@@ -216,14 +215,6 @@ class TestInBatchLoss:
         with pytest.raises(DegenerateRow):
             in_batch_loss(sim, mask)
 
-    def test_masking_disabled_ignores_mask(self):
-        sim = np.array([[0.9, 0.5], [0.4, 0.7]])
-        mask = np.array([[False, True], [True, False]])
-        cfg = LossConfig(masking_enabled=False)
-        loss_off, _ = in_batch_loss(sim, mask, cfg)
-        loss_plain, _ = in_batch_loss(sim, None)
-        assert loss_off == pytest.approx(loss_plain)
-
     def test_non_finite_rejected(self):
         sim = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ValueError):
@@ -373,10 +364,10 @@ class TestToyEmbedder:
     def test_weight_gradient_matches_finite_differences(self):
         # end-to-end chain: features -> linear map -> cosine -> loss
         embedder = ToyEmbedder(dim=6, hash_buckets=50, seed=2)
-        batch = [PairExample("盗窃电动车", "被告人盗窃电动车一辆", frozenset({"a"})),
-                 PairExample("醉酒驾驶机动车", "被告人醉酒后驾驶汽车", frozenset({"b"}))]
+        batch = [("盗窃电动车", "被告人盗窃电动车一辆", frozenset({"a"})),
+                 ("醉酒驾驶机动车", "被告人醉酒后驾驶汽车", frozenset({"b"}))]
         cfg = LossConfig()
-        data = TrainingSet.from_pairs(batch, embedder)
+        data = training_set(batch, embedder)
         reached = data.store.rows
         _, rows, grad_rows = _batch_gradient(embedder.weights[reached], data, [0, 1], cfg,
                                              _GradientBuffer((len(reached), 6)))
@@ -403,10 +394,9 @@ def _toy_pairs(n=60):
     pairs = []
     for i in range(n):
         charge = charges[i % 3]
-        pairs.append(PairExample(
-            query_text=f"被告人{verbs[charge]}第{i}起",
-            positive_text=f"经审理查明被告人{verbs[charge]}，构成{charge}，判处刑罚第{i}起",
-            positive_charges=frozenset({charge})))
+        pairs.append((f"被告人{verbs[charge]}第{i}起",
+                      f"经审理查明被告人{verbs[charge]}，构成{charge}，判处刑罚第{i}起",
+                      frozenset({charge})))
     return pairs
 
 
@@ -583,7 +573,7 @@ class TestTrainToy:
     def test_loss_decreases(self):
         embedder = ToyEmbedder(dim=16, hash_buckets=2048, seed=1)
         schedule = TrainSchedule(epochs=12, batch_size=12, learning_rate=5e-3, seed=1)
-        result = train_toy(_toy_pairs(48), embedder, schedule)
+        result = train_toy(training_set(_toy_pairs(48), embedder), embedder, schedule)
         first = np.mean([loss for _, loss in result.loss_curve[:4]])
         last = np.mean([loss for _, loss in result.loss_curve[-4:]])
         assert last < first
@@ -591,11 +581,13 @@ class TestTrainToy:
     @pytest.mark.parametrize("field", ["query_text", "positive_text"])
     def test_featureless_text_raises_before_the_first_step(self, field):
         pairs = _toy_pairs(8)
-        pairs[5] = replace(pairs[5], **{field: " x "})
+        query, positive, charges = pairs[5]
+        pairs[5] = ((" x ", positive) if field == "query_text" else (query, " x ")) + (charges,)
         embedder = ToyEmbedder(dim=4, hash_buckets=64, seed=0)
         before = embedder.weights.copy()
         with pytest.raises(FeaturelessText, match=f"pair 5: {field} has no") as info:
-            train_toy(pairs, embedder, TrainSchedule(epochs=1, batch_size=4))
+            train_toy(training_set(pairs, embedder), embedder,
+                      TrainSchedule(epochs=1, batch_size=4))
         assert (info.value.pair, info.value.field) == (5, field)
         np.testing.assert_array_equal(embedder.weights, before)
 
@@ -603,7 +595,7 @@ class TestTrainToy:
         embedder = ToyEmbedder(dim=8, hash_buckets=256, seed=2)
         before = embedder.weights.copy()
         schedule = TrainSchedule(epochs=2, batch_size=8, learning_rate=0.0, seed=0)
-        train_toy(_toy_pairs(16), embedder, schedule)
+        train_toy(training_set(_toy_pairs(16), embedder), embedder, schedule)
         np.testing.assert_array_equal(embedder.weights, before)
 
     def test_same_seed_bit_identical_curves(self):
@@ -611,19 +603,21 @@ class TestTrainToy:
         for _ in range(2):
             embedder = ToyEmbedder(dim=8, hash_buckets=256, seed=3)
             schedule = TrainSchedule(epochs=3, batch_size=8, seed=3)
-            result = train_toy(_toy_pairs(24), embedder, schedule)
+            result = train_toy(training_set(_toy_pairs(24), embedder), embedder, schedule)
             curves.append(result.loss_curve)
         assert curves[0] == curves[1]
 
     def test_empty_pairs_rejected(self):
+        embedder = ToyEmbedder(dim=4, hash_buckets=32)
         with pytest.raises(ValueError):
-            train_toy([], ToyEmbedder(dim=4, hash_buckets=32))
+            train_toy(training_set([], embedder), embedder)
 
     def test_too_few_pairs_is_a_data_error_naming_the_count(self):
+        embedder = ToyEmbedder(dim=4, hash_buckets=32)
         with pytest.raises(InsufficientData, match="^0 training pairs"):
-            train_toy([], ToyEmbedder(dim=4, hash_buckets=32))
+            train_toy(training_set([], embedder), embedder)
         with pytest.raises(InsufficientData, match="^1 training pair"):
-            train_toy(_toy_pairs(1), ToyEmbedder(dim=4, hash_buckets=32))
+            train_toy(training_set(_toy_pairs(1), embedder), embedder)
 
     @pytest.mark.parametrize("masking", [True, False])
     def test_matches_oracle_loop_bit_for_bit(self, masking):
@@ -632,7 +626,7 @@ class TestTrainToy:
         loss_cfg = LossConfig(temperature=0.5, masking_enabled=masking)
         fast = ToyEmbedder(dim=16, hash_buckets=3000, seed=4)
         plain = ToyEmbedder(dim=16, hash_buckets=3000, seed=4)
-        result = train_toy(_toy_pairs(45), fast, schedule, loss_cfg)
+        result = train_toy(training_set(_toy_pairs(45), fast), fast, schedule, loss_cfg)
         curve = train_toy_oracle(_toy_pairs(45), plain, schedule, loss_cfg)
         assert result.loss_curve == curve
         assert np.array_equal(fast.weights, plain.weights)
@@ -642,7 +636,8 @@ class TestTrainToy:
         embedder = ToyEmbedder(dim=4, hash_buckets=32, seed=0)
         embedder.weights[:] = np.nan
         with pytest.raises(NonFiniteLoss, match="step 0"):
-            train_toy(_toy_pairs(8), embedder, TrainSchedule(epochs=1, batch_size=4))
+            train_toy(training_set(_toy_pairs(8), embedder), embedder,
+                      TrainSchedule(epochs=1, batch_size=4))
 
     def test_lr_schedule_shape(self):
         schedule = TrainSchedule(learning_rate=1.0)
@@ -665,12 +660,12 @@ def training_runs(draw):
     embedder has featurized before training. In one run of four, one query
     text is empty: it has no n-gram, so training stops before its first
     step, even when the pair would only land in a dropped singleton batch."""
-    pairs = [PairExample(draw(TRAIN_TEXTS), draw(TRAIN_TEXTS),
-                         frozenset(draw(st.sets(st.sampled_from("xyz"), max_size=2))))
+    pairs = [(draw(TRAIN_TEXTS), draw(TRAIN_TEXTS),
+               frozenset(draw(st.sets(st.sampled_from("xyz"), max_size=2))))
              for _ in range(draw(st.integers(2, 11)))]
     if draw(st.integers(0, 3)) == 0:
         i = draw(st.integers(0, len(pairs) - 1))
-        pairs[i] = PairExample("", pairs[i].positive_text, pairs[i].positive_charges)
+        pairs[i] = ("", *pairs[i][1:])
     shape = {"dim": draw(st.integers(1, 6)),
              "hash_buckets": draw(st.sampled_from([16, 17, 64, 500, 4096])),
              "seed": draw(st.integers(0, 3))}
@@ -679,7 +674,7 @@ def training_runs(draw):
                              batch_size=draw(st.integers(2, 4)),
                              learning_rate=draw(st.sampled_from([0.0, 1e-2, 0.2])),
                              seed=draw(st.integers(0, 3)))
-    texts = [t for p in pairs for t in (p.query_text, p.positive_text)]
+    texts = [t for query, positive, _ in pairs for t in (query, positive)]
     warm = draw(st.lists(st.sampled_from(texts + ["训练以外的文本"]), max_size=4))
     return pairs, shape, schedule, LossConfig(masking_enabled=draw(st.booleans())), warm
 
@@ -694,13 +689,13 @@ class TestCompactTraining:
         pairs, shape, schedule, loss_cfg, warm = run
         fast, plain = ToyEmbedder(**shape), ToyEmbedder(**shape)
         fast.embed(warm)
-        empty = [i for i, pair in enumerate(pairs) if not pair.query_text]
+        empty = [i for i, (query, _, _) in enumerate(pairs) if not query]
         if empty:
             with pytest.raises(FeaturelessText, match=f"^pair {empty[0]}: query_text "):
-                train_toy(pairs, fast, schedule, loss_cfg)
+                train_toy(training_set(pairs, fast), fast, schedule, loss_cfg)
             return
         want = train_toy_oracle(pairs, plain, schedule, loss_cfg)
-        result = train_toy(pairs, fast, schedule, loss_cfg)
+        result = train_toy(training_set(pairs, fast), fast, schedule, loss_cfg)
         assert result.loss_curve == want
         assert fast.weights.tobytes() == plain.weights.tobytes()
 
@@ -711,16 +706,16 @@ class TestCompactTraining:
         order, and a slot no pair names, as a stream of records with
         repeated ids gives it, trains as the plain loop does."""
         pairs, shape, schedule, loss_cfg, warm = run
-        texts = [t for p in pairs for t in (p.query_text, p.positive_text)] + warm
+        texts = [t for query, positive, _ in pairs for t in (query, positive)] + warm
         order = list(range(len(texts)))
         rng.shuffle(order)
         slot = {i: n for n, i in enumerate(order)}
         data = TrainingSet(FeatureStore(ToyEmbedder(**shape), [texts[i] for i in order]),
                            [slot[2 * i] for i in range(len(pairs))],
                            [slot[2 * i + 1] for i in range(len(pairs))],
-                           range(len(pairs)), [p.positive_charges for p in pairs])
+                           range(len(pairs)), [charges for _, _, charges in pairs])
         fast, plain = ToyEmbedder(**shape), ToyEmbedder(**shape)
-        if any(not p.query_text for p in pairs):
+        if any(not query for query, _, _ in pairs):
             with pytest.raises(FeaturelessText):
                 train_toy(data, fast, schedule, loss_cfg)
             return
@@ -740,11 +735,12 @@ class TestCompactTraining:
 
         monkeypatch.setattr(Adam, "step", step)
         pairs = _toy_pairs(30)
-        result = train_toy(pairs, ToyEmbedder(dim=4, hash_buckets=buckets, seed=7),
+        embedder = ToyEmbedder(dim=4, hash_buckets=buckets, seed=7)
+        result = train_toy(training_set(pairs, embedder), embedder,
                            TrainSchedule(epochs=2, batch_size=8, seed=7))
         reach = set()
-        for p in pairs:
-            for text in (p.query_text, p.positive_text):
+        for query, positive, _ in pairs:
+            for text in (query, positive):
                 reach.update(features_oracle(text, buckets, 2, 3)[0].tolist())
         assert len(seen) == len(result.loss_curve) == 8
         assert set(seen) == {((len(reach), 4),) * 3}
@@ -763,7 +759,8 @@ class TestCompactTraining:
             return loss, rows, grad
 
         monkeypatch.setattr(training, "_batch_gradient", gradient)
-        train_toy(_toy_pairs(30), ToyEmbedder(dim=4, hash_buckets=4096, seed=7),
+        embedder = ToyEmbedder(dim=4, hash_buckets=4096, seed=7)
+        train_toy(training_set(_toy_pairs(30), embedder), embedder,
                   TrainSchedule(epochs=3, batch_size=7, seed=7))
         touched = [n for _, _, n in seen]
         assert len(seen) == 15 and len(set(touched)) > 1
@@ -774,13 +771,14 @@ class TestCompactTraining:
         pairs = _toy_pairs(24)
         shape = {"dim": 8, "hash_buckets": 4096, "seed": 8}
         embedder = ToyEmbedder(**shape)
-        embedded = [pairs[0].query_text, pairs[1].positive_text, "与训练无关的文本"]
+        embedded = [pairs[0][0], pairs[1][1], "与训练无关的文本"]
         embedder.embed(embedded)
-        train_toy(pairs, embedder, TrainSchedule(epochs=2, batch_size=8, seed=8))
+        train_toy(training_set(pairs, embedder), embedder,
+                  TrainSchedule(epochs=2, batch_size=8, seed=8))
         assert not np.array_equal(ToyEmbedder(**shape).weights, embedder.weights)
         fresh = ToyEmbedder(**shape, weights=embedder.weights.copy())
-        texts = (embedded + [p.query_text for p in pairs] + [p.positive_text for p in pairs]
-                 + ["训练之后的新文本"])
+        texts = (embedded + [query for query, _, _ in pairs]
+                 + [positive for _, positive, _ in pairs] + ["训练之后的新文本"])
         assert embedder.embed(texts).tobytes() == fresh.embed(texts).tobytes()
         for text in texts:
             idx, values = embedder.features(text)
@@ -794,7 +792,7 @@ class TestCompactTraining:
         shape = {"dim": 8, "hash_buckets": 4096, "seed": 6}
         schedule = TrainSchedule(epochs=3, batch_size=8, learning_rate=0.05, seed=6)
         trained = ToyEmbedder(**shape)
-        per_epoch = len(train_toy(pairs, trained, schedule).loss_curve) // 3
+        per_epoch = len(train_toy(training_set(pairs, trained), trained, schedule).loss_curve) // 3
         calls = []
         real_gradient = training._batch_gradient
 
@@ -807,7 +805,7 @@ class TestCompactTraining:
         monkeypatch.setattr(training, "_batch_gradient", gradient)
         embedder = ToyEmbedder(**shape)
         with pytest.raises(NonFiniteLoss, match=f"step {2 * per_epoch} "):
-            train_toy(pairs, embedder, schedule)
+            train_toy(training_set(pairs, embedder), embedder, schedule)
         want = ToyEmbedder(**shape).weights
         assert not np.array_equal(trained.weights, want)
         assert embedder.weights.tobytes() == want.tobytes()
@@ -891,9 +889,10 @@ class TestLazyInit:
     def test_a_failed_run_draws_no_weights(self):
         embedder = ToyEmbedder(dim=4, hash_buckets=1 << 12, seed=5)
         # an empty query has no n-gram and stops the run before its first step
-        pairs = _toy_pairs(8) + [PairExample("", "空的查询所对应的正例", frozenset())]
+        pairs = _toy_pairs(8) + [("", "空的查询所对应的正例", frozenset())]
         with pytest.raises(FeaturelessText):
-            train_toy(pairs, embedder, TrainSchedule(epochs=1, batch_size=9))
+            train_toy(training_set(pairs, embedder), embedder,
+                      TrainSchedule(epochs=1, batch_size=9))
         assert embedder._weights is None
         assert embedder.weights.tobytes() == _eager_init(1 << 12, 4, 5).tobytes()
 
@@ -932,7 +931,7 @@ class TestLazyInit:
         tracemalloc.start()
         try:
             embedder = ToyEmbedder(dim=dim, hash_buckets=buckets, seed=3)
-            train_toy(_unheld_pairs(64), embedder, schedule)
+            train_toy(training_set(_unheld_pairs(64), embedder), embedder, schedule)
         finally:
             tracemalloc.stop()
         assert len(traced) == 8
@@ -946,7 +945,7 @@ class TestLazyInit:
         monkeypatch.undo()
         drawn = ToyEmbedder(dim=dim, hash_buckets=buckets, seed=3)
         drawn.weights  # noqa: B018 - the read draws the seeded init
-        train_toy(_unheld_pairs(64), drawn, schedule)
+        train_toy(training_set(_unheld_pairs(64), drawn), drawn, schedule)
         assert embedder.weights.tobytes() == drawn.weights.tobytes()
 
 
@@ -960,7 +959,7 @@ def _unheld_pairs(n):
     for i in range(n):
         query = f"被告人于{2000 + i}年第{i}次实施犯罪行为"
         positive = f"法院认定被告人第{i}次犯罪事实清楚{i * 7}"
-        yield PairExample(query, positive, UNHELD_CHARGES[i % 3])
+        yield query, positive, UNHELD_CHARGES[i % 3]
 
 
 class TestAdam:
@@ -1021,7 +1020,7 @@ class TestFastPathsMatchOracles:
         gradient, a view of the buffer, is the oracle's on those rows."""
         embedder = ToyEmbedder(dim=8, hash_buckets=512, seed=6)
         pairs = _toy_pairs(24)
-        data = TrainingSet.from_pairs(pairs, embedder)
+        data = training_set(pairs, embedder)
         reached = data.store.rows
         buffer = _GradientBuffer((len(reached), 8))
         cfg = LossConfig()
@@ -1031,8 +1030,8 @@ class TestFastPathsMatchOracles:
                                                buffer)
             expected_loss, expected = batch_gradient_oracle(embedder, pairs[start:stop], cfg)
             buckets = set()
-            for p in pairs[start:stop]:
-                for text in (p.query_text, p.positive_text):
+            for query, positive, _ in pairs[start:stop]:
+                for text in (query, positive):
                     buckets.update(features_oracle(text, 512, 2, 3)[0].tolist())
             assert reached[rows].tolist() == sorted(buckets)
             assert grad.shape == (len(rows), 8) and np.shares_memory(grad, buffer.grad)

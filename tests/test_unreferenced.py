@@ -4,15 +4,18 @@ A top-level ``def``, ``class`` or assigned name in ``src/lexforge/``, a
 method of a top-level class and a field of a top-level dataclass must be
 mentioned by name in some ``.py`` file under ``src/`` or ``perfbench/``:
 read as a name or an attribute, imported, or spelled as a string literal
-(the benchmark wraps functions by their names). A field counts as read only
-when read as an attribute (``x.name``, not ``x.name = ...``) or spelled as a
-string literal: a local variable of the same name is not a read of it. A
-keyword argument's name is a parameter, not a mention: a field set in
-``src/`` and read only by tests is reported. Neither the definition itself
-nor the re-export in ``lexforge/__init__.py`` counts, and neither does a
-mention in ``tests/``: a definition only tests reach is code no stage
-consumes. Dunder names are read by Python and tools, not by name, and are
-left out.
+(the benchmark wraps functions by their names). A class mentioned only
+inside annotations is reported: under ``from __future__ import
+annotations`` an annotation is never evaluated, so such a class is never
+made. A type alias counts its annotations, which are what it is for. A
+field counts as read only when read as an attribute (``x.name``, not
+``x.name = ...``) or spelled as a string literal: a local variable of the
+same name is not a read of it. A keyword argument's name is a parameter,
+not a mention: a field set in ``src/`` and read only by tests is reported.
+Neither the definition itself nor the re-export in ``lexforge/__init__.py``
+counts, and neither does a mention in ``tests/``: a definition only tests
+reach is code no stage consumes. Dunder names are read by Python and
+tools, not by name, and are left out.
 
 A defaulted parameter of a top-level function or method must be set by
 some call under ``src/`` or ``perfbench/``. So must a dataclass field with
@@ -86,24 +89,38 @@ def _definitions(tree: ast.Module) -> list[str]:
             if not (n.rpartition(".")[2].startswith("__") and n.endswith("__"))]
 
 
-def _mentions(tree: ast.Module, skip_imports: bool) -> tuple[Counter, Counter]:
-    """Every mention of a name, and the reads among them that can be of a
-    field: attributes read and string literals."""
+def _annotations(tree: ast.Module) -> set[int]:
+    """The ids of the nodes inside the annotations of ``tree``: of
+    parameters, of return values and of annotated assignments."""
+    roots = [node.annotation for node in ast.walk(tree)
+             if isinstance(node, (ast.arg, ast.AnnAssign))]
+    roots += [node.returns for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return {id(node) for root in roots if root is not None for node in ast.walk(root)}
+
+
+def _mentions(tree: ast.Module, skip_imports: bool) -> tuple[Counter, Counter, Counter]:
+    """Every mention of a name outside annotations, every one inside them,
+    and the reads among all of them that can be of a field: attributes
+    read and string literals."""
     found: Counter = Counter()
+    annotated: Counter = Counter()
     reads: Counter = Counter()
+    inside = _annotations(tree)
     for node in ast.walk(tree):
+        counts = annotated if id(node) in inside else found
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            found[node.id] += 1
+            counts[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
+            counts[node.attr] += 1
             if not isinstance(node.ctx, ast.Store):
                 reads[node.attr] += 1
         elif isinstance(node, ast.alias) and not skip_imports:
-            found[node.name] += 1
+            counts[node.name] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found[node.value] += 1
+            counts[node.value] += 1
             reads[node.value] += 1
-    return found, reads
+    return found, annotated, reads
 
 
 def _searched() -> dict[Path, ast.Module]:
@@ -126,18 +143,24 @@ def _fields(tree: ast.Module) -> set[str]:
 
 def unreferenced(package: dict[str, ast.Module], searched: dict[Path, ast.Module]) -> list[str]:
     """``module.name`` of each definition of ``package`` that no tree of
-    ``searched`` mentions, or that no tree reads, for a field."""
+    ``searched`` mentions, that no tree mentions outside annotations, for a
+    class, or that no tree reads, for a field."""
     mentions: Counter = Counter()
+    annotated: Counter = Counter()
     reads: Counter = Counter()
     for path, tree in searched.items():
-        found, read = _mentions(tree, skip_imports=path == PACKAGE / "__init__.py")
+        found, typed, read = _mentions(tree, skip_imports=path == PACKAGE / "__init__.py")
         mentions += found
+        annotated += typed
         reads += read
+    named = mentions + annotated
     found = []
     for module, tree in package.items():
         field_names = _fields(tree)
+        classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
         found.extend(f"{module}.{name}" for name in _definitions(tree) if not (
-            reads if name in field_names else mentions)[name.rpartition(".")[2]])
+            reads if name in field_names else mentions if name in classes else named
+        )[name.rpartition(".")[2]])
     return found
 
 
@@ -293,6 +316,11 @@ def test_members_are_definitions():
     searched = {Path("s.py"): ast.parse("x = A(w=0, x=1, y=2, z=3)\nx.w = 4\n"
                                         "print(x, x.y, 'z')\n")}
     assert unreferenced(package, searched) == ["m.A.w", "m.A.x"]
+    # a class named only in annotations is unreferenced; a type alias is not
+    package = {"m": ast.parse("class P: pass\nclass Q: pass\nAlias = int\n")}
+    searched = {Path("s.py"): ast.parse("def f(p: P, a: Alias) -> 'P':\n"
+                                        "    r: list[P] = [Q()]\n")}
+    assert unreferenced(package, searched) == ["m.P"]
 
 
 def test_every_defaulted_parameter_is_set():
