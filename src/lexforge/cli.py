@@ -387,7 +387,7 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
     data, lines = _training_set(args, embedder)
     fileio.check_outputs(args.output, args.curve)
     try:
-        result = training.train_toy(data, embedder, schedule, loss_cfg)
+        curve = training.train_toy(data, embedder, schedule, loss_cfg)
     except FeaturelessText as exc:
         lineno = lines[exc.pair]
         field = "query_id" if exc.field == "query_text" else "positive_case_id"
@@ -398,11 +398,9 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
     if args.curve:
         fileio.atomic_write_text(
             Path(args.curve),
-            "".join(f"{step}\t{loss:.10f}\n" for step, loss in result.loss_curve))
-    first = result.loss_curve[0][1]
-    last = result.loss_curve[-1][1]
-    print(f"train: {len(data)} pairs, {len(result.loss_curve)} steps, "
-          f"loss {first:.4f} -> {last:.4f}")
+            "".join(f"{step}\t{loss:.10f}\n" for step, loss in curve))
+    print(f"train: {len(data)} pairs, {len(curve)} steps, "
+          f"loss {curve[0][1]:.4f} -> {curve[-1][1]:.4f}")
     return EXIT_OK
 
 

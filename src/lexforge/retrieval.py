@@ -14,8 +14,9 @@ statistics: ``corpus``, from a corpus index such as a saved one, or
 candidate once and each pool's statistics are counted over its own
 candidates when it is scored. Either way a query's terms are weighted once
 and :func:`bm25_score` sums them per candidate. :class:`DenseScorer` embeds
-the run's queries in one call and each candidate's windows once, and keeps
-the vectors. An index stores each distinct term once and its postings in
+the run's queries in one call and each candidate's windows once, through
+one stream that holds a featurization chunk at a time, and keeps the
+vectors. An index stores each distinct term once and its postings in
 flat arrays, in memory and on disk alike. Only the dense scorer imports
 numpy.
 """
@@ -27,7 +28,7 @@ import operator
 import struct
 import sys
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import count
@@ -324,29 +325,6 @@ def segment(text: str, cfg: SegmentConfig = SegmentConfig()) -> list[str]:
     return [text[s:s + cfg.max_len] for s in starts]
 
 
-#: Characters of windows per ``embed`` call when a :class:`DenseScorer`
-#: embeds a run's candidates: the features of one group are held at a time.
-WINDOW_GROUP_CHARS = 1 << 16
-
-
-def _window_groups(texts: Iterable[str], cfg: SegmentConfig) -> Iterator[list]:
-    """Each distinct nonempty text with its windows, ``(text, windows)``, in
-    lists of at least ``WINDOW_GROUP_CHARS`` window characters (the last
-    list may hold fewer)."""
-    group: list[tuple[str, list[str]]] = []
-    size = 0
-    for text in dict.fromkeys(texts):
-        if text:
-            segments = segment(text, cfg)
-            group.append((text, segments))
-            size += sum(map(len, segments))
-            if size >= WINDOW_GROUP_CHARS:
-                yield group
-                group, size = [], 0
-    if group:
-        yield group
-
-
 def unit_query(query_vec: np.ndarray) -> np.ndarray:
     """The query vector scaled to unit norm, as :func:`dense_score` takes it."""
     import numpy as np
@@ -376,13 +354,13 @@ class DenseScorer:
 
     ``run`` holds the run's (query, pool) pairs. Its distinct queries are
     embedded in one ``embed`` call, and the scorer keeps each one's vector.
-    Each distinct candidate text of the pools is segmented once and its
-    windows embedded once, in groups of about ``WINDOW_GROUP_CHARS``
-    characters, one ``embed`` call per group, so only one group's features
-    exist at a time; the scorer keeps each text's unit window rows alone. A
-    window that embeds to zero norm (a tail too short to featurize) has no
-    direction and is dropped. A query of zero norm, or a candidate left with
-    no window, is a :class:`ZeroVector` when a pool of it is scored.
+    Each distinct candidate text of the pools is segmented once, and all
+    their windows go through one ``embed_chunks`` stream, which holds one
+    featurization chunk's features at a time; the scorer keeps each text's
+    unit window rows alone. A window that embeds to zero norm (a tail too
+    short to featurize) has no direction and is dropped. A query of zero
+    norm, or a candidate left with no window, is a :class:`ZeroVector` when
+    a pool of it is scored.
     """
 
     def __init__(self, run: Sequence[tuple[str, Mapping[str, str]]], embedder,
@@ -394,18 +372,26 @@ class DenseScorer:
         self._queries = dict(zip(queries, np.asarray(embedder.embed(queries),
                                                      dtype=np.float64)))
         self._windows: dict[str, np.ndarray] = {}
-        texts = (text for pool in _distinct_pools(run) for text in pool.values())
-        for group in _window_groups(texts, seg_cfg):
-            vectors = np.asarray(embedder.embed([w for _, segments in group for w in segments]),
-                                 dtype=np.float64)
-            row = 0
-            for text, segments in group:
-                rows = vectors[row:row + len(segments)]
-                row += len(segments)
-                norms = np.linalg.norm(rows, axis=1)
+        segmented: deque[tuple[str, int]] = deque()  # (text, windows) with rows to come
+
+        def windows() -> Iterator[str]:
+            texts = (text for pool in _distinct_pools(run) for text in pool.values())
+            for text in dict.fromkeys(texts):
+                if text:
+                    segments = segment(text, seg_cfg)
+                    segmented.append((text, len(segments)))
+                    yield from segments
+
+        rows = np.empty((0, embedder.dim))
+        for vectors in embedder.embed_chunks(windows()):
+            rows = np.concatenate([rows, vectors])
+            while segmented and segmented[0][1] <= len(rows):
+                text, n = segmented.popleft()
+                norms = np.linalg.norm(rows[:n], axis=1)
                 nonzero = norms != 0.0
                 if nonzero.any():
-                    self._windows[text] = rows[nonzero] / norms[nonzero, None]
+                    self._windows[text] = rows[:n][nonzero] / norms[nonzero, None]
+                rows = rows[n:]
 
     def __str__(self) -> str:
         """The name ``search --scorer`` gives and the run rows record."""

@@ -15,16 +15,19 @@ pre-trained model. Its one featurization path,
 :meth:`ToyEmbedder._featurize_chunks`, takes a stream of texts in chunks of
 about ``FEATURIZE_CHUNK`` n-grams. It reads each chunk's code points as one
 integer array, packs every n-gram into an int64 key, hashes each distinct
-n-gram once per call and finds each text's distinct buckets, in order of
-first occurrence, with one sort. The result is bit-identical to hashing the
-n-grams of one text at a time. A chunk comes out as two narrow arrays, its
-texts' buckets and their raw counts, each in the narrowest unsigned dtype
-that holds them. The path has two readers, and neither keeps state on the
-embedder. :meth:`ToyEmbedder.featurize`, which :meth:`ToyEmbedder.embed`
-calls, decodes views of the chunks' arrays and keeps nothing; a
+n-gram once while it is in the call's n-gram tables (started afresh once
+they hold more than ``FEATURIZE_CHUNK`` grams), and finds each text's
+distinct buckets, in order of first occurrence, with one sort. The result
+is bit-identical to hashing the n-grams of one text at a time. A chunk
+comes out as two narrow arrays, its texts' buckets and their raw counts,
+each in the narrowest unsigned dtype that holds them. The path has two
+readers, and neither keeps state on the embedder.
+:meth:`ToyEmbedder.embed_chunks`, which :meth:`ToyEmbedder.embed` and dense
+search read, decodes and embeds each chunk as it comes and keeps neither; a
 :class:`FeatureStore`, which training reads, keeps the chunks' arrays as
-they are, by slot. Both decode on read to an ``intp`` index and the
-float64 values ``1 + log(count)``, all the texts of one call in one pass.
+they are, by slot. Both decode on read to an ``intp`` index and the float64
+values ``1 + log(count)``, all the texts of a chunk or of a batch in one
+pass.
 
 Training reads a :class:`TrainingSet`, which the ``train`` stage builds as
 it streams its inputs: the pairs as integer columns over one store, so that
@@ -192,7 +195,7 @@ _KEY_SENTINEL = np.iinfo(np.int64).max
 
 
 class _GramTable:
-    """The distinct n-grams of one length that one featurize call has met.
+    """The distinct n-grams of one length that one featurization has met.
 
     ``keys`` is sorted and ends with the sentinel; ``ids`` runs parallel to
     it, and ``buckets[id]`` is the gram's bucket. A gram's key is
@@ -442,7 +445,7 @@ class ToyEmbedder:
 
     An embedder holds its shape, its seed and its weights, and no per-text
     state. Featurization is deterministic (CRC32 bucket hashing, log-damped
-    counts) and batched (:meth:`featurize`); the only parameters are the
+    counts) and batched (:meth:`embed_chunks`); the only parameters are the
     ``hash_buckets × dim`` weights, initialized from a seeded uniform
     distribution unless ``weights`` are given. The seeded draw is made on
     the first read of :attr:`weights`, not before.
@@ -507,28 +510,17 @@ class ToyEmbedder:
         return out
 
     def features(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse feature vector of a text: (bucket indices, damped counts)."""
-        return self.featurize([text])[0]
+        """Sparse feature vector of a text: (bucket indices, damped counts).
 
-    def featurize(self, texts: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The features of each text, as :meth:`features` gives them.
-
-        The distinct texts are featurized in one pass, chunk by chunk, and
-        decoded together from views of the chunks' arrays, as
-        :class:`FeatureStore` decodes its slots; a text given twice gets the
-        same arrays. Let ``compact`` be the text without whitespace. Its
-        features count the CRC32 buckets of ``compact[i:i + n]`` for each n
-        from ``ngram_min`` to ``ngram_max`` and each i, as
-        ``1 + log(count)``. The buckets are listed in order of first
-        occurrence, with n outermost, which fixes the summation order of
-        ``values @ weights[idx]``.
+        Let ``compact`` be the text without whitespace. Its features count
+        the CRC32 buckets of ``compact[i:i + n]`` for each n from
+        ``ngram_min`` to ``ngram_max`` and each i, as ``1 + log(count)``.
+        The buckets are listed in order of first occurrence, with n
+        outermost, which fixes the summation order of
+        ``values @ weights[idx]``. One text is one chunk, decoded whole.
         """
-        distinct = list(dict.fromkeys(texts))
-        entries = [(idx[a:b], counts[a:b])
-                   for idx, counts, cuts in self._featurize_chunks(distinct)
-                   for a, b in zip(cuts, cuts[1:])]
-        decoded = dict(zip(distinct, _decoded(entries)))
-        return [decoded[text] for text in texts]
+        [(idx, counts, _)] = self._featurize_chunks([text])
+        return _decoded([(idx, counts)])[0]
 
     def _featurize_chunks(self, texts: Iterable[str]
                           ) -> Iterator[tuple[np.ndarray, np.ndarray, list[int]]]:
@@ -536,8 +528,12 @@ class ToyEmbedder:
         :func:`_bucket_counts` gives them for each chunk of about
         ``FEATURIZE_CHUNK`` n-grams. The texts are read as the chunks fill,
         so only one chunk's texts are held at a time. The n-gram tables
-        carry over from chunk to chunk, so each distinct n-gram of the call
-        is hashed once; they live only as long as the call."""
+        carry over from chunk to chunk, so an n-gram met again is not
+        hashed again, until they hold more than ``FEATURIZE_CHUNK`` grams:
+        the next chunk then starts fresh tables, so they never hold much
+        more than two chunks' grams, however long the call. A gram's
+        bucket is its own CRC32 and its id is internal to its table, so
+        the output is the same either way."""
         tables = [_GramTable() for _ in range(self.ngram_max)]
         chunk: list[str] = []
         grams = 0
@@ -556,6 +552,8 @@ class ToyEmbedder:
     def _featurize_chunk(self, compacts: list[str], tables: list[_GramTable]
                          ) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """Compact features of whitespace-free texts, one chunk of a batch."""
+        if sum(len(table.buckets) for table in tables) > FEATURIZE_CHUNK:
+            tables[:] = [_GramTable() for _ in tables]
         lens = np.fromiter(map(len, compacts), dtype=np.int64, count=len(compacts))
         per_n = [np.maximum(lens - n + 1, 0) for n in range(self.ngram_min, self.ngram_max + 1)]
         per_text = np.sum(per_n, axis=0)
@@ -566,7 +564,19 @@ class ToyEmbedder:
         return _bucket_counts(occ_bucket, per_text, occ_start, self.hash_buckets)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        return _embedded(self.featurize(texts), self.weights)
+        """The embedding of each text, one row per text, in order."""
+        return np.concatenate([np.empty((0, self.dim)), *self.embed_chunks(texts)])
+
+    def embed_chunks(self, texts: Iterable[str]) -> Iterator[np.ndarray]:
+        """The embeddings of the texts, one array of rows per featurization
+        chunk, in order. A chunk is decoded, embedded and dropped before the
+        next is featurized, so the call holds one chunk's features and
+        n-gram tables of about two chunks' grams at a time. A row is
+        ``values @ weights[idx]`` of the text's :meth:`features`, bit for
+        bit."""
+        for idx, counts, cuts in self._featurize_chunks(texts):
+            yield _embedded(_decoded([(idx[a:b], counts[a:b]) for a, b in zip(cuts, cuts[1:])]),
+                            self.weights)
 
 
 def _embedded(feats: Sequence[tuple[np.ndarray, np.ndarray]], weights: np.ndarray) -> np.ndarray:
@@ -626,7 +636,7 @@ class FeatureStore:
             chunks.tolist(), (starts - bases).tolist(), (ends - bases).tolist())]
 
     def features(self, slots: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The features of the slots, as :meth:`ToyEmbedder.featurize` gives
+        """The features of the slots, as :meth:`ToyEmbedder.features` gives
         them, with the buckets renumbered."""
         return _decoded(self.entries(slots))
 
@@ -725,11 +735,6 @@ class TrainSchedule:
         # zero is allowed: it trains without moving the parameters
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-
-
-@dataclass
-class TrainResult:
-    loss_curve: list[tuple[int, float]]
 
 
 #: Elements per block of the Adam update: 512 rows of 64 float64 weights.
@@ -918,8 +923,9 @@ def _steps(n_pairs: int, schedule: TrainSchedule) -> Iterator[tuple[int, list[in
 
 def train_toy(data: TrainingSet, embedder: ToyEmbedder,
               schedule: TrainSchedule = TrainSchedule(),
-              loss_cfg: LossConfig = LossConfig()) -> TrainResult:
-    """First-order training of the toy embedder on query-positive pairs.
+              loss_cfg: LossConfig = LossConfig()) -> list[tuple[int, float]]:
+    """First-order training of the toy embedder on query-positive pairs;
+    the loss curve, ``(step, loss)`` per step.
 
     ``data`` is a :class:`TrainingSet` featurized by an embedder with this
     one's hash buckets and n-gram lengths, as the ``train`` stage builds
@@ -948,7 +954,7 @@ def train_toy(data: TrainingSet, embedder: ToyEmbedder,
     # the optimizer state and gradient buffer are gone before this draws
     # the caller's whole weight matrix, if it is not drawn yet
     embedder.weights[data.store.rows] = weights
-    return TrainResult(loss_curve=curve)
+    return curve
 
 
 def _train_steps(data: TrainingSet, weights: np.ndarray, schedule: TrainSchedule,

@@ -415,6 +415,16 @@ def features_oracle(text, hash_buckets, ngram_min, ngram_max):
     return idx, 1.0 + np.log(raw)
 
 
+def embed_oracle(embedder, text):
+    """The plain embedding of one text: ``values @ weights[idx]`` of its
+    :func:`features_oracle`, or zeros for a text with no n-gram."""
+    import numpy as np
+
+    idx, values = features_oracle(text, embedder.hash_buckets, embedder.ngram_min,
+                                  embedder.ngram_max)
+    return values @ embedder.weights[idx] if idx.size else np.zeros(embedder.dim)
+
+
 def false_negative_mask_oracle(positive_charges):
     """The masking rule as a double loop over pairs of charge sets."""
     import numpy as np

@@ -31,6 +31,7 @@ from oracles import (
     bm25_build_oracle,
     bm25_oracle,
     char_bigrams_oracle,
+    embed_oracle,
     search_oracle,
     segment_count,
     window_oracle,
@@ -351,7 +352,8 @@ class TestSegment:
 
 
 class _StubEmbedder:
-    """Maps each text to a fixed vector via a lookup; dim 3."""
+    """Maps each text to a fixed vector via a lookup; dim 3. Its stream
+    makes each text a chunk of its own."""
 
     dim = 3
 
@@ -360,6 +362,9 @@ class _StubEmbedder:
 
     def embed(self, texts):
         return np.array([self.table[t] for t in texts], dtype=float)
+
+    def embed_chunks(self, texts):
+        return (self.embed([text]) for text in texts)
 
 
 def _dense_score(query, text, embedder, cfg=SegmentConfig()):
@@ -621,14 +626,14 @@ class TestSearchRun:
         assert got == want == (ZeroVector,
                                "query 'q2': case 'zero': all 1 segments embed to zero norm")
 
-    @pytest.mark.parametrize("group_chars", [1, 30, 1 << 16])
-    def test_dense_run_keeps_no_window_features(self, monkeypatch, group_chars):
-        """The windows are embedded in groups and only their unit rows are
-        kept: the scorer holds the query vectors and those rows alone, and
-        the embedder holds no per-text state."""
-        from lexforge import retrieval
+    @pytest.mark.parametrize("chunk_grams", [1, 30, 1 << 16])
+    def test_dense_run_keeps_no_window_features(self, monkeypatch, chunk_grams):
+        """The windows are embedded a featurization chunk at a time and only
+        their unit rows are kept: the scorer holds the query vectors and
+        those rows alone, and the embedder holds no per-text state."""
+        from lexforge import training
         from lexforge.training import ToyEmbedder
-        monkeypatch.setattr(retrieval, "WINDOW_GROUP_CHARS", group_chars)
+        monkeypatch.setattr(training, "FEATURIZE_CHUNK", chunk_grams)
         embedder = ToyEmbedder(dim=6, hash_buckets=64, seed=self.EMBEDDER_SEED)
         state = set(vars(embedder))
         cfg = SegmentConfig(max_len=8, stride=4)
@@ -661,6 +666,71 @@ class TestSearchRun:
         assert got == want == (ZeroVector,
                                "query 'q1': case 'blank': all 1 segments embed to zero norm")
 
+    @pytest.mark.parametrize("chunk_grams", [1, 20, 40])
+    def test_streamed_rows_equal_the_plain_embedding(self, monkeypatch, chunk_grams):
+        """With featurization chunks smaller than a text, ``embed`` and the
+        scorer's unit window rows equal the plain per-text embedding
+        (``oracles.embed_oracle``) bit for bit: for a text longer than a
+        chunk, for candidates whose windows straddle a chunk boundary, and
+        around a candidate whose windows all embed to zero, which keeps no
+        rows."""
+        from lexforge import training
+        from lexforge.training import ToyEmbedder
+        monkeypatch.setattr(training, "FEATURIZE_CHUNK", chunk_grams)
+        embedder = ToyEmbedder(dim=6, hash_buckets=64, seed=self.EMBEDDER_SEED)
+        cfg = SegmentConfig(max_len=8, stride=4)
+        texts = ["被告人盗窃财物驾驶车辆" * (i + 1) for i in range(3)]
+        texts.insert(1, "劫")  # one window of one character: no n-gram
+        windows = [w for text in texts for w in segment(text, cfg)]
+        for batch in (windows, texts[-1:], texts + windows):
+            want = np.array([embed_oracle(embedder, text) for text in batch])
+            assert embedder.embed(batch).tobytes() == want.tobytes()
+        assert 2 * len(texts[-1]) - 3 > chunk_grams  # the last text outgrows a chunk
+        # some candidate's windows are split between two chunks
+        counts = [len(segment(text, cfg)) for text in texts]
+        bounds = np.cumsum([len(rows) for rows in embedder.embed_chunks(windows)])
+        assert any(((end - n < bounds) & (bounds < end)).any()
+                   for end, n in zip(np.cumsum(counts), counts))
+
+        scorer = DenseScorer([("盗窃财物", {f"c{i}": t for i, t in enumerate(texts)})],
+                             embedder, cfg)
+        assert list(scorer._windows) == texts[:1] + texts[2:]
+        for text, rows in scorer._windows.items():
+            plain = np.array([embed_oracle(embedder, w) for w in segment(text, cfg)])
+            norms = np.linalg.norm(plain, axis=1)
+            assert rows.tobytes() == (plain[norms != 0] / norms[norms != 0, None]).tobytes()
+
+    @pytest.mark.parametrize("alphabet", [
+        "被告人盗窃财物驾驶车辆抢劫伤害现场",
+        "".join(map(chr, range(0x4E00, 0x9FA5))),
+    ], ids=["17-chars", "cjk-block"])
+    def test_a_dense_run_holds_its_rows_and_one_chunk(self, alphabet):
+        """A run whose windows hold 32 featurization chunks' worth of
+        n-grams holds, beyond the unit rows the scorer keeps, less than one
+        chunk's working arrays: about 100 bytes per n-gram. That holds for
+        texts that draw on 17 characters, whose n-grams repeat, and for
+        texts drawn from the whole CJK block, whose n-grams are nearly all
+        distinct, so the n-gram tables must not grow with the run."""
+        import tracemalloc
+
+        from lexforge.training import FEATURIZE_CHUNK, ToyEmbedder
+        rng = np.random.default_rng(0)
+        cfg = SegmentConfig(max_len=128, stride=64)
+        texts = ["".join(rng.choice(list(alphabet), size=1024)) for _ in range(140)]
+        assert sum(2 * len(w) - 3 for t in texts for w in segment(t, cfg)) > 32 * FEATURIZE_CHUNK
+        embedder = ToyEmbedder(dim=64, hash_buckets=1 << 15, seed=1)
+        embedder.weights  # drawn before the trace
+        tracemalloc.start()
+        try:
+            scorer = DenseScorer([("被告人盗窃", {f"c{i}": t for i, t in enumerate(texts)})],
+                                 embedder, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scorer._windows) == len(texts)
+        kept = sum(rows.nbytes for rows in scorer._windows.values())
+        assert peak - kept < FEATURIZE_CHUNK * 128
+
     def test_the_queries_are_embedded_in_one_call(self, monkeypatch):
         """The run's distinct queries, each once, in order of first
         appearance, are one ``embed`` call; no other call holds a query."""
@@ -685,12 +755,15 @@ class TestSearchRun:
         texts = {f"c{i}": "被告人盗窃财物" * (i + 1) for i in range(6)}
         queries = [(f"q{j}", "盗窃" * (j + 1)) for j in range(4)]
         pools = {qid: sorted(texts) for qid, _ in queries}
-        builds, embedded = [], []
+        builds, embedded, streamed = [], [], []
         real_build, real_embed = Bm25Index.build.__func__, embedder.embed
+        real_stream = embedder.embed_chunks
         monkeypatch.setattr(Bm25Index, "build", classmethod(
             lambda cls, corpus, *a: builds.append(len(corpus)) or real_build(cls, corpus, *a)))
         monkeypatch.setattr(embedder, "embed",
                             lambda batch: embedded.extend(batch) or real_embed(batch))
+        monkeypatch.setattr(embedder, "embed_chunks", lambda texts: real_stream(
+            streamed.append(text) or text for text in texts))
         opts = {"k": 3, "bm25_params": Bm25Params(), "index": None,
                 "embedder": embedder, "seg_cfg": SegmentConfig(max_len=8, stride=4),
                 "pools_path": "pools.jsonl"}
@@ -698,7 +771,10 @@ class TestSearchRun:
         assert builds == [6]
         _run(queries, texts, pools, scorer="dense", **opts)
         windows = [w for t in texts.values() for w in segment(t, SegmentConfig(8, 4))]
-        assert sorted(embedded) == sorted(windows + [q for _, q in queries])
+        # the queries go through embed, which reads the stream, and every
+        # window goes once through the stream itself
+        assert embedded == [q for _, q in queries]
+        assert streamed == embedded + windows
 
     def test_a_run_without_pools_walks_the_corpus_once(self):
         """Every query of a run without pools shares the one corpus mapping;

@@ -41,6 +41,7 @@ from oracles import (
     batch_gradient_oracle,
     cosine_oracle,
     dense_gradient,
+    embed_oracle,
     false_negative_mask_oracle,
     features_oracle,
     fd_gradient,
@@ -419,8 +420,9 @@ EMBEDDER_STATE = {"dim", "hash_buckets", "ngram_min", "ngram_max", "seed", "_wei
 
 
 class TestFeaturize:
-    """The batched pass equals the plain per-text loop
-    (``oracles.features_oracle``) bit for bit, buckets in the same order,
+    """Each reader of the chunked pass, ``features``, a store and
+    ``embed``, equals the plain per-text loop (``oracles.features_oracle``
+    and ``oracles.embed_oracle``) bit for bit, buckets in the same order,
     and leaves no per-text state on the embedder."""
 
     def test_an_embedder_holds_its_shape_seed_and_weights_alone(self):
@@ -432,35 +434,29 @@ class TestFeaturize:
 
     def test_two_instances_featurize_alike(self):
         texts = ["被告人盗窃财物", "", "驾驶 车辆", "被告人盗窃财物"]
-        a, b = (ToyEmbedder(dim=8, hash_buckets=64, seed=1).featurize(texts) for _ in range(2))
-        for (a_idx, a_values), (b_idx, b_values) in zip(a, b):
+        a, b = (ToyEmbedder(dim=8, hash_buckets=64, seed=1) for _ in range(2))
+        for text in texts:
+            (a_idx, a_values), (b_idx, b_values) = a.features(text), b.features(text)
             assert np.array_equal(a_idx, b_idx) and np.array_equal(a_values, b_values)
-
-    def test_a_repeated_text_is_featurized_once(self, monkeypatch):
-        featurized = []
-        real = ToyEmbedder._featurize_chunks
-
-        def featurize_chunks(self, texts):
-            texts = list(texts)
-            featurized.append(texts)
-            return real(self, texts)
-
-        monkeypatch.setattr(ToyEmbedder, "_featurize_chunks", featurize_chunks)
-        embedder = ToyEmbedder(dim=2, hash_buckets=64)
-        got = embedder.featurize(["财物", "被告人盗窃", "财物"])
-        assert featurized == [["财物", "被告人盗窃"]]
-        assert got[0] is got[2] and got[0][0] is not got[1][0]
-        first = embedder.features("被告人盗窃")
-        assert np.array_equal(got[1][0], first[0]) and np.array_equal(got[1][1], first[1])
+        assert a.embed(texts).tobytes() == b.embed(texts).tobytes()
 
     def _assert_equal_oracle(self, embedder, texts):
-        got = embedder.featurize(texts)
-        assert len(got) == len(texts)
-        for text, (idx, values) in zip(texts, got):
+        """``features`` of each text, each slot of a :class:`FeatureStore`
+        of the texts and each row of one ``embed`` of them equal the plain
+        per-text loop bit for bit."""
+        store = FeatureStore(embedder, texts)
+        stored = store.features(np.arange(len(texts)))
+        vectors = embedder.embed(texts)
+        assert vectors.shape == (len(texts), embedder.dim)
+        for text, (store_idx, store_values), row in zip(texts, stored, vectors, strict=True):
+            idx, values = embedder.features(text)
             want_idx, want_values = features_oracle(
                 text, embedder.hash_buckets, embedder.ngram_min, embedder.ngram_max)
             assert idx.dtype == np.int64 and values.dtype == np.float64
-            assert np.array_equal(idx, want_idx) and np.array_equal(values, want_values)
+            assert np.array_equal(idx, want_idx) and values.tobytes() == want_values.tobytes()
+            assert np.array_equal(store.rows[store_idx], want_idx)
+            assert store_values.tobytes() == want_values.tobytes()
+            assert row.tobytes() == embed_oracle(embedder, text).tobytes()
         assert set(vars(embedder)) == EMBEDDER_STATE
 
     @given(feature_batches(), st.sampled_from([(1, 1), (2, 3), (1, 4), (3, 6)]),
@@ -573,9 +569,9 @@ class TestTrainToy:
     def test_loss_decreases(self):
         embedder = ToyEmbedder(dim=16, hash_buckets=2048, seed=1)
         schedule = TrainSchedule(epochs=12, batch_size=12, learning_rate=5e-3, seed=1)
-        result = train_toy(training_set(_toy_pairs(48), embedder), embedder, schedule)
-        first = np.mean([loss for _, loss in result.loss_curve[:4]])
-        last = np.mean([loss for _, loss in result.loss_curve[-4:]])
+        curve = train_toy(training_set(_toy_pairs(48), embedder), embedder, schedule)
+        first = np.mean([loss for _, loss in curve[:4]])
+        last = np.mean([loss for _, loss in curve[-4:]])
         assert last < first
 
     @pytest.mark.parametrize("field", ["query_text", "positive_text"])
@@ -603,8 +599,7 @@ class TestTrainToy:
         for _ in range(2):
             embedder = ToyEmbedder(dim=8, hash_buckets=256, seed=3)
             schedule = TrainSchedule(epochs=3, batch_size=8, seed=3)
-            result = train_toy(training_set(_toy_pairs(24), embedder), embedder, schedule)
-            curves.append(result.loss_curve)
+            curves.append(train_toy(training_set(_toy_pairs(24), embedder), embedder, schedule))
         assert curves[0] == curves[1]
 
     def test_empty_pairs_rejected(self):
@@ -626,9 +621,8 @@ class TestTrainToy:
         loss_cfg = LossConfig(temperature=0.5, masking_enabled=masking)
         fast = ToyEmbedder(dim=16, hash_buckets=3000, seed=4)
         plain = ToyEmbedder(dim=16, hash_buckets=3000, seed=4)
-        result = train_toy(training_set(_toy_pairs(45), fast), fast, schedule, loss_cfg)
-        curve = train_toy_oracle(_toy_pairs(45), plain, schedule, loss_cfg)
-        assert result.loss_curve == curve
+        curve = train_toy(training_set(_toy_pairs(45), fast), fast, schedule, loss_cfg)
+        assert curve == train_toy_oracle(_toy_pairs(45), plain, schedule, loss_cfg)
         assert np.array_equal(fast.weights, plain.weights)
 
     def test_non_finite_weights_abort_with_diagnostics(self):
@@ -695,8 +689,7 @@ class TestCompactTraining:
                 train_toy(training_set(pairs, fast), fast, schedule, loss_cfg)
             return
         want = train_toy_oracle(pairs, plain, schedule, loss_cfg)
-        result = train_toy(training_set(pairs, fast), fast, schedule, loss_cfg)
-        assert result.loss_curve == want
+        assert train_toy(training_set(pairs, fast), fast, schedule, loss_cfg) == want
         assert fast.weights.tobytes() == plain.weights.tobytes()
 
     @given(training_runs(), st.randoms(use_true_random=False))
@@ -720,7 +713,7 @@ class TestCompactTraining:
                 train_toy(data, fast, schedule, loss_cfg)
             return
         want = train_toy_oracle(pairs, plain, schedule, loss_cfg)
-        assert train_toy(data, fast, schedule, loss_cfg).loss_curve == want
+        assert train_toy(data, fast, schedule, loss_cfg) == want
         assert fast.weights.tobytes() == plain.weights.tobytes()
 
     @pytest.mark.parametrize("buckets", [16, 4096])
@@ -736,13 +729,13 @@ class TestCompactTraining:
         monkeypatch.setattr(Adam, "step", step)
         pairs = _toy_pairs(30)
         embedder = ToyEmbedder(dim=4, hash_buckets=buckets, seed=7)
-        result = train_toy(training_set(pairs, embedder), embedder,
-                           TrainSchedule(epochs=2, batch_size=8, seed=7))
+        curve = train_toy(training_set(pairs, embedder), embedder,
+                          TrainSchedule(epochs=2, batch_size=8, seed=7))
         reach = set()
         for query, positive, _ in pairs:
             for text in (query, positive):
                 reach.update(features_oracle(text, buckets, 2, 3)[0].tolist())
-        assert len(seen) == len(result.loss_curve) == 8
+        assert len(seen) == len(curve) == 8
         assert set(seen) == {((len(reach), 4),) * 3}
         assert len(reach) == 16 if buckets == 16 else len(reach) < buckets // 2
 
@@ -792,7 +785,7 @@ class TestCompactTraining:
         shape = {"dim": 8, "hash_buckets": 4096, "seed": 6}
         schedule = TrainSchedule(epochs=3, batch_size=8, learning_rate=0.05, seed=6)
         trained = ToyEmbedder(**shape)
-        per_epoch = len(train_toy(training_set(pairs, trained), trained, schedule).loss_curve) // 3
+        per_epoch = len(train_toy(training_set(pairs, trained), trained, schedule)) // 3
         calls = []
         real_gradient = training._batch_gradient
 
