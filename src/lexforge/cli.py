@@ -3,7 +3,7 @@
 One subcommand per stage: fixtures -> extract -> synthesize -> augment ->
 train -> index -> search -> eval -> report. Every stage reads and writes
 only the documented files (line-delimited JSON, a binary checkpoint and a
-binary BM25 index), writes outputs atomically, and is re-runnable. Exit
+binary BM25 index), commits its outputs together, and is re-runnable. Exit
 codes: 0 success, 1 usage, 2 data error, 3 remote-client failure.
 
 This module imports only :mod:`config`, :mod:`fileio` and :mod:`errors`;
@@ -121,16 +121,17 @@ def _fields(path: Path, lineno: int, record: dict, **parsers) -> list:
     return values
 
 
-def _id(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string id, not {type(value).__name__}")
-    return value
+def _typed(kind, expected: str):
+    """A field parser that keeps a JSON value of type ``kind``, never a bool."""
+    def parse(value):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise TypeError(f"expected {expected}, not {type(value).__name__}")
+        return value
+    return parse
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, not {type(value).__name__}")
-    return value
+_id, _text = _typed(str, "a string id"), _typed(str, "a string")
+_int, _number = _typed(int, "an integer"), _typed((int, float), "a number")
 
 
 def _id_list(value) -> list[str]:
@@ -150,7 +151,7 @@ def _load_qrels(path: Path) -> dict[str, dict[str, int]]:
     qrels: dict[str, dict[str, int]] = {}
     for lineno, record in fileio.read_jsonl(path):
         query_id, case_id, label = _fields(path, lineno, record,
-                                           query_id=_id, case_id=_id, label=int)
+                                           query_id=_id, case_id=_id, label=_int)
         labels = qrels.setdefault(query_id, {})
         if case_id in labels:
             raise MalformedRecord(f"{path}:{lineno}: query {query_id!r} repeats "
@@ -178,7 +179,7 @@ def _load_run(path: Path) -> dict[str, list[tuple[str, float]]]:
     seen: dict[str, set[tuple[str, object]]] = {}
     for lineno, record in fileio.read_jsonl(path):
         query_id, rank, case_id, score = _fields(path, lineno, record, query_id=_id,
-                                                 rank=int, case_id=_id, score=float)
+                                                 rank=_int, case_id=_id, score=_number)
         taken = seen.setdefault(query_id, set())
         for key in (("case_id", case_id), ("rank", rank)):
             if key in taken:
@@ -188,14 +189,6 @@ def _load_run(path: Path) -> dict[str, list[tuple[str, float]]]:
         rows.setdefault(query_id, []).append((rank, case_id, score))
     return {qid: [(cid, score) for _, cid, score in sorted(entries)]
             for qid, entries in rows.items()}
-
-
-def _write_run(path: Path, run: dict[str, list[tuple[str, float]]], scorer: str) -> None:
-    fileio.write_jsonl(path, (
-        {"query_id": query_id, "case_id": case_id, "rank": rank, "score": score,
-         "scorer": scorer}
-        for query_id in sorted(run)
-        for rank, (case_id, score) in enumerate(run[query_id], start=1)))
 
 
 # --------------------------------------------------------------------------
@@ -214,30 +207,31 @@ def _cmd_fixtures(args, cfg: PipelineConfig) -> int:
     qrels_params = config.parse(testkit.generate_qrels, _flags(args, "n_queries"))
     if qrels_params.get("n_queries", 0) < 0:
         raise UsageError(f"--n-queries = {args.n_queries!r}: n_queries must be >= 0")
-    fileio.check_outputs(*(out / name for name in (
-        "corpus.jsonl", "truth.jsonl", "pools.jsonl", "qrels.jsonl", "eval_queries.jsonl")))
-    build = testkit.generate_corpus(spec)
-    fileio.write_jsonl(out / "corpus.jsonl", (case_to_record(d) for d in build.cases))
-    fileio.write_jsonl(out / "truth.jsonl", (
-        elements_to_record(cid, t.elements)
-        for cid, t in sorted(build.truth.items()) if t.elements is not None))
+    with fileio.outputs(*(out / name for name in (
+            "corpus.jsonl", "truth.jsonl", "pools.jsonl", "qrels.jsonl",
+            "eval_queries.jsonl"))) as (corpus, truth, pools, qrels, queries):
+        build = testkit.generate_corpus(spec)
+        fileio.write_jsonl(corpus, (case_to_record(d) for d in build.cases))
+        fileio.write_jsonl(truth, (
+            elements_to_record(cid, t.elements)
+            for cid, t in sorted(build.truth.items()) if t.elements is not None))
 
-    qrels_build = testkit.generate_qrels(build, seed=args.seed, **qrels_params)
-    fileio.write_jsonl(out / "pools.jsonl", (
-        {"query_id": qid, "candidate_ids": qrels_build.pools[qid]}
-        for qid in sorted(qrels_build.pools)))
-    fileio.write_jsonl(out / "qrels.jsonl", (
-        {"query_id": qid, "case_id": cid, "label": label}
-        for qid in sorted(qrels_build.labels)
-        for cid, label in sorted(qrels_build.labels[qid].items())))
+        qrels_build = testkit.generate_qrels(build, seed=args.seed, **qrels_params)
+        fileio.write_jsonl(pools, (
+            {"query_id": qid, "candidate_ids": qrels_build.pools[qid]}
+            for qid in sorted(qrels_build.pools)))
+        fileio.write_jsonl(qrels, (
+            {"query_id": qid, "case_id": cid, "label": label}
+            for qid in sorted(qrels_build.labels)
+            for cid, label in sorted(qrels_build.labels[qid].items())))
 
-    docs = {d.case_id: d for d in build.cases}
-    client = querygen.OfflineTemplateClient()
-    eval_queries = querygen.generate_queries(
-        [docs[qrels_build.sources[qid]] for qid in sorted(qrels_build.sources)],
-        client, global_seed=derive_seed(args.seed, "eval-queries"),
-        max_query_chars=cfg.max_query_chars)
-    fileio.write_jsonl(out / "eval_queries.jsonl", (q.to_record() for q in eval_queries))
+        docs = {d.case_id: d for d in build.cases}
+        client = querygen.OfflineTemplateClient()
+        eval_queries = querygen.generate_queries(
+            [docs[qrels_build.sources[qid]] for qid in sorted(qrels_build.sources)],
+            client, global_seed=derive_seed(args.seed, "eval-queries"),
+            max_query_chars=cfg.max_query_chars)
+        fileio.write_jsonl(queries, (q.to_record() for q in eval_queries))
     print(f"fixtures: {len(build.cases)} cases, {len(eval_queries)} eval queries -> {out}")
     return EXIT_OK
 
@@ -246,14 +240,14 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
     from .corpus import Exclusion, elements_to_record, filter_corpus
 
     docs = _load_corpus(Path(args.corpus))
-    fileio.check_outputs(args.elements, args.exclusions)
     exclusions: list[Exclusion] = []
-    admitted = fileio.write_jsonl(Path(args.elements), (
-        elements_to_record(doc.case_id, elements)
-        for doc, elements in filter_corpus((docs[c] for c in sorted(docs)),
-                                           cfg.filter, on_exclude=exclusions.append)))
-    if args.exclusions:
-        fileio.write_jsonl(Path(args.exclusions), (e.to_record() for e in exclusions))
+    with fileio.outputs(args.elements, args.exclusions) as (elements_out, exclusions_out):
+        admitted = fileio.write_jsonl(elements_out, (
+            elements_to_record(doc.case_id, elements)
+            for doc, elements in filter_corpus((docs[c] for c in sorted(docs)),
+                                               cfg.filter, on_exclude=exclusions.append)))
+        if exclusions_out:
+            fileio.write_jsonl(exclusions_out, (e.to_record() for e in exclusions))
     print(f"extract: {admitted} admitted, {len(exclusions)} excluded")
     return EXIT_OK
 
@@ -290,7 +284,8 @@ def _cmd_synthesize(args, cfg: PipelineConfig) -> int:
         targets, client, global_seed=args.seed,
         max_in_flight=settings.max_in_flight,
         max_query_chars=cfg.max_query_chars)
-    fileio.write_jsonl(Path(args.output), (q.to_record() for q in queries))
+    with fileio.outputs(args.output) as (output,):
+        fileio.write_jsonl(output, (q.to_record() for q in queries))
     summary = f"synthesize: {len(queries)} queries"
     if queries:
         avg_q = sum(len(q.text) for q in queries) / len(queries)
@@ -310,7 +305,8 @@ def _cmd_augment(args, cfg: PipelineConfig) -> int:
     elements = dict(_parsed(Path(args.elements), elements_from_record))
     index = augment.build_element_index(elements)
     result = augment.mix_pairs(queries, elements, index, aug_cfg)
-    fileio.write_jsonl(Path(args.output), (p.to_record() for p in result.pairs))
+    with fileio.outputs(args.output) as (output,):
+        fileio.write_jsonl(output, (p.to_record() for p in result.pairs))
     print(f"augment: {len(result.pairs)} pairs, {result.augmented_count} augmented, "
           f"{len(result.fallbacks)} fallbacks; {index.signatures} signatures indexed, "
           f"{index.scores} scores computed")
@@ -385,20 +381,19 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
         args, "epochs", "batch_size", "learning_rate"), seed=args.seed)
     loss_cfg = config.with_values(cfg.loss, _flags(args, masking_enabled="no_masking"))
     data, lines = _training_set(args, embedder)
-    fileio.check_outputs(args.output, args.curve)
-    try:
-        curve = training.train_toy(data, embedder, schedule, loss_cfg)
-    except FeaturelessText as exc:
-        lineno = lines[exc.pair]
-        field = "query_id" if exc.field == "query_text" else "positive_case_id"
-        record = next(record for n, record in fileio.read_jsonl(Path(args.pairs)) if n == lineno)
-        raise MalformedRecord(f"{args.pairs}:{lineno}: field {field!r}: the text of "
-                              f"{record[field]!r} has no character n-gram to embed") from None
-    training.save_checkpoint(embedder, args.output)
-    if args.curve:
-        fileio.atomic_write_text(
-            Path(args.curve),
-            "".join(f"{step}\t{loss:.10f}\n" for step, loss in curve))
+    with fileio.outputs(args.output, args.curve) as (output, curve_out):
+        try:
+            curve = training.train_toy(data, embedder, schedule, loss_cfg)
+        except FeaturelessText as exc:
+            lineno = lines[exc.pair]
+            field = "query_id" if exc.field == "query_text" else "positive_case_id"
+            record = next(r for n, r in fileio.read_jsonl(Path(args.pairs)) if n == lineno)
+            raise MalformedRecord(f"{args.pairs}:{lineno}: field {field!r}: the text of "
+                                  f"{record[field]!r} has no character n-gram to embed") from None
+        training.save_checkpoint(embedder, output)
+        if curve_out:
+            fileio.write_bytes(curve_out, "".join(
+                f"{step}\t{loss:.10f}\n" for step, loss in curve).encode("utf-8"))
     print(f"train: {len(data)} pairs, {len(curve)} steps, "
           f"loss {curve[0][1]:.4f} -> {curve[-1][1]:.4f}")
     return EXIT_OK
@@ -413,7 +408,8 @@ def _cmd_index(args, cfg: PipelineConfig) -> int:
                          f"(choose from {choices})")
     index = retrieval.Bm25Index.build(_load_texts(Path(args.corpus)), **config.parse(
         retrieval.Bm25Index.build, _flags(args, tokenizer_name="tokenizer")))
-    written = index.save(Path(args.output))
+    with fileio.outputs(args.output) as (output,):
+        written = index.save(output)
     print(f"index: {index.n_docs} docs, {len(index.terms)} terms, "
           f"{len(index.term_ids)} postings, {written} bytes")
     return EXIT_OK
@@ -483,7 +479,12 @@ def _cmd_search(args, cfg: PipelineConfig) -> int:
     run, missing, unpooled = _search_run(
         ((q.query_id, q.text) for q in queries), texts, pools, scorer_for,
         k=k, pools_path=args.pools)
-    _write_run(Path(args.output), run, args.scorer)
+    with fileio.outputs(args.output) as (output,):
+        fileio.write_jsonl(output, (
+            {"query_id": query_id, "case_id": case_id, "rank": rank, "score": score,
+             "scorer": args.scorer}
+            for query_id in sorted(run)
+            for rank, (case_id, score) in enumerate(run[query_id], start=1)))
     label = (args.scorer if args.scorer == "dense"
              else f"bm25 ({'corpus' if args.index else 'pool'} statistics)")
     print(f"search: {len(run)} queries, top-{k} by {label}; "
@@ -517,7 +518,9 @@ def _load_metrics(path: Path) -> tuple[str, dict[str, float]]:
     """The label and the macro means of an ``eval`` metrics file; a file
     that is not one is a MalformedRecord naming it and the reason."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(f"{path}: not UTF-8 at byte {exc.start + 1}") from None
     except json.JSONDecodeError as exc:
         raise MalformedRecord(f"{path}: not JSON: {exc}") from None
     macro = payload.get("macro") if isinstance(payload, dict) else None

@@ -1,11 +1,11 @@
-"""Line-delimited JSON file helpers with atomic replacement.
+"""Line-delimited JSON file helpers, and the one way a stage writes.
 
 Pipeline artifacts are files of one JSON object per line, and checkpoints
-and BM25 indexes are binary. Every writer goes through one
-temp-file-then-rename (:func:`_atomic_file`): it writes into a temp file
-beside the target as it goes, JSONL a record at a time, and renames the
-file over the target only once the last byte is written, so a re-run can
-never leave a partially written artifact behind.
+and BM25 indexes are binary. A stage writes all its outputs in one
+:func:`outputs` block: each writer streams into a temp file beside its
+output, JSONL a record at a time, and the temp files are renamed over the
+outputs, in order, only once the block ends. A failed stage leaves every
+earlier output as it was; a crash between two renames can leave a mix.
 """
 
 from __future__ import annotations
@@ -22,57 +22,63 @@ from .errors import MalformedRecord
 
 
 @contextmanager
-def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
-    """A binary file to write path's new content into: a temp file in the
-    same directory, renamed over path when the block ends, removed if the
-    block raises, so that a failed write leaves any earlier file at path as
-    it was. The file gets the mode a plain ``open`` would give it: 0o666
-    less the umask. An ``OSError`` that names no file, as a failed write
-    does, or that names the temp file, is made to name path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        with os.fdopen(fd, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename in (None, os.fspath(tmp)):
-            exc.filename, exc.filename2 = os.fspath(path), None
-        raise
-
-
-def check_outputs(*paths: str | Path | None) -> None:
-    """Raise ``IsADirectoryError`` for the first path, Nones aside, that is a
-    directory: a stage calls this before its first write, so that an output
-    it cannot write fails it before an earlier output is replaced."""
+def outputs(*paths: str | Path | None) -> Iterator[list[str | None]]:
+    """A temp path beside each output path, Nones kept, for the block to
+    write into; an output that is a directory is an ``IsADirectoryError``
+    before the block runs. Only a writer makes a temp file, and its parent
+    directory. When the block ends, each temp file is renamed over its
+    output, in order. If it raises, every temp file is removed, every
+    output is left as it was, and an ``OSError`` that names a temp file is
+    made to name its output."""
     for path in paths:
         if path is not None and os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+    temps = [path and f"{path}.{os.urandom(8).hex()}.tmp" for path in paths]
+    named = [(temp, path) for temp, path in zip(temps, paths) if temp]
+    try:
+        yield temps
+        for temp, path in named:
+            os.replace(temp, path)
+    except BaseException as exc:
+        for temp, path in named:
+            Path(temp).unlink(missing_ok=True)
+            if isinstance(exc, OSError) and exc.filename == temp:
+                exc.filename, exc.filename2 = os.fspath(path), None
+        raise
 
 
-def atomic_write_bytes(path: str | Path, *chunks) -> int:
+@contextmanager
+def _created(path: str | Path) -> Iterator[BinaryIO]:
+    """path opened to write, its parent directory made first; an ``OSError``
+    that names no file, as a failed write does, is made to name path."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:
+            yield fh
+    except OSError as exc:
+        exc.filename = os.fspath(path) if exc.filename is None else exc.filename
+        raise
+
+
+def write_bytes(path: str | Path, *chunks) -> int:
     """Write the chunks, each ``bytes`` or another C-contiguous buffer, in
-    order to path atomically (:func:`_atomic_file`); returns the byte
-    count."""
-    with _atomic_file(path) as fh:
+    order to path; returns the byte count."""
+    with _created(path) as fh:
         return sum(fh.write(chunk) for chunk in chunks)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write UTF-8 text to path atomically, as :func:`atomic_write_bytes`."""
-    atomic_write_bytes(path, text.encode("utf-8"))
+    """Write UTF-8 text to path in a one-output :func:`outputs` block."""
+    with outputs(path) as (temp,):
+        write_bytes(temp, text.encode("utf-8"))
 
 
 def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> int:
-    """Write records as one JSON object per line, UTF-8, keys sorted;
-    returns the line count. Each line is written as its record arrives, so
-    only the file's buffer is held; a record that cannot be encoded, or an
-    iterator that raises, leaves any earlier file at path as it was."""
+    """Write records to path as one JSON object per line, UTF-8, keys
+    sorted; returns the line count. Each line is written as its record
+    arrives, so only the file's buffer is held."""
     count = 0
-    with _atomic_file(path) as fh:
+    with _created(path) as fh:
         for record in records:
             fh.write((json.dumps(record, ensure_ascii=False, sort_keys=True)
                       + "\n").encode("utf-8"))

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 from .config import Bm25Params, SegmentConfig
 from .errors import BadIndex, EmptyCorpus, UnknownDoc, ZeroVector
-from .fileio import atomic_write_bytes
+from .fileio import write_bytes
 
 if TYPE_CHECKING:
     import numpy as np
@@ -139,7 +139,7 @@ class Bm25Index:
         many ``<I`` term ids and then ``<I`` tfs as the last offset says.
         Every string is UTF-8 preceded by its ``<I`` byte length.
         """
-        return atomic_write_bytes(
+        return write_bytes(
             path, _INDEX_MAGIC, _U32.pack(_INDEX_VERSION), *_packed([self.tokenizer_name]),
             _U32.pack(self.n_docs), *_packed(self.doc_ids),
             _U32.pack(len(self.terms)), *_packed(self.terms),

@@ -82,7 +82,7 @@ from .errors import (
     NonFiniteLoss,
     ZeroVector,
 )
-from .fileio import atomic_write_bytes
+from .fileio import write_bytes
 
 #: Additive stand-in for minus infinity; underflows to exact zero softmax mass.
 MASK_SURROGATE = -1.0e9
@@ -657,8 +657,7 @@ def save_checkpoint(embedder: ToyEmbedder, path: str | Path) -> None:
     """
     header = _CKPT_HEADER.pack(_CKPT_VERSION, embedder.hash_buckets, embedder.dim,
                                embedder.ngram_min, embedder.ngram_max, embedder.seed)
-    atomic_write_bytes(path, _CKPT_MAGIC + header,
-                       np.ascontiguousarray(embedder.weights, dtype="<f8"))
+    write_bytes(path, _CKPT_MAGIC + header, np.ascontiguousarray(embedder.weights, dtype="<f8"))
 
 
 def load_checkpoint(path: str | Path) -> ToyEmbedder:

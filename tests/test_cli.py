@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lexforge import cli, fileio
 
@@ -401,26 +404,48 @@ class TestDeterminism:
         assert leftovers == []
 
 
-#: Runs a lexforge command with every file it writes capped at argv[1]
-#: bytes: a write past the cap fails with EFBIG, as on a full disk, once the
-#: file holds that many bytes (Python ignores SIGXFSZ).
-_CAPPED = ("import resource, sys\n"
-           "_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)\n"
-           "resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), hard))\n"
+#: Runs a lexforge command, argv[3:], that fails partway through one of its
+#: outputs, the file argv[1]: once the command opens that output's temp
+#: file, every file it writes is capped at argv[2] bytes, so the outputs
+#: written before it are whole and a write past the cap fails with EFBIG
+#: (Python ignores SIGXFSZ).
+_CAPPED = ("import os, resource, sys\n"
+           "name, cap = os.path.basename(sys.argv[1]) + '.', int(sys.argv[2])\n"
+           "def cap_at(event, args):\n"
+           "    if event == 'open' and isinstance(args[0], (str, os.PathLike)):\n"
+           "        base = os.path.basename(args[0])\n"
+           "        if base.startswith(name) and base.endswith('.tmp'):\n"
+           "            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+           "            resource.setrlimit(resource.RLIMIT_FSIZE, (cap, hard))\n"
+           "sys.addaudithook(cap_at)\n"
            "from lexforge.cli import main\n"
-           "sys.exit(main(sys.argv[2:]))\n")
+           "sys.exit(main(sys.argv[3:]))\n")
+
+
+def _run_capped(output: Path, cap: int, argv: list) -> tuple[int, str]:
+    """The exit code and stderr of a lexforge command run under
+    ``_CAPPED``, its file ``output`` capped at ``cap`` bytes."""
+    import os
+    import subprocess
+    import sys
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", _CAPPED, str(output), str(cap),
+                           *map(str, argv)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    return proc.returncode, proc.stderr
 
 
 def _writers(w, d):
     """(target, argv, the file whose size the target's new content has):
     each stage's output, and train's ``--curve``, written into d from the
-    workdir's inputs. Each target is the first file its command writes past
-    half that size."""
+    workdir's inputs."""
     search = ["search", "--queries", w / "eval_queries.jsonl", "--corpus", w / "corpus.jsonl",
               "--pools", w / "pools.jsonl", "--scorer", "bm25", "--k", 30]
     train = ["train", "--pairs", w / "pairs.jsonl", "--queries", w / "queries.jsonl",
              "--corpus", w / "corpus.jsonl", "--output", d / "toy.ckpt",
-             "--epochs", 2, "--batch-size", 16, "--seed", 11]
+             "--epochs", 2, "--batch-size", 16, "--dim", 16, "--hash-buckets", 2048,
+             "--seed", 11]
     return {
         "fixtures": ("corpus.jsonl", ["fixtures", "--out", d, "--n-cases", 150,
                                       "--n-queries", 6, "--n-rulings", 5,
@@ -437,11 +462,8 @@ def _writers(w, d):
                                     "--elements", w / "elements.jsonl",
                                     "--output", d / "pairs.jsonl", "--proportion", 0.7,
                                     "--seed", 11], w / "pairs.jsonl"),
-        "checkpoint": ("toy.ckpt", train + ["--dim", 16, "--hash-buckets", 2048],
-                       w / "toy.ckpt"),
-        # a checkpoint of 1 x 8 weights is written whole below the cap
-        "curve": ("loss.tsv", train + ["--curve", d / "loss.tsv", "--dim", 1,
-                                       "--hash-buckets", 8], w / "loss.tsv"),
+        "checkpoint": ("toy.ckpt", train, w / "toy.ckpt"),
+        "curve": ("loss.tsv", train + ["--curve", d / "loss.tsv"], w / "loss.tsv"),
         "index": ("bm25.idx", ["index", "--corpus", w / "corpus.jsonl",
                                "--output", d / "bm25.idx"], w / "bm25.idx"),
         "search": ("run.jsonl", search + ["--output", d / "run.jsonl"], w / "run_bm25.jsonl"),
@@ -459,13 +481,11 @@ class TestAtomicWriters:
                                         "report"])
     def test_a_write_that_fails_partway_keeps_the_earlier_file(self, workdir, tmp_path,
                                                                writer):
-        """Each writer, run with its files capped at half the size of the
-        file it writes, fails partway through that file, as a data error
-        of one line that names the file; the earlier file there is left as
-        it was, and no temp file is left behind."""
-        import os
-        import subprocess
-        import sys
+        """Each writer, its file capped at half the size it writes, fails
+        partway through that file, as a data error of one line that names
+        the file; the earlier file there is left as it was, and no temp
+        file is left behind. ``train``'s checkpoint, written whole before
+        its curve fails, is not committed either."""
         d = tmp_path / "out"
         d.mkdir()
         target, argv, full = _writers(workdir, d)[writer]
@@ -474,17 +494,14 @@ class TestAtomicWriters:
         cap = full.stat().st_size // 2
         earlier = "an earlier file\n".encode("utf-8")
         (d / target).write_bytes(earlier)
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
-               "PYTHONDONTWRITEBYTECODE": "1"}
-        proc = subprocess.run([sys.executable, "-c", _CAPPED, str(cap), *map(str, argv)],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == cli.EXIT_DATA
-        assert proc.stderr == f"data error: {d / target}: File too large\n"
-        assert "Traceback" not in proc.stderr
+        if writer == "curve":
+            (d / "toy.ckpt").write_bytes(earlier)
+        assert _run_capped(d / target, cap, argv) == (
+            cli.EXIT_DATA, f"data error: {d / target}: File too large\n")
         assert (d / target).read_bytes() == earlier
         assert [p.name for p in d.iterdir() if p.name.endswith(".tmp")] == []
-        if writer == "curve":
-            assert 0 < (d / "toy.ckpt").stat().st_size < cap
+        if writer == "curve":  # written whole, but not committed without the curve
+            assert (d / "toy.ckpt").read_bytes() == earlier
 
 
 def _commands(w, d):
@@ -546,6 +563,22 @@ _OUTPUTS = {
     "eval": ["--output"],
     "report": ["--output"],
 }
+
+
+def _with_every_output(w, d, command) -> tuple[list, list[Path]]:
+    """The command of :func:`_commands` with every output of ``_OUTPUTS``
+    given, an output it does not name written into d; and the output
+    paths, in ``_OUTPUTS`` order."""
+    argv, paths = _commands(w, d)[command], []
+    for name in _OUTPUTS[command]:
+        if not name.startswith("--"):
+            paths.append(d / name)
+        elif name in argv:
+            paths.append(Path(argv[argv.index(name) + 1]))
+        else:
+            paths.append(d / name.lstrip("-"))
+            argv = [*argv, name, paths[-1]]
+    return argv, paths
 
 
 def _given(argv: list, flag: str, path: Path) -> list:
@@ -614,20 +647,9 @@ class TestSystemErrors:
         ``report --output`` included; the directory is left as it was, no
         temp file is left beside it, and every other output of the command,
         before or after it, keeps its earlier bytes."""
-        argv = _commands(workdir, tmp_path / "out")[command]
-        others = []
-        for name in _OUTPUTS[command]:
-            if not name.startswith("--"):
-                path = tmp_path / "out" / name
-            elif name in argv and name != output:
-                path = argv[argv.index(name) + 1]
-            else:
-                path = tmp_path / name.lstrip("-")
-                argv = _given(argv, name, path) if name in argv else [*argv, name, path]
-            if name == output:
-                target = path
-            else:
-                others.append(path)
+        argv, paths = _with_every_output(workdir, tmp_path / "out", command)
+        target = paths[_OUTPUTS[command].index(output)]
+        others = [path for path in paths if path != target]
         target.mkdir(parents=True)
         (target / "kept").write_text("kept\n")
         earlier = "an earlier file\n".encode("utf-8")
@@ -649,7 +671,7 @@ class TestSystemErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
     def test_a_full_disk(self, workdir, tmp_path, capsys, monkeypatch):
-        real_fdopen = fileio.os.fdopen
+        real_open = open
 
         class FullDisk:
             def __init__(self, fh):
@@ -664,12 +686,65 @@ class TestSystemErrors:
             def write(self, data):
                 raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(fileio.os, "fdopen", lambda fd, mode: FullDisk(real_fdopen(fd, mode)))
+        monkeypatch.setattr(fileio, "open", lambda name, mode: (
+            FullDisk(real_open(name, mode)) if "w" in mode else real_open(name, mode)),
+            raising=False)
         out = tmp_path / "el.jsonl"
         err = self._one_line(capsys, "extract", "--corpus", workdir / "corpus.jsonl",
                              "--elements", out)
         assert err == f"data error: {out}: No space left on device\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestStageCommit:
+    """A stage commits all of its outputs or none: an output that fails,
+    as a directory (:meth:`TestSystemErrors.test_a_directory_as_any_output`)
+    or partway through its write, leaves every output of the stage as it
+    was, before or after the failing one."""
+
+    @pytest.mark.parametrize("command, k", [
+        pytest.param(command, k, id=f"{command} {output}")
+        for command, outputs in _OUTPUTS.items() if len(outputs) > 1
+        for k, output in enumerate(outputs)])
+    def test_a_write_that_fails_partway_keeps_every_output(self, workdir, tmp_path, command,
+                                                          k):
+        """Output k fails under a file-size cap of half its full size, set
+        as its temp file is opened, after every output before it is written
+        whole: a data error of one line naming output k, every output
+        byte-equal to its earlier content, and no temp file."""
+        argv, full = _with_every_output(workdir, tmp_path / "full", command)
+        assert run_cli(*argv) == cli.EXIT_OK
+        assert full[k].stat().st_size > 1
+        argv, paths = _with_every_output(workdir, tmp_path / "out", command)
+        paths[0].parent.mkdir()
+        for i, path in enumerate(paths):
+            path.write_bytes(f"an earlier file {i}\n".encode("utf-8"))
+        earlier = [path.read_bytes() for path in paths]
+        assert _run_capped(paths[k], full[k].stat().st_size // 2, argv) == (
+            cli.EXIT_DATA, f"data error: {paths[k]}: File too large\n")
+        assert [path.read_bytes() for path in paths] == earlier
+        assert [p.name for p in paths[0].parent.iterdir() if p.name.endswith(".tmp")] == []
+
+    @pytest.mark.parametrize("command", list(_OUTPUTS))
+    def test_every_temp_file_is_whole_at_the_first_rename(self, workdir, tmp_path,
+                                                          monkeypatch, command):
+        """When a command renames its first temp file into place, the temp
+        file of every one of its outputs is there, with its final bytes."""
+        import os
+        argv, paths = _with_every_output(workdir, tmp_path / "out", command)
+        real_replace, at_first = os.replace, {}
+
+        def replace(src, dst):
+            if not at_first:
+                at_first.update((temp, temp.read_bytes())
+                                for temp in (tmp_path / "out").glob("*.tmp"))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(fileio.os, "replace", replace)
+        assert run_cli(*argv) == cli.EXIT_OK
+        final = {temp: temp.with_name(temp.name.rsplit(".", 2)[0]) for temp in at_first}
+        assert sorted(final.values()) == sorted(paths)
+        assert [temp.name for temp in at_first if at_first[temp] != final[temp].read_bytes()] == []
 
 
 class TestTruncatedInput:
@@ -719,6 +794,35 @@ class TestNonUtf8Input:
         files |= {name: bad, "out": tmp_path / "out"}
         assert run_cli(*(files.get(arg, arg) for arg in argv)) == cli.EXIT_DATA
         assert capsys.readouterr().err == f"data error: {bad}:3: not UTF-8 at byte 3\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param(command, flag, id=f"{command} {flag}")
+        for command, flags in _INPUTS.items() for flag in flags
+        if flag not in ("--index", "--checkpoint")])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_bad_byte_on_any_line_of_any_input(self, workdir, tmp_path, capsys, command,
+                                                 flag, data):
+        """A byte from 0x80 to 0xFF put between two characters of a line
+        that hypothesis picks, in each JSONL input of every command, is one
+        line naming the file, the line and the byte within the line; in
+        ``report``'s JSON metrics file, the file and the byte within it."""
+        argv = _commands(workdir, tmp_path / "out")[command]
+        source = Path(argv[1] if flag == "metrics" else argv[argv.index(flag) + 1])
+        lines = source.read_text(encoding="utf-8").split("\n")[:-1]
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        at = data.draw(st.integers(0, len(lines[i])), label="character")
+        head = "".join(line + "\n" for line in lines[:i]).encode("utf-8")
+        before = lines[i][:at].encode("utf-8")
+        bad = tmp_path / source.name
+        bad.write_bytes(head + before + bytes([data.draw(st.integers(0x80, 0xFF), label="byte")])
+                        + source.read_bytes()[len(head) + len(before):])
+        assert run_cli(*_given(argv, flag, bad)) == cli.EXIT_DATA
+        where = (f"{bad}: not UTF-8 at byte {len(head) + len(before) + 1}" if flag == "metrics"
+                 else f"{bad}:{i + 1}: not UTF-8 at byte {len(before) + 1}")
+        assert capsys.readouterr().err == f"data error: {where}\n"
         assert not (tmp_path / "out").exists()
 
     def test_crlf_lines_are_numbered_as_lf_lines(self, tmp_path):
@@ -933,8 +1037,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("qrel,expected", [
         ({"query_id": "q", "case_id": "c", "label": "x"},
-         "field 'label': invalid literal for int() with base 10: 'x'"),
-        ({"query_id": "q", "case_id": "c"}, "missing field 'label'")])
+         "field 'label': expected an integer, not str"),
+        ({"query_id": "q", "case_id": "c"}, "missing field 'label'"),
+        ({"query_id": "q", "case_id": "c", "label": 2.9},
+         "field 'label': expected an integer, not float"),
+        ({"query_id": "q", "case_id": "c", "label": True},
+         "field 'label': expected an integer, not bool"),
+        ({"query_id": "q", "case_id": "c", "label": "3"},
+         "field 'label': expected an integer, not str")])
     def test_bad_qrels_line_is_data_error(self, workdir, tmp_path, capsys, qrel, expected):
         qrels = tmp_path / "qrels.jsonl"
         fileio.write_jsonl(qrels, [{"query_id": "q", "case_id": "d", "label": 1}, qrel])
@@ -1125,6 +1235,37 @@ class TestExitCodes:
                                "--output", tmp_path / "m.json")
         assert err.startswith(f"data error: {run}:1: field 'score': ")
 
+    @pytest.mark.parametrize("field,value,expected", [
+        ("rank", 2.7, "expected an integer, not float"),
+        ("rank", True, "expected an integer, not bool"),
+        ("rank", "1", "expected an integer, not str"),
+        ("score", "0.4", "expected a number, not str"),
+        ("score", False, "expected a number, not bool"),
+        ("score", None, "expected a number, not NoneType")])
+    def test_a_run_number_of_another_type_is_data_error(self, workdir, tmp_path, capsys,
+                                                        field, value, expected):
+        """A rank is a JSON integer and a score a JSON number: neither is
+        read from a bool, a string or, for a rank, a float."""
+        run = tmp_path / "run.jsonl"
+        fileio.write_jsonl(run, [{"query_id": "q", "case_id": "c", "rank": 1, "score": 0.5},
+                                 {"query_id": "q", "case_id": "d", "rank": 2, "score": 1,
+                                  field: value}])
+        err = self._data_error(capsys, "eval", "--run", run, "--qrels", workdir / "qrels.jsonl",
+                               "--output", tmp_path / "m.json")
+        assert err == f"data error: {run}:2: field {field!r}: {expected}\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_integer_scores_and_labels_are_read(self, tmp_path):
+        run, qrels = tmp_path / "run.jsonl", tmp_path / "qrels.jsonl"
+        fileio.write_jsonl(run, [{"query_id": "q", "case_id": c, "rank": r, "score": 3 - r}
+                                 for r, c in ((1, "c"), (2, "d"))])
+        fileio.write_jsonl(qrels, [{"query_id": "q", "case_id": "d", "label": 2},
+                                   {"query_id": "q", "case_id": "c", "label": 0}])
+        assert run_cli("eval", "--run", run, "--qrels", qrels,
+                       "--output", tmp_path / "m.json") == cli.EXIT_OK
+        macro = json.loads((tmp_path / "m.json").read_text())["macro"]
+        assert macro["NDCG@10"] == pytest.approx(1 / math.log2(3))
+
     @pytest.mark.parametrize("repeat,expected", [
         ({"case_id": "c1", "rank": 3}, "query 'q' repeats case_id 'c1'"),
         ({"case_id": "c3", "rank": 1}, "query 'q' repeats rank 1")])
@@ -1205,6 +1346,14 @@ class TestExitCodes:
         bad.write_text(content)
         err = self._data_error(capsys, "report", workdir / "metrics_bm25.json", bad)
         assert err == f"data error: {bad}: {reason}\n"
+
+    def test_a_metrics_file_that_is_not_utf8_is_data_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "metrics_bad.json"
+        bad.write_bytes(b'{"label": "d\xffense", "macro": {"MAP": 0.5}}\n')
+        err = self._data_error(capsys, "report", workdir / "metrics_bm25.json", bad,
+                               "--output", tmp_path / "report.txt")
+        assert err == f"data error: {bad}: not UTF-8 at byte 13\n"
+        assert not (tmp_path / "report.txt").exists()
 
     @pytest.mark.parametrize("content,reason", [
         (b'{"tokenizer": "char_bigram", "doc_lens": {}, "term_freqs": {}}',

@@ -1,7 +1,10 @@
-"""The streaming atomic JSONL writer against the join-then-encode original."""
+"""The streaming JSONL writer against the join-then-encode original, and
+the ``outputs`` block that commits a stage's files together."""
 
+import errno
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -45,13 +48,19 @@ def _raising_after(k):
     raise RuntimeError(f"source failed after {k} records")
 
 
+def _write_in_block(path, records):
+    """write_jsonl records to path in a one-output ``outputs`` block."""
+    with fileio.outputs(path) as (temp,):
+        return fileio.write_jsonl(temp, records)
+
+
 @pytest.mark.parametrize("k", [0, 1, len(RECORDS)])
 def test_a_failing_source_keeps_the_old_file(tmp_path, k):
     path = tmp_path / "out.jsonl"
     fileio.write_jsonl(path, [{"old": "旧"}])
     before = path.read_bytes()
     with pytest.raises(RuntimeError, match=f"after {k} records"):
-        fileio.write_jsonl(path, _raising_after(k))
+        _write_in_block(path, _raising_after(k))
     assert path.read_bytes() == before
     assert _leftovers(tmp_path) == []
 
@@ -61,7 +70,7 @@ def test_a_record_that_cannot_be_encoded_keeps_the_old_file(tmp_path):
     fileio.write_jsonl(path, [{"old": "旧"}])
     before = path.read_bytes()
     with pytest.raises(UnicodeEncodeError):
-        fileio.write_jsonl(path, RECORDS[:2] + [{"text": "lone \ud800 surrogate"}])
+        _write_in_block(path, RECORDS[:2] + [{"text": "lone \ud800 surrogate"}])
     assert path.read_bytes() == before
     assert _leftovers(tmp_path) == []
 
@@ -69,8 +78,95 @@ def test_a_record_that_cannot_be_encoded_keeps_the_old_file(tmp_path):
 def test_a_failed_first_write_leaves_no_file(tmp_path):
     path = tmp_path / "out.jsonl"
     with pytest.raises(RuntimeError):
-        fileio.write_jsonl(path, _raising_after(2))
+        _write_in_block(path, _raising_after(2))
     assert list(tmp_path.iterdir()) == []
+
+
+class TestOutputs:
+    """Every output of a block is renamed into place only when the block
+    ends, together; a block that raises leaves every output as it was."""
+
+    EARLIER = "an earlier file\n".encode("utf-8")
+
+    def _earlier(self, tmp_path, names):
+        paths = [tmp_path / name for name in names]
+        for path in paths:
+            path.write_bytes(self.EARLIER)
+        return paths
+
+    def test_outputs_change_only_when_the_block_ends(self, tmp_path):
+        a, b = self._earlier(tmp_path, ["a.jsonl", "b.bin"])
+        with fileio.outputs(a, None, b) as temps:
+            assert temps[1] is None
+            assert [os.path.dirname(t) for t in temps[::2]] == [str(tmp_path)] * 2
+            assert fileio.write_jsonl(temps[0], RECORDS) == len(RECORDS)
+            assert fileio.write_bytes(temps[2], b"x", memoryview(b"yz")) == 3
+            assert [a.read_bytes(), b.read_bytes()] == [self.EARLIER] * 2
+        assert a.read_bytes() == _joined_bytes(RECORDS) and b.read_bytes() == b"xyz"
+        assert _leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_a_failed_write_of_any_output_keeps_every_output(self, tmp_path, failing):
+        """Output ``failing`` fails partway, as a full disk does, after the
+        outputs before it are written whole: every output keeps its earlier
+        bytes, no temp file is left, and the error names that output."""
+        paths = self._earlier(tmp_path, ["a.jsonl", "b.jsonl", "c.jsonl"])
+
+        def full_disk():
+            yield RECORDS[0]
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with pytest.raises(OSError) as raised:
+            with fileio.outputs(*paths) as temps:
+                for k, temp in enumerate(temps):
+                    fileio.write_jsonl(temp, full_disk() if k == failing else RECORDS)
+        assert raised.value.filename == str(paths[failing])
+        assert [p.read_bytes() for p in paths] == [self.EARLIER] * 3
+        assert _leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_directory_fails_before_the_block(self, tmp_path, failing):
+        paths = self._earlier(tmp_path, ["a.jsonl", "b.jsonl"])
+        paths[failing].unlink()
+        paths[failing].mkdir()
+        with pytest.raises(IsADirectoryError) as raised:
+            with fileio.outputs(*paths):
+                pytest.fail("the block ran")
+        assert raised.value.filename == str(paths[failing])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "b.jsonl"]
+
+    def test_nothing_is_made_before_a_writer_writes(self, tmp_path):
+        path = tmp_path / "new" / "out.jsonl"
+        with pytest.raises(RuntimeError):
+            with fileio.outputs(path) as (temp,):
+                assert not (tmp_path / "new").exists()
+                raise RuntimeError("the stage failed before its first write")
+        assert list(tmp_path.iterdir()) == []
+        with fileio.outputs(path) as (temp,):
+            fileio.write_jsonl(temp, RECORDS[:1])
+        assert [p.name for p in (tmp_path / "new").iterdir()] == ["out.jsonl"]
+
+    def test_a_failed_rename_removes_the_temp_files_left(self, tmp_path, monkeypatch):
+        """A rename that fails names its output and removes the temp files
+        not yet renamed; the outputs renamed before it stay renamed, the gap
+        the module documents."""
+        paths = self._earlier(tmp_path, ["a.jsonl", "b.jsonl", "c.jsonl"])
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if dst == paths[1]:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(fileio.os, "replace", replace)
+        with pytest.raises(PermissionError) as raised:
+            with fileio.outputs(*paths) as temps:
+                for temp in temps:
+                    fileio.write_jsonl(temp, RECORDS[:1])
+        assert (raised.value.filename, raised.value.filename2) == (str(paths[1]), None)
+        assert [p.read_bytes() for p in paths] == [_joined_bytes(RECORDS[:1]),
+                                                   self.EARLIER, self.EARLIER]
+        assert _leftovers(tmp_path) == []
 
 
 #: Line contents: text with multi-byte characters, raw bytes that may not be

@@ -273,7 +273,7 @@ class TestToyEmbedder:
         save_checkpoint(ToyEmbedder(dim=4, hash_buckets=32, seed=1), path)
         before = path.read_bytes()
 
-        real_fdopen = fileio.os.fdopen
+        real_open = open
 
         class HalfWriter:
             def __init__(self, fh):
@@ -289,10 +289,12 @@ class TestToyEmbedder:
                 self.fh.write(data[:len(data) // 2])
                 raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(fileio.os, "fdopen",
-                            lambda fd, mode: HalfWriter(real_fdopen(fd, mode)))
-        with pytest.raises(OSError, match="No space"):
-            save_checkpoint(ToyEmbedder(dim=4, hash_buckets=32, seed=2), path)
+        monkeypatch.setattr(fileio, "open", lambda name, mode: HalfWriter(real_open(name, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space") as raised:
+            with fileio.outputs(path) as (temp,):
+                save_checkpoint(ToyEmbedder(dim=4, hash_buckets=32, seed=2), temp)
+        assert raised.value.filename == str(path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.ckpt"]
 
