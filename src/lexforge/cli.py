@@ -523,6 +523,8 @@ def _load_metrics(path: Path) -> tuple[str, dict[str, float]]:
         raise MalformedRecord(f"{path}: not UTF-8 at byte {exc.start + 1}") from None
     except json.JSONDecodeError as exc:
         raise MalformedRecord(f"{path}: not JSON: {exc}") from None
+    if escape := fileio.lone_surrogate(payload):
+        raise MalformedRecord(f"{path}: lone surrogate escape {escape} in a string")
     macro = payload.get("macro") if isinstance(payload, dict) else None
     if not isinstance(macro, dict) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in macro.values()):

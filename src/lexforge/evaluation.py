@@ -11,7 +11,7 @@ option), both against the pool-ideal DCG.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import QueryMismatch
@@ -73,9 +73,19 @@ def average_precision(ranking_labels: Sequence[int],
     return accumulated / total_relevant
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """The values added left to right. The built-in ``sum`` of floats is
+    compensated from Python 3.12 on, so its last digits would depend on
+    the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def dcg_at_k(labels: Sequence[int], k: int, gain: str = GAIN_LINEAR) -> float:
-    return sum(gain_value(label, gain) / math.log2(rank + 1)
-               for rank, label in enumerate(labels[:k], start=1))
+    return _left_sum(gain_value(label, gain) / math.log2(rank + 1)
+                     for rank, label in enumerate(labels[:k], start=1))
 
 
 def ndcg_at_k(ranking_labels: Sequence[int], pool_labels: Sequence[int],
@@ -154,6 +164,6 @@ def evaluate_run(run: Run, qrels: Qrels, *,
     if per_query:
         names = next(iter(per_query.values())).keys()
         for name in names:
-            macro[name] = sum(m[name] for m in per_query.values()) / len(per_query)
+            macro[name] = _left_sum(m[name] for m in per_query.values()) / len(per_query)
     return MetricsReport(per_query=per_query, macro=macro,
                          missing=missing, warnings=warnings)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from pathlib import Path
@@ -122,11 +123,24 @@ def _lines(path: str | Path, fh: BinaryIO) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+#: A code point that UTF-8 cannot encode: JSON gives one for a ``\u``
+#: escape of a lone surrogate.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def lone_surrogate(payload) -> str | None:
+    """The escape, ``\\uXXXX``, of the first lone surrogate in the strings
+    of a decoded JSON value, keys too, or None if it has none."""
+    lone = _SURROGATE.search(json.dumps(payload, ensure_ascii=False))
+    return lone and f"\\u{ord(lone.group()):04x}"
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, dict) for each non-empty line. The file is read
     as bytes and decoded by :func:`_lines`, so a line that is not UTF-8,
-    like one that is not a JSON object, is a MalformedRecord naming the
-    file, the line and the reason."""
+    like one that is not a JSON object or one whose ``\\u`` escapes leave
+    a lone surrogate in a string, is a MalformedRecord naming the file,
+    the line and the reason."""
     with open(path, "rb") as fh:
         for lineno, line in _lines(path, fh):
             line = line.strip()
@@ -138,4 +152,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
             if not isinstance(record, dict):
                 raise MalformedRecord(f"{path}:{lineno}: expected an object")
+            if "\\u" in line and (escape := lone_surrogate(record)):
+                raise MalformedRecord(f"{path}:{lineno}: lone surrogate escape {escape} "
+                                      "in a string")
             yield lineno, record

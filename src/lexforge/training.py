@@ -13,15 +13,17 @@ character n-grams into a linear map); it exists to exercise the loss,
 masking, batching and end-to-end trend checks, not to stand in for a
 pre-trained model. Its one featurization path,
 :meth:`ToyEmbedder._featurize_chunks`, takes a stream of texts in chunks of
-about ``FEATURIZE_CHUNK`` n-grams. It reads each chunk's code points as one
-integer array, packs every n-gram into an int64 key, hashes each distinct
-n-gram once while it is in the call's n-gram tables (started afresh once
-they hold more than ``FEATURIZE_CHUNK`` grams), and finds each text's
-distinct buckets, in order of first occurrence, with one sort. The result
-is bit-identical to hashing the n-grams of one text at a time. A chunk
-comes out as two narrow arrays, its texts' buckets and their raw counts,
-each in the narrowest unsigned dtype that holds them. The path has two
-readers, and neither keeps state on the embedder.
+about ``FEATURIZE_CHUNK`` n-grams. It encodes each chunk to UTF-8 once and
+hashes every n-gram of the chunk in one vectorized pass of the table-driven
+CRC-32 (Sarwate): the CRC of each (n - 1)-gram, extended by the bytes of
+the next character, is the CRC of the n-gram that starts where it does, so
+``zlib.crc32`` of every n-gram comes out with no table of grams met before.
+It then finds each text's distinct buckets, in order of first occurrence,
+with one sort. The result is bit-identical to hashing the n-grams of one
+text at a time. A chunk comes out as two narrow arrays, its texts'
+buckets and their raw counts, each in the narrowest unsigned dtype that
+holds them. The path has two readers, and neither keeps state on the
+embedder.
 :meth:`ToyEmbedder.embed_chunks`, which :meth:`ToyEmbedder.embed` and dense
 search read, decodes and embeds each chunk as it comes and keeps neither; a
 :class:`FeatureStore`, which training reads, keeps the chunks' arrays as
@@ -63,7 +65,6 @@ from __future__ import annotations
 
 import os
 import struct
-import zlib
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -186,91 +187,45 @@ INIT_CHUNK = 1 << 12
 #: an ``int64``, and numpy's seeds are not negative.
 SEED_END = 1 << 63
 
-#: Bits of a code point in an n-gram key.
-_CP_BITS = 21
-
-#: A key above every real one: a real key is below ``2**42 << 21``. It ends
-#: every table, so a search never runs off the end.
-_KEY_SENTINEL = np.iinfo(np.int64).max
-
-
-class _GramTable:
-    """The distinct n-grams of one length that one featurization has met.
-
-    ``keys`` is sorted and ends with the sentinel; ``ids`` runs parallel to
-    it, and ``buckets[id]`` is the gram's bucket. A gram's key is
-    ``prefix << 21 | c``, where c is the code point of its last character
-    and the prefix names the others: 0 for a 1-gram, the code point for a
-    2-gram, and the id of that (n - 1)-gram for longer ones. An id is the
-    gram's rank of first sight in its table, so it never changes, and ids
-    stay far below 2**42. A key is therefore exact for any n.
-    """
-
-    def __init__(self):
-        self.keys = np.array([_KEY_SENTINEL])
-        self.ids = np.zeros(1, dtype=np.int64)
-        self.buckets = np.empty(0, dtype=np.int64)
-
-    def lookup(self, keys: np.ndarray, starts: np.ndarray, joined: str, n: int,
-               hash_buckets: int) -> np.ndarray:
-        """The id of each gram; ``starts`` are the grams' offsets in
-        ``joined``. A gram not met before gets the next id, and its bucket,
-        ``crc32 % hash_buckets``, is computed once. Only the distinct keys
-        are searched in the table, in sorted order."""
-        order = keys.argsort()
-        ordered = keys[order]
-        head = np.ones(len(keys), dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-        distinct = ordered[head]
-        at = self.keys.searchsorted(distinct)
-        new = self.keys[at] != distinct
-        if new.any():
-            fresh = distinct[new]
-            buckets = [zlib.crc32(joined[s:s + n].encode()) % hash_buckets
-                       for s in starts[order[head][new]].tolist()]
-            slots = self.keys.searchsorted(fresh)
-            self.keys = np.insert(self.keys, slots, fresh)
-            self.ids = np.insert(self.ids, slots, np.arange(len(self.buckets),
-                                                            len(self.buckets) + len(fresh)))
-            self.buckets = np.concatenate([self.buckets, buckets])
-            at = self.keys.searchsorted(distinct)
-        ids = np.empty_like(keys)
-        ids[order] = self.ids[at][np.cumsum(head) - 1]
-        return ids
-
-
 def _gram_buckets(occ_bucket: np.ndarray, joined: str, lens: np.ndarray,
-                  per_n: list[np.ndarray], occ_start: np.ndarray, nmin: int,
-                  tables: list[_GramTable], hash_buckets: int) -> None:
+                  per_n: list[np.ndarray], occ_start: np.ndarray, nmin: int, nmax: int,
+                  hash_buckets: int) -> None:
     """Set ``occ_bucket[i]`` to the bucket of occurrence i among the n-grams
     of the texts ``joined`` holds back to back, ``lens`` long. Occurrences
     are numbered text by text, then n from ``nmin`` up, then position.
     ``per_n`` counts each text's grams of each n, and ``occ_start`` is the
-    number of each text's first one."""
-    cps = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"),
-                        dtype="<u4").astype(np.int64)
+    number of each text's first one.
+
+    A gram's bucket is the CRC-32 of its UTF-8 bytes, ``zlib.crc32``,
+    modulo ``hash_buckets``. ``joined`` is encoded once; each gram of n
+    characters extends the running CRC of the (n - 1)-gram at its start by
+    the bytes of its last character, one byte position at a time through
+    the table, for every gram at once."""
+    # strict UTF-8; the padding lets every character read 4 bytes from its offset
+    data = np.frombuffer(joined.encode() + bytes(3), dtype=np.uint8)
+    cps = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4")
+    width = 1 + (cps > 0x7F) + (cps > 0x7FF) + (cps > 0xFFFF)  # UTF-8 bytes
+    offset = np.cumsum(width) - width
+    table = np.arange(256, dtype=np.uint32)  # Sarwate's table, reflected polynomial
+    for _ in range(8):
+        table = table >> 1 ^ (table & 1) * 0xEDB88320
     text_of = np.repeat(np.arange(len(lens)), lens)
     ends = np.cumsum(lens)
     room = ends[text_of] - np.arange(len(cps))  # characters left in the text
     # the n-gram at offset p has occurrence number base[text_of[p]] + p
     base = occ_start - (ends - lens)
     starts = np.arange(len(cps))
-    prefix = cps  # a 2-gram's prefix is its first code point
-    for n in range(1, len(tables) + 1):
-        if n == 1:
-            if nmin > 1:
-                continue
-            keys = cps
-        else:
-            keep = room[starts] >= n
-            starts = starts[keep]
-            keys = (prefix[keep] << _CP_BITS) | cps[starts + n - 1]
-        table = tables[n - 1]
-        ids = table.lookup(keys, starts, joined, n, hash_buckets)
+    crc = np.full(len(cps), 0xFFFFFFFF, dtype=np.uint32)
+    for n in range(1, nmax + 1):
         if n > 1:
-            prefix = ids
+            keep = room[starts] >= n
+            starts, crc = starts[keep], crc[keep]
+        at, size = offset[starts + n - 1], width[starts + n - 1]
+        for k in range(int(size.max(initial=0))):
+            step = table[(crc ^ data[at + k]) & 0xFF] ^ (crc >> 8)
+            crc = step if k == 0 else np.where(size > k, step, crc)
         if n >= nmin:
-            occ_bucket[base[text_of[starts]] + starts] = table.buckets[ids]
+            occ_bucket[base[text_of[starts]] + starts] = (~crc).astype(np.int64) % hash_buckets
             base = base + per_n[n - nmin]
 
 
@@ -527,14 +482,10 @@ class ToyEmbedder:
         """Compact features of the texts, chunk by chunk, as
         :func:`_bucket_counts` gives them for each chunk of about
         ``FEATURIZE_CHUNK`` n-grams. The texts are read as the chunks fill,
-        so only one chunk's texts are held at a time. The n-gram tables
-        carry over from chunk to chunk, so an n-gram met again is not
-        hashed again, until they hold more than ``FEATURIZE_CHUNK`` grams:
-        the next chunk then starts fresh tables, so they never hold much
-        more than two chunks' grams, however long the call. A gram's
-        bucket is its own CRC32 and its id is internal to its table, so
-        the output is the same either way."""
-        tables = [_GramTable() for _ in range(self.ngram_max)]
+        so only one chunk's texts are held at a time, and a chunk's n-grams
+        are hashed by :func:`_gram_buckets` with nothing kept from earlier
+        chunks, so the output does not depend on how the texts fall into
+        chunks."""
         chunk: list[str] = []
         grams = 0
         for text in texts:
@@ -542,25 +493,22 @@ class ToyEmbedder:
             count = sum(max(0, len(compact) - n + 1)
                         for n in range(self.ngram_min, self.ngram_max + 1))
             if chunk and grams + count > FEATURIZE_CHUNK:
-                yield self._featurize_chunk(chunk, tables)
+                yield self._featurize_chunk(chunk)
                 chunk, grams = [], 0
             chunk.append(compact)
             grams += count
         if chunk:
-            yield self._featurize_chunk(chunk, tables)
+            yield self._featurize_chunk(chunk)
 
-    def _featurize_chunk(self, compacts: list[str], tables: list[_GramTable]
-                         ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    def _featurize_chunk(self, compacts: list[str]) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """Compact features of whitespace-free texts, one chunk of a batch."""
-        if sum(len(table.buckets) for table in tables) > FEATURIZE_CHUNK:
-            tables[:] = [_GramTable() for _ in tables]
         lens = np.fromiter(map(len, compacts), dtype=np.int64, count=len(compacts))
         per_n = [np.maximum(lens - n + 1, 0) for n in range(self.ngram_min, self.ngram_max + 1)]
         per_text = np.sum(per_n, axis=0)
         occ_start = np.cumsum(per_text) - per_text
         occ_bucket = np.empty(int(per_text.sum()), dtype=np.int64)
         _gram_buckets(occ_bucket, "".join(compacts), lens, per_n, occ_start,
-                      self.ngram_min, tables, self.hash_buckets)
+                      self.ngram_min, self.ngram_max, self.hash_buckets)
         return _bucket_counts(occ_bucket, per_text, occ_start, self.hash_buckets)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
@@ -571,7 +519,7 @@ class ToyEmbedder:
         """The embeddings of the texts, one array of rows per featurization
         chunk, in order. A chunk is decoded, embedded and dropped before the
         next is featurized, so the call holds one chunk's features and
-        n-gram tables of about two chunks' grams at a time. A row is
+        working arrays at a time, however long the stream. A row is
         ``values @ weights[idx]`` of the text's :meth:`features`, bit for
         bit."""
         for idx, counts, cuts in self._featurize_chunks(texts):

@@ -250,19 +250,22 @@ class TestIdentityRunEval:
 
 
 #: The sha256 of the ``tiny`` pipeline's artifacts, by fixture seed, with
-#: the numpy and BLAS build and the CPU code paths they were made with (see
-#: :func:`_made_with`). A change that alters an artifact on purpose updates
-#: the table and says which artifact changed and why.
+#: the Python, the numpy and BLAS build and the CPU code paths they were
+#: made with (see :func:`_made_with`). A change that alters an artifact on
+#: purpose updates the table and says which artifact changed and why.
 PINNED = json.loads((Path(__file__).parent / "pinned_artifacts.json").read_text(encoding="utf-8"))
 
 
 def _made_with() -> dict:
-    """What this machine computes the artifacts with: the numpy version and
-    its BLAS build; numpy's enabled CPU dispatch targets, which pick the
-    SIMD ``exp`` and ``log``; and the core OpenBLAS picked for this CPU,
-    from the OpenBLAS bundled with numpy, or None where that library or
-    its ``scipy_openblas_get_corename64_`` is absent."""
+    """What this machine computes the artifacts with: the Python version
+    (major.minor), whose float ``sum`` and ``math`` may round differently
+    from one version to another; the numpy version and its BLAS build;
+    numpy's enabled CPU dispatch targets, which pick the SIMD ``exp`` and
+    ``log``; and the core OpenBLAS picked for this CPU, from the OpenBLAS
+    bundled with numpy, or None where that library or its
+    ``scipy_openblas_get_corename64_`` is absent."""
     import ctypes
+    import sys
 
     import numpy as np
     try:
@@ -276,7 +279,8 @@ def _made_with() -> dict:
         if corename is not None:
             corename.argtypes, corename.restype = [], ctypes.c_char_p
             core = corename().decode()
-    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+    return {"python": "{}.{}".format(*sys.version_info), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
             "cpu_dispatch": [t for t in __cpu_dispatch__ if __cpu_features__[t]],
             "openblas_core": core}
 
@@ -770,8 +774,9 @@ class TestTruncatedInput:
 
 class TestNonUtf8Input:
     """A byte that is not UTF-8 in a JSONL input is a data error naming the
-    file, the line and the byte; in the config file, a usage error naming
-    the file."""
+    file, the line and the byte, and so is an escape of a code point that
+    UTF-8 cannot encode; in the config file, a usage error naming the
+    file."""
 
     @pytest.mark.parametrize("name,argv", [
         ("pairs.jsonl", ["train", "--pairs", "pairs.jsonl", "--queries", "queries.jsonl",
@@ -824,6 +829,50 @@ class TestNonUtf8Input:
                  else f"{bad}:{i + 1}: not UTF-8 at byte {len(before) + 1}")
         assert capsys.readouterr().err == f"data error: {where}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param(command, flag, id=f"{command} {flag}")
+        for command, flags in _INPUTS.items() for flag in flags
+        if flag not in ("--index", "--checkpoint", "metrics")])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_lone_surrogate_escape_on_any_line_of_any_input(self, workdir, tmp_path, capsys,
+                                                              command, flag, data):
+        """A ``\\u`` escape of a lone surrogate, which no UTF-8 text holds,
+        put into a string field of a line that hypothesis picks, in each
+        JSONL input of every command, is one line naming the file, the line
+        and the escape."""
+        argv = _commands(workdir, tmp_path / "out")[command]
+        source = Path(argv[argv.index(flag) + 1])
+        lines = source.read_text(encoding="utf-8").split("\n")[:-1]
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        record = json.loads(lines[i])
+        field = data.draw(st.sampled_from(sorted(k for k, v in record.items()
+                                                 if isinstance(v, str))), label="field")
+        at = data.draw(st.integers(0, len(record[field])), label="character")
+        lone = chr(data.draw(st.integers(0xD800, 0xDFFF), label="surrogate"))
+        record[field] = record[field][:at] + lone + record[field][at:]
+        lines[i] = json.dumps(record, ensure_ascii=False).replace(lone, f"\\u{ord(lone):04x}")
+        bad = tmp_path / source.name
+        bad.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert run_cli(*_given(argv, flag, bad)) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: {bad}:{i + 1}: lone surrogate escape "
+                                           f"\\u{ord(lone):04x} in a string\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_lone_surrogate_escape_in_a_metrics_file(self, workdir, tmp_path, capsys):
+        """``report`` reads its metrics files whole: an escape of a lone
+        surrogate in one's label is one line naming the file and the
+        escape."""
+        argv = _commands(workdir, tmp_path / "out")["report"]
+        payload = json.loads(Path(argv[1]).read_text(encoding="utf-8"))
+        payload["label"] = "bm25\udc00"
+        bad = tmp_path / "metrics.json"
+        bad.write_text(json.dumps(payload), encoding="ascii")  # the label as an escape
+        assert run_cli(*_given(argv, "metrics", bad)) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: {bad}: lone surrogate escape \\udc00 "
+                                           "in a string\n")
 
     def test_crlf_lines_are_numbered_as_lf_lines(self, tmp_path):
         for newline in (b"\n", b"\r\n"):

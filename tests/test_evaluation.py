@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from lexforge import evaluation
 from lexforge.errors import QueryMismatch
 from lexforge.evaluation import (
     GAIN_EXPONENTIAL,
@@ -147,6 +148,20 @@ def _identity_run(qrels):
     return run
 
 
+def _compensated_sum(values, start=0):
+    """The built-in ``sum`` of Python 3.12 and later: ints added exactly,
+    then floats with Neumaier's compensation, added in at the end."""
+    total, comp = start, 0.0
+    for value in values:
+        if isinstance(total, int):
+            total += value
+            continue
+        t = total + value
+        comp += (total - t) + value if abs(total) >= abs(value) else (value - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
 class TestEvaluateRun:
     def _qrels(self, n_queries=5, seed=0):
         rng = random.Random(seed)
@@ -213,6 +228,37 @@ class TestEvaluateRun:
                 for k in (10, 20, 30):
                     assert report.per_query[qid][f"NDCG@{k}"] == pytest.approx(
                         ndcg_oracle(labels, pool_labels, k), abs=1e-12)
+
+    def test_sums_run_left_to_right_whatever_the_builtin_sum(self, monkeypatch):
+        """With Python 3.12's compensated ``sum`` in the module's namespace,
+        every metric still equals the oracles' left-to-right sums bit for
+        bit, so the metrics files do not depend on the interpreter."""
+        rng = random.Random(11)
+        qrels = self._qrels(40, seed=11)
+        run = {}
+        for qid, judged in qrels.items():
+            pool = list(judged)
+            rng.shuffle(pool)
+            run[qid] = [(c, float(len(pool) - i)) for i, c in enumerate(pool)]
+        monkeypatch.setattr(evaluation, "sum", _compensated_sum, raising=False)
+        report = evaluate_run(run, qrels)
+        want = {}
+        for qid in sorted(qrels):
+            labels, pool_labels = [qrels[qid][c] for c, _ in run[qid]], list(qrels[qid].values())
+            want[qid] = {"P@5": precision_oracle(labels, 5), "P@10": precision_oracle(labels, 10),
+                         "MAP": ap_oracle(labels, pool_labels),
+                         **{f"NDCG@{k}": ndcg_oracle(labels, pool_labels, k)
+                            for k in (10, 20, 30)}}
+        assert report.per_query == want
+        macro = {}
+        for name in want["q0"]:
+            total = 0.0
+            for qid in want:
+                total += want[qid][name]
+            macro[name] = total / len(want)
+        assert report.macro == macro
+        assert any(_compensated_sum(m[name] for m in want.values()) / len(want) != macro[name]
+                   for name in macro)
 
     def test_bit_stable(self):
         qrels = self._qrels(6, seed=4)

@@ -192,3 +192,28 @@ def test_lines_equal_the_per_line_decode(pieces, newline, trailing):
     except MalformedRecord as exc:
         error = str(exc)
     assert (got, error) == lines_oracle("x.jsonl", data)
+
+
+@pytest.mark.parametrize("line, escape", [
+    (r'{"text": "a\ud800b"}', r"\ud800"),
+    (r'{"text": "a\udfffb", "n": 1}', r"\udfff"),
+    (r'{"id": "c1", "ids": ["x", "\ude00\ud83d"]}', r"\ude00"),
+    (r'{"\udbff": "key"}', r"\udbff"),
+    (r'{"b": {"nested": "\uD834"}}', r"\ud834"),
+])
+def test_a_lone_surrogate_escape_is_malformed(tmp_path, line, escape):
+    """A string that holds an escape of a lone surrogate, as a value, in a
+    list, as a key or nested, names the file, the line and the escape."""
+    path = tmp_path / "x.jsonl"
+    path.write_text('{"ok": "\\u00e9"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as raised:
+        list(fileio.read_jsonl(path))
+    assert str(raised.value) == f"{path}:2: lone surrogate escape {escape} in a string"
+
+
+def test_escapes_that_encode_are_read(tmp_path):
+    """A surrogate pair escapes one character, and an escaped backslash
+    before ``ud800`` is text."""
+    path = tmp_path / "x.jsonl"
+    path.write_bytes(b'{"a": "\\ud83d\\ude00", "b": "\\\\ud800", "c": "\\u00e9\\u4e00"}\n')
+    assert list(fileio.read_jsonl(path)) == [(1, {"a": "\U0001F600", "b": "\\ud800", "c": "é一"})]

@@ -710,7 +710,8 @@ class TestSearchRun:
         chunk's working arrays: about 100 bytes per n-gram. That holds for
         texts that draw on 17 characters, whose n-grams repeat, and for
         texts drawn from the whole CJK block, whose n-grams are nearly all
-        distinct, so the n-gram tables must not grow with the run."""
+        distinct, so nothing the featurization keeps may grow with the
+        distinct n-grams of the run."""
         import tracemalloc
 
         from lexforge.training import FEATURIZE_CHUNK, ToyEmbedder

@@ -51,6 +51,10 @@ from oracles import (
 )
 
 
+#: Characters at the edges of each UTF-8 width, from 1 to 4 bytes.
+UTF8_WIDTH_EDGES = "\x7f\x80\u07ff\u0800\uffff\U00010000\U0010ffff"
+
+
 class TestCosineMatrix:
     def test_identical_unit_vectors(self):
         v = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -250,7 +254,7 @@ class TestToyEmbedder:
         assert loaded.dim == 12 and loaded.hash_buckets == 256 and loaded.seed == 9
         np.testing.assert_array_equal(loaded.weights, embedder.weights)
 
-    @given(st.text(alphabet="盗窃财物被告人 \n0１a", max_size=60),
+    @given(st.text(alphabet="盗窃财物被告人 \n0１aéßя\U0001F600" + UTF8_WIDTH_EDGES, max_size=60),
            st.sampled_from([(1, 1), (2, 3), (1, 4)]), st.sampled_from([7, 64, 1 << 15]))
     @settings(max_examples=150, deadline=None)
     def test_features_equal_plain_loop(self, text, ngrams, buckets):
@@ -403,8 +407,9 @@ def _toy_pairs(n=60):
     return pairs
 
 
-#: Whitespace, astral-plane characters and a full-width digit among CJK.
-FEATURE_CHARS = "盗窃财物被告人 \n\t0１a\U0001F600\U00020BB7"
+#: Whitespace, astral-plane characters, 2-byte letters, a full-width digit
+#: and every UTF-8 width edge among CJK.
+FEATURE_CHARS = "盗窃财物被告人 \n\t0１aéßя\U0001F600\U00020BB7" + UTF8_WIDTH_EDGES
 
 
 @st.composite
