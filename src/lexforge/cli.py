@@ -495,6 +495,11 @@ def _cmd_search(args, cfg: PipelineConfig) -> int:
 def _cmd_eval(args, cfg: PipelineConfig) -> int:
     from . import evaluation
 
+    # a byte of argv that is not UTF-8 decodes to a lone surrogate, which
+    # the metrics file could not hold
+    if args.label is not None and (escape := fileio.lone_surrogate(args.label)):
+        raise UsageError(f"--label = {args.label!r}: lone surrogate {escape}, "
+                         "from a byte that is not UTF-8")
     run = _load_run(Path(args.run))
     qrels = _load_qrels(Path(args.qrels))
     report = evaluation.evaluate_run(

@@ -36,14 +36,15 @@ it streams its inputs: the pairs as integer columns over one store, so that
 no text outlives the featurization of its chunk and no object per pair or
 per text is alive during the steps.
 
-The seeded init is numpy's ``default_rng(seed).uniform(-scale, scale,
-(hash_buckets, dim))``, bit for bit, computed here without numpy.random:
-:func:`_pcg64_seeded` hashes the seed as numpy's SeedSequence does and seeds
-PCG64, a 128-bit LCG whose output is the XSL-RR permutation of each new
-state. The LCG advances in closed form (:func:`_pcg64_jump`), so the
-stream is computed a chunk of ``INIT_CHUNK`` values at a time, each
-chunk's states from the last ones in one vectorized step, and chunks that
-hold no row asked for are jumped over. NEP 19 keeps numpy's stream fixed.
+The seeded init is uniform on ``[-scale, scale)`` over the
+``hash_buckets × dim`` weights, ``scale = 1 / sqrt(hash_buckets)``, and
+each value is a stateless hash of the seed and its position (a
+counter-based draw: Salmon et al., SC 2011). Value k, at row ``k // dim``
+and column ``k % dim``, is SplitMix64's finalizer (Steele, Lea & Flood,
+OOPSLA 2014) over ``seed + (k + 1) * 0x9E3779B97F4A7C15`` mod 2**64; its
+top 53 bits times 2**-53 are then scaled as numpy's ``uniform`` scales
+them, ``low + span * u``. So any set of rows is computed directly, a
+block of ``INIT_CHUNK`` values at a time (:meth:`ToyEmbedder.weight_rows`).
 
 The init is drawn lazily: an embedder given no weights draws the
 whole matrix on the first read of :attr:`ToyEmbedder.weights`, and
@@ -178,13 +179,14 @@ def in_batch_loss(sim: np.ndarray, mask: np.ndarray | None = None,
 #: them at a time. A text with more n-grams than this is a chunk of its own.
 FEATURIZE_CHUNK = 1 << 14
 
-#: Values per chunk of the seeded init stream, rounded down to whole rows (at
-#: least one): a chunk's working arrays take about 100 bytes per value, so
-#: :meth:`ToyEmbedder.weight_rows` holds about 400 KiB beyond its output.
+#: Values per block of the seeded init, rounded down to whole rows (at least
+#: one): a block's working arrays take about 16 bytes per value, so
+#: :meth:`ToyEmbedder.weight_rows` holds about 130 KiB beyond its output,
+#: where one draw of a 2^15 x 64 matrix would hold 16 MiB temporaries.
 INIT_CHUNK = 1 << 12
 
 #: A seed is below this and not negative: the checkpoint header stores it as
-#: an ``int64``, and numpy's seeds are not negative.
+#: an ``int64``.
 SEED_END = 1 << 63
 
 def _gram_buckets(occ_bucket: np.ndarray, joined: str, lens: np.ndarray,
@@ -279,122 +281,6 @@ def _decoded(entries: Sequence[tuple[np.ndarray, np.ndarray]]
     return [(idx[a:b], values[a:b]) for a, b in zip([0, *ends], ends)]
 
 
-_M32 = (1 << 32) - 1
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
-#: PCG64's LCG multiplier (``PCG_DEFAULT_MULTIPLIER_128``).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _pcg64_seeded(seed: int) -> tuple[int, int]:
-    """The state and increment of ``np.random.PCG64(seed)``.
-
-    SeedSequence hashes the seed's 32-bit words, low first, into a pool of
-    four words (a word past the seed's last hashes as 0 would, so four
-    words cover any seed below 2**128), mixes every pool word into every
-    other, and hashes the pool, cycled, into eight words:
-    ``generate_state(4, uint64)``, two words per uint64, low first. PCG64
-    takes uint64s 0-1 as its initial state and 2-3 as its stream, and seeds
-    as PCG's ``srandom`` does: from state 0 it steps once, adds the initial
-    state and steps again. The hashes are uint32 arithmetic, as in numpy's
-    C code."""
-    hash_a = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_a
-        value ^= hash_a
-        hash_a = hash_a * 0x931E8875 & _M32
-        value = value * hash_a & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return value ^ value >> 16
-
-    pool = [hashmix(seed >> shift & _M32) for shift in (0, 32, 64, 96)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    hash_b = 0x8B51F9DD
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_b
-        hash_b = hash_b * 0x58F38DED & _M32
-        value = value * hash_b & _M32
-        state.append(value ^ value >> 16)
-    initial, stream = ((state[i] | state[i + 1] << 32) << 64 | state[i + 2] | state[i + 3] << 32
-                       for i in (0, 4))
-    inc = (stream << 1 | 1) & _M128
-    return ((inc + initial) * _PCG_MULT + inc) & _M128, inc
-
-
-def _pcg64_jump(steps: int, inc: int) -> tuple[int, int]:
-    """``(mult, plus)`` such that ``steps`` LCG steps take a state x to
-    ``mult * x + plus`` mod 2**128, by squaring the one-step map (Brown's
-    jump-ahead, as PCG's ``advance`` does it)."""
-    mult, plus = 1, 0
-    step_mult, step_plus = _PCG_MULT, inc
-    while steps:
-        if steps & 1:
-            mult = mult * step_mult & _M128
-            plus = (plus * step_mult + step_plus) & _M128
-        step_plus = (step_mult + 1) * step_plus & _M128
-        step_mult = step_mult * step_mult & _M128
-        steps >>= 1
-    return mult, plus
-
-
-def _pcg64_affine(lo: np.ndarray, hi: np.ndarray, mult: int, plus: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """``mult * x + plus`` mod 2**128 for each 128-bit x, given and
-    returned as its low and high uint64 halves. The high half of the low
-    halves' product is summed from 32-bit limbs; every other product needs
-    only its low 64 bits, which uint64 multiplication keeps."""
-    m_lo = np.uint64(mult & _M64)
-    m0, m1 = np.uint64(mult & _M32), np.uint64(mult >> 32 & _M32)
-    p_lo, p_hi = np.uint64(plus & _M64), np.uint64(plus >> 64)
-    x0, x1 = lo & _M32, lo >> 32
-    t01, t10 = x0 * m1, x1 * m0
-    carry = (x0 * m0 >> 32) + (t01 & _M32) + (t10 & _M32)
-    new_hi = x1 * m1 + (carry >> 32) + (t01 >> 32) + (t10 >> 32)
-    new_hi += lo * np.uint64(mult >> 64)
-    new_hi += hi * m_lo
-    new_hi += p_hi
-    new_lo = lo * m_lo
-    new_lo += p_lo
-    new_hi += new_lo < p_lo  # the carry out of the low half
-    return new_lo, new_hi
-
-
-def _pcg64_states(state: int, inc: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n states after ``state`` that give the stream's next n outputs:
-    one step, then doubled ``log2(n)`` times, each half jumped from the
-    last."""
-    state = (state * _PCG_MULT + inc) & _M128
-    lo = np.array([state & _M64], dtype=np.uint64)
-    hi = np.array([state >> 64], dtype=np.uint64)
-    while len(lo) < n:
-        more = _pcg64_affine(lo, hi, *_pcg64_jump(len(lo), inc))
-        lo, hi = np.concatenate([lo, more[0]]), np.concatenate([hi, more[1]])
-    return lo[:n], hi[:n]
-
-
-def _pcg64_uniform(lo: np.ndarray, hi: np.ndarray, low: float, span: float) -> np.ndarray:
-    """The uniform draws the states give, as numpy's ``random_uniform``:
-    XSL-RR (the halves' xor rotated right by the state's top six bits),
-    its top 53 bits times 2**-53, then ``low + span * d``."""
-    bits = hi >> 58
-    out = hi ^ lo
-    out = (out >> bits) | (out << ((64 - bits) & 63))
-    out >>= 11
-    draws = out.astype(np.float64)
-    draws *= 1.0 / (1 << 53)
-    draws *= span
-    draws += low
-    return draws
-
-
 class ToyEmbedder:
     """Hashed character n-gram featurizer followed by a linear map.
 
@@ -435,33 +321,39 @@ class ToyEmbedder:
         return self._weights
 
     def weight_rows(self, rows: np.ndarray) -> np.ndarray:
-        """``weights[rows]`` for sorted unique row ids, without drawing the
-        weights if they are not drawn yet. The seeded init stream is then
-        computed a chunk of whole rows at a time, ``INIT_CHUNK`` values or
-        one row, only for the chunks that hold a row asked for: the LCG
-        jumps over the others. Only the rows asked for are kept, so the
-        call holds its output and one chunk's working arrays, however many
-        buckets there are. Value k of the stream is weight ``k // dim``,
-        ``k % dim``, and each comes out bit for bit as in numpy's one draw
-        of the whole matrix (see the module docstring)."""
+        """``weights[rows]`` for row ids in any order, without drawing the
+        weights if they are not drawn yet. The seeded init's values are
+        then computed for the rows asked for alone, a block of whole rows
+        at a time, ``INIT_CHUNK`` values or one row, so the call holds its
+        output and one block's working arrays, however many buckets there
+        are. Value k of the init is weight ``k // dim``, ``k % dim`` (see
+        the module docstring)."""
         if self._weights is not None:
             return self._weights[rows]
         scale = 1.0 / np.sqrt(self.hash_buckets)
         low, span = float(-scale), float(scale - -scale)
-        per_chunk = max(1, INIT_CHUNK // self.dim)
-        state, inc = _pcg64_seeded(self.seed)
-        lo, hi = _pcg64_states(state, inc, per_chunk * self.dim)  # rows 0 to per_chunk - 1
-        at = 0
+        per_block = max(1, INIT_CHUNK // self.dim)
         out = np.empty((len(rows), self.dim))
-        i = 0
-        while i < len(rows):
-            start = int(rows[i]) // per_chunk * per_chunk
-            lo, hi = _pcg64_affine(lo, hi, *_pcg64_jump((start - at) * self.dim, inc))
-            at = start
-            end = int(np.searchsorted(rows, start + per_chunk))
-            chunk = _pcg64_uniform(lo, hi, low, span).reshape(per_chunk, self.dim)
-            out[i:end] = chunk[rows[i:end] - start]
-            i = end
+        for i in range(0, len(rows), per_block):
+            # SplitMix64's finalizer over seed + (k + 1) * 0x9E3779B97F4A7C15
+            # for each value k of the block; uint64 arithmetic wraps mod 2**64
+            z = np.add.outer(np.asarray(rows[i:i + per_block], dtype=np.uint64) * self.dim,
+                             np.arange(1, self.dim + 1, dtype=np.uint64))
+            z *= 0x9E3779B97F4A7C15
+            z += self.seed
+            z ^= z >> 30
+            z *= 0xBF58476D1CE4E5B9
+            z ^= z >> 27
+            z *= 0x94D049BB133111EB
+            z ^= z >> 31
+            z >>= 11
+            # the top 53 bits times 2**-53, times span, plus low, in the
+            # order of numpy's uniform
+            block = out[i:i + per_block]
+            block[...] = z
+            block *= 1.0 / (1 << 53)
+            block *= span
+            block += low
         return out
 
     def features(self, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -878,13 +770,13 @@ def train_toy(data: TrainingSet, embedder: ToyEmbedder,
     one's hash buckets and n-gram lengths, as the ``train`` stage builds
     one from its input files. Fully deterministic under the schedule seed:
     shuffling, batching and every update are reproducible bit for bit,
-    over a fixed number of epochs. The steps update a compact copy of the rows the store reaches (see the
-    module docstring); ``embedder.weights`` gets those rows back once, at
-    the end, so a run that raises leaves the caller's weights as they were
-    before training, and an undrawn seeded init undrawn. A text with no
-    n-gram, which would embed to a zero vector, is a
-    :class:`FeaturelessText` naming the first pair that has one, raised
-    before the first step.
+    over a fixed number of epochs. The steps update a compact copy of the
+    rows the store reaches (see the module docstring); ``embedder.weights``
+    gets those rows back once, at the end, so a run that raises leaves the
+    caller's weights as they were before training, and an undrawn seeded
+    init undrawn. A text with no n-gram, which would embed to a zero
+    vector, is a :class:`FeaturelessText` naming the first pair that has
+    one, raised before the first step.
     """
     per_epoch = len(_batches(range(len(data)), schedule.batch_size))
     if per_epoch == 0:

@@ -415,6 +415,29 @@ def features_oracle(text, hash_buckets, ngram_min, ngram_max):
     return idx, 1.0 + np.log(raw)
 
 
+def init_oracle(hash_buckets, dim, seed, rows):
+    """Rows of the seeded init, one value at a time in Python ints: value
+    k, at row ``k // dim`` and column ``k % dim``, is SplitMix64's
+    finalizer over ``seed + (k + 1) * 0x9E3779B97F4A7C15`` mod 2**64, and
+    its top 53 bits times 2**-53, times ``span``, plus ``low``."""
+    import numpy as np
+
+    mask = (1 << 64) - 1
+    scale = 1.0 / math.sqrt(hash_buckets)
+    low, span = -scale, scale - -scale
+    out = []
+    for row in rows:
+        for col in range(dim):
+            z = (seed + (int(row) * dim + col + 1) * 0x9E3779B97F4A7C15) & mask
+            z ^= z >> 30
+            z = z * 0xBF58476D1CE4E5B9 & mask
+            z ^= z >> 27
+            z = z * 0x94D049BB133111EB & mask
+            z ^= z >> 31
+            out.append(low + span * ((z >> 11) * 2.0 ** -53))
+    return np.array(out, dtype=np.float64).reshape(len(rows), dim)
+
+
 def embed_oracle(embedder, text):
     """The plain embedding of one text: ``values @ weights[idx]`` of its
     :func:`features_oracle`, or zeros for a text with no n-gram."""

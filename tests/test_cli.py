@@ -1025,6 +1025,21 @@ class TestExitCodes:
             f"usage error: --seed = {seed}: seed must be in [0, 2**63)\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("raw,escape", [(b"a\xff", "\\udcff"), (b"\xe5\x88", "\\udce5")])
+    def test_a_label_that_is_not_utf8_is_usage_error(self, workdir, tmp_path, capsys, raw,
+                                                     escape):
+        """Python decodes a byte of argv that is not UTF-8 to a lone
+        surrogate, as ``os.fsdecode`` does here; it is refused before any
+        input is read or output written."""
+        import os
+        label = os.fsdecode(raw)
+        assert run_cli("eval", "--run", workdir / "run_bm25.jsonl",
+                       "--qrels", workdir / "qrels.jsonl", "--output", tmp_path / "m.json",
+                       "--label", label) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (f"usage error: --label = {label!r}: lone surrogate "
+                                           f"{escape}, from a byte that is not UTF-8\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert run_cli("extract", "--corpus", tmp_path / "nope.jsonl",
                        "--elements", tmp_path / "el.jsonl") == 2

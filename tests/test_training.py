@@ -46,6 +46,7 @@ from oracles import (
     features_oracle,
     fd_gradient,
     filtered_loss_oracle,
+    init_oracle,
     train_toy_oracle,
     training_set,
 )
@@ -811,43 +812,50 @@ class TestCompactTraining:
         assert embedder.weights.tobytes() == want.tobytes()
 
 
-def _eager_init(hash_buckets, dim, seed):
-    """The seeded init as one draw of the whole matrix."""
-    scale = 1.0 / np.sqrt(hash_buckets)
-    return np.random.default_rng(seed).uniform(-scale, scale, size=(hash_buckets, dim))
-
-
-#: Seeds at the edges of SeedSequence's 32-bit words and of the seed range.
+#: Seeds at the edges of the seed range and on either side of 2**32.
 INIT_SEEDS = [0, 1, (1 << 32) - 1, (1 << 32) + 1, (1 << 63) - 1]
 
 
 @st.composite
 def init_draws(draw):
     """A seed, a dimension, a bucket count that is not a whole number of
-    the stream's chunks, and sorted unique rows: any, the first, the last,
-    all of them or none."""
+    blocks of rows, and row ids in any order, repeats allowed: any, the
+    first, the last, or all of them in order, which spans several
+    blocks."""
     dim = draw(st.sampled_from([1, 3, 64]))
-    per_chunk = INIT_CHUNK // dim
-    buckets = draw(st.integers(1, 3 * per_chunk).filter(lambda n: n % per_chunk))
-    picked = draw(st.one_of(st.sets(st.integers(0, buckets - 1), max_size=40),
-                            st.just(set(range(buckets)))))
-    ends = draw(st.sampled_from([(), (0,), (buckets - 1,), (0, buckets - 1)]))
-    rows = np.array(sorted(picked.union(ends)), dtype=np.int64)
+    per_block = INIT_CHUNK // dim
+    buckets = draw(st.integers(1, 3 * per_block).filter(lambda n: n % per_block))
+    ends = draw(st.sampled_from([[], [0], [buckets - 1], [buckets - 1, 0]]))
+    picked = draw(st.one_of(st.lists(st.integers(0, buckets - 1), max_size=40),
+                            st.just(list(range(buckets)))))
+    rows = np.array(ends + picked, dtype=np.int64)
     return draw(st.sampled_from(INIT_SEEDS)), dim, buckets, rows
 
 
 class TestLazyInit:
     """The seeded init is drawn on first read, and ``weight_rows`` draws
-    rows of it alone, both bit for bit as one eager draw."""
+    rows of it alone, both bit for bit as the plain loop of
+    :func:`init_oracle`."""
 
     @settings(max_examples=80, deadline=None)
     @given(init_draws())
-    def test_the_stream_is_numpys(self, case):
-        """numpy's ``default_rng(seed).uniform`` is the oracle, bit for bit."""
+    def test_rows_equal_the_oracle(self, case):
         seed, dim, buckets, rows = case
         got = ToyEmbedder(dim=dim, hash_buckets=buckets, seed=seed).weight_rows(rows)
         assert got.shape == (len(rows), dim)
-        assert got.tobytes() == _eager_init(buckets, dim, seed)[rows].tobytes()
+        assert got.tobytes() == init_oracle(buckets, dim, seed, rows).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 5, 64])
+    def test_the_block_size_does_not_change_a_value(self, monkeypatch, dim):
+        """One row per block, and one block larger than every row, give the
+        bytes of the default blocks."""
+        buckets = 2 * INIT_CHUNK // dim + 3
+        rows = np.arange(buckets)
+        want = ToyEmbedder(dim=dim, hash_buckets=buckets, seed=201).weight_rows(rows)
+        for values in (1, (buckets + 1) * dim):
+            monkeypatch.setattr(training, "INIT_CHUNK", values)
+            got = ToyEmbedder(dim=dim, hash_buckets=buckets, seed=201).weight_rows(rows)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [-1, 1 << 63])
     def test_a_seed_outside_the_range_is_rejected(self, seed):
@@ -877,7 +885,7 @@ class TestLazyInit:
                 "last": np.array([buckets - 1]),
                 "sparse": np.unique(np.random.default_rng(buckets).integers(0, buckets, 40)),
                 "all": np.arange(buckets)}[pick]
-        want = _eager_init(buckets, dim, seed=buckets % 7)
+        want = init_oracle(buckets, dim, buckets % 7, np.arange(buckets))
         embedder = ToyEmbedder(dim=dim, hash_buckets=buckets, seed=buckets % 7)
         got = embedder.weight_rows(rows)
         assert got.shape == (len(rows), dim)
@@ -894,7 +902,7 @@ class TestLazyInit:
             train_toy(training_set(pairs, embedder), embedder,
                       TrainSchedule(epochs=1, batch_size=9))
         assert embedder._weights is None
-        assert embedder.weights.tobytes() == _eager_init(1 << 12, 4, 5).tobytes()
+        assert embedder.weights.tobytes() == init_oracle(1 << 12, 4, 5, range(1 << 12)).tobytes()
 
     def test_steps_hold_less_than_the_weight_matrix(self, monkeypatch):
         """With a 2^15 x 64 embedder, the memory traced at every Adam step
