@@ -1,7 +1,9 @@
 """Line-delimited JSON file helpers, and the one way a stage writes.
 
 Pipeline artifacts are files of one JSON object per line, and checkpoints
-and BM25 indexes are binary. A stage writes all its outputs in one
+and BM25 indexes are binary. Each input is read in one forward pass from
+its open file, JSONL a line at a time, so no reader holds a file's bytes
+beside what it parses from them. A stage writes all its outputs in one
 :func:`outputs` block: each writer streams into a temp file beside its
 output, JSONL a record at a time, and the temp files are renamed over the
 outputs, in order, only once the block ends. A failed stage leaves every
@@ -87,40 +89,21 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> int:
     return count
 
 
-#: Bytes per read of :func:`_lines`, as many as a text file reads at a time.
-READ_BLOCK = 1 << 13
-
-
 def _lines(path: str | Path, fh: BinaryIO) -> Iterator[tuple[int, str]]:
-    """(line number, text) of each line of a binary file; a line ends at a
-    newline byte, so a file with CRLF line ends has the same line numbers
-    as one without. The lines are decoded a block of whole lines at a time,
-    so no line is held as bytes too. A block that is not UTF-8 is decoded
-    line by line, and its first bad line is a MalformedRecord naming the
-    file, the line and the byte, counting from 1 within the line."""
-    lineno, rest = 0, b""
-    while True:
-        block = fh.read(READ_BLOCK)
-        if not block:
-            if not rest:
-                return
-            block = b"\n"  # end the file's last line, which has no newline
-        head = rest + block
-        cut = head.rfind(b"\n") + 1
-        whole, rest = head[:cut], head[cut:]
+    """(line number, text) of each line of a binary file, read with the
+    file's own line iterator; a line ends at a newline byte, so a file with
+    CRLF line ends has the same line numbers as one without. A line that is
+    not UTF-8 is a MalformedRecord naming the file, the line and the byte,
+    counting from 1 within the line."""
+    for lineno, raw in enumerate(fh, 1):
+        # decoded through a view, so dropping the newline copies no bytes
+        view = memoryview(raw)[:len(raw) - raw.endswith(b"\n")]
         try:
-            lines = whole.decode("utf-8").split("\n")
-        except UnicodeDecodeError:
-            lines = whole.split(b"\n")
-        for line in lines[:-1]:  # the last piece is the empty one after a newline
-            lineno += 1
-            if isinstance(line, bytes):
-                try:
-                    line = line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise MalformedRecord(f"{path}:{lineno}: not UTF-8 at byte "
-                                          f"{exc.start + 1}") from None
-            yield lineno, line
+            line = str(view, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedRecord(f"{path}:{lineno}: not UTF-8 at byte "
+                                  f"{exc.start + 1}") from None
+        yield lineno, line
 
 
 #: A code point that UTF-8 cannot encode: JSON gives one for a ``\u``
@@ -136,11 +119,11 @@ def lone_surrogate(payload) -> str | None:
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, dict) for each non-empty line. The file is read
-    as bytes and decoded by :func:`_lines`, so a line that is not UTF-8,
-    like one that is not a JSON object or one whose ``\\u`` escapes leave
-    a lone surrogate in a string, is a MalformedRecord naming the file,
-    the line and the reason."""
+    """Yield (line number, dict) for each non-empty line. Each line is read
+    as bytes and decoded on its own by :func:`_lines`, so a line that is
+    not UTF-8, like one that is not a JSON object or one whose ``\\u``
+    escapes leave a lone surrogate in a string, is a MalformedRecord naming
+    the file, the line and the reason."""
     with open(path, "rb") as fh:
         for lineno, line in _lines(path, fh):
             line = line.strip()

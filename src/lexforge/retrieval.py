@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import struct
 import sys
 from array import array
@@ -33,7 +34,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import count
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 from .config import Bm25Params, SegmentConfig
 from .errors import BadIndex, EmptyCorpus, UnknownDoc, ZeroVector
@@ -148,16 +149,18 @@ class Bm25Index:
 
     @classmethod
     def load(cls, path: str | Path) -> "Bm25Index":
-        """Read an index :meth:`save` wrote. A file that is not one, or whose
-        sections do not fit together, is a :class:`BadIndex` naming it."""
-        data = Path(path).read_bytes()
-        if not data.startswith(_INDEX_MAGIC):
-            raise BadIndex(f"{path}: not a lexforge BM25 index; "
-                           "rebuild it with `lexforge index`")
-        try:
-            return _read_index(memoryview(data), len(_INDEX_MAGIC))
-        except ValueError as exc:
-            raise BadIndex(f"{path}: {exc}") from None
+        """Read an index :meth:`save` wrote, each section straight from the
+        file into its list or array, so the file is never held whole. A file
+        that is not one, or whose sections do not fit together, is a
+        :class:`BadIndex` naming it."""
+        with open(path, "rb") as fh:
+            if fh.read(len(_INDEX_MAGIC)) != _INDEX_MAGIC:
+                raise BadIndex(f"{path}: not a lexforge BM25 index; "
+                               "rebuild it with `lexforge index`")
+            try:
+                return _read_index(fh, os.fstat(fh.fileno()).st_size)
+            except ValueError as exc:
+                raise BadIndex(f"{path}: {exc}") from None
 
 
 #: Postings array types: ``_OFFSET`` holds an entry count, ``_ENTRY`` a term
@@ -183,32 +186,29 @@ def _packed(strings: Iterable[str]) -> list[bytes]:
     return parts
 
 
-def _read_index(data: memoryview, pos: int) -> Bm25Index:
-    """Parse :meth:`Bm25Index.save`'s layout from ``pos`` on; raises
-    ValueError naming the first section that does not fit."""
-    def take(size: int, what: str) -> memoryview:
-        nonlocal pos
-        if size > len(data) - pos:
-            raise ValueError(f"truncated in the {what}: needs {size} bytes at byte {pos}, "
-                             f"the file ends at {len(data)}")
-        pos += size
-        return data[pos - size:pos]
-
-    def u32(what: str) -> int:
-        return _U32.unpack(take(4, what))[0]
-
-    def strings(count: int, what: str) -> list[str]:
-        try:
-            return [str(take(u32(what), what), "utf-8") for _ in range(count)]
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"the {what} are not UTF-8: {exc.reason}") from None
-
+def _read_index(fh: BinaryIO, size: int) -> Bm25Index:
+    """Parse :meth:`Bm25Index.save`'s layout from the open file's position
+    on, ``size`` being the file's length; raises ValueError naming the
+    first section that does not fit. A section is read only once it is
+    known to fit, and a short read is a truncation too."""
     def values(typecode: str, count: int, what: str) -> array:
-        out = array(typecode)
-        out.frombytes(take(count * out.itemsize, what))
+        pos, need = fh.tell(), count * array(typecode).itemsize
+        out = array(typecode, [0]) * count if need <= size - pos else array(typecode)
+        if fh.readinto(out) != need:
+            raise ValueError(f"truncated in the {what}: needs {need} bytes at byte {pos}, "
+                             f"the file ends at {size}")
         if sys.byteorder == "big":
             out.byteswap()
         return out
+
+    def u32(what: str) -> int:
+        return values(_ENTRY, 1, what)[0]
+
+    def strings(count: int, what: str) -> list[str]:
+        try:
+            return [str(values("B", u32(what), what), "utf-8") for _ in range(count)]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"the {what} are not UTF-8: {exc.reason}") from None
 
     version = u32("version")
     if version != _INDEX_VERSION:
@@ -225,10 +225,11 @@ def _read_index(data: memoryview, pos: int) -> Bm25Index:
     offsets = values(_OFFSET, len(doc_ids) + 1, "offsets")
     if offsets[0] != 0 or any(map(operator.gt, offsets, offsets[1:])):
         raise ValueError("the offsets do not start at 0 and never decrease")
-    postings, rest = divmod(len(data) - pos, 2 * array(_ENTRY).itemsize)
+    left = size - fh.tell()
+    postings, rest = divmod(left, 2 * array(_ENTRY).itemsize)
     if rest or offsets[-1] != postings:
         raise ValueError(f"the offsets end at {offsets[-1]} postings, but the "
-                         f"{len(data) - pos} bytes after them do not hold that many")
+                         f"{left} bytes after them do not hold that many")
     term_ids = values(_ENTRY, postings, "term ids")
     tfs = values(_ENTRY, postings, "tfs")
     if postings and max(term_ids) >= len(terms):

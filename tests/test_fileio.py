@@ -170,20 +170,21 @@ class TestOutputs:
 
 
 #: Line contents: text with multi-byte characters, raw bytes that may not be
-#: UTF-8, carriage returns, and lines longer than one read block.
+#: UTF-8, carriage returns, and runs of 4 to 32 KiB, so that lines are longer
+#: than 8 KiB and multi-byte characters straddle 8 KiB offsets.
 LINE_PIECES = st.one_of(
     st.text("盗窃 a\r\U0001F600", max_size=30).map(str.encode),
     st.binary(max_size=8),
     st.builds(lambda c, n: (c * n).encode(), st.sampled_from(["盗", "ab", "\U0001F600"]),
-              st.integers(fileio.READ_BLOCK // 4, fileio.READ_BLOCK)))
+              st.integers(1 << 11, 1 << 13)))
 
 
 @given(st.lists(LINE_PIECES, max_size=8), st.sampled_from([b"\n", b"\r\n"]), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_lines_equal_the_per_line_decode(pieces, newline, trailing):
-    """The block-wise decode yields each line, and raises at the first bad
-    line and byte, as decoding each line's bytes on its own does; lines
-    cross block boundaries, and a character may be split across two."""
+    """The line reader yields each line, and raises at the first bad line
+    and byte, as decoding each line's bytes on its own does, for long
+    lines too."""
     data = newline.join(pieces) + (newline if trailing else b"")
     got, error = [], None
     try:
@@ -192,6 +193,20 @@ def test_lines_equal_the_per_line_decode(pieces, newline, trailing):
     except MalformedRecord as exc:
         error = str(exc)
     assert (got, error) == lines_oracle("x.jsonl", data)
+
+
+def test_a_record_of_several_mib(tmp_path):
+    """One record of 6 MiB reads back as written, and a bad byte at the end
+    of its line is named by its line and its byte."""
+    path = tmp_path / "x.jsonl"
+    records = [RECORDS[0], {"fact": "盗\U0001F600a" * (3 << 18)}]
+    assert fileio.write_jsonl(path, records) == 2
+    assert list(fileio.read_jsonl(path)) == [(1, records[0]), (2, records[1])]
+    first, second = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(first + second[:-1] + b"\xff\n")
+    with pytest.raises(MalformedRecord) as raised:
+        list(fileio.read_jsonl(path))
+    assert str(raised.value) == f"{path}:2: not UTF-8 at byte {len(second)}"
 
 
 @pytest.mark.parametrize("line, escape", [

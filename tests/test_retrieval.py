@@ -189,6 +189,23 @@ class TestBuild:
         want = _layout(["a", "b"], ["x", "y"], [0, 2, 3], [0, 1, 1], [2, 1, 1])
         assert (tmp_path / "i").read_bytes() == want and size == len(want)
 
+    def test_load_holds_no_copy_of_the_file(self, tmp_path, small_build):
+        """Loading reads each section straight into its list or array, so
+        its peak exceeds what the loaded index holds by less than a tenth
+        of the file; holding the file's bytes too would add all of them."""
+        import tracemalloc
+        corpus = {c.case_id: c.fact + c.reason + c.judgment for c in small_build.cases}
+        path = tmp_path / "bm25.idx"
+        size = Bm25Index.build(corpus).save(path)
+        tracemalloc.start()
+        try:
+            loaded = Bm25Index.load(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.n_docs == len(corpus)
+        assert peak - held < size // 10
+
 
 def _layout(doc_ids, terms, offsets, term_ids, tfs, tokenizer="whitespace", version=1):
     """The bytes of an index file, spelled out section by section."""
