@@ -360,8 +360,8 @@ class DenseScorer:
     featurization chunk's features at a time; the scorer keeps each text's
     unit window rows alone. A window that embeds to zero norm (a tail too
     short to featurize) has no direction and is dropped. A query of zero
-    norm, or a candidate left with no window, is a :class:`ZeroVector` when
-    a pool of it is scored.
+    norm, or a candidate left with no window, an empty one among them, is a
+    :class:`ZeroVector` when a pool of it is scored.
     """
 
     def __init__(self, run: Sequence[tuple[str, Mapping[str, str]]], embedder,
@@ -406,9 +406,10 @@ class DenseScorer:
         for case_id, text in pool.items():
             windows = self._windows.get(text)
             if windows is None:
-                # no window has a direction; segment rejects an empty text
-                raise ZeroVector(f"case {case_id!r}: all {len(segment(text, self.seg_cfg))} "
-                                 "segments embed to zero norm")
+                # no window has a direction; an empty text has no window
+                raise ZeroVector(f"case {case_id!r}: " + (
+                    f"all {len(segment(text, self.seg_cfg))} segments embed to zero norm"
+                    if text else "the text is empty"))
             scored.append((case_id, dense_score(query_unit, windows)))
         return scored
 

@@ -265,17 +265,18 @@ def _bucket_counts(occ_bucket: np.ndarray, per_text: np.ndarray, occ_start: np.n
     return idx, counts, np.searchsorted(firsts, occ_start).tolist() + [len(firsts)]
 
 
-def _decoded(entries: Sequence[tuple[np.ndarray, np.ndarray]]
-             ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The features of compact entries: the buckets as ``intp`` and
-    the damped counts ``1 + log(count)`` as float64. The entries are
-    decoded together, in one pass, into views of two arrays; the values
-    are computed in place, with the same operations as the expression."""
-    if not entries:
-        return []
-    ends = list(accumulate(len(idx) for idx, _ in entries))
-    idx = np.concatenate([idx for idx, _ in entries]).astype(np.intp)
-    values = np.concatenate([counts for _, counts in entries]).astype(np.float64)
+def _decoded(entries: Sequence[tuple[np.ndarray, np.ndarray]], idx: np.ndarray,
+             values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The features of compact entries (at least one): the buckets as
+    ``intp`` and the damped counts ``1 + log(count)`` as float64. The
+    entries are decoded together, in one pass, into the heads of ``idx``
+    (``intp``) and ``values`` (float64), which hold at least as many
+    entries; each text's features are views of them. The values are
+    computed in place, with the same operations as the expression."""
+    ends = list(accumulate(len(buckets) for buckets, _ in entries))
+    idx, values = idx[:ends[-1]], values[:ends[-1]]
+    np.concatenate([buckets for buckets, _ in entries], out=idx)
+    np.concatenate([counts for _, counts in entries], out=values)
     np.log(values, out=values)
     values += 1.0
     return [(idx[a:b], values[a:b]) for a, b in zip([0, *ends], ends)]
@@ -367,7 +368,8 @@ class ToyEmbedder:
         ``values @ weights[idx]``. One text is one chunk, decoded whole.
         """
         [(idx, counts, _)] = self._featurize_chunks([text])
-        return _decoded([(idx, counts)])[0]
+        return _decoded([(idx, counts)], np.empty(len(idx), dtype=np.intp),
+                        np.empty(len(idx)))[0]
 
     def _featurize_chunks(self, texts: Iterable[str]
                           ) -> Iterator[tuple[np.ndarray, np.ndarray, list[int]]]:
@@ -413,19 +415,29 @@ class ToyEmbedder:
         next is featurized, so the call holds one chunk's features and
         working arrays at a time, however long the stream. A row is
         ``values @ weights[idx]`` of the text's :meth:`features`, bit for
-        bit."""
+        bit. The chunk's texts gather their weight rows in turn into one
+        scratch, as tall as the chunk's largest text."""
         for idx, counts, cuts in self._featurize_chunks(texts):
-            yield _embedded(_decoded([(idx[a:b], counts[a:b]) for a, b in zip(cuts, cuts[1:])]),
-                            self.weights)
+            # the decoded chunk is an argument, not a local, so that it is
+            # freed before the next chunk is featurized
+            yield _embedded(_decoded([(idx[a:b], counts[a:b]) for a, b in zip(cuts, cuts[1:])],
+                                     np.empty(len(idx), dtype=np.intp), np.empty(len(idx))),
+                            self.weights, np.empty((int(np.diff(cuts).max()), self.dim)))
 
 
-def _embedded(feats: Sequence[tuple[np.ndarray, np.ndarray]], weights: np.ndarray) -> np.ndarray:
+def _embedded(feats: Sequence[tuple[np.ndarray, np.ndarray]], weights: np.ndarray,
+              scratch: np.ndarray) -> np.ndarray:
     """Rows ``values @ weights[idx]`` of featurized texts; a text with no
-    feature embeds to zeros."""
+    feature embeds to zeros. Each text's rows ``weights[idx]`` are gathered
+    into the head of ``scratch``, a C-contiguous array with a row for each
+    feature of the largest text."""
     out = np.zeros((len(feats), weights.shape[1]))
     for row, (idx, values) in enumerate(feats):
         if idx.size:
-            out[row] = values @ weights[idx]
+            # mode "clip" gathers straight into the scratch ("raise" gathers
+            # into a copy first); every index is in range
+            rows = np.take(weights, idx, axis=0, out=scratch[:len(idx)], mode="clip")
+            out[row] = values @ rows
     return out
 
 
@@ -474,11 +486,6 @@ class FeatureStore:
         bases = self._starts[chunks]
         return [(self._buckets[c][a:b], self._counts[c][a:b]) for c, a, b in zip(
             chunks.tolist(), (starts - bases).tolist(), (ends - bases).tolist())]
-
-    def features(self, slots: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The features of the slots, as :meth:`ToyEmbedder.features` gives
-        them, with the buckets renumbered."""
-        return _decoded(self.entries(slots))
 
 
 _CKPT_MAGIC = b"LXTOYEMB"
@@ -588,6 +595,13 @@ ADAM_EPS = 1e-8
 WARMUP_FRACTION = 0.1
 
 
+def _block_scratch(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Two scratch arrays of one Adam block of rows each, or of all the
+    rows if there are fewer."""
+    size = min(max(1, ADAM_BLOCK // shape[1]), shape[0]) * shape[1]
+    return np.empty(size), np.empty(size)
+
+
 class Adam:
     """Adaptive moment estimation, deterministic given the gradient stream.
 
@@ -605,6 +619,10 @@ class Adam:
     For any other row ``g = m = v = 0`` at every step, so ``m`` and ``v``
     stay 0, ``lr*m_hat / (sqrt(v_hat) + eps)`` is 0 and the update leaves
     the row as it was: dropping the row changes no result.
+
+    The two block scratch arrays, :attr:`scratch`, hold nothing from one
+    step to the next: :func:`_train_steps` lends them to the gradient
+    buffer between steps.
     """
 
     def __init__(self, shape: tuple[int, int]):
@@ -612,8 +630,7 @@ class Adam:
         self.v = np.zeros(shape)
         self.t = 0
         self._block_rows = max(1, ADAM_BLOCK // shape[1])
-        scratch = min(self._block_rows, shape[0]) * shape[1]
-        self._scratch = (np.empty(scratch), np.empty(scratch))
+        self.scratch = _block_scratch(shape)
 
     def step(self, params: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray,
              lr: float) -> None:
@@ -634,7 +651,7 @@ class Adam:
         for start, lo, hi in zip(starts, edges, edges[1:]):
             end = min(start + self._block_rows, n)
             pb, mb, vb = (a[start:end].reshape(-1) for a in (params, self.m, self.v))
-            gb, s1 = (buf[:(end - start) * dim] for buf in self._scratch)
+            gb, s1 = (buf[:(end - start) * dim] for buf in self.scratch)
             s2 = gb  # the gradient's last read comes before s2's first write
             gb.fill(0.0)
             gb.reshape(-1, dim)[rows[lo:hi] - start] = grad_rows[lo:hi]
@@ -664,46 +681,89 @@ def lr_at(step: int, total_steps: int, schedule: TrainSchedule) -> float:
 
 
 class _GradientBuffer:
-    """The rows one batch touches and their dL/dW, in arrays reused across
-    steps.
+    """The workspace of one batch's gradient, in arrays reused across
+    steps: the rows the batch touches, its decoded features and their
+    dL/dW.
 
     ``touched`` and ``position`` have an entry per weight row: a batch marks
     its rows in ``touched`` and unmarks them once it has their sorted ids,
     and ``position[r]`` is then row r's place among them. ``grad`` has a row
-    per touched row of the largest batch; a batch uses its first rows.
+    per touched row of the largest batch, and ``idx`` and ``values`` an
+    entry per feature of the largest batch's texts; a batch uses their
+    first rows and entries. Before ``grad`` holds the gradient, each text's
+    weight rows are gathered into it to embed the text. The backward
+    scatter works in ``scratch``, two arrays of one Adam block each, which
+    training borrows from its optimizer.
     """
 
-    def __init__(self, shape: tuple[int, int]):
+    def __init__(self, shape: tuple[int, int],
+                 scratch: tuple[np.ndarray, np.ndarray] | None = None):
         self.touched = np.zeros(shape[0], dtype=bool)
         self.position = np.zeros(shape[0], dtype=np.intp)
         self.grad = np.empty((0, shape[1]))
+        self.idx = np.empty(0, dtype=np.intp)
+        self.values = np.empty(0)
+        self.scratch = _block_scratch(shape) if scratch is None else scratch
 
-    def rows(self, buckets: Iterable[np.ndarray]) -> np.ndarray:
-        """The rows the bucket arrays (at least one) name, sorted, each
-        once."""
-        self.touched[np.concatenate(list(buckets))] = True
+    def rows(self, buckets: np.ndarray) -> np.ndarray:
+        """The rows the buckets name, sorted, each once."""
+        self.touched[buckets] = True
         rows = np.flatnonzero(self.touched)
         self.touched[rows] = False
         return rows
 
-    def reserve(self, n_rows: int) -> None:
-        """Make ``grad`` at least ``n_rows`` tall. Training reserves the
-        largest batch's rows before its first step, so the buffer is
-        allocated once: regrowing it as larger batches come leaves freed
-        blocks behind that keep the process's peak higher."""
+    def reserve(self, n_rows: int, n_entries: int) -> None:
+        """Make ``grad`` at least ``n_rows`` tall and ``idx`` and ``values``
+        at least ``n_entries`` long. Training reserves the largest batch's
+        before its first step, so each array is allocated once: regrowing it
+        as larger batches come leaves freed blocks behind that keep the
+        process's peak higher."""
         if n_rows > len(self.grad):
             self.grad = np.empty((n_rows, self.grad.shape[1]))
+        if n_entries > len(self.idx):
+            self.idx = np.empty(n_entries, dtype=np.intp)
+            self.values = np.empty(n_entries)
 
-    def start(self, feats: Sequence[tuple[np.ndarray, np.ndarray]]
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted rows the features touch, with ``position`` set for
-        them, and a gradient row of 0.0 for each."""
-        rows = self.rows(idx for idx, _ in feats)
+    def start(self, store: FeatureStore, slots: np.ndarray
+              ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """The sorted rows the slots' texts touch, with ``position`` set for
+        them and ``grad`` at least that tall, and the texts' features,
+        decoded into ``idx`` and ``values``."""
+        entries = store.entries(slots)
+        n_entries = sum(len(buckets) for buckets, _ in entries)
+        self.reserve(0, n_entries)
+        feats = _decoded(entries, self.idx, self.values)
+        rows = self.rows(self.idx[:n_entries])
         self.position[rows] = np.arange(len(rows))
-        self.reserve(len(rows))
-        grad = self.grad[:len(rows)]
+        self.reserve(len(rows), 0)
+        return rows, feats
+
+    def scatter(self, feats: Sequence[tuple[np.ndarray, np.ndarray]], d_rows: np.ndarray,
+                n_rows: int) -> np.ndarray:
+        """dL/dW on the first ``n_rows`` touched rows: rows of 0.0 to which
+        each text, in order, adds ``values[:, None] * d`` on its rows, ``d``
+        its row of ``d_rows``. The features' buckets become positions in
+        place. A text adds its term in pieces of at most one Adam block of
+        entries: the piece's term goes into one scratch array and its
+        gathered gradient rows into the other, which gets the term added
+        and is put back, as ``grad[position[idx]] += term`` does whole."""
+        grad = self.grad[:n_rows]
         grad.fill(0.0)
-        return rows, grad
+        n_entries = sum(len(idx) for idx, _ in feats)
+        # take reads each index before it writes that entry ("clip" writes
+        # in place; "raise" would work on a copy)
+        np.take(self.position, self.idx[:n_entries], out=self.idx[:n_entries], mode="clip")
+        dim = grad.shape[1]
+        piece = len(self.scratch[0]) // dim
+        for (positions, values), d in zip(feats, d_rows):
+            for lo in range(0, len(positions), piece):
+                at = positions[lo:lo + piece]
+                term, total = (buf[:len(at) * dim].reshape(len(at), dim) for buf in self.scratch)
+                np.multiply(values[lo:lo + piece, None], d, out=term)
+                np.take(grad, at, axis=0, out=total, mode="clip")
+                total += term
+                grad[at] = total
+        return grad
 
 
 def _batch_gradient(weights: np.ndarray, data: TrainingSet, pairs: Sequence[int],
@@ -716,12 +776,15 @@ def _batch_gradient(weights: np.ndarray, data: TrainingSet, pairs: Sequence[int]
     sorted, and their gradient, a view of ``buffer.grad``; every other row's
     gradient is zero. Each text adds its term to its rows, text by text,
     from 0.0, as into a gradient over every row. The batch's texts are
-    decoded from the store in one call.
+    decoded from the store in one call, and the step allocates no array
+    per text: the features, the forward gather and the backward scatter
+    use the buffer's arrays.
     """
-    feats = data.store.features(data.slots(pairs))
-    q_feats, c_feats = feats[:len(pairs)], feats[len(pairs):]
-    q_vecs = _embedded(q_feats, weights)
-    c_vecs = _embedded(c_feats, weights)
+    rows, feats = buffer.start(data.store, data.slots(pairs))
+    # the gradient rows are free until the scatter: a text's distinct
+    # buckets never outnumber its batch's touched rows
+    q_vecs = _embedded(feats[:len(pairs)], weights, buffer.grad)
+    c_vecs = _embedded(feats[len(pairs):], weights, buffer.grad)
 
     sim = cosine_matrix(q_vecs, c_vecs)
     mask = (false_negative_mask([data.charge_sets[c] for c in data.charges[pairs].tolist()])
@@ -735,11 +798,7 @@ def _batch_gradient(weights: np.ndarray, data: TrainingSet, pairs: Sequence[int]
     # d cos(q_i, c_j)/d q_i = (ĉ_j - s_ij q̂_i) / |q_i|
     d_q = (grad_sim @ c_unit - (grad_sim * sim).sum(axis=1, keepdims=True) * q_unit) / qn
     d_c = (grad_sim.T @ q_unit - (grad_sim * sim).sum(axis=0)[:, None] * c_unit) / cn
-
-    rows, w_grad = buffer.start(feats)
-    for (idx, values), row in zip(feats, np.concatenate([d_q, d_c])):
-        w_grad[buffer.position[idx]] += values[:, None] * row
-    return loss, rows, w_grad
+    return loss, rows, buffer.scatter(feats, np.concatenate([d_q, d_c]), len(rows))
 
 
 def _batches(order: Sequence[int], batch_size: int) -> list[list[int]]:
@@ -800,12 +859,16 @@ def _train_steps(data: TrainingSet, weights: np.ndarray, schedule: TrainSchedule
                  loss_cfg: LossConfig, total_steps: int) -> list[tuple[int, float]]:
     """Every step of the schedule on the compact weights, in place; the
     loss curve. The optimizer and the gradient buffer live only as long as
-    this call."""
+    this call. The buffer is sized for the largest batch before the first
+    step and borrows the optimizer's block scratch, so no step allocates
+    an array per text."""
     optimizer = Adam(weights.shape)
-    buffer = _GradientBuffer(weights.shape)
-    buffer.reserve(max(
-        len(buffer.rows(idx for idx, _ in data.store.entries(data.slots(pairs))))
-        for _, pairs in _steps(len(data), schedule)))
+    buffer = _GradientBuffer(weights.shape, optimizer.scratch)
+    sizes = []
+    for _, pairs in _steps(len(data), schedule):
+        buckets = np.concatenate([idx for idx, _ in data.store.entries(data.slots(pairs))])
+        sizes.append((len(buffer.rows(buckets)), len(buckets)))
+    buffer.reserve(*map(max, zip(*sizes)))
     curve: list[tuple[int, float]] = []
 
     for step, (epoch, pairs) in enumerate(_steps(len(data), schedule)):
@@ -815,7 +878,8 @@ def _train_steps(data: TrainingSet, weights: np.ndarray, schedule: TrainSchedule
             raise NonFiniteLoss(
                 f"aborted at step {step} (epoch {epoch}, "
                 f"batch rows {pairs[:4]}...): {exc}") from exc
-        if not np.isfinite(loss) or not np.isfinite(w_grad).all():
+        # a NaN anywhere makes min and max NaN, an infinity one of them
+        if not all(map(np.isfinite, (loss, w_grad.min(), w_grad.max()))):
             raise NonFiniteLoss(
                 f"non-finite loss at step {step} (epoch {epoch}): {loss}")
         curve.append((step, loss))

@@ -215,6 +215,8 @@ def max_window_cosine_oracle(query_unit, case_id, text, embedder, cfg):
     from lexforge.errors import ZeroVector
     from lexforge.retrieval import segment
 
+    if not text:
+        raise ZeroVector(f"case {case_id!r}: the text is empty")
     windows = segment(text, cfg)
     vectors = np.asarray(embedder.embed(windows), dtype=np.float64)
     norms = np.linalg.norm(vectors, axis=1)

@@ -993,6 +993,21 @@ class TestTrainInputs:
         assert len(pairs) > 100
         assert (tmp_path / "toy.ckpt").read_bytes() == (workdir / "toy.ckpt").read_bytes()
 
+    @pytest.mark.parametrize("rows", ["one", "more than any text"])
+    def test_the_adam_block_does_not_change_the_checkpoint(self, workdir, tmp_path,
+                                                           monkeypatch, rows):
+        """Adam updates a block of rows at a time, and the backward scatter
+        adds each text's term in pieces of at most one block: blocks of one
+        row, and one block larger than every text's buckets, write the
+        bytes of the default blocks."""
+        from lexforge import training
+
+        dim = 16
+        monkeypatch.setattr(training, "ADAM_BLOCK", dim if rows == "one" else 2049 * dim)
+        assert self._train(workdir, tmp_path) == 0
+        for artifact in ("toy.ckpt", "loss.tsv"):
+            assert (tmp_path / artifact).read_bytes() == (workdir / artifact).read_bytes()
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):
@@ -1291,6 +1306,25 @@ class TestExitCodes:
         err = self._data_error(capsys, *argv)
         assert err == (f"data error: query {records[1]['query_id']!r}: "
                        "query vector has zero norm\n")
+
+    def test_an_empty_candidate_names_the_query_and_the_case(self, workdir, tmp_path, capsys):
+        """A case whose only text is an empty fact parses, but has no window
+        to embed; dense search fails when it reaches a pool that holds the
+        case, naming the query and the case."""
+        pools = {pool["query_id"]: pool["candidate_ids"]
+                 for pool in _records(workdir / "pools.jsonl")}
+        case_id = next(iter(pools.values()))[0]
+        query_id = next(query["query_id"] for query in _records(workdir / "eval_queries.jsonl")
+                        if case_id in pools.get(query["query_id"], ()))
+        corpus = tmp_path / "corpus.jsonl"
+        fileio.write_jsonl(corpus, [{"case_id": case_id, "fact": ""}
+                                    if record["case_id"] == case_id else record
+                                    for record in _records(workdir / "corpus.jsonl")])
+        argv = [corpus if arg == workdir / "corpus.jsonl" else arg
+                for arg in _commands(workdir, tmp_path / "out")["search dense"]]
+        err = self._data_error(capsys, *argv)
+        assert err == f"data error: query {query_id!r}: case {case_id!r}: the text is empty\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_run_line_is_data_error(self, workdir, tmp_path, capsys):
         run = tmp_path / "run.jsonl"

@@ -642,6 +642,12 @@ class TestSearchRun:
                                embedder=embedder, seg_cfg=cfg)
         assert got == want == (ZeroVector,
                                "query 'q2': case 'zero': all 1 segments embed to zero norm")
+        # an empty text has no segment at all
+        texts["empty"] = ""
+        pools["q1"].append("empty")
+        got, want = self._both(texts, queries, pools, scorer="dense", k=5,
+                               embedder=embedder, seg_cfg=cfg)
+        assert got == want == (ZeroVector, "query 'q1': case 'empty': the text is empty")
 
     @pytest.mark.parametrize("chunk_grams", [1, 30, 1 << 16])
     def test_dense_run_keeps_no_window_features(self, monkeypatch, chunk_grams):

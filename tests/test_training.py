@@ -396,6 +396,14 @@ class TestToyEmbedder:
             assert w_grad[i, j] == pytest.approx(fd, abs=1e-6)
 
 
+def _workspace(buffer):
+    """Every array of a gradient buffer's workspace: the gradient rows, the
+    decoded features, the block scratch, and the per-row marks and
+    positions."""
+    return [buffer.grad, buffer.idx, buffer.values, *buffer.scratch, buffer.touched,
+            buffer.position]
+
+
 def _toy_pairs(n=60):
     charges = ["盗窃罪", "抢劫罪", "诈骗罪"]
     verbs = {"盗窃罪": "窃取财物", "抢劫罪": "持械抢劫", "诈骗罪": "虚构事实骗取钱款"}
@@ -421,6 +429,13 @@ def feature_batches(draw):
     if texts and draw(st.booleans()):
         texts.insert(draw(st.integers(0, len(texts))), draw(st.sampled_from(texts)))
     return texts
+
+
+def _decoded(entries):
+    """``training._decoded`` of the entries, none or more, into arrays of
+    their own."""
+    n = sum(len(idx) for idx, _ in entries)
+    return training._decoded(entries, np.empty(n, dtype=np.intp), np.empty(n)) if entries else []
 
 
 #: All that a :class:`ToyEmbedder` holds: its shape, its seed and its weights.
@@ -453,7 +468,7 @@ class TestFeaturize:
         of the texts and each row of one ``embed`` of them equal the plain
         per-text loop bit for bit."""
         store = FeatureStore(embedder, texts)
-        stored = store.features(np.arange(len(texts)))
+        stored = _decoded(store.entries(np.arange(len(texts))))
         vectors = embedder.embed(texts)
         assert vectors.shape == (len(texts), embedder.dim)
         for text, (store_idx, store_values), row in zip(texts, stored, vectors, strict=True):
@@ -526,7 +541,7 @@ class TestFeatureStore:
         assert len(store.offsets) == len(texts) + 1
         reached = set()
         for slots in (np.arange(len(texts)), np.arange(len(texts))[::-1]):
-            for slot, (idx, values) in zip(slots.tolist(), store.features(slots)):
+            for slot, (idx, values) in zip(slots.tolist(), _decoded(store.entries(slots))):
                 want_idx, want_values = plain.features(texts[slot])
                 assert idx.dtype == np.intp and values.dtype == np.float64
                 assert np.array_equal(store.rows[idx], want_idx)
@@ -563,7 +578,7 @@ class TestFeatureStore:
         bit."""
         (idx, counts, cuts), = ToyEmbedder(dim=2, hash_buckets=buckets)._featurize_chunks(texts)
         assert idx.dtype == idx_dtype and counts.dtype == count_dtype
-        decoded = training._decoded([(idx[a:b], counts[a:b]) for a, b in zip(cuts, cuts[1:])])
+        decoded = _decoded([(idx[a:b], counts[a:b]) for a, b in zip(cuts, cuts[1:])])
         assert len(decoded) == len(texts)
         for text, (got_idx, got_values) in zip(texts, decoded):
             want_idx, want_values = features_oracle(text, buckets, 2, 3)
@@ -748,25 +763,39 @@ class TestCompactTraining:
         assert len(reach) == 16 if buckets == 16 else len(reach) < buckets // 2
 
     def test_the_gradient_buffer_is_allocated_once(self, monkeypatch):
-        """Training reserves the largest batch's touched rows before its
-        first step: every batch writes into one allocation, exactly that
-        tall."""
-        seen = []
+        """Training reserves the largest batch's touched rows and feature
+        entries before its first step: every batch works in one workspace,
+        each array exactly as large as the largest batch needs, and every
+        array keeps its address and size from the first step to the last.
+        The scatter's scratch is the optimizer's own."""
+        seen, lent = [], []
         real_gradient = training._batch_gradient
+        real_step = Adam.step
 
         def gradient(weights, data, pairs, cfg, buffer):
             loss, rows, grad = real_gradient(weights, data, pairs, cfg, buffer)
-            seen.append((buffer.grad.ctypes.data, len(buffer.grad), len(rows)))
+            entries = sum(len(idx) for idx, _ in data.store.entries(data.slots(pairs)))
+            seen.append(([(a.ctypes.data, a.size) for a in _workspace(buffer)],
+                         len(rows), entries))
             return loss, rows, grad
 
+        def step(self, params, rows, grad_rows, lr):
+            lent.append([(a.ctypes.data, a.size) for a in self.scratch])
+            return real_step(self, params, rows, grad_rows, lr)
+
         monkeypatch.setattr(training, "_batch_gradient", gradient)
+        monkeypatch.setattr(Adam, "step", step)
         embedder = ToyEmbedder(dim=4, hash_buckets=4096, seed=7)
         train_toy(training_set(_toy_pairs(30), embedder), embedder,
                   TrainSchedule(epochs=3, batch_size=7, seed=7))
-        touched = [n for _, _, n in seen]
-        assert len(seen) == 15 and len(set(touched)) > 1
-        assert {(address, height) for address, height, _ in seen} == {
-            (seen[0][0], max(touched))}
+        touched = [n for _, n, _ in seen]
+        entries = [n for _, _, n in seen]
+        assert len(seen) == 15 and len(set(touched)) > 1 and len(set(entries)) > 1
+        workspace = seen[0][0]
+        assert all(arrays == workspace for arrays, _, _ in seen)
+        grad, idx, values, *scratch, _, _ = workspace
+        assert grad[1] == max(touched) * 4 and idx[1] == values[1] == max(entries)
+        assert all(arrays == scratch for arrays in lent)
 
     def test_caller_embedder_embeds_as_a_fresh_one(self):
         pairs = _toy_pairs(24)
@@ -971,6 +1000,99 @@ def _unheld_pairs(n):
         yield query, positive, UNHELD_CHARGES[i % 3]
 
 
+def _text_of_buckets(n, first, buckets):
+    """A text whose unigrams fall in exactly n distinct buckets: characters
+    from code point ``first`` on, each in a bucket of its own, then its
+    first characters again, so that some counts are 2."""
+    chars, seen = [], set()
+    for code in range(first, first + 8 * n):
+        bucket = int(features_oracle(chr(code), buckets, 1, 1)[0][0])
+        if bucket not in seen and len(chars) < n:
+            seen.add(bucket)
+            chars.append(chr(code))
+    text = "".join(chars + chars[:n // 3])
+    assert len(features_oracle(text, buckets, 1, 1)[0]) == n
+    return text
+
+
+def _long_text(rng, n):
+    """n characters drawn from 3,000 CJK ideographs, so that nearly every
+    n-gram of the text is distinct."""
+    return "".join(map(chr, 0x4E00 + rng.integers(0, 3000, n)))
+
+
+class TestStepWorkspace:
+    """A batch's gradient is computed in memory the step already holds: the
+    features are decoded into the buffer, each text's weight rows are
+    gathered into the gradient rows, and the scatter works in pieces of at
+    most one Adam block inside the block scratch. It equals the oracle bit
+    for bit however a text falls into pieces."""
+
+    def test_texts_on_either_side_of_a_piece_equal_the_oracle(self):
+        """Texts with one distinct bucket fewer than a piece holds, exactly a
+        piece's worth and one more, through a fresh, unreserved buffer."""
+        dim, buckets = 64, 1 << 12
+        piece = ADAM_BLOCK // dim
+        embedder = ToyEmbedder(dim=dim, hash_buckets=buckets, ngram_min=1, ngram_max=1, seed=5)
+        short, exact, long = (_text_of_buckets(piece + extra, first, buckets)
+                              for extra, first in ((-1, 0x4E00), (0, 0x5E00), (1, 0x6E00)))
+        pairs = [(short, exact, frozenset({"a"})), (long, short[::-1], frozenset({"b"})),
+                 (exact[::-1], long[::-1], frozenset({"a"}))]
+        data = training_set(pairs, embedder)
+        reached = data.store.rows
+        assert len(reached) > piece + 1
+        buffer = _GradientBuffer((len(reached), dim))
+        assert len(buffer.grad) == len(buffer.idx) == 0 and len(buffer.scratch[0]) == ADAM_BLOCK
+        for masking in (True, False):
+            cfg = LossConfig(masking_enabled=masking)
+            loss, rows, grad = _batch_gradient(embedder.weights[reached], data, [0, 1, 2], cfg,
+                                               buffer)
+            expected_loss, expected = batch_gradient_oracle(embedder, pairs, cfg)
+            assert loss == expected_loss
+            assert (dense_gradient(reached[rows], grad, expected.shape).tobytes()
+                    == expected.tobytes())
+
+    def test_steps_after_the_first_allocate_less_than_one_text(self, monkeypatch):
+        """On the 2^15 x 64 shape, the memory traced while steps 2 to N run
+        stays below one text's gradient rows (the most distinct buckets of
+        any text x dim x 8 bytes) beyond what is held when step 2 starts:
+        no step allocates an array per text."""
+        import tracemalloc
+        buckets, dim = 1 << 15, 64
+        rng = np.random.default_rng(33)
+        pairs = [(_long_text(rng, 300), _long_text(rng, 400), UNHELD_CHARGES[i % 3])
+                 for i in range(48)]
+        largest = max(len(features_oracle(text, buckets, 2, 3)[0])
+                      for query, positive, _ in pairs for text in (query, positive))
+        embedder = ToyEmbedder(dim=dim, hash_buckets=buckets, seed=33)
+        data = training_set(pairs, embedder)
+        calls, held, traced = [], [], []
+        real_gradient = training._batch_gradient
+        real_step = Adam.step
+
+        def gradient(weights, data, pairs, cfg, buffer):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                tracemalloc.reset_peak()
+                held.append(tracemalloc.get_traced_memory()[0])
+            return real_gradient(weights, data, pairs, cfg, buffer)
+
+        def step(self, params, rows, grad_rows, lr):
+            real_step(self, params, rows, grad_rows, lr)
+            traced.append(tracemalloc.get_traced_memory())
+
+        monkeypatch.setattr(training, "_batch_gradient", gradient)
+        monkeypatch.setattr(Adam, "step", step)
+        tracemalloc.start()
+        try:
+            train_toy(data, embedder, TrainSchedule(epochs=2, batch_size=8, seed=33))
+        finally:
+            tracemalloc.stop()
+        assert len(traced) == 12 and largest > 500
+        (held,), (_, peak) = held, traced[-1]
+        assert peak - held < largest * dim * 8
+
+
 class TestAdam:
     def test_single_step_matches_formula(self):
         params = np.zeros((2, 2))
@@ -1024,19 +1146,29 @@ class TestFastPathsMatchOracles:
             opt.step(np.zeros((6, 4)).T, rows, np.zeros((2, 6)), 0.1)
 
     def test_reused_gradient_buffer(self):
-        """One buffer serves batches of different sizes: each batch's rows
-        are sorted, unique and exactly the buckets of its texts, and its
-        gradient, a view of the buffer, is the oracle's on those rows."""
+        """One fresh, unreserved buffer serves batches of different sizes:
+        each batch's rows are sorted, unique and exactly the buckets of its
+        texts, and its gradient, a view of the buffer, is the oracle's on
+        those rows. A workspace array is replaced only for a batch that
+        needs more than it holds, by one of exactly that size."""
         embedder = ToyEmbedder(dim=8, hash_buckets=512, seed=6)
         pairs = _toy_pairs(24)
         data = training_set(pairs, embedder)
         reached = data.store.rows
         buffer = _GradientBuffer((len(reached), 8))
         cfg = LossConfig()
+        grown = []
         for start, stop in ((0, 6), (6, 8), (8, 20), (20, 24)):
             chunk = list(range(start, stop))
+            held = [(a.ctypes.data, a.size) for a in _workspace(buffer)]
             loss, rows, grad = _batch_gradient(embedder.weights[reached], data, chunk, cfg,
                                                buffer)
+            entries = sum(len(idx) for idx, _ in data.store.entries(data.slots(chunk)))
+            needs = [len(rows) * 8, entries, entries, 0, 0, 0, 0]
+            grown.append([need > size for (_, size), need in zip(held, needs)])
+            for (address, size), array, need in zip(held, _workspace(buffer), needs):
+                assert (array.ctypes.data, array.size) == (
+                    (address, size) if need <= size else (array.ctypes.data, need))
             expected_loss, expected = batch_gradient_oracle(embedder, pairs[start:stop], cfg)
             buckets = set()
             for query, positive, _ in pairs[start:stop]:
@@ -1049,3 +1181,4 @@ class TestFastPathsMatchOracles:
                     == expected.tobytes())
             assert not buffer.touched.any()
             embedder.weights[...] -= 0.1 * expected  # the next batch sees new weights
+        assert [any(g) for g in grown] == [True, False, True, False]
