@@ -30,6 +30,7 @@ from .errors import (
     GenerationFailed,
     LexforgeError,
     MalformedRecord,
+    UnknownDoc,
     UsageError,
     ZeroVector,
 )
@@ -476,9 +477,16 @@ def _cmd_search(args, cfg: PipelineConfig) -> int:
         index = retrieval.Bm25Index.load(Path(args.index)) if args.index else None
         scorer_for = functools.partial(retrieval.Bm25Scorer, params=cfg.bm25, index=index)
 
-    run, missing, unpooled = _search_run(
-        ((q.query_id, q.text) for q in queries), texts, pools, scorer_for,
-        k=k, pools_path=args.pools)
+    if pools is None and queries and not texts:
+        raise EmptyCorpus(f"{args.corpus}: no cases to search")
+    try:
+        run, missing, unpooled = _search_run(
+            ((q.query_id, q.text) for q in queries), texts, pools, scorer_for,
+            k=k, pools_path=args.pools)
+    except UnknownDoc as exc:
+        # only a loaded index can lack a candidate
+        raise UnknownDoc(f"{args.index}: {exc}; rebuild the index from --corpus "
+                         f"{args.corpus} with `lexforge index`") from None
     with fileio.outputs(args.output) as (output,):
         fileio.write_jsonl(output, (
             {"query_id": query_id, "case_id": case_id, "rank": rank, "score": score,

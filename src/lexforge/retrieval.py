@@ -17,8 +17,8 @@ and :func:`bm25_score` sums them per candidate. :class:`DenseScorer` embeds
 the run's queries in one call and each candidate's windows once, through
 one stream that holds a featurization chunk at a time, and keeps the
 vectors. An index stores each distinct term once and its postings in
-flat arrays, in memory and on disk alike. Only the dense scorer imports
-numpy.
+flat arrays at the narrowest width that holds them, in memory and on disk
+alike. Only the dense scorer imports numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import operator
 import os
 import struct
 import sys
+import zlib
 from array import array
 from collections import Counter, defaultdict, deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -72,7 +73,8 @@ class Bm25Index:
     parallel arrays ``term_ids`` (indexes into ``terms``) and ``tfs``: each
     distinct term of one document with its count, in the document's order of
     first occurrence. ``doc_ids`` are the index's documents, sorted, and row
-    ``r`` is document ``doc_ids[r]``. The statistics are integer counts over
+    ``r`` is document ``doc_ids[r]``. The term ids and the tfs are each
+    held at 1, 2 or 4 bytes a value. The statistics are integer counts over
     the rows.
     """
 
@@ -104,24 +106,25 @@ class Bm25Index:
     def build(cls, corpus: Mapping[str, str],
               tokenizer_name: str = "char_bigram") -> "Bm25Index":
         """Each document's term counts, appended to the postings in sorted
-        id order; a term's id is its rank of first occurrence."""
+        id order; a term's id is its rank of first occurrence. The term ids
+        and the tfs are each built at the narrowest width that holds them."""
         tokenize = TOKENIZERS[tokenizer_name]
         ids: defaultdict[str, int] = defaultdict(count().__next__)
-        offsets, term_ids, tfs = array(_OFFSET, [0]), array(_ENTRY), array(_ENTRY)
+        offsets, term_ids, tfs = array(_OFFSET, [0]), _NarrowArray(), _NarrowArray()
         doc_ids = sorted(corpus)
         for doc_id in doc_ids:
             counts = Counter(tokenize(corpus[doc_id]))
             term_ids.extend(map(ids.__getitem__, counts))
             tfs.extend(counts.values())
-            offsets.append(len(term_ids))
-        return cls(tokenizer_name, list(ids), offsets, term_ids, tfs, doc_ids)
+            offsets.append(offsets[-1] + len(counts))
+        return cls(tokenizer_name, list(ids), offsets, term_ids.flush(), tfs.flush(), doc_ids)
 
     def term_freqs(self, doc_id: str) -> dict[str, int]:
         """The document's ``{term: tf}`` in first-occurrence order, decoded
         from its postings row on first use and memoized."""
         row = self._rows.get(doc_id)
         if row is None:
-            raise UnknownDoc(f"doc {doc_id!r} not in index")
+            raise UnknownDoc(f"case {doc_id!r} is not in the index")
         tf = self._decoded.get(row)
         if tf is None:
             start, end = self.offsets[row], self.offsets[row + 1]
@@ -136,16 +139,21 @@ class Bm25Index:
 
         Layout: 8-byte magic ``LXBM25IX``; the ``<I`` version; the tokenizer
         name; the doc ids and then the terms, each list a ``<I`` count of
-        strings; then the postings: ``n_docs + 1`` ``<Q`` offsets, and as
-        many ``<I`` term ids and then ``<I`` tfs as the last offset says.
-        Every string is UTF-8 preceded by its ``<I`` byte length.
+        strings; then the postings: ``n_docs + 1`` ``<Q`` offsets, one width
+        byte (1, 2 or 4) each for the term ids and the tfs, and as many term
+        ids and then tfs, each at its width, as the last offset says; last,
+        the ``<I`` CRC-32 (``zlib.crc32``) of every byte before it. Every
+        string is UTF-8 preceded by its ``<I`` byte length.
         """
-        return write_bytes(
-            path, _INDEX_MAGIC, _U32.pack(_INDEX_VERSION), *_packed([self.tokenizer_name]),
-            _U32.pack(self.n_docs), *_packed(self.doc_ids),
-            _U32.pack(len(self.terms)), *_packed(self.terms),
-            _little_endian(self.offsets), _little_endian(self.term_ids),
-            _little_endian(self.tfs))
+        parts = [_INDEX_MAGIC, _U32.pack(_INDEX_VERSION), _packed([self.tokenizer_name]),
+                 _U32.pack(self.n_docs), _packed(self.doc_ids),
+                 _U32.pack(len(self.terms)), _packed(self.terms),
+                 _little_endian(self.offsets), bytes([self.term_ids.itemsize, self.tfs.itemsize]),
+                 _little_endian(self.term_ids), _little_endian(self.tfs)]
+        crc = 0
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+        return write_bytes(path, *parts, _U32.pack(crc))
 
     @classmethod
     def load(cls, path: str | Path) -> "Bm25Index":
@@ -163,12 +171,62 @@ class Bm25Index:
                 raise BadIndex(f"{path}: {exc}") from None
 
 
-#: Postings array types: ``_OFFSET`` holds an entry count, ``_ENTRY`` a term
-#: id or a count; the file stores them as ``<Q`` and ``<I``.
-_OFFSET, _ENTRY = "Q", "I"
+#: Postings array types: ``_OFFSET`` holds an entry count, stored as ``<Q``;
+#: a term id or a tf is held at one of ``_WIDTHS``, by its byte count.
+_OFFSET = "Q"
+_WIDTHS = {1: "B", 2: "H", 4: "I"}
 _INDEX_MAGIC = b"LXBM25IX"
-_INDEX_VERSION = 1
+_INDEX_VERSION = 2
 _U32 = struct.Struct("<I")
+#: Entries :class:`_NarrowArray` takes in 4 bytes each before it narrows them.
+_BLOCK = 1 << 12
+
+
+def _byte(k: int, size: int) -> int:
+    """The position of the k-th lowest byte in a native int of size bytes."""
+    return k if sys.byteorder == "little" else size - 1 - k
+
+
+def _resized(raw: bytes, size: int, width: int) -> bytearray:
+    """The native unsigned ints of size bytes in raw at width bytes each,
+    cut to their lowest bytes or padded with zeros, by one byte slice per
+    byte kept."""
+    out = bytearray(len(raw) // size * width)
+    for k in range(min(size, width)):
+        out[_byte(k, width)::width] = raw[_byte(k, size)::size]
+    return out
+
+
+class _NarrowArray:
+    """An array of unsigned ints that :meth:`extend` keeps at the narrowest
+    of 1, 2 and 4 bytes that holds them. Values go into a 4-byte block
+    first, since an ``'I'`` array takes them about 3x faster than a ``'B'``
+    or ``'H'`` one, whose setters parse each value; a full block is then
+    narrowed by byte slices, and the array is widened only when a block
+    needs it."""
+
+    def __init__(self):
+        self.values, self._block = array(_WIDTHS[1]), array(_WIDTHS[4])
+
+    def extend(self, values: Iterable[int]) -> None:
+        self._block.extend(values)
+        if len(self._block) >= _BLOCK:
+            self.flush()
+
+    def flush(self) -> array:
+        """Move the block into the array, and return the array."""
+        raw, width = self._block.tobytes(), self.values.itemsize
+        cut = _resized(raw, 4, width)
+        # the values fit the width when padding them back gives the block
+        while width < 4 and _resized(cut, width, 4) != raw:
+            width *= 2
+            cut = _resized(raw, 4, width)
+        if width > self.values.itemsize:
+            self.values = array(_WIDTHS[width], _resized(self.values.tobytes(),
+                                                         self.values.itemsize, width))
+        self.values.frombytes(cut)
+        del self._block[:]
+        return self.values
 
 
 def _little_endian(values: array) -> memoryview:
@@ -178,31 +236,38 @@ def _little_endian(values: array) -> memoryview:
     return memoryview(values)
 
 
-def _packed(strings: Iterable[str]) -> list[bytes]:
-    parts = []
+def _packed(strings: Iterable[str]) -> bytearray:
+    """Each string as UTF-8 after its ``<I`` byte length, in one buffer."""
+    out = bytearray()
     for text in strings:
         raw = text.encode("utf-8")
-        parts += (_U32.pack(len(raw)), raw)
-    return parts
+        out += _U32.pack(len(raw))
+        out += raw
+    return out
 
 
 def _read_index(fh: BinaryIO, size: int) -> Bm25Index:
     """Parse :meth:`Bm25Index.save`'s layout from the open file's position
-    on, ``size`` being the file's length; raises ValueError naming the
-    first section that does not fit. A section is read only once it is
-    known to fit, and a short read is a truncation too."""
+    after the magic on, ``size`` being the file's length; raises ValueError
+    naming the first section that does not fit. A section is read only once
+    it is known to fit, and a short read is a truncation too. The CRC-32 is
+    folded in as each section is read, so no copy of the file is held."""
+    crc = zlib.crc32(_INDEX_MAGIC)
+
     def values(typecode: str, count: int, what: str) -> array:
+        nonlocal crc
         pos, need = fh.tell(), count * array(typecode).itemsize
         out = array(typecode, [0]) * count if need <= size - pos else array(typecode)
         if fh.readinto(out) != need:
             raise ValueError(f"truncated in the {what}: needs {need} bytes at byte {pos}, "
                              f"the file ends at {size}")
+        crc = zlib.crc32(out, crc)
         if sys.byteorder == "big":
             out.byteswap()
         return out
 
     def u32(what: str) -> int:
-        return values(_ENTRY, 1, what)[0]
+        return values(_WIDTHS[4], 1, what)[0]
 
     def strings(count: int, what: str) -> list[str]:
         try:
@@ -225,13 +290,22 @@ def _read_index(fh: BinaryIO, size: int) -> Bm25Index:
     offsets = values(_OFFSET, len(doc_ids) + 1, "offsets")
     if offsets[0] != 0 or any(map(operator.gt, offsets, offsets[1:])):
         raise ValueError("the offsets do not start at 0 and never decrease")
-    left = size - fh.tell()
-    postings, rest = divmod(left, 2 * array(_ENTRY).itemsize)
+    widths = dict(zip(("term id", "tf"), values("B", 2, "widths")))
+    for what, width in widths.items():
+        if width not in _WIDTHS:
+            raise ValueError(f"the {what} width is {width}, not 1, 2 or 4")
+    left = max(size - fh.tell() - _U32.size, 0)
+    postings, rest = divmod(left, sum(widths.values()))
     if rest or offsets[-1] != postings:
-        raise ValueError(f"the offsets end at {offsets[-1]} postings, but the "
-                         f"{left} bytes after them do not hold that many")
-    term_ids = values(_ENTRY, postings, "term ids")
-    tfs = values(_ENTRY, postings, "tfs")
+        raise ValueError(f"the offsets end at {offsets[-1]} postings, but the {left} bytes "
+                         "between the widths and the checksum do not hold that many")
+    term_ids = values(_WIDTHS[widths["term id"]], postings, "term ids")
+    tfs = values(_WIDTHS[widths["tf"]], postings, "tfs")
+    computed = crc  # before reading the trailer folds it in too
+    stored = u32("checksum")
+    if stored != computed:
+        raise ValueError(f"the CRC-32 is {stored:08x}, but the bytes before it "
+                         f"give {computed:08x}")
     if postings and max(term_ids) >= len(terms):
         raise ValueError(f"a term id is {max(term_ids)}, but there are {len(terms)} terms")
     if postings and min(tfs) < 1:

@@ -1457,6 +1457,8 @@ class TestExitCodes:
         (b'{"tokenizer": "char_bigram", "doc_lens": {}, "term_freqs": {}}',
          "not a lexforge BM25 index; rebuild it with `lexforge index`"),
         (b"LXBM25IX\x01\x00\x00\x00\x0b\x00\x00\x00char_bi",
+         "unsupported version 1; rebuild it with `lexforge index`"),
+        (b"LXBM25IX\x02\x00\x00\x00\x0b\x00\x00\x00char_bi",
          "truncated in the tokenizer name: needs 11 bytes at byte 16, the file ends at 23"),
     ])
     def test_bad_index_is_data_error(self, workdir, tmp_path, capsys, content, reason):
@@ -1466,6 +1468,30 @@ class TestExitCodes:
                                "--corpus", workdir / "corpus.jsonl", "--index", bad,
                                "--output", tmp_path / "run.jsonl")
         assert err == f"data error: {bad}: {reason}\n"
+        assert not (tmp_path / "run.jsonl").exists()
+
+    def test_an_index_of_another_corpus_names_the_index_and_the_case(self, workdir,
+                                                                      tmp_path, capsys):
+        cases = [{"case_id": "a", "fact": "被告人盗窃财物"}, {"case_id": "b", "fact": "驾驶车辆"}]
+        indexed, corpus, index = (tmp_path / "a.jsonl", tmp_path / "corpus.jsonl",
+                                  tmp_path / "bm25.idx")
+        fileio.write_jsonl(indexed, cases[:1])
+        fileio.write_jsonl(corpus, cases)
+        assert run_cli("index", "--corpus", indexed, "--output", index) == 0
+        capsys.readouterr()
+        err = self._data_error(capsys, "search", "--queries", workdir / "eval_queries.jsonl",
+                               "--corpus", corpus, "--index", index,
+                               "--output", tmp_path / "run.jsonl")
+        assert err == (f"data error: {index}: case 'b' is not in the index; rebuild the "
+                       f"index from --corpus {corpus} with `lexforge index`\n")
+        assert not (tmp_path / "run.jsonl").exists()
+
+    def test_an_empty_corpus_without_pools_names_the_corpus(self, workdir, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"")
+        err = self._data_error(capsys, "search", "--queries", workdir / "eval_queries.jsonl",
+                               "--corpus", corpus, "--output", tmp_path / "run.jsonl")
+        assert err == f"data error: {corpus}: no cases to search\n"
         assert not (tmp_path / "run.jsonl").exists()
 
     def test_remote_without_endpoint_is_usage_error(self, workdir):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import zlib
 from dataclasses import replace
 from functools import partial
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexforge import retrieval
 from lexforge.cli import _search_run
 from lexforge.errors import BadIndex, EmptyCorpus, LexforgeError, UnknownDoc, ZeroVector
 from lexforge.retrieval import (
@@ -29,6 +31,7 @@ from lexforge.retrieval import (
 
 from oracles import (
     bm25_build_oracle,
+    bm25_counter_oracle,
     bm25_oracle,
     char_bigrams_oracle,
     embed_oracle,
@@ -206,19 +209,104 @@ class TestBuild:
         assert loaded.n_docs == len(corpus)
         assert peak - held < size // 10
 
+    def test_postings_take_3_bytes_each(self, tmp_path, small_build):
+        """A char-bigram index holds each posting in 3 bytes, a 2-byte term
+        id and a 1-byte tf, built or loaded; deleting a loaded index's two
+        arrays frees those bytes and no more. Building it holds less than 4
+        bytes a posting beyond what it returns, less than either array at
+        4 bytes a value would take."""
+        import tracemalloc
+        corpus = {c.case_id: c.fact + c.reason + c.judgment for c in small_build.cases}
+        tracemalloc.start()
+        try:
+            built = Bm25Index.build(corpus)
+            held, peak = tracemalloc.get_traced_memory()
+            postings = len(built.term_ids)
+            built.save(tmp_path / "bm25.idx")
+            loaded = Bm25Index.load(tmp_path / "bm25.idx")
+            before = tracemalloc.get_traced_memory()[0]
+            del loaded.term_ids, loaded.tfs
+            freed = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert postings > 50_000
+        assert (built.term_ids.itemsize, built.tfs.itemsize) == (2, 1)
+        assert 3 * postings <= freed <= 3 * postings + 256
+        assert peak - held < 4 * postings
 
-def _layout(doc_ids, terms, offsets, term_ids, tfs, tokenizer="whitespace", version=1):
-    """The bytes of an index file, spelled out section by section."""
+    @pytest.mark.parametrize("corpus,widths", [
+        ({"a": " ".join(f"t{i}" for i in range(70_000)), "b": "t5 t5 t69999 new"}, (4, 1)),
+        ({"a": "x " * 256 + "y", "b": "y z"}, (1, 2)),
+        ({"a": "x " * 65_535 + "y", "b": "x y"}, (1, 2)),
+        ({"b": "x y", "a": "x " * 65_536 + "y"}, (1, 4)),
+    ])
+    def test_each_wider_width(self, tmp_path, corpus, widths):
+        """More than 65,536 terms take 4-byte term ids, and a tf past 255 or
+        65,535 takes 2 or 4 bytes; the index round-trips through its file,
+        its postings are the counting loop's and its scores the plain
+        counting path's."""
+        built = Bm25Index.build(corpus, "whitespace")
+        built.save(tmp_path / "bm25.idx")
+        loaded = Bm25Index.load(tmp_path / "bm25.idx")
+        _assert_same_index(loaded, built)
+        term_freqs, doc_lens, doc_freq = bm25_build_oracle(corpus, "whitespace")
+        assert _stats(loaded) == ([(d, list(tf.items())) for d, tf in term_freqs.items()],
+                                  list(doc_lens.items()), list(doc_freq.items()))
+        assert (loaded.term_ids.itemsize, loaded.tfs.itemsize) == widths
+        for query in ("x y", "t5 t69999 new z", "y y t0"):
+            assert (Bm25Scorer([], index=loaded).score(query, corpus)
+                    == bm25_counter_oracle(query, corpus, corpus, "whitespace", Bm25Params()))
+
+    @given(st.dictionaries(st.sampled_from([f"d{i}" for i in range(6)]),
+                           st.lists(st.tuples(st.integers(0, 299),
+                                              st.sampled_from([1, 2, 255, 256, 300])),
+                                    max_size=12), max_size=6),
+           st.integers(1, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_narrow_arrays_equal_the_counting_loop(self, tmp_path_factory, docs, block):
+        """Built through blocks of a few entries, so that a later block can
+        widen what earlier ones narrowed, the postings are the counting
+        loop's, each array at the narrowest of 1, 2 and 4 bytes that holds
+        its largest value, and they round-trip through the file."""
+        corpus = {d: " ".join(f"t{t}" for t, repeat in tokens for _ in range(repeat))
+                  for d, tokens in docs.items()}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(retrieval, "_BLOCK", block)
+            built = Bm25Index.build(corpus, "whitespace")
+        term_freqs, doc_lens, doc_freq = bm25_build_oracle(corpus, "whitespace")
+        assert _stats(built) == ([(d, list(tf.items())) for d, tf in term_freqs.items()],
+                                 list(doc_lens.items()), list(doc_freq.items()))
+        tops = (len(doc_freq) - 1, max((max(tf.values()) for tf in term_freqs.values()
+                                        if tf), default=0))
+        assert [a.itemsize for a in (built.term_ids, built.tfs)] == [
+            1 if top < 256 else 2 if top < 65_536 else 4 for top in tops]
+        path = tmp_path_factory.getbasetemp() / "narrow.idx"
+        built.save(path)
+        _assert_same_index(Bm25Index.load(path), built)
+
+
+def _layout(doc_ids, terms, offsets, term_ids, tfs, tokenizer="whitespace", version=2,
+            widths=(1, 1)):
+    """The bytes of an index file, spelled out section by section: the term
+    ids and the tfs at ``widths`` bytes each, then the CRC-32 of the rest."""
     def u32(n):
         return n.to_bytes(4, "little")
 
     def texts(items):
         return b"".join(u32(len(t.encode())) + t.encode() for t in items)
 
-    return (b"LXBM25IX" + u32(version) + texts([tokenizer])
+    body = (b"LXBM25IX" + u32(version) + texts([tokenizer])
             + u32(len(doc_ids)) + texts(doc_ids) + u32(len(terms)) + texts(terms)
-            + b"".join(n.to_bytes(8, "little") for n in offsets)
-            + b"".join(map(u32, term_ids)) + b"".join(map(u32, tfs)))
+            + b"".join(n.to_bytes(8, "little") for n in offsets) + bytes(widths)
+            + b"".join(n.to_bytes(widths[0], "little") for n in term_ids)
+            + b"".join(n.to_bytes(widths[1], "little") for n in tfs))
+    return body + u32(zlib.crc32(body))
+
+
+#: A whole one-posting index, and the same with its CRC-32's low byte changed.
+_ONE = _layout(["a"], ["x"], [0, 1], [0], [1])
+_ONE_BAD_CRC = _ONE[:-4] + bytes([_ONE[-4] ^ 1]) + _ONE[-3:]
+_REBUILD_V1 = "unsupported version 1; rebuild it with `lexforge index`"
 
 
 class TestPoolScope:
@@ -273,22 +361,20 @@ class TestIndexFile:
                 Bm25Index.load(bad)
             assert str(caught.value).startswith(f"{bad}: ")
         for pos in range(len(raw)):
-            changed = raw[:pos] + bytes([raw[pos] ^ mask]) + raw[pos + 1:]
-            bad.write_bytes(changed)
-            try:
-                loaded = Bm25Index.load(bad)
-            except BadIndex as exc:
-                assert str(exc).startswith(f"{bad}: ")
-                continue
-            # the file carries no checksum, so a changed count or id can
-            # still be a whole index; then it is read exactly as written
-            loaded.save(good)
-            assert good.read_bytes() == changed
+            bad.write_bytes(raw[:pos] + bytes([raw[pos] ^ mask]) + raw[pos + 1:])
+            with pytest.raises(BadIndex) as caught:
+                Bm25Index.load(bad)
+            assert str(caught.value).startswith(f"{bad}: ")
 
     @pytest.mark.parametrize("content,reason", [
         (b'{"tokenizer": "char_bigram", "doc_lens": {}, "term_freqs": {}}',
          "not a lexforge BM25 index; rebuild it with `lexforge index`"),
-        (_layout([], [], [0], [], [], version=2), "unsupported version 2"),
+        # whatever follows the version, an index of another version is rebuilt
+        (_layout(["a"], ["x"], [0, 1], [0], [1], version=1), _REBUILD_V1),
+        (_layout(["a", "b"], ["x", "y"], [0, 2, 3], [0, 1, 1], [2, 1, 1], version=1),
+         _REBUILD_V1),
+        (_layout([], [], [0], [], [], tokenizer="abc", version=1), _REBUILD_V1),
+        (_layout([], [], [0], [], [], version=3), "unsupported version 3"),
         (_layout([], [], [0], [], [], tokenizer="abc"), "unknown tokenizer 'abc'"),
         (_layout([], [], [0], [], [])[:20], "truncated in the tokenizer name"),
         (_layout(["b", "a"], ["x"], [0, 1, 2], [0, 0], [1, 1]),
@@ -303,9 +389,23 @@ class TestIndexFile:
         (_layout(["a", "b"], ["x"], [0, 2, 1], [0, 0], [1, 1]),
          "the offsets do not start at 0 and never decrease"),
         (_layout(["a", "b"], ["x"], [0, 1, 1], [0, 0], [1, 1]),
-         "the offsets end at 1 postings, but the 16 bytes after them do not hold that many"),
-        (_layout(["a"], ["x"], [0, 1], [0], [1]) + b"\x00",
-         "the offsets end at 1 postings, but the 9 bytes after them do not hold that many"),
+         "the offsets end at 1 postings, but the 4 bytes between the widths and the "
+         "checksum do not hold that many"),
+        (_ONE + b"\x00", "the offsets end at 1 postings, but the 3 bytes between the "
+         "widths and the checksum do not hold that many"),
+        (_layout(["a"], ["x"], [0, 1], [0], [1], widths=(2, 4))[:-4],
+         "the offsets end at 1 postings, but the 2 bytes between the widths and the "
+         "checksum do not hold that many"),
+        (_ONE[:-7], "truncated in the widths: needs 2 bytes at byte 60, the file ends at 61"),
+        (_layout(["a"], [], [0, 0], [], [])[:-1],
+         "truncated in the checksum: needs 4 bytes at byte 57, the file ends at 60"),
+        (_layout(["a"], ["x"], [0, 1], [0], [1], widths=(3, 1)),
+         "the term id width is 3, not 1, 2 or 4"),
+        (_layout(["a"], [], [0, 0], [], [], widths=(2, 0)),
+         "the tf width is 0, not 1, 2 or 4"),
+        (_layout([], [], [0], [], [], widths=(0, 0)), "the term id width is 0, not 1, 2 or 4"),
+        (_ONE_BAD_CRC, f"the CRC-32 is {int.from_bytes(_ONE_BAD_CRC[-4:], 'little'):08x}, "
+         f"but the bytes before it give {zlib.crc32(_ONE[:-4]):08x}"),
         (_layout(["a"], ["x", "y"], [0, 1], [2], [1]), "a term id is 2, but there are 2 terms"),
         (_layout(["a"], ["x"], [0, 1], [0], [0]), "a tf is 0"),
     ])
