@@ -131,8 +131,19 @@ def _typed(kind, expected: str):
     return parse
 
 
+def _one_of(parse, allowed, expected: str):
+    """A field parser that keeps a value ``parse`` keeps, if it is in ``allowed``."""
+    def check(value):
+        if parse(value) not in allowed:
+            raise ValueError(f"expected {expected}, not {value!r}")
+        return value
+    return check
+
+
 _id, _text = _typed(str, "a string id"), _typed(str, "a string")
 _int, _number = _typed(int, "an integer"), _typed((int, float), "a number")
+_label = _one_of(_int, range(4), "a label in 0-3")
+_kind = _one_of(_text, ("original", "augmented"), "'original' or 'augmented'")
 
 
 def _id_list(value) -> list[str]:
@@ -152,7 +163,7 @@ def _load_qrels(path: Path) -> dict[str, dict[str, int]]:
     qrels: dict[str, dict[str, int]] = {}
     for lineno, record in fileio.read_jsonl(path):
         query_id, case_id, label = _fields(path, lineno, record,
-                                           query_id=_id, case_id=_id, label=_int)
+                                           query_id=_id, case_id=_id, label=_label)
         labels = qrels.setdefault(query_id, {})
         if case_id in labels:
             raise MalformedRecord(f"{path}:{lineno}: query {query_id!r} repeats "
@@ -336,11 +347,10 @@ def _training_set(args, embedder) -> tuple[TrainingSet, array]:
     charge_ids: dict[frozenset[str], int] = {}
     lines, charges, numbers = array("q"), array("q"), (array("q"), array("q"))
     for lineno, record in fileio.read_jsonl(Path(args.pairs)):
-        # train reads no kind, but a pair without one is malformed;
-        # positive_charges may be left out
+        # train checks the kind but does not use it; positive_charges may be left out
         query_id, case_id, _, pair_charges = _fields(
             args.pairs, lineno, {"positive_charges": [], **record}, query_id=_id,
-            positive_case_id=_id, kind=None, positive_charges=_charges)
+            positive_case_id=_id, kind=_kind, positive_charges=_charges)
         lines.append(lineno)
         for column, known, key in zip(numbers, ids, (query_id, case_id)):
             column.append(known.setdefault(key, len(known)))

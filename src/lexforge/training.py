@@ -53,8 +53,10 @@ Training works on a compact copy of the weights that holds only the rows
 some text of the store reaches, drawn that way, and the store numbers its
 buckets by those rows: embedding and Adam's moments cover those rows
 alone, and each batch's gradient only the rows that batch touches, which
-Adam reads block by block as zeros with the touched rows written in. That
-is exact. A row no text reaches has zero gradient and zero moments at
+Adam reads block by block as zeros with the touched rows written in; the
+backward pass writes it a weight column at a time, each column one
+weighted ``np.bincount`` over the batch's entries in text order. That is
+exact. A row no text reaches has zero gradient and zero moments at
 every step, so the full-layout update would leave it unchanged bit for
 bit; every other row sees the same operations in the same order in either
 layout. Once the last step is done and the optimizer state is gone, the
@@ -595,13 +597,6 @@ ADAM_EPS = 1e-8
 WARMUP_FRACTION = 0.1
 
 
-def _block_scratch(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Two scratch arrays of one Adam block of rows each, or of all the
-    rows if there are fewer."""
-    size = min(max(1, ADAM_BLOCK // shape[1]), shape[0]) * shape[1]
-    return np.empty(size), np.empty(size)
-
-
 class Adam:
     """Adaptive moment estimation, deterministic given the gradient stream.
 
@@ -610,19 +605,16 @@ class Adam:
     +0.0. It updates ``m``, ``v`` and the parameters in place, one block of
     ``ADAM_BLOCK // dim`` rows at a time (at least one): the block's
     gradient is a scratch filled with 0.0 into which its touched rows are
-    written, and every element, touched or not, gets the floating-point
-    operations of the textbook update in the same order, so it comes out
-    bit for bit as ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
-    ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``.
+    written through transposed views (so training's column-major gradient
+    is read without a copy), and every element, touched or not, gets the
+    floating-point operations of the textbook update in the same order, so
+    it comes out bit for bit as ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + ((1-b2)*g)*g``, ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``.
 
     :func:`train_toy` keeps state only for the weight rows its texts reach.
     For any other row ``g = m = v = 0`` at every step, so ``m`` and ``v``
     stay 0, ``lr*m_hat / (sqrt(v_hat) + eps)`` is 0 and the update leaves
     the row as it was: dropping the row changes no result.
-
-    The two block scratch arrays, :attr:`scratch`, hold nothing from one
-    step to the next: :func:`_train_steps` lends them to the gradient
-    buffer between steps.
     """
 
     def __init__(self, shape: tuple[int, int]):
@@ -630,7 +622,9 @@ class Adam:
         self.v = np.zeros(shape)
         self.t = 0
         self._block_rows = max(1, ADAM_BLOCK // shape[1])
-        self.scratch = _block_scratch(shape)
+        # two scratch arrays of one block of rows each, or of all the rows
+        size = min(self._block_rows, shape[0]) * shape[1]
+        self._scratch = np.empty(size), np.empty(size)
 
     def step(self, params: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray,
              lr: float) -> None:
@@ -651,10 +645,10 @@ class Adam:
         for start, lo, hi in zip(starts, edges, edges[1:]):
             end = min(start + self._block_rows, n)
             pb, mb, vb = (a[start:end].reshape(-1) for a in (params, self.m, self.v))
-            gb, s1 = (buf[:(end - start) * dim] for buf in self.scratch)
+            gb, s1 = (buf[:(end - start) * dim] for buf in self._scratch)
             s2 = gb  # the gradient's last read comes before s2's first write
             gb.fill(0.0)
-            gb.reshape(-1, dim)[rows[lo:hi] - start] = grad_rows[lo:hi]
+            gb.reshape(-1, dim).T[:, rows[lo:hi] - start] = grad_rows[lo:hi].T
             np.multiply(mb, b1, out=mb)
             np.multiply(gb, 1 - b1, out=s1)
             np.add(mb, s1, out=mb)                 # m = b1*m + (1-b1)*g
@@ -687,23 +681,21 @@ class _GradientBuffer:
 
     ``touched`` and ``position`` have an entry per weight row: a batch marks
     its rows in ``touched`` and unmarks them once it has their sorted ids,
-    and ``position[r]`` is then row r's place among them. ``grad`` has a row
-    per touched row of the largest batch, and ``idx`` and ``values`` an
-    entry per feature of the largest batch's texts; a batch uses their
-    first rows and entries. Before ``grad`` holds the gradient, each text's
-    weight rows are gathered into it to embed the text. The backward
-    scatter works in ``scratch``, two arrays of one Adam block each, which
-    training borrows from its optimizer.
+    and ``position[r]`` is then row r's place among them. ``grad`` has room
+    for a row per touched row of the largest batch, and ``idx`` and
+    ``values`` an entry per feature of the largest batch's texts; a batch
+    uses their heads. Before ``grad`` holds the gradient, each text's
+    weight rows are gathered into it, row-major, to embed the text; the
+    backward scatter then writes the gradient into the same memory column
+    by column, as a ``(dim, rows)`` array.
     """
 
-    def __init__(self, shape: tuple[int, int],
-                 scratch: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, shape: tuple[int, int]):
         self.touched = np.zeros(shape[0], dtype=bool)
         self.position = np.zeros(shape[0], dtype=np.intp)
         self.grad = np.empty((0, shape[1]))
         self.idx = np.empty(0, dtype=np.intp)
         self.values = np.empty(0)
-        self.scratch = _block_scratch(shape) if scratch is None else scratch
 
     def rows(self, buckets: np.ndarray) -> np.ndarray:
         """The rows the buckets name, sorted, each once."""
@@ -740,30 +732,27 @@ class _GradientBuffer:
 
     def scatter(self, feats: Sequence[tuple[np.ndarray, np.ndarray]], d_rows: np.ndarray,
                 n_rows: int) -> np.ndarray:
-        """dL/dW on the first ``n_rows`` touched rows: rows of 0.0 to which
-        each text, in order, adds ``values[:, None] * d`` on its rows, ``d``
-        its row of ``d_rows``. The features' buckets become positions in
-        place. A text adds its term in pieces of at most one Adam block of
-        entries: the piece's term goes into one scratch array and its
-        gathered gradient rows into the other, which gets the term added
-        and is put back, as ``grad[position[idx]] += term`` does whole."""
-        grad = self.grad[:n_rows]
-        grad.fill(0.0)
-        n_entries = sum(len(idx) for idx, _ in feats)
+        """dL/dW on the first ``n_rows`` touched rows, a transposed view of
+        a ``(dim, n_rows)`` head of ``grad``: rows of +0.0 to which each
+        text, in order, adds ``values[:, None] * d`` on its rows, ``d`` its
+        row of ``d_rows``. The features' buckets, in the head of ``idx``,
+        become positions in place. Column j is one weighted ``np.bincount``
+        of the batch's entries, in text order, with weights ``values *
+        d[j]``: it starts each row at +0.0 and adds the row's weights in
+        entry order, so it is bit for bit the per-text sum."""
+        grad_t = self.grad.reshape(-1)[:n_rows * self.grad.shape[1]].reshape(-1, n_rows)
+        lens = np.array([len(idx) for idx, _ in feats])
+        n_entries = lens.sum()
+        positions, values = self.idx[:n_entries], self.values[:n_entries]
         # take reads each index before it writes that entry ("clip" writes
         # in place; "raise" would work on a copy)
-        np.take(self.position, self.idx[:n_entries], out=self.idx[:n_entries], mode="clip")
-        dim = grad.shape[1]
-        piece = len(self.scratch[0]) // dim
-        for (positions, values), d in zip(feats, d_rows):
-            for lo in range(0, len(positions), piece):
-                at = positions[lo:lo + piece]
-                term, total = (buf[:len(at) * dim].reshape(len(at), dim) for buf in self.scratch)
-                np.multiply(values[lo:lo + piece, None], d, out=term)
-                np.take(grad, at, axis=0, out=total, mode="clip")
-                total += term
-                grad[at] = total
-        return grad
+        np.take(self.position, positions, out=positions, mode="clip")
+        for column, d in zip(grad_t, d_rows.T):
+            weights = np.repeat(d, lens)
+            weights *= values
+            column[:] = np.bincount(positions, weights, n_rows)
+            del weights  # freed before the next column's is made
+        return grad_t.T
 
 
 def _batch_gradient(weights: np.ndarray, data: TrainingSet, pairs: Sequence[int],
@@ -773,10 +762,10 @@ def _batch_gradient(weights: np.ndarray, data: TrainingSet, pairs: Sequence[int]
     cosine chain rule; ``weights`` has a row per row of ``data.store.rows``.
 
     Returns ``(loss, rows, grad)``: the weight rows the batch's texts touch,
-    sorted, and their gradient, a view of ``buffer.grad``; every other row's
-    gradient is zero. Each text adds its term to its rows, text by text,
-    from 0.0, as into a gradient over every row. The batch's texts are
-    decoded from the store in one call, and the step allocates no array
+    sorted, and their gradient, a transposed view of ``buffer.grad``; every
+    other row's gradient is zero. Each text adds its term to its rows, text
+    by text, from 0.0, as into a gradient over every row. The batch's texts
+    are decoded from the store in one call, and the step allocates no array
     per text: the features, the forward gather and the backward scatter
     use the buffer's arrays.
     """
@@ -860,10 +849,9 @@ def _train_steps(data: TrainingSet, weights: np.ndarray, schedule: TrainSchedule
     """Every step of the schedule on the compact weights, in place; the
     loss curve. The optimizer and the gradient buffer live only as long as
     this call. The buffer is sized for the largest batch before the first
-    step and borrows the optimizer's block scratch, so no step allocates
-    an array per text."""
+    step, so no step allocates an array per text."""
     optimizer = Adam(weights.shape)
-    buffer = _GradientBuffer(weights.shape, optimizer.scratch)
+    buffer = _GradientBuffer(weights.shape)
     sizes = []
     for _, pairs in _steps(len(data), schedule):
         buckets = np.concatenate([idx for idx, _ in data.store.entries(data.slots(pairs))])

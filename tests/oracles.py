@@ -538,14 +538,21 @@ def batch_gradient_oracle(embedder, pairs, cfg):
     c_unit = c_vecs / cn
     d_q = (grad_sim @ c_unit - (grad_sim * sim).sum(axis=1, keepdims=True) * q_unit) / qn
     d_c = (grad_sim.T @ q_unit - (grad_sim * sim).sum(axis=0)[:, None] * c_unit) / cn
-    w_grad = np.zeros_like(embedder.weights)
-    for (idx, values), row in zip(q_feats, d_q):
+    return loss, scatter_oracle(embedder.weights.shape, q_feats + c_feats,
+                                np.concatenate([d_q, d_c]))
+
+
+def scatter_oracle(shape, feats, d_rows):
+    """dL/dW into a fresh array of zeros: each text's features
+    ``(idx, values)``, in order, add ``values[:, None] * d`` on rows
+    ``idx``, ``d`` the text's row of ``d_rows``."""
+    import numpy as np
+
+    w_grad = np.zeros(shape)
+    for (idx, values), row in zip(feats, d_rows):
         if idx.size:
             w_grad[idx] += values[:, None] * row
-    for (idx, values), row in zip(c_feats, d_c):
-        if idx.size:
-            w_grad[idx] += values[:, None] * row
-    return loss, w_grad
+    return w_grad
 
 
 def train_toy_oracle(pairs, embedder, schedule, loss_cfg):

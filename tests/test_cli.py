@@ -305,11 +305,20 @@ def _assert_pinned(sha256: dict[str, str], seed: int) -> None:
         f"the artifacts were pinned on another build: {cause}")
 
 
-def _tiny_pipeline(root: Path, seed: int, hash_seed: str, threads: int) -> dict[str, bytes]:
+#: The artifacts of the ``tiny`` pipeline's stages that load numpy:
+#: ``train`` and dense ``search``.
+NUMPY_OUTPUTS = ("toy.ckpt", "loss.tsv", "run_dense.jsonl")
+
+
+def _tiny_pipeline(root: Path, seed: int, hash_seed: str, threads: int,
+                   python: str | None = None,
+                   numpy_outputs: dict[str, bytes] | None = None) -> dict[str, bytes]:
     """The pipeline at the benchmark's ``tiny`` sizes, from ``fixtures`` to
     the last ``eval``, one process per stage under ``PYTHONHASHSEED`` =
     ``hash_seed``, with ``threads`` ``synthesize`` threads, in a new
-    directory ``root``; every artifact it writes, by name."""
+    directory ``root``; every artifact it writes, by name. Given
+    ``numpy_outputs``, the stages that load numpy are not run: those files
+    are written as given, and every other stage runs under ``python``."""
     import os
     import subprocess
     import sys
@@ -341,15 +350,59 @@ def _tiny_pipeline(root: Path, seed: int, hash_seed: str, threads: int) -> dict[
     ] + [["eval", "--run", d / f"run_{run}.jsonl", "--qrels", d / "qrels.jsonl",
           "--output", d / f"metrics_{run}.json", "--label", run]
          for run in ("bm25", "bm25_index", "dense")]
+    if numpy_outputs is not None:
+        d.mkdir()
+        for name, data in numpy_outputs.items():
+            (d / name).write_bytes(data)
+        stages = [argv for argv in stages if argv[0] != "train" and "--checkpoint" not in argv]
     env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
     for argv in stages:
-        subprocess.run([sys.executable, "-m", "lexforge.cli", "--config", config,
+        subprocess.run([python or sys.executable, "-m", "lexforge.cli", "--config", config,
                         *map(str, argv)], env=env, check=True, capture_output=True)
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
 
 
 def _sha256(artifacts: dict[str, bytes]) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
+
+
+def _other_pythons() -> dict[str, str]:
+    """Each CPython 3.10 to 3.13 that runs here, other than this one's
+    major.minor, by its full version: ``python3.N`` on ``PATH``, or under
+    the versions of the pyenv root (``PYENV_ROOT``, else ``~/.pyenv``).
+    The first one found of a version is kept."""
+    import os
+    import shutil
+    import subprocess
+    import sys
+
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    found: dict[str, str] = {}
+    for exe in [*filter(None, (shutil.which(f"python3.{minor}") for minor in range(10, 14))),
+                *map(str, sorted(root.glob("versions/*/bin/python3.1[0-3]")))]:
+        try:
+            probe = subprocess.run(
+                [exe, "-c", "import sys; print(sys.implementation.name, "
+                            "'.'.join(map(str, sys.version_info[:3])))"],
+                capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue  # not runnable, or hung
+        name, _, version = probe.stdout.strip().partition(" ")
+        if (probe.returncode == 0 and name == "cpython"
+                and not version.startswith("{}.{}.".format(*sys.version_info))):
+            found.setdefault(version, exe)
+    return found
+
+
+OTHER_PYTHONS = _other_pythons()
+
+
+@pytest.fixture(scope="module")
+def numpy_outputs(tmp_path_factory) -> dict[str, bytes]:
+    """The ``tiny`` pipeline's artifacts at seed 7 that its numpy stages
+    write, under this interpreter."""
+    made = _tiny_pipeline(tmp_path_factory.mktemp("tiny") / "run", 7, "0", 1)
+    return {name: made[name] for name in NUMPY_OUTPUTS}
 
 
 class TestDeterminism:
@@ -398,6 +451,24 @@ class TestDeterminism:
         sha256 pinned for that seed, so the pins cover more than one draw
         of the fixtures, pairs and weights."""
         _assert_pinned(_sha256(_tiny_pipeline(tmp_path / "seed8", 8, "0", 1)), 8)
+
+    @pytest.mark.parametrize("version", sorted(OTHER_PYTHONS) or [None])
+    def test_the_numpy_free_stages_keep_their_pins_under_other_pythons(
+            self, tmp_path, numpy_outputs, version):
+        """Under each other CPython found (:func:`_other_pythons`), the
+        stages of the ``tiny`` pipeline at seed 7 that load no numpy, run
+        from this interpreter's checkpoint, loss curve and dense run, write
+        every artifact with its pinned sha256. Where no other CPython is
+        found, the test is skipped and says so."""
+        if version is None:
+            pytest.skip("no CPython 3.10-3.13 other than this one on PATH or under "
+                        "the pyenv root")
+        made = _sha256(_tiny_pipeline(tmp_path / "run", 7, "0", 1, OTHER_PYTHONS[version],
+                                      numpy_outputs))
+        pinned = PINNED["sha256"]["7"]
+        differ = sorted(name for name in made.keys() | pinned.keys()
+                        if made.get(name) != pinned.get(name))
+        assert not differ, f"CPython {version}: artifacts not as pinned: {differ}"
 
     def test_rerun_overwrites_atomically(self, tmp_path):
         out = tmp_path / "data"
@@ -996,10 +1067,10 @@ class TestTrainInputs:
     @pytest.mark.parametrize("rows", ["one", "more than any text"])
     def test_the_adam_block_does_not_change_the_checkpoint(self, workdir, tmp_path,
                                                            monkeypatch, rows):
-        """Adam updates a block of rows at a time, and the backward scatter
-        adds each text's term in pieces of at most one block: blocks of one
-        row, and one block larger than every text's buckets, write the
-        bytes of the default blocks."""
+        """Adam updates a block of rows at a time, and copies each block's
+        touched gradient rows out of the scatter's column-major gradient:
+        blocks of one row, and one block larger than every text's buckets,
+        write the bytes of the default blocks."""
         from lexforge import training
 
         dim = 16
@@ -1123,7 +1194,9 @@ class TestExitCodes:
         ({"query_id": "q", "case_id": "c", "label": True},
          "field 'label': expected an integer, not bool"),
         ({"query_id": "q", "case_id": "c", "label": "3"},
-         "field 'label': expected an integer, not str")])
+         "field 'label': expected an integer, not str"),
+        *(({"query_id": "q", "case_id": "c", "label": label},
+           f"field 'label': expected a label in 0-3, not {label}") for label in (7, -1, 5000))])
     def test_bad_qrels_line_is_data_error(self, workdir, tmp_path, capsys, qrel, expected):
         qrels = tmp_path / "qrels.jsonl"
         fileio.write_jsonl(qrels, [{"query_id": "q", "case_id": "d", "label": 1}, qrel])
@@ -1282,6 +1355,32 @@ class TestExitCodes:
         records[0]["text"] = ["a", "b"]
         err, bad = self._first_record_changed(workdir, tmp_path, capsys, command, name, records)
         assert err == f"data error: {bad}:1: field 'text': expected a string, not list\n"
+
+    def test_a_label_of_5000_is_data_error_not_an_overflow(self, workdir, tmp_path, capsys):
+        """The label that overflowed the exponential gain is refused where
+        the qrels are read, before any metric is computed."""
+        records = _records(workdir / "qrels.jsonl")
+        records[3]["label"] = 5000
+        qrels = tmp_path / "qrels.jsonl"
+        fileio.write_jsonl(qrels, records)
+        err = self._data_error(capsys, "eval", "--run", workdir / "run_bm25.jsonl",
+                               "--qrels", qrels, "--output", tmp_path / "m.json",
+                               "--gain", "exponential")
+        assert err == f"data error: {qrels}:4: field 'label': expected a label in 0-3, not 5000\n"
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("kind,reason", [
+        ("x", "expected 'original' or 'augmented', not 'x'"),
+        ("Original", "expected 'original' or 'augmented', not 'Original'"),
+        (None, "expected a string, not NoneType"),
+        (1, "expected a string, not int")])
+    def test_a_pair_kind_outside_the_table_is_data_error(self, workdir, tmp_path, capsys,
+                                                         kind, reason):
+        records = _records(workdir / "pairs.jsonl")
+        records[0]["kind"] = kind
+        err, bad = self._first_record_changed(workdir, tmp_path, capsys, "train",
+                                              "pairs.jsonl", records)
+        assert err == f"data error: {bad}:1: field 'kind': {reason}\n"
 
     def _first_record_changed(self, workdir, tmp_path, capsys, command, name, records):
         """The command's data error with ``records`` as its input ``name``,

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexforge import training
@@ -47,6 +47,7 @@ from oracles import (
     fd_gradient,
     filtered_loss_oracle,
     init_oracle,
+    scatter_oracle,
     train_toy_oracle,
     training_set,
 )
@@ -398,10 +399,8 @@ class TestToyEmbedder:
 
 def _workspace(buffer):
     """Every array of a gradient buffer's workspace: the gradient rows, the
-    decoded features, the block scratch, and the per-row marks and
-    positions."""
-    return [buffer.grad, buffer.idx, buffer.values, *buffer.scratch, buffer.touched,
-            buffer.position]
+    decoded features, and the per-row marks and positions."""
+    return [buffer.grad, buffer.idx, buffer.values, buffer.touched, buffer.position]
 
 
 def _toy_pairs(n=60):
@@ -767,8 +766,9 @@ class TestCompactTraining:
         entries before its first step: every batch works in one workspace,
         each array exactly as large as the largest batch needs, and every
         array keeps its address and size from the first step to the last.
-        The scatter's scratch is the optimizer's own."""
-        seen, lent = [], []
+        The buffer holds none of the optimizer's memory, and Adam reads the
+        gradient as the buffer wrote it, a transposed view of its rows."""
+        seen, held = [], []
         real_gradient = training._batch_gradient
         real_step = Adam.step
 
@@ -777,10 +777,14 @@ class TestCompactTraining:
             entries = sum(len(idx) for idx, _ in data.store.entries(data.slots(pairs)))
             seen.append(([(a.ctypes.data, a.size) for a in _workspace(buffer)],
                          len(rows), entries))
+            held.append(_workspace(buffer))
             return loss, rows, grad
 
         def step(self, params, rows, grad_rows, lr):
-            lent.append([(a.ctypes.data, a.size) for a in self.scratch])
+            workspace = held[-1]
+            assert np.shares_memory(grad_rows, workspace[0]) and grad_rows.T.flags.c_contiguous
+            assert not any(np.shares_memory(a, b) for a in workspace
+                           for b in (params, self.m, self.v, *self._scratch))
             return real_step(self, params, rows, grad_rows, lr)
 
         monkeypatch.setattr(training, "_batch_gradient", gradient)
@@ -793,9 +797,8 @@ class TestCompactTraining:
         assert len(seen) == 15 and len(set(touched)) > 1 and len(set(entries)) > 1
         workspace = seen[0][0]
         assert all(arrays == workspace for arrays, _, _ in seen)
-        grad, idx, values, *scratch, _, _ = workspace
+        grad, idx, values, _, _ = workspace
         assert grad[1] == max(touched) * 4 and idx[1] == values[1] == max(entries)
-        assert all(arrays == scratch for arrays in lent)
 
     def test_caller_embedder_embeds_as_a_fresh_one(self):
         pairs = _toy_pairs(24)
@@ -1024,29 +1027,31 @@ def _long_text(rng, n):
 class TestStepWorkspace:
     """A batch's gradient is computed in memory the step already holds: the
     features are decoded into the buffer, each text's weight rows are
-    gathered into the gradient rows, and the scatter works in pieces of at
-    most one Adam block inside the block scratch. It equals the oracle bit
-    for bit however a text falls into pieces."""
+    gathered into the gradient rows, and the scatter then writes the
+    gradient into that same memory, one weight column at a time. It equals
+    the oracle bit for bit."""
 
-    def test_texts_on_either_side_of_a_piece_equal_the_oracle(self):
-        """Texts with one distinct bucket fewer than a piece holds, exactly a
-        piece's worth and one more, through a fresh, unreserved buffer."""
+    def test_texts_on_either_side_of_an_adam_block_equal_the_oracle(self):
+        """Texts with one distinct bucket fewer than an Adam block has rows,
+        exactly a block's worth and one more, through a fresh, unreserved
+        buffer. The gradient is a transposed view of the buffer's rows."""
         dim, buckets = 64, 1 << 12
-        piece = ADAM_BLOCK // dim
+        block = ADAM_BLOCK // dim
         embedder = ToyEmbedder(dim=dim, hash_buckets=buckets, ngram_min=1, ngram_max=1, seed=5)
-        short, exact, long = (_text_of_buckets(piece + extra, first, buckets)
+        short, exact, long = (_text_of_buckets(block + extra, first, buckets)
                               for extra, first in ((-1, 0x4E00), (0, 0x5E00), (1, 0x6E00)))
         pairs = [(short, exact, frozenset({"a"})), (long, short[::-1], frozenset({"b"})),
                  (exact[::-1], long[::-1], frozenset({"a"}))]
         data = training_set(pairs, embedder)
         reached = data.store.rows
-        assert len(reached) > piece + 1
+        assert len(reached) > block + 1
         buffer = _GradientBuffer((len(reached), dim))
-        assert len(buffer.grad) == len(buffer.idx) == 0 and len(buffer.scratch[0]) == ADAM_BLOCK
+        assert len(buffer.grad) == len(buffer.idx) == 0
         for masking in (True, False):
             cfg = LossConfig(masking_enabled=masking)
             loss, rows, grad = _batch_gradient(embedder.weights[reached], data, [0, 1, 2], cfg,
                                                buffer)
+            assert grad.T.flags.c_contiguous and np.shares_memory(grad, buffer.grad)
             expected_loss, expected = batch_gradient_oracle(embedder, pairs, cfg)
             assert loss == expected_loss
             assert (dense_gradient(reached[rows], grad, expected.shape).tobytes()
@@ -1091,6 +1096,115 @@ class TestStepWorkspace:
         assert len(traced) == 12 and largest > 500
         (held,), (_, peak) = held, traced[-1]
         assert peak - held < largest * dim * 8
+
+
+
+#: A character in every text of :func:`_scatter_texts`, so that one
+#: weight row takes a term from every text of a batch.
+SHARED_CHAR = "的"
+
+#: Text lengths for :func:`_scatter_texts`: 0 is a one-feature text.
+SCATTER_LENGTHS = st.sampled_from([0, 1, 7, 40, 700])
+
+#: A batch of 64 texts with more feature entries than ``ADAM_BLOCK``.
+FULL_BATCH = [0] * 4 + [700] * 60
+
+#: Signed zeros, subnormals and ordinary values for ``d``.
+EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                         -1e-310]),
+                        st.floats(-1e3, 1e3))
+
+
+def _scatter_texts(lengths, seed):
+    """The shared character, then that many ideographs, for each length."""
+    rng = np.random.default_rng(seed)
+    return [SHARED_CHAR + _long_text(rng, n) for n in lengths]
+
+
+class TestColumnScatter:
+    """The scatter writes each weight column with one weighted ``bincount``
+    over the batch's entries, in text order. It equals the per-text oracle
+    bit for bit, signed zeros included, with one row in every text of a
+    batch, batches of more entries than an Adam block, and texts of one
+    feature."""
+
+    def _batch_equals_the_oracle(self, lengths, seed, dim, masking):
+        """Train's batch gradient on the pairs of consecutive texts equals
+        :func:`batch_gradient_oracle`; the batch's entry count."""
+        texts = _scatter_texts(lengths, seed)
+        pairs = [(q, c, frozenset({i % 3})) for i, (q, c) in enumerate(zip(texts[::2],
+                                                                            texts[1::2]))]
+        embedder = ToyEmbedder(dim=dim, hash_buckets=1 << 12, ngram_min=1, ngram_max=1,
+                               seed=seed)
+        data = training_set(pairs, embedder)
+        reached = data.store.rows
+        cfg = LossConfig(masking_enabled=masking)
+        loss, rows, grad = _batch_gradient(embedder.weights[reached], data,
+                                           list(range(len(pairs))), cfg,
+                                           _GradientBuffer((len(reached), dim)))
+        expected_loss, expected = batch_gradient_oracle(embedder, pairs, cfg)
+        assert loss == expected_loss
+        assert (dense_gradient(reached[rows], grad, expected.shape).tobytes()
+                == expected.tobytes())
+        return sum(len(embedder.features(text)[0]) for text in texts)
+
+    @settings(max_examples=20, deadline=None)
+    @given(lengths=st.lists(SCATTER_LENGTHS, min_size=2, max_size=64).filter(
+               lambda lengths: len(lengths) % 2 == 0),
+           seed=st.integers(0, 1 << 16), dim=st.sampled_from([1, 3, 64]),
+           masking=st.booleans())
+    @example(lengths=[0, 0], seed=0, dim=3, masking=False)
+    def test_batches_equal_the_oracle(self, lengths, seed, dim, masking):
+        self._batch_equals_the_oracle(lengths, seed, dim, masking)
+
+    def test_a_full_batch_over_an_adam_block_equals_the_oracle(self):
+        """64 texts add to the shared row, four of them with no other
+        feature, and the batch has more entries than ``ADAM_BLOCK``."""
+        assert self._batch_equals_the_oracle(FULL_BATCH, 0, 64, True) > ADAM_BLOCK
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(SCATTER_LENGTHS, min_size=1, max_size=64),
+           seed=st.integers(0, 1 << 16), dim=st.sampled_from([1, 3, 8]),
+           d_values=st.lists(EDGE_FLOATS, min_size=1, max_size=6))
+    @example(lengths=[0, 1, 7], seed=1, dim=3, d_values=[-0.0])
+    @example(lengths=[0, 40, 40], seed=2, dim=8, d_values=[5e-324, -5e-324])
+    def test_signed_zeros_and_subnormals_in_d(self, lengths, seed, dim, d_values):
+        """``d`` rows drawn from signed zeros, subnormals and ordinary
+        values: a row that takes only -0.0 terms is +0.0, as in the
+        oracle's array of zeros."""
+        texts = _scatter_texts(lengths, seed)
+        shape = (1 << 12, dim)
+        embedder = ToyEmbedder(dim=dim, hash_buckets=shape[0], ngram_min=1, ngram_max=1,
+                               seed=seed)
+        store = FeatureStore(embedder, texts)
+        buffer = _GradientBuffer((len(store.rows), dim))
+        rows, feats = buffer.start(store, np.arange(len(texts)))
+        d_rows = np.random.default_rng(seed).choice(d_values, size=(len(texts), dim))
+        grad = buffer.scatter(feats, d_rows, len(rows))
+        expected = scatter_oracle(shape, [embedder.features(text) for text in texts], d_rows)
+        assert dense_gradient(store.rows[rows], grad, shape).tobytes() == expected.tobytes()
+
+    def test_a_nan_in_one_texts_d_stops_the_run(self, monkeypatch):
+        """A NaN in one text's ``d`` at step 3, the first of epoch 1, is a
+        :class:`NonFiniteLoss` naming the step and the epoch, and the
+        caller's weights keep their bytes."""
+        real_scatter = _GradientBuffer.scatter
+        calls = []
+
+        def scatter(self, feats, d_rows, n_rows):
+            calls.append(1)
+            if len(calls) == 4:
+                d_rows[5, 0] = np.nan
+            return real_scatter(self, feats, d_rows, n_rows)
+
+        monkeypatch.setattr(_GradientBuffer, "scatter", scatter)
+        embedder = ToyEmbedder(dim=8, hash_buckets=4096, seed=4)
+        before = embedder.weights.copy()
+        with pytest.raises(NonFiniteLoss, match=r"at step 3 \(epoch 1\)"):
+            train_toy(training_set(_toy_pairs(24), embedder), embedder,
+                      TrainSchedule(epochs=2, batch_size=8, seed=4))
+        assert len(calls) == 4
+        assert embedder.weights.tobytes() == before.tobytes()
 
 
 class TestAdam:
@@ -1164,7 +1278,7 @@ class TestFastPathsMatchOracles:
             loss, rows, grad = _batch_gradient(embedder.weights[reached], data, chunk, cfg,
                                                buffer)
             entries = sum(len(idx) for idx, _ in data.store.entries(data.slots(chunk)))
-            needs = [len(rows) * 8, entries, entries, 0, 0, 0, 0]
+            needs = [len(rows) * 8, entries, entries, 0, 0]
             grown.append([need > size for (_, size), need in zip(held, needs)])
             for (address, size), array, need in zip(held, _workspace(buffer), needs):
                 assert (array.ctypes.data, array.size) == (
